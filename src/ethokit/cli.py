@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -179,11 +180,41 @@ def _load_ethogram(config: RunConfig) -> Ethogram:
     return default_ethogram()
 
 
-class Session(NamedTuple):
-    meta: VideoMeta
-    tracks: list[Track]
-    labels: list[LabelStream]
-    observations: list[ObservationStream]
+class Session:
+    """A session directory whose CSV files are parsed on first use.
+
+    meta.json is read up front; tracks, labels and observations are each
+    read when a command first asks for them, so a command parses (and
+    fails on) only the files it uses. A file listed in ``need`` must
+    exist; any other missing file reads as empty.
+    """
+
+    def __init__(self, root: Path, meta: VideoMeta, need: tuple[str, ...]):
+        self.root = root
+        self.meta = meta
+        self.need = need
+
+    def _read(self, name: str, reader):
+        path = self.root / name
+        if path.exists():
+            return reader(path)
+        if name in self.need:
+            raise ParseError(f"missing file: {path}")
+        return []
+
+    # the readers are looked up in this module at call time, so a wrapper
+    # put on them there (as benchmarks/tracing.py does) sees every read
+    @functools.cached_property
+    def tracks(self) -> list[Track]:
+        return self._read("tracks.csv", read_tracks)
+
+    @functools.cached_property
+    def labels(self) -> list[LabelStream]:
+        return self._read("labels.csv", read_labels)
+
+    @functools.cached_property
+    def observations(self) -> list[ObservationStream]:
+        return self._read("observations.csv", read_ground_observations)
 
 
 def _load_session(directory: str | Path, *, need: tuple[str, ...] = ()) -> Session:
@@ -193,22 +224,7 @@ def _load_session(directory: str | Path, *, need: tuple[str, ...] = ()) -> Sessi
     meta_path = root / "meta.json"
     if not meta_path.exists():
         raise ParseError(f"missing file: {meta_path}")
-    meta = read_video_meta(meta_path)
-
-    def optional(name: str, reader):
-        path = root / name
-        if path.exists():
-            return reader(path)
-        if name in need:
-            raise ParseError(f"missing file: {path}")
-        return []
-
-    return Session(
-        meta,
-        optional("tracks.csv", read_tracks),
-        optional("labels.csv", read_labels),
-        optional("observations.csv", read_ground_observations),
-    )
+    return Session(root, read_video_meta(meta_path), need)
 
 
 def _emit(out_dir: Path, name: str, text: str) -> Path:

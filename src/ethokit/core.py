@@ -8,6 +8,7 @@ across concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from types import MappingProxyType
@@ -344,10 +345,11 @@ class AnalysisParams:
     overlap_metric: str = "min_area"  # min_area | iou
 
     def __post_init__(self) -> None:
-        if self.downsample_interval_s <= 0:
-            raise ValueError("downsample_interval_s must be positive")
-        if self.scan_propagation_s <= 0:
-            raise ValueError("scan_propagation_s must be positive")
+        # NaN fails every comparison, so test for the valid range
+        if not 0 < self.downsample_interval_s < math.inf:
+            raise ValueError("downsample_interval_s must be positive and finite")
+        if not 0 < self.scan_propagation_s < math.inf:
+            raise ValueError("scan_propagation_s must be positive and finite")
         if self.min_miniscene_frames <= 0:
             raise ValueError("min_miniscene_frames must be positive")
         if not 0.0 < self.overlap_ratio_threshold < 1.0:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
@@ -113,6 +114,7 @@ class _Rows:
     def __init__(self, text: str, header: list[str], name: str):
         self.name = name
         self.header = header
+        self._pos = {col: i for i, col in enumerate(header)}
         self._reader = csv.reader(io.StringIO(text))
         got = next(self._reader, None)
         if got != header:
@@ -138,19 +140,21 @@ class _Rows:
         return ParseError(f"{self.where(column)}: {message}")
 
     def to_int(self, row: list[str], col: str) -> int:
+        raw = row[self._pos[col]]
         try:
-            return int(row[self.header.index(col)])
+            return int(raw)
         except ValueError:
-            raise self.fail(col, f"not an integer: {row[self.header.index(col)]!r}") from None
+            raise self.fail(col, f"not an integer: {raw!r}") from None
 
     def to_float(self, row: list[str], col: str) -> float:
+        raw = row[self._pos[col]]
         try:
-            return float(row[self.header.index(col)])
+            return float(raw)
         except ValueError:
-            raise self.fail(col, f"not a number: {row[self.header.index(col)]!r}") from None
+            raise self.fail(col, f"not a number: {raw!r}") from None
 
     def get(self, row: list[str], col: str) -> str:
-        return row[self.header.index(col)]
+        return row[self._pos[col]]
 
 
 def _to_bool(rows: _Rows, row: list[str], col: str) -> bool:
@@ -189,7 +193,9 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
         )
         excluded = _to_bool(rows, row, "excluded")
         key = (track_id, frame)
-        if prev_key is not None and key < prev_key:
+        if prev_key is not None and key <= prev_key:
+            if key == prev_key:
+                raise rows.fail("frame", f"duplicate frame {frame} in track {track_id!r}")
             raise rows.fail("frame", "rows not sorted by (track_id, frame)")
         prev_key = key
         if groups and groups[-1][0] == track_id:
@@ -484,8 +490,8 @@ def parse_video_meta(text: str, name: str = "meta") -> VideoMeta:
         start_time=start,
         fps=float(obj["fps"]),
     )
-    if meta.fps <= 0:
-        raise ParseError(f"{name}: fps must be positive")
+    if not (math.isfinite(meta.fps) and meta.fps > 0):
+        raise ParseError(f"{name}: fps must be positive and finite, got {meta.fps!r}")
     if meta.width_px <= 0 or meta.height_px <= 0:
         raise ParseError(f"{name}: frame size must be positive")
     return meta

@@ -13,6 +13,8 @@ import io
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .core import AnalysisParams, BoundingBox, LabelStream, Track
 
 __all__ = [
@@ -84,41 +86,76 @@ def detect_interactions(
     """Find runs of >threshold overlap lasting >= min_overlap_frames.
 
     Both cutoffs come from params; the ratio threshold is strict, so a
-    frame at exactly the threshold breaks a run.
+    frame at exactly the threshold breaks a run. Each track pair costs a
+    few array operations over its shared frames, and every ratio is
+    computed with :func:`overlap_ratio`'s operations in its order, so
+    results match it bit for bit. Duplicate track ids, or a track whose
+    frames do not strictly increase, raise ValueError.
     """
     if params is None:
         params = AnalysisParams()
-    events: list[InteractionEvent] = []
     active = sorted((t for t in tracks if not t.excluded and t.boxes), key=lambda t: t.track_id)
+    for ta, tb in zip(active, active[1:]):
+        if ta.track_id == tb.track_id:
+            raise ValueError(f"duplicate track id {ta.track_id!r}")
+    columns = [_BoxColumns.of(t) for t in active]
+    events: list[InteractionEvent] = []
     for i, ta in enumerate(active):
-        frames_a = {box.frame: box for box in ta.boxes}
-        for tb in active[i + 1 :]:
-            if tb.track_id == ta.track_id:
-                raise ValueError(f"duplicate track id {ta.track_id!r}")
-            shared = sorted(frames_a.keys() & {box.frame for box in tb.boxes})
-            run: list[tuple[int, float]] = []
-            for frame in shared:
-                ratio = overlap_ratio(frames_a[frame], tb.box_at(frame), params.overlap_metric)
-                contiguous = run and frame == run[-1][0] + 1
-                if ratio > params.overlap_ratio_threshold and (contiguous or not run):
-                    run.append((frame, ratio))
-                    continue
-                _close_run(run, ta, tb, params, events)
-                run = [(frame, ratio)] if ratio > params.overlap_ratio_threshold else []
-            _close_run(run, ta, tb, params, events)
+        for j in range(i + 1, len(active)):
+            tb = active[j]
+            for start, end, mean in _overlap_runs(columns[i], columns[j], params):
+                events.append(
+                    InteractionEvent(
+                        ta.track_id, tb.track_id, ta.species, tb.species, start, end, mean
+                    )
+                )
     events.sort(key=lambda e: (e.track_a, e.track_b, e.start_frame))
     return events
 
 
-def _close_run(run, ta: Track, tb: Track, params: AnalysisParams, events: list) -> None:
-    if len(run) >= params.min_overlap_frames:
-        frames = [f for f, _ in run]
-        mean = sum(r for _, r in run) / len(run)
-        events.append(
-            InteractionEvent(
-                ta.track_id, tb.track_id, ta.species, tb.species, frames[0], frames[-1], mean
-            )
-        )
+class _BoxColumns(NamedTuple):
+    """One track's boxes as columns, right/bottom edges and areas precomputed."""
+
+    frames: np.ndarray  # int64, strictly increasing
+    x: np.ndarray
+    y: np.ndarray
+    right: np.ndarray  # x + w
+    bottom: np.ndarray  # y + h
+    area: np.ndarray  # w * h
+
+    @classmethod
+    def of(cls, track: Track) -> _BoxColumns:
+        frames = np.fromiter((b.frame for b in track.boxes), dtype=np.int64, count=len(track.boxes))
+        if np.any(np.diff(frames) <= 0):
+            raise ValueError(f"track {track.track_id!r}: frames not strictly increasing")
+        x, y, w, h = np.array([(b.x, b.y, b.w, b.h) for b in track.boxes], dtype=float).T
+        return cls(frames, x, y, x + w, y + h, w * h)
+
+
+def _overlap_runs(a: _BoxColumns, b: _BoxColumns, params: AnalysisParams):
+    """(start_frame, end_frame, mean_ratio) of each qualifying run of one pair."""
+    shared, ia, ib = np.intersect1d(a.frames, b.frames, assume_unique=True, return_indices=True)
+    if shared.size < params.min_overlap_frames:
+        return
+    ix = np.minimum(a.right[ia], b.right[ib]) - np.maximum(a.x[ia], b.x[ib])
+    iy = np.minimum(a.bottom[ia], b.bottom[ib]) - np.maximum(a.y[ia], b.y[ib])
+    # frames without a positive intersection have ratio 0, never above
+    # the threshold, so only the rest are divided
+    hit = np.flatnonzero((ix > 0) & (iy > 0))
+    inter = ix[hit] * iy[hit]
+    if params.overlap_metric == "min_area":
+        denom = np.minimum(a.area[ia[hit]], b.area[ib[hit]])
+    else:
+        denom = a.area[ia[hit]] + b.area[ib[hit]] - inter
+    ratio = np.minimum(1.0, inter / denom)
+    over = ratio > params.overlap_ratio_threshold
+    frames = shared[hit][over]
+    ratio = ratio[over]
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(frames) != 1) + 1, [frames.size]))
+    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if e - s >= params.min_overlap_frames:
+            # builtin sum, in frame order, as the per-frame loop adds them
+            yield int(frames[s]), int(frames[e - 1]), sum(ratio[s:e].tolist()) / (e - s)
 
 
 def tag_interactions(

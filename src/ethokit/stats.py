@@ -308,7 +308,7 @@ def nested_f_test(full: RegressionResult, reduced: RegressionResult) -> FTestRes
     if full.rss <= 1e-12 * full.tss:
         raise ValueError("full model fits exactly; F statistic undefined")
     f = max(0.0, (reduced.rss - full.rss) / df1) / (full.rss / df2)
-    return FTestResult(f, df1, df2, 1.0 - f_cdf(f, df1, df2))
+    return FTestResult(f, df1, df2, float(_sps.f.sf(f, df1, df2)))
 
 
 def student_t_cdf(t: float, df: float) -> float:
@@ -325,7 +325,11 @@ def f_cdf(f: float, df1: float, df2: float) -> float:
 
 
 def two_sided_p(t: float, df: float) -> float:
-    return 2.0 * (1.0 - student_t_cdf(abs(t), df))
+    """2 P(T > |t|) from the survival function, which keeps its digits
+    where ``1 - cdf`` rounds to 0 (p below about 1e-16)."""
+    if df <= 0:
+        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    return 2.0 * float(_sps.t.sf(abs(t), df))
 
 
 def significance_stars(p: float) -> str:

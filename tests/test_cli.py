@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,43 @@ class TestExitCodes:
         (broken / "tracks.csv").write_text("this,is,not,the,header\n1,2,3,4,5\n")
         assert main(["validate", str(broken)]) == 2
         assert "tracks.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "broken_file,argv,status",
+        [
+            ("tracks.csv", ["compare", "--subject", "ind000", "--method-a", "ground_focal",
+                            "--method-b", "drone_focal"], 0),
+            ("tracks.csv", ["report"], 0),
+            ("tracks.csv", ["timebudget"], 0),
+            ("tracks.csv", ["transitions"], 0),
+            ("tracks.csv", ["validate"], 2),
+            ("tracks.csv", ["interactions"], 2),
+            ("observations.csv", ["interactions"], 0),
+            ("observations.csv", ["miniscenes"], 0),
+            ("labels.csv", ["compare", "--subject", "ind000", "--method-a", "ground_focal",
+                            "--method-b", "drone_focal"], 0),
+            ("labels.csv", ["compare", "--subject", "ind000", "--method-a", "ground_scan",
+                            "--method-b", "ml_auto"], 2),
+        ],
+    )
+    def test_only_files_a_command_reads_can_fail_it(
+        self, sim_session, tmp_path, broken_file, argv, status
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(sim_session, broken)
+        (broken / broken_file).write_text("this,is,not,the,header\n1,2,3,4,5\n")
+        command, *options = argv
+        if command != "validate":
+            options += ["--out", str(tmp_path / "o")]
+        assert main([command, str(broken), *options]) == status
+
+    @pytest.mark.parametrize("fps", ['"nan"', '"inf"', "NaN"])
+    def test_non_finite_fps_is_a_parse_error(self, tmp_path, capsys, fps):
+        session = tiny_session(tmp_path / "s")
+        meta = (session / "meta.json").read_text()
+        (session / "meta.json").write_text(meta.replace('"fps": 30.0', f'"fps": {fps}'))
+        assert main(["validate", str(session)]) == 2
+        assert "fps" in capsys.readouterr().err
 
     def test_invariant_violation_reports_and_fails(self, tmp_path, capsys):
         session = tiny_session(tmp_path / "weird", label_code="ZZ")

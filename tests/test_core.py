@@ -132,6 +132,10 @@ class TestAnalysisParams:
             {"min_overlap_frames": 0},
             {"max_track_gap_frames": -1},
             {"overlap_metric": "center_distance"},
+            {"downsample_interval_s": float("nan")},
+            {"downsample_interval_s": float("inf")},
+            {"scan_propagation_s": float("nan")},
+            {"scan_propagation_s": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import pytest
@@ -58,6 +59,16 @@ class TestTracks:
             "s,a,grevys_zebra,0,0.0,0.0,1.0,1.0,0\n"
         )
         with pytest.raises(ParseError, match="sorted"):
+            parse_tracks(text)
+
+    def test_duplicate_frame_rejected(self):
+        text = (
+            "session_id,track_id,species,frame,x,y,w,h,excluded\n"
+            "s,a,grevys_zebra,1,0.0,0.0,1.0,1.0,0\n"
+            "s,a,grevys_zebra,2,0.0,0.0,1.0,1.0,0\n"
+            "s,a,grevys_zebra,2,5.0,0.0,1.0,1.0,0\n"
+        )
+        with pytest.raises(ParseError, match=r"row 4 column 'frame': duplicate frame 2 in track 'a'"):
             parse_tracks(text)
 
     def test_species_change_rejected(self):
@@ -301,6 +312,13 @@ class TestVideoMeta:
     def test_missing_key_rejected(self):
         with pytest.raises(ParseError, match="missing keys"):
             parse_video_meta('{"session_id": "s"}')
+
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", float("nan"), float("inf"), 0.0, -30.0])
+    def test_fps_must_be_positive_and_finite(self, meta, fps):
+        doc = json.loads(dump_video_meta(meta))
+        doc["fps"] = fps
+        with pytest.raises(ParseError, match="fps must be positive and finite"):
+            parse_video_meta(json.dumps(doc))
 
 
 CVAT_SAMPLE = """<?xml version="1.0" encoding="utf-8"?>

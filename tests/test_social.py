@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +14,17 @@ from ethokit import (
     InteractionEvent,
     OverlapMatrix,
     Track,
+    demo_config,
     detect_interactions,
     dump_interaction_events,
     dump_overlap_matrix,
     overlap_ratio,
     overlap_summary,
+    simulate,
     tag_interactions,
 )
 from conftest import make_labels
+from scalar_social import detect_interactions_scalar
 
 
 def offset_pair(offsets, species_b="grevys_zebra"):
@@ -151,6 +156,81 @@ class TestDetectInteractions:
         long = detect_interactions(tracks, AnalysisParams(min_overlap_frames=6))
         assert len(long) <= len(short)
         assert sum(e.frame_count for e in long) <= sum(e.frame_count for e in short)
+
+    def test_duplicate_track_ids_rejected(self):
+        a, b = offset_pair([0.0] * 10)
+        with pytest.raises(ValueError, match="duplicate track id 'a'"):
+            detect_interactions([a, Track("a", b.species, b.boxes)])
+
+    def test_repeated_frame_rejected(self):
+        a, b = offset_pair([0.0] * 6)
+        boxes = a.boxes[:3] + (BoundingBox(2, 80.0, 50.0, 10.0, 10.0),) + a.boxes[3:]
+        with pytest.raises(ValueError, match="'a': frames not strictly increasing"):
+            detect_interactions([Track("a", a.species, boxes), b])
+
+    def test_empty_tracks_skipped(self):
+        tracks = offset_pair([0.0] * 10) + [Track("c", "giraffe", ())]
+        assert detect_interactions(tracks) == detect_interactions(tracks[:2])
+
+
+SPECIES = ("grevys_zebra", "plains_zebra", "giraffe")
+# coarse grids make exact ties with the threshold (and exact 1.0 ratios) common
+COORD = st.one_of(st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0]), st.floats(0, 12))
+SIZE = st.one_of(st.sampled_from([5.0, 10.0]), st.floats(1, 15))
+JITTER = st.one_of(st.sampled_from([0.0, 2.5, -2.5]), st.floats(-3, 3))
+
+
+@st.composite
+def box_tracks(draw):
+    """2-4 tracks within frames 0-24, each missing a random subset of frames.
+
+    Each box jitters around its track's home position, so that pairs
+    overlap over runs of frames, not on isolated frames only.
+    """
+    ids = draw(st.permutations(["a", "b", "c", "d"]))[: draw(st.integers(2, 4))]
+    tracks = []
+    for track_id in ids:
+        missing = draw(st.sets(st.integers(0, 24), max_size=12))
+        frames = [f for f in range(draw(st.integers(0, 8)), 25) if f not in missing]
+        x, y, w, h = draw(COORD), draw(COORD), draw(SIZE), draw(SIZE)
+        boxes = tuple(BoundingBox(f, x + draw(JITTER), y + draw(JITTER), w, h) for f in frames)
+        excluded = draw(st.integers(0, 5)) == 0
+        tracks.append(Track(track_id, draw(st.sampled_from(SPECIES)), boxes, excluded))
+    return tracks
+
+
+class TestDetectInteractionsMatchesScalarOracle:
+    @given(
+        tracks=box_tracks(),
+        metric=st.sampled_from(["min_area", "iou"]),
+        threshold=st.one_of(
+            st.sampled_from([0.25, 0.5, 0.75]),
+            st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        min_frames=st.integers(1, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_boxes(self, tracks, metric, threshold, min_frames):
+        params = AnalysisParams(
+            overlap_ratio_threshold=threshold, min_overlap_frames=min_frames, overlap_metric=metric
+        )
+        expected = detect_interactions_scalar(tracks, params)
+        got = detect_interactions(tracks, params)
+        assert dump_interaction_events(got) == dump_interaction_events(expected)
+        assert got == expected
+
+    @pytest.mark.parametrize("metric", ["min_area", "iou"])
+    def test_simulated_herd(self, metric):
+        cfg = dataclasses.replace(
+            demo_config(5, 12, 60.0), arena_w_m=20.0, arena_h_m=15.0, px_per_m=13.5
+        )
+        tracks = simulate(cfg).tracks()
+        params = AnalysisParams(overlap_ratio_threshold=0.3, overlap_metric=metric)
+        expected = detect_interactions_scalar(tracks, params)
+        assert expected  # the small arena makes the herd overlap
+        assert dump_interaction_events(detect_interactions(tracks, params)) == (
+            dump_interaction_events(expected)
+        )
 
 
 class TestTagInteractions:

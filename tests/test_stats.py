@@ -7,11 +7,13 @@ and quadrature for distribution tails.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ethokit import (
     DesignMatrix,
@@ -297,6 +299,20 @@ class TestNestedFTest:
         with pytest.raises(ValueError, match="exactly"):
             nested_f_test(full, reduced)
 
+    def test_tiny_p_value_does_not_underflow(self):
+        # 104 observations, 4 columns against 1: F = ((280 - 100) / 3) / (100 / 100) = 60
+        rng = random.Random(15)
+        x = [[1.0] + [rng.gauss(0, 1) for _ in range(3)] for _ in range(104)]
+        y = [rng.gauss(0, 1) for _ in range(104)]
+        full = ols_fit(DesignMatrix(("intercept", "a", "b", "c"), tuple(map(tuple, x))), y)
+        reduced = ols_fit(DesignMatrix(("intercept",), tuple((1.0,) for _ in x)), y)
+        full = dataclasses.replace(full, rss=100.0, tss=1000.0)
+        reduced = dataclasses.replace(reduced, rss=280.0, tss=1000.0)
+        result = nested_f_test(full, reduced)
+        assert (result.f, result.df1, result.df2) == (60.0, 3, 100)
+        assert result.p == pytest.approx(2.8e-22, rel=0.05, abs=0.0)
+        assert result.p == pytest.approx(scipy.stats.f.sf(60.0, 3, 100), rel=1e-12, abs=0.0)
+
 
 class TestDistributionTails:
     def test_cdf_at_zero(self):
@@ -319,9 +335,17 @@ class TestDistributionTails:
                     t_cdf_quadrature(t, df), abs=1e-10
                 )
 
+    @pytest.mark.parametrize("t,df", [(20.0, 30), (-15.0, 60), (40.0, 100)])
+    def test_two_sided_p_below_machine_epsilon(self, t, df):
+        expected = 2.0 * scipy.stats.t.sf(abs(t), df)
+        assert expected < 1e-16
+        assert two_sided_p(t, df) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_invalid_df_rejected(self):
         with pytest.raises(ValueError):
             student_t_cdf(1.0, 0)
+        with pytest.raises(ValueError):
+            two_sided_p(1.0, 0)
         with pytest.raises(ValueError):
             f_cdf(1.0, 0, 5)
 
