@@ -253,7 +253,9 @@ class ObservationStream:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "intervals", tuple(ObsInterval(*iv) for iv in self.intervals)
+            self,
+            "intervals",
+            tuple(iv if type(iv) is ObsInterval else ObsInterval(*iv) for iv in self.intervals),
         )
 
     @property
@@ -267,11 +269,12 @@ class ObservationStream:
     def covered_intervals(self) -> list[tuple[float, float]]:
         """Covered time as merged (start, end) pairs, gaps preserved."""
         merged: list[tuple[float, float]] = []
-        for iv in self.intervals:
-            if merged and iv.start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], iv.end))
+        for start, end, _ in self.intervals:
+            if merged and start <= merged[-1][1]:
+                if end > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], end)
             else:
-                merged.append((iv.start, iv.end))
+                merged.append((start, end))
         return merged
 
     def code_at(self, t: float) -> str | None:
@@ -350,14 +353,14 @@ class AnalysisParams:
             raise ValueError("downsample_interval_s must be positive and finite")
         if not 0 < self.scan_propagation_s < math.inf:
             raise ValueError("scan_propagation_s must be positive and finite")
-        if self.min_miniscene_frames <= 0:
-            raise ValueError("min_miniscene_frames must be positive")
+        if not 0 < self.min_miniscene_frames < math.inf:
+            raise ValueError("min_miniscene_frames must be positive and finite")
         if not 0.0 < self.overlap_ratio_threshold < 1.0:
             raise ValueError("overlap_ratio_threshold must lie in (0, 1)")
-        if self.min_overlap_frames <= 0:
-            raise ValueError("min_overlap_frames must be positive")
-        if self.max_track_gap_frames <= 0:
-            raise ValueError("max_track_gap_frames must be positive")
+        if not 0 < self.min_overlap_frames < math.inf:
+            raise ValueError("min_overlap_frames must be positive and finite")
+        if not 0 < self.max_track_gap_frames < math.inf:
+            raise ValueError("max_track_gap_frames must be positive and finite")
         if self.overlap_metric not in ("min_area", "iou"):
             raise ValueError(f"unknown overlap_metric {self.overlap_metric!r}")
 

@@ -149,9 +149,12 @@ class _Rows:
     def to_float(self, row: list[str], col: str) -> float:
         raw = row[self._pos[col]]
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise self.fail(col, f"not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise self.fail(col, f"not a finite number: {raw!r}")
+        return value
 
     def get(self, row: list[str], col: str) -> str:
         return row[self._pos[col]]
@@ -480,16 +483,19 @@ def parse_video_meta(text: str, name: str = "meta") -> VideoMeta:
     missing = set(_META_KEYS) - set(obj)
     if missing:
         raise ParseError(f"{name}: missing keys {sorted(missing)}")
-    start = datetime.fromisoformat(str(obj["start_time"]).replace("Z", "+00:00"))
+    try:
+        start = datetime.fromisoformat(str(obj["start_time"]).replace("Z", "+00:00"))
+    except ValueError:
+        raise ParseError(f"{name}: start_time is not ISO 8601: {obj['start_time']!r}") from None
     if start.tzinfo is None:
         start = start.replace(tzinfo=timezone.utc)
-    meta = VideoMeta(
-        session_id=str(obj["session_id"]),
-        width_px=int(obj["width_px"]),
-        height_px=int(obj["height_px"]),
-        start_time=start,
-        fps=float(obj["fps"]),
-    )
+    fields = {}
+    for key, kind in (("width_px", int), ("height_px", int), ("fps", float)):
+        try:
+            fields[key] = kind(obj[key])
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"{name}: {key} is not a number: {obj[key]!r}") from None
+    meta = VideoMeta(session_id=str(obj["session_id"]), start_time=start, **fields)
     if not (math.isfinite(meta.fps) and meta.fps > 0):
         raise ParseError(f"{name}: fps must be positive and finite, got {meta.fps!r}")
     if meta.width_px <= 0 or meta.height_px <= 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -41,15 +42,21 @@ def overlap_ratio(a: BoundingBox, b: BoundingBox, metric: str = "min_area") -> f
         raise ValueError(f"boxes are from different frames ({a.frame} vs {b.frame})")
     ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
     iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    if ix <= 0 or iy <= 0:
-        return 0.0
     inter = ix * iy
+    # a NaN or infinite coordinate overlaps nothing (min/max may drop a
+    # NaN, and min(1.0, nan) is 1.0), nor does an area no float can hold
+    if not (ix > 0 and iy > 0 and 0 < inter < math.inf and _finite(a) and _finite(b)):
+        return 0.0
     # rounding in the extent math can push inter one ulp past the denominator
     if metric == "min_area":
         return min(1.0, inter / min(a.area, b.area))
     if metric == "iou":
         return min(1.0, inter / (a.area + b.area - inter))
     raise ValueError(f"unknown overlap metric {metric!r}")
+
+
+def _finite(box: BoundingBox) -> bool:
+    return all(map(math.isfinite, (box.x, box.y, box.w, box.h)))
 
 
 @dataclass(frozen=True)
@@ -98,17 +105,20 @@ def detect_interactions(
     for ta, tb in zip(active, active[1:]):
         if ta.track_id == tb.track_id:
             raise ValueError(f"duplicate track id {ta.track_id!r}")
-    columns = [_BoxColumns.of(t) for t in active]
     events: list[InteractionEvent] = []
-    for i, ta in enumerate(active):
-        for j in range(i + 1, len(active)):
-            tb = active[j]
-            for start, end, mean in _overlap_runs(columns[i], columns[j], params):
-                events.append(
-                    InteractionEvent(
-                        ta.track_id, tb.track_id, ta.species, tb.species, start, end, mean
+    # an area beyond float range makes a ratio NaN, which never passes
+    # the threshold: overlap_ratio returns 0.0 there, so nothing to warn of
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [_BoxColumns.of(t) for t in active]
+        for i, ta in enumerate(active):
+            for j in range(i + 1, len(active)):
+                tb = active[j]
+                for start, end, mean in _overlap_runs(columns[i], columns[j], params):
+                    events.append(
+                        InteractionEvent(
+                            ta.track_id, tb.track_id, ta.species, tb.species, start, end, mean
+                        )
                     )
-                )
     events.sort(key=lambda e: (e.track_a, e.track_b, e.start_frame))
     return events
 
@@ -128,7 +138,11 @@ class _BoxColumns(NamedTuple):
         frames = np.fromiter((b.frame for b in track.boxes), dtype=np.int64, count=len(track.boxes))
         if np.any(np.diff(frames) <= 0):
             raise ValueError(f"track {track.track_id!r}: frames not strictly increasing")
-        x, y, w, h = np.array([(b.x, b.y, b.w, b.h) for b in track.boxes], dtype=float).T
+        xywh = np.array([(b.x, b.y, b.w, b.h) for b in track.boxes], dtype=float)
+        x, y, w, h = xywh.T
+        # as in overlap_ratio, a box with a NaN or infinite coordinate
+        # overlaps nothing: a NaN x makes every extent with it NaN
+        x = np.where(np.isfinite(xywh).all(axis=1), x, np.nan)
         return cls(frames, x, y, x + w, y + h, w * h)
 
 

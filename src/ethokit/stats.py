@@ -4,7 +4,9 @@ The working model is ordinary least squares on dummy-coded categorical
 predictors (reference levels absorbed by the intercept), with effect
 sizes reported as Cohen's f2 at the model level and incrementally per
 predictor block. Distribution tails come from scipy; solving uses QR,
-never an explicit inverse.
+never an explicit inverse. scipy is imported on first use, inside the
+functions that call it, so importing this module (and every command
+that never fits a model) does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy import stats as _sps
 
 __all__ = [
     "DesignMatrix",
@@ -167,6 +167,8 @@ class RegressionResult:
 
 def _qr_solve(x: np.ndarray, y: np.ndarray, names: Sequence[str]):
     """Least squares via pivoted QR; names rank-deficient columns."""
+    import scipy.linalg
+
     n, p = x.shape
     q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -223,7 +225,9 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
         else:  # exact fit: zero residual variance
             t_stats[j] = 0.0 if beta[j] == 0 else math.copysign(math.inf, beta[j])
     p_values = np.array([two_sided_p(t, df) if math.isfinite(t) else 0.0 for t in t_stats])
-    t_crit = float(_sps.t.ppf(0.975, df))
+    from scipy import stats as sps
+
+    t_crit = float(sps.t.ppf(0.975, df))
     ci_low = beta - t_crit * se
     ci_high = beta + t_crit * se
     r2 = 1.0 - rss / tss
@@ -307,21 +311,27 @@ def nested_f_test(full: RegressionResult, reduced: RegressionResult) -> FTestRes
     # an exact fit leaves only rounding noise in rss; judge it against tss
     if full.rss <= 1e-12 * full.tss:
         raise ValueError("full model fits exactly; F statistic undefined")
+    from scipy import stats as sps
+
     f = max(0.0, (reduced.rss - full.rss) / df1) / (full.rss / df2)
-    return FTestResult(f, df1, df2, float(_sps.f.sf(f, df1, df2)))
+    return FTestResult(f, df1, df2, float(sps.f.sf(f, df1, df2)))
 
 
 def student_t_cdf(t: float, df: float) -> float:
     """CDF of Student's t (via the regularized incomplete beta)."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    return float(_sps.t.cdf(t, df))
+    from scipy import stats as sps
+
+    return float(sps.t.cdf(t, df))
 
 
 def f_cdf(f: float, df1: float, df2: float) -> float:
     if df1 <= 0 or df2 <= 0:
         raise ValueError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    return float(_sps.f.cdf(f, df1, df2))
+    from scipy import stats as sps
+
+    return float(sps.f.cdf(f, df1, df2))
 
 
 def two_sided_p(t: float, df: float) -> float:
@@ -329,7 +339,9 @@ def two_sided_p(t: float, df: float) -> float:
     where ``1 - cdf`` rounds to 0 (p below about 1e-16)."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    return 2.0 * float(_sps.t.sf(abs(t), df))
+    from scipy import stats as sps
+
+    return 2.0 * float(sps.t.sf(abs(t), df))
 
 
 def significance_stars(p: float) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -125,12 +126,27 @@ def _visible_spans(stream: ObservationStream, technical: frozenset[str]) -> list
 
 
 def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream:
+    """Clip each interval to the spans it overlaps; output in start order.
+
+    spans are sorted, disjoint and non-empty, as :func:`_intersect`
+    returns them, so their ends increase too. An interval's first
+    overlapping span is the first to end after it starts, and the walk
+    stops at the first span starting at or after its end.
+    """
+    ends = [e for _, e in spans]
     clipped = []
     for iv in stream.intervals:
-        for s, e in spans:
-            lo, hi = max(iv.start, s), min(iv.end, e)
-            if hi > lo:
-                clipped.append(ObsInterval(lo, hi, iv.code))
+        start, end, code = iv
+        if not start < end:
+            continue  # an instant overlaps no span
+        i = bisect_right(ends, start)
+        while i < len(spans) and spans[i][0] < end:
+            s, e = spans[i]
+            if s <= start and end <= e:
+                clipped.append(iv)  # inside the span: nothing to clip
+            else:
+                clipped.append(ObsInterval(max(start, s), min(end, e), code))
+            i += 1
     clipped.sort(key=lambda iv: iv.start)
     return stream.replace_intervals(clipped)
 
@@ -190,20 +206,31 @@ def map_labels(stream, mapping: dict[str, str]):
 def _atoms(
     a: ObservationStream, b: ObservationStream, pieces: list[Span]
 ) -> list[tuple[float, float, str | None, str | None]]:
-    """Constant-code slices of the common timeline, in time order."""
+    """Constant-code slices of the common timeline, in time order.
+
+    Each piece is cut at every interval start or end of either stream
+    lying strictly inside it.
+    """
+    bounds = sorted({t for stream in (a, b) for iv in stream.intervals for t in (iv.start, iv.end)})
+    code_a, code_b = _code_lookup(a), _code_lookup(b)
     out = []
     for s, e in pieces:
-        cuts = {s, e}
-        for stream in (a, b):
-            for iv in stream.intervals:
-                if s < iv.start < e:
-                    cuts.add(iv.start)
-                if s < iv.end < e:
-                    cuts.add(iv.end)
-        edges = sorted(cuts)
+        edges = [s, *bounds[bisect_right(bounds, s) : bisect_left(bounds, e)], e]
         for t0, t1 in zip(edges, edges[1:]):
-            out.append((t0, t1, a.code_at(t0), b.code_at(t0)))
+            out.append((t0, t1, code_a(t0), code_b(t0)))
     return out
+
+
+def _code_lookup(stream: ObservationStream):
+    """``stream.code_at``, searching the sorted starts with one bisect call."""
+    intervals = stream.intervals
+    starts = [iv.start for iv in intervals]
+
+    def code_at(t: float) -> str | None:
+        i = bisect_right(starts, t) - 1
+        return intervals[i].code if i >= 0 and t < intervals[i].end else None
+
+    return code_at
 
 
 def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> PairedSeries:
@@ -234,12 +261,12 @@ def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> Pa
         length = t1 - t0
         pos = 0.0  # consumed within this atom
         while pos < length:
-            k = int((elapsed + pos) / delta_s)
+            at = elapsed + pos  # virtual time reached
+            k = int(at / delta_s)
             if k >= n:
                 break
-            bin_end_virtual = (k + 1) * delta_s
-            take = min(length - pos, bin_end_virtual - (elapsed + pos))
-            if elapsed + pos <= k * delta_s:
+            take = min(length - pos, (k + 1) * delta_s - at)
+            if at <= k * delta_s:
                 times[k] = t0 + pos
                 start_codes[k] = (ca, cb)
             if ca is not None:

@@ -5,10 +5,14 @@ from __future__ import annotations
 import csv
 import filecmp
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import scipy.stats
 
 from ethokit import dump_labels, dump_tracks, dump_video_meta
 from ethokit.cli import main
@@ -84,6 +88,13 @@ class TestExitCodes:
         session = tiny_session(tmp_path / "s")
         meta = (session / "meta.json").read_text()
         (session / "meta.json").write_text(meta.replace('"fps": 30.0', f'"fps": {fps}'))
+        assert main(["validate", str(session)]) == 2
+        assert "fps" in capsys.readouterr().err
+
+    def test_non_numeric_fps_is_a_parse_error(self, tmp_path, capsys):
+        session = tiny_session(tmp_path / "s")
+        meta = (session / "meta.json").read_text()
+        (session / "meta.json").write_text(meta.replace('"fps": 30.0', '"fps": "abc"'))
         assert main(["validate", str(session)]) == 2
         assert "fps" in capsys.readouterr().err
 
@@ -269,6 +280,35 @@ class TestRegress:
         assert 0.0 <= model["r_squared"] <= 1.0
         assert set(model["block_f_squared"]) == {"habitat", "herd"}
 
+    def test_p_values_match_scipy_survival_functions(self, tmp_path):
+        data = tmp_path / "data.csv"
+        lines = ["habitat,herd,prop"]
+        effects = {("bush", "large"): 0.0, ("bush", "small"): 0.3,
+                   ("open", "large"): 0.1, ("open", "small"): 1.5}
+        for i in range(48):
+            habitat = "open" if i % 2 else "bush"
+            herd = "small" if (i // 2) % 2 else "large"
+            lines.append(f"{habitat},{herd},{effects[(habitat, herd)] + 0.05 * ((i * 7) % 5 - 2)}")
+        data.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"interactions": [["habitat", "herd"]]}')
+        out = tmp_path / "o"
+        rc = main(["regress", str(data), "--response", "prop",
+                   "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        model = json.loads((out / "model.json").read_text())
+        test = model["interaction_test"]
+        assert test["p"] < 1e-16
+        assert test["p"] == pytest.approx(
+            scipy.stats.f.sf(test["f"], test["df1"], test["df2"]), rel=1e-12, abs=0.0
+        )
+        with open(out / "regression.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        df = model["n_obs"] - len(rows)
+        for row in rows:
+            expected = 2.0 * scipy.stats.t.sf(abs(float(row["t"])), df)
+            assert float(row["p"]) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_missing_response_column(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("a,b\n1,2\n")
@@ -316,3 +356,19 @@ class TestEthogramEnv:
         session = tiny_session(tmp_path / "s", label_code="G")
         assert main(["validate", str(session)]) == 1
         assert "G" in capsys.readouterr().out
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys, ethokit.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -136,6 +136,12 @@ class TestAnalysisParams:
             {"downsample_interval_s": float("inf")},
             {"scan_propagation_s": float("nan")},
             {"scan_propagation_s": float("inf")},
+            {"min_miniscene_frames": float("nan")},
+            {"min_miniscene_frames": float("inf")},
+            {"min_overlap_frames": float("nan")},
+            {"min_overlap_frames": float("inf")},
+            {"max_track_gap_frames": float("nan")},
+            {"max_track_gap_frames": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

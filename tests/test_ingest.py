@@ -97,6 +97,18 @@ class TestTracks:
         with pytest.raises(ParseError, match=r"row 2.*frame"):
             parse_tracks(text)
 
+    @pytest.mark.parametrize("column", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_coordinate_rejected(self, column, value):
+        row = {"x": "0.0", "y": "0.0", "w": "1.0", "h": "1.0", column: value}
+        text = (
+            "session_id,track_id,species,frame,x,y,w,h,excluded\n"
+            "s,a,grevys_zebra,0,0.0,0.0,1.0,1.0,0\n"
+            f"s,a,grevys_zebra,1,{row['x']},{row['y']},{row['w']},{row['h']},0\n"
+        )
+        with pytest.raises(ParseError, match=rf"row 3 column '{column}': not a finite number"):
+            parse_tracks(text)
+
     @given(
         st.lists(
             st.tuples(
@@ -299,6 +311,14 @@ class TestTelemetry:
         with pytest.raises(ParseError, match="speed"):
             parse_telemetry(text)
 
+    def test_non_finite_value_rejected(self):
+        text = (
+            "timestamp_iso8601,lat,lon,altitude_m,heading_deg,speed_mps\n"
+            f"{T0.isoformat()},0.0,36.0,nan,90.0,1.0\n"
+        )
+        with pytest.raises(ParseError, match="row 2 column 'altitude_m': not a finite number"):
+            parse_telemetry(text)
+
 
 class TestVideoMeta:
     def test_round_trip(self, meta):
@@ -318,6 +338,25 @@ class TestVideoMeta:
         doc = json.loads(dump_video_meta(meta))
         doc["fps"] = fps
         with pytest.raises(ParseError, match="fps must be positive and finite"):
+            parse_video_meta(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("fps", "abc"),
+            ("fps", None),
+            ("fps", [30]),
+            ("width_px", "wide"),
+            ("height_px", 1e400),
+            ("height_px", {}),
+            ("start_time", "yesterday"),
+            ("start_time", 7),
+        ],
+    )
+    def test_malformed_field_is_a_parse_error(self, meta, key, value):
+        doc = json.loads(dump_video_meta(meta))
+        doc[key] = value
+        with pytest.raises(ParseError, match=key):
             parse_video_meta(json.dumps(doc))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,31 @@ class TestOverlapRatio:
             assert 0.0 <= r <= 1.0
             assert r == overlap_ratio(b, a, metric)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            BoundingBox(0, math.nan, 0.0, 10.0, 10.0),
+            BoundingBox(0, 0.0, math.nan, 10.0, 10.0),
+            BoundingBox(0, 0.0, 0.0, 10.0, math.nan),
+            BoundingBox(0, 0.0, 0.0, math.inf, 10.0),
+            BoundingBox(0, -math.inf, 0.0, math.inf, 10.0),  # right edge NaN
+        ],
+    )
+    def test_non_finite_box_overlaps_nothing(self, bad):
+        box = BoundingBox(0, 0.0, 0.0, 10.0, 10.0)
+        for metric in ("min_area", "iou"):
+            assert overlap_ratio(bad, box, metric) == 0.0
+            assert overlap_ratio(box, bad, metric) == 0.0
+            params = AnalysisParams(
+                overlap_ratio_threshold=0.01, min_overlap_frames=1, overlap_metric=metric
+            )
+            pair = [Track("a", "giraffe", (bad,)), Track("b", "giraffe", (box,))]
+            assert detect_interactions(pair, params) == []
+
+    def test_area_beyond_float_range_overlaps_nothing(self):
+        huge = BoundingBox(0, 0.0, 0.0, 1e200, 1e200)
+        assert overlap_ratio(huge, huge) == 0.0
+
 
 class TestDetectInteractions:
     def test_identical_tracks_one_event(self):
@@ -178,6 +204,10 @@ SPECIES = ("grevys_zebra", "plains_zebra", "giraffe")
 COORD = st.one_of(st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0]), st.floats(0, 12))
 SIZE = st.one_of(st.sampled_from([5.0, 10.0]), st.floats(1, 15))
 JITTER = st.one_of(st.sampled_from([0.0, 2.5, -2.5]), st.floats(-3, 3))
+# any float, NaN and infinities included, with extents and areas that overflow
+WILD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e-170]), st.floats()
+)
 
 
 @st.composite
@@ -218,6 +248,31 @@ class TestDetectInteractionsMatchesScalarOracle:
         got = detect_interactions(tracks, params)
         assert dump_interaction_events(got) == dump_interaction_events(expected)
         assert got == expected
+
+    @given(
+        tracks=box_tracks(),
+        edits=st.lists(
+            st.tuples(st.integers(0, 99), st.sampled_from("xywh"), WILD), min_size=1, max_size=8
+        ),
+        metric=st.sampled_from(["min_area", "iou"]),
+        threshold=st.sampled_from([0.01, 0.5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_non_finite_and_extreme_coordinates(self, tracks, edits, metric, threshold):
+        boxes = [list(t.boxes) for t in tracks]
+        slots = [(i, j) for i, track in enumerate(boxes) for j in range(len(track))]
+        for k, field, value in edits:
+            if slots:
+                i, j = slots[k % len(slots)]
+                boxes[i][j] = dataclasses.replace(boxes[i][j], **{field: value})
+        tracks = [dataclasses.replace(t, boxes=tuple(b)) for t, b in zip(tracks, boxes)]
+        params = AnalysisParams(
+            overlap_ratio_threshold=threshold, min_overlap_frames=1, overlap_metric=metric
+        )
+        expected = detect_interactions_scalar(tracks, params)
+        assert dump_interaction_events(detect_interactions(tracks, params)) == (
+            dump_interaction_events(expected)
+        )
 
     @pytest.mark.parametrize("metric", ["min_area", "iou"])
     def test_simulated_herd(self, metric):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
+    TECHNICAL_CODES,
     LabelStream,
     ObservationStream,
     ObsInterval,
@@ -18,7 +19,10 @@ from ethokit import (
     propagate_scan,
     visibility_filter,
 )
+from ethokit import timeline
+from ethokit.timeline import _atoms, _intersect, _restrict, _union
 from conftest import EPOCH0, obs
+from scalar_timeline import atoms_scalar, restrict_scalar
 
 
 class TestPropagateScan:
@@ -249,3 +253,149 @@ class TestDumpPairedSeries:
         assert lines[0] == "t,code_a,code_b"
         assert len(lines) == 3
         assert lines[1].endswith(",G,W")
+
+
+# Allen's (1983) thirteen relations of an interval X to Y = [10, 20), with
+# X clipped to Y and the cuts Y gets from X's end points.
+ALLEN = [
+    ("before", (0, 5), None, [10, 20]),
+    ("meets", (0, 10), None, [10, 20]),
+    ("overlaps", (5, 15), (10, 15), [10, 15, 20]),
+    ("starts", (10, 15), (10, 15), [10, 15, 20]),
+    ("during", (12, 18), (12, 18), [10, 12, 18, 20]),
+    ("finishes", (15, 20), (15, 20), [10, 15, 20]),
+    ("equals", (10, 20), (10, 20), [10, 20]),
+    ("finished-by", (5, 20), (10, 20), [10, 20]),
+    ("contains", (5, 25), (10, 20), [10, 20]),
+    ("started-by", (10, 25), (10, 20), [10, 20]),
+    ("overlapped-by", (15, 25), (15, 20), [10, 15, 20]),
+    ("met-by", (20, 25), None, [10, 20]),
+    ("after", (25, 30), None, [10, 20]),
+]
+Y = (EPOCH0 + 10, EPOCH0 + 20)
+
+
+class TestAllenRelations:
+    @pytest.mark.parametrize("relation,x,clip,_", ALLEN, ids=[r[0] for r in ALLEN])
+    def test_restrict_clips_to_the_overlap(self, relation, x, clip, _):
+        out = _restrict(obs("z1", "ground_focal", (*x, "G")), [Y])
+        want = () if clip is None else (ObsInterval(EPOCH0 + clip[0], EPOCH0 + clip[1], "G"),)
+        assert out.intervals == want
+
+    @pytest.mark.parametrize("relation,x,_,cuts", ALLEN, ids=[r[0] for r in ALLEN])
+    def test_atoms_cut_at_interior_end_points(self, relation, x, _, cuts):
+        a = obs("z1", "ground_focal", (*x, "G"))
+        b = obs("z1", "drone_focal", (0, 30, "W"))
+        atoms = _atoms(a, b, [Y])
+        assert [t0 for t0, _, _, _ in atoms] + [atoms[-1][1]] == [EPOCH0 + t for t in cuts]
+        assert atoms == atoms_scalar(a, b, [Y])
+
+
+# codes of the generated streams; OOS and OCL are technical
+CODES = ["G", "W", "R", "OOS", "OCL"]
+
+
+@st.composite
+def half_second_streams(draw, method: str):
+    """Sorted, non-overlapping intervals on a half-second grid, with holes.
+
+    Both streams of a test share the grid, so they often share or touch
+    boundaries; equal codes may sit side by side.
+    """
+    t = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    parts = []
+    for _ in range(draw(st.integers(1, 25))):
+        t += draw(st.sampled_from([0.0, 0.0, 0.0, 0.5, 2.0]))
+        length = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]))
+        parts.append((t, t + length, draw(st.sampled_from(CODES))))
+        t += length
+    return obs("z1", method, *parts)
+
+
+def _filter_and_align(a, b, delta):
+    """visibility_filter then align_pair, with any ValueError as a result."""
+    try:
+        fa, fb = visibility_filter(a, b)
+    except ValueError as exc:
+        return repr(exc)
+    try:
+        text = dump_paired_series(align_pair(fa, fb, delta))
+    except ValueError as exc:
+        text = repr(exc)
+    return fa.intervals, fb.intervals, text
+
+
+def _spans(pairs):
+    return _union([(EPOCH0 + s / 2, EPOCH0 + (s + n) / 2) for s, n in pairs])
+
+
+span_lists = st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)), max_size=12)
+
+
+class TestSweepsMatchScalarOracle:
+    @given(
+        a=half_second_streams("ground_focal"),
+        b=half_second_streams("drone_focal"),
+        delta=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_filter_and_alignment_outputs_equal(self, a, b, delta):
+        got = _filter_and_align(a, b, delta)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(timeline, "_restrict", restrict_scalar)
+            mp.setattr(timeline, "_atoms", atoms_scalar)
+            want = _filter_and_align(a, b, delta)
+        assert got == want
+
+    @given(
+        intervals=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 8), st.sampled_from(CODES)), max_size=20
+        ),
+        spans_a=span_lists,
+        spans_b=span_lists,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_restrict_any_interval_order(self, intervals, spans_a, spans_b):
+        # unsorted, overlapping and zero-length intervals; spans as visibility_filter makes them
+        stream = obs("z1", "ground_focal", *((s / 2, (s + n) / 2, c) for s, n, c in intervals))
+        spans = _intersect(_spans(spans_a), _spans(spans_b))
+        assert _restrict(stream, spans) == restrict_scalar(stream, spans)
+
+    @given(a=half_second_streams("ground_focal"), b=half_second_streams("drone_focal"))
+    @settings(max_examples=300, deadline=None)
+    def test_atoms_equal(self, a, b):
+        pieces = _intersect(a.covered_intervals(), b.covered_intervals())
+        assert _atoms(a, b, pieces) == atoms_scalar(a, b, pieces)
+        try:
+            fa, fb = visibility_filter(a, b)
+        except ValueError:
+            return
+        pieces = _intersect(fa.covered_intervals(), fb.covered_intervals())
+        assert _atoms(fa, fb, pieces) == atoms_scalar(fa, fb, pieces)
+
+    @given(a=half_second_streams("ground_focal"), b=half_second_streams("drone_focal"))
+    @settings(max_examples=200, deadline=None)
+    def test_filtered_streams_cover_identical_time(self, a, b):
+        try:
+            fa, fb = visibility_filter(a, b)
+        except ValueError:
+            return
+        assert fa.covered_intervals() == fb.covered_intervals()
+        assert fa.covered_duration() == fb.covered_duration()
+        assert not any(iv.code in TECHNICAL_CODES for iv in fa.intervals + fb.intervals)
+
+    def test_one_interval_each(self):
+        a = obs("z1", "ground_focal", (0, 10, "G"))
+        b = obs("z1", "drone_focal", (4, 30, "W"))
+        fa, fb = visibility_filter(a, b)
+        assert fa.intervals == (ObsInterval(EPOCH0 + 4, EPOCH0 + 10, "G"),)
+        assert fb.intervals == (ObsInterval(EPOCH0 + 4, EPOCH0 + 10, "W"),)
+        assert _filter_and_align(a, b, 2.0)[2] == dump_paired_series(align_pair(fa, fb, 2.0))
+
+    def test_overlap_all_technical_leaves_empty_streams(self):
+        a = obs("z1", "ground_focal", (0, 10, "G"), (10, 20, "OOS"))
+        b = obs("z1", "drone_focal", (10, 20, "W"))
+        fa, fb = visibility_filter(a, b)
+        assert fa.intervals == fb.intervals == ()
+        with pytest.raises(ValueError, match="no covered time"):
+            align_pair(fa, fb, 1.0)
