@@ -9,8 +9,10 @@ across concurrent workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -253,9 +255,7 @@ class ObservationStream:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self,
-            "intervals",
-            tuple(iv if type(iv) is ObsInterval else ObsInterval(*iv) for iv in self.intervals),
+            self, "intervals", tuple(ObsInterval(*iv) for iv in self.intervals)
         )
 
     @property
@@ -269,25 +269,17 @@ class ObservationStream:
     def covered_intervals(self) -> list[tuple[float, float]]:
         """Covered time as merged (start, end) pairs, gaps preserved."""
         merged: list[tuple[float, float]] = []
-        for start, end, _ in self.intervals:
-            if merged and start <= merged[-1][1]:
-                if end > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], end)
+        for iv in self.intervals:
+            if merged and iv.start <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], iv.end))
             else:
-                merged.append((start, end))
+                merged.append((iv.start, iv.end))
         return merged
 
     def code_at(self, t: float) -> str | None:
-        lo, hi = 0, len(self.intervals) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            iv = self.intervals[mid]
-            if t < iv.start:
-                hi = mid - 1
-            elif t >= iv.end:
-                lo = mid + 1
-            else:
-                return iv.code
+        i = bisect_right(self.intervals, t, key=attrgetter("start")) - 1
+        if i >= 0 and t < self.intervals[i].end:
+            return self.intervals[i].code
         return None
 
     def is_instantaneous(self) -> bool:

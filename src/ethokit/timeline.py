@@ -142,10 +142,7 @@ def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream
         i = bisect_right(ends, start)
         while i < len(spans) and spans[i][0] < end:
             s, e = spans[i]
-            if s <= start and end <= e:
-                clipped.append(iv)  # inside the span: nothing to clip
-            else:
-                clipped.append(ObsInterval(max(start, s), min(end, e), code))
+            clipped.append(ObsInterval(max(start, s), min(end, e), code))
             i += 1
     clipped.sort(key=lambda iv: iv.start)
     return stream.replace_intervals(clipped)
@@ -212,25 +209,12 @@ def _atoms(
     lying strictly inside it.
     """
     bounds = sorted({t for stream in (a, b) for iv in stream.intervals for t in (iv.start, iv.end)})
-    code_a, code_b = _code_lookup(a), _code_lookup(b)
     out = []
     for s, e in pieces:
         edges = [s, *bounds[bisect_right(bounds, s) : bisect_left(bounds, e)], e]
         for t0, t1 in zip(edges, edges[1:]):
-            out.append((t0, t1, code_a(t0), code_b(t0)))
+            out.append((t0, t1, a.code_at(t0), b.code_at(t0)))
     return out
-
-
-def _code_lookup(stream: ObservationStream):
-    """``stream.code_at``, searching the sorted starts with one bisect call."""
-    intervals = stream.intervals
-    starts = [iv.start for iv in intervals]
-
-    def code_at(t: float) -> str | None:
-        i = bisect_right(starts, t) - 1
-        return intervals[i].code if i >= 0 and t < intervals[i].end else None
-
-    return code_at
 
 
 def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> PairedSeries:
@@ -261,12 +245,12 @@ def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> Pa
         length = t1 - t0
         pos = 0.0  # consumed within this atom
         while pos < length:
-            at = elapsed + pos  # virtual time reached
-            k = int(at / delta_s)
+            k = int((elapsed + pos) / delta_s)
             if k >= n:
                 break
-            take = min(length - pos, (k + 1) * delta_s - at)
-            if at <= k * delta_s:
+            bin_end_virtual = (k + 1) * delta_s
+            take = min(length - pos, bin_end_virtual - (elapsed + pos))
+            if elapsed + pos <= k * delta_s:
                 times[k] = t0 + pos
                 start_codes[k] = (ca, cb)
             if ca is not None:
