@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -520,16 +521,22 @@ def cmd_regress(args) -> int:
         if f not in header:
             raise ParseError(f"{args.data}: no column {f!r}")
     y_idx = header.index(args.response)
+    f_idx = [(f, header.index(f)) for f in factors]
     observations = []
     y = []
     for i, row in enumerate(body, start=2):
+        raw = row[y_idx]
         try:
-            y.append(float(row[y_idx]))
+            value = float(raw)
         except ValueError:
+            raise ParseError(f"{args.data} row {i}: response {raw!r} is not a number") from None
+        if not math.isfinite(value):
             raise ParseError(
-                f"{args.data} row {i}: response {row[y_idx]!r} is not a number"
-            ) from None
-        observations.append({f: row[header.index(f)] for f in factors})
+                f"{args.data} row {i} column {args.response!r}: "
+                f"response {raw!r} is not a finite number"
+            )
+        y.append(value)
+        observations.append({f: row[j] for f, j in f_idx})
     references = dict(config.references)
     for f in factors:
         references.setdefault(f, min(obs[f] for obs in observations))

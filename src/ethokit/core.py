@@ -245,7 +245,9 @@ class ObservationStream:
 
     Intervals are non-overlapping and sorted with ``end > start``; scan
     streams may instead hold instantaneous events (``start == end``)
-    prior to propagation.
+    prior to propagation. Construction rejects a non-finite bound, an
+    end before its start, and an interval that starts before the
+    previous one ends.
     """
 
     subject_id: str
@@ -254,9 +256,19 @@ class ObservationStream:
     observer_id: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "intervals", tuple(ObsInterval(*iv) for iv in self.intervals)
-        )
+        intervals = tuple(ObsInterval(*iv) for iv in self.intervals)
+        prev_end = -math.inf
+        for iv in intervals:
+            if not (math.isfinite(iv.start) and math.isfinite(iv.end)):
+                raise ValueError(f"interval bounds must be finite: {tuple(iv)}")
+            if iv.end < iv.start:
+                raise ValueError(f"interval ends before it starts: {tuple(iv)}")
+            if iv.start < prev_end:
+                raise ValueError(
+                    f"interval {tuple(iv)} starts before the previous one ends at {prev_end!r}"
+                )
+            prev_end = iv.end
+        object.__setattr__(self, "intervals", intervals)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -462,15 +474,10 @@ def _validate_observation_stream(stream, known_codes, report) -> None:
     loc = f"obs[{stream.subject_id}@{stream.method}]"
     if stream.method not in METHODS:
         report.add(loc, f"unknown method {stream.method!r}")
-    prev_end = None
+    # order, overlap and finite bounds are enforced by ObservationStream itself
     for i, iv in enumerate(stream.intervals):
         iloc = f"{loc}.intervals[{i}]"
-        if iv.end < iv.start:
-            report.add(iloc, f"interval ends before it starts ({iv.start}, {iv.end})")
-        elif iv.end == iv.start and stream.method != GROUND_SCAN:
+        if iv.end == iv.start and stream.method != GROUND_SCAN:
             report.add(iloc, "instantaneous event outside a scan stream")
-        if prev_end is not None and iv.start < prev_end:
-            report.add(iloc, "intervals overlap")
-        prev_end = max(iv.start, iv.end)
         if iv.code not in known_codes:
             report.add(iloc, f"unknown behavior code {iv.code!r}")

@@ -3,10 +3,15 @@
 The working model is ordinary least squares on dummy-coded categorical
 predictors (reference levels absorbed by the intercept), with effect
 sizes reported as Cohen's f2 at the model level and incrementally per
-predictor block. Distribution tails come from scipy; solving uses QR,
-never an explicit inverse. scipy is imported on first use, inside the
-functions that call it, so importing this module (and every command
-that never fits a model) does not pay for loading it.
+predictor block. Solving uses QR, never an explicit inverse.
+
+Distribution tails come from ``scipy.special`` (``stdtr``, ``stdtrit``,
+``fdtr``, ``fdtrc``): these are the functions scipy's own ``stats`` t
+and F distributions evaluate, so the values are the same to the bit,
+but the ``stats`` subpackage (which also loads ``scipy.optimize`` and
+``scipy.spatial``) is never loaded. scipy itself is imported on first
+use, inside the functions that call it, so importing this module (and
+every command that never fits a model) does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -225,9 +230,9 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
         else:  # exact fit: zero residual variance
             t_stats[j] = 0.0 if beta[j] == 0 else math.copysign(math.inf, beta[j])
     p_values = np.array([two_sided_p(t, df) if math.isfinite(t) else 0.0 for t in t_stats])
-    from scipy import stats as sps
+    from scipy import special
 
-    t_crit = float(sps.t.ppf(0.975, df))
+    t_crit = float(special.stdtrit(df, 0.975))
     ci_low = beta - t_crit * se
     ci_high = beta + t_crit * se
     r2 = 1.0 - rss / tss
@@ -311,37 +316,40 @@ def nested_f_test(full: RegressionResult, reduced: RegressionResult) -> FTestRes
     # an exact fit leaves only rounding noise in rss; judge it against tss
     if full.rss <= 1e-12 * full.tss:
         raise ValueError("full model fits exactly; F statistic undefined")
-    from scipy import stats as sps
+    from scipy import special
 
     f = max(0.0, (reduced.rss - full.rss) / df1) / (full.rss / df2)
-    return FTestResult(f, df1, df2, float(sps.f.sf(f, df1, df2)))
+    return FTestResult(f, df1, df2, float(special.fdtrc(df1, df2, f)))
 
 
 def student_t_cdf(t: float, df: float) -> float:
     """CDF of Student's t (via the regularized incomplete beta)."""
-    if df <= 0:
+    if not df > 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    from scipy import stats as sps
+    from scipy import special
 
-    return float(sps.t.cdf(t, df))
+    return float(special.stdtr(df, t))
 
 
 def f_cdf(f: float, df1: float, df2: float) -> float:
-    if df1 <= 0 or df2 <= 0:
+    """CDF of the F distribution; 0 at and below its lower bound of 0."""
+    if not (df1 > 0 and df2 > 0):
         raise ValueError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    from scipy import stats as sps
+    if f <= 0:
+        return 0.0  # fdtr is undefined below 0 and, for infinite df, at 0
+    from scipy import special
 
-    return float(sps.f.cdf(f, df1, df2))
+    return float(special.fdtr(df1, df2, f))
 
 
 def two_sided_p(t: float, df: float) -> float:
     """2 P(T > |t|) from the survival function, which keeps its digits
     where ``1 - cdf`` rounds to 0 (p below about 1e-16)."""
-    if df <= 0:
+    if not df > 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    from scipy import stats as sps
+    from scipy import special
 
-    return 2.0 * float(sps.t.sf(abs(t), df))
+    return 2.0 * float(special.stdtr(df, -abs(t)))
 
 
 def significance_stars(p: float) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -81,8 +82,8 @@ def propagate_scan(events: ObservationStream, horizon_s: float = 120.0) -> Obser
         raise ValueError(f"scan propagation applies to ground_scan streams, got {events.method!r}")
     if not events.is_instantaneous():
         raise ValueError("scan stream already carries intervals; expected instantaneous events")
-    if horizon_s <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon_s}")
+    if not 0 < horizon_s < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon_s}")
     intervals = []
     points = events.intervals
     for i, ev in enumerate(points):
@@ -131,7 +132,8 @@ def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream
     spans are sorted, disjoint and non-empty, as :func:`_intersect`
     returns them, so their ends increase too. An interval's first
     overlapping span is the first to end after it starts, and the walk
-    stops at the first span starting at or after its end.
+    stops at the first span starting at or after its end. The stream's
+    intervals are sorted and disjoint, so the pieces come out sorted.
     """
     ends = [e for _, e in spans]
     clipped = []
@@ -144,7 +146,6 @@ def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream
             s, e = spans[i]
             clipped.append(ObsInterval(max(start, s), min(end, e), code))
             i += 1
-    clipped.sort(key=lambda iv: iv.start)
     return stream.replace_intervals(clipped)
 
 

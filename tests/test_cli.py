@@ -254,6 +254,17 @@ class TestCompare:
         assert rc == 1
 
 
+def small_regress_table(path: Path) -> Path:
+    """Twelve rows of a two-factor table with response column prop."""
+    lines = ["habitat,herd,prop"]
+    for i in range(12):
+        habitat = "open" if i % 2 else "closed"
+        herd = "small" if (i // 2) % 2 else "large"
+        lines.append(f"{habitat},{herd},{0.1 * (i % 5) + (0.3 if habitat == 'open' else 0.0)}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestRegress:
     def test_fits_dummy_coded_table(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -316,6 +327,18 @@ class TestRegress:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_response_is_a_parse_error(self, tmp_path, capsys, value):
+        data = small_regress_table(tmp_path / "data.csv")
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{value}"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["regress", str(data), "--response", "prop", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "row 4 column 'prop'" in err
+        assert "not a finite number" in err
+
 
 class TestReport:
     def test_emits_tables_and_figures(self, sim_session, tmp_path):
@@ -358,17 +381,40 @@ class TestEthogramEnv:
         assert "G" in capsys.readouterr().out
 
 
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports ethokit from this tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
         code = (
             "import sys, ethokit.cli\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
+        done = run_python(code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_regress_does_not_load_scipy_stats(self, tmp_path):
+        data = small_regress_table(tmp_path / "data.csv")
+        (tmp_path / "cfg.json").write_text('{"interactions": [["habitat", "herd"]]}')
+        argv = ["regress", str(data), "--response", "prop",
+                "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+        code = (
+            "import sys\n"
+            "from ethokit.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        model = json.loads((tmp_path / "o" / "model.json").read_text())
+        assert "interaction_test" in model

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from datetime import datetime, timezone
 
 import pytest
@@ -110,6 +111,60 @@ class TestObservationStream:
         assert scan.is_instantaneous()
         assert not obs("z1", "ground_focal", (0, 60, "G")).is_instantaneous()
 
+    def test_rejects_overlapping_intervals(self):
+        with pytest.raises(ValueError, match="starts before the previous one ends"):
+            ObservationStream(
+                "z1",
+                "ground_focal",
+                (ObsInterval(EPOCH0, EPOCH0 + 10, "G"), ObsInterval(EPOCH0 + 5, EPOCH0 + 20, "W")),
+            )
+
+    def test_rejects_unsorted_intervals(self):
+        # code_at(15.0) would read None on this stream
+        with pytest.raises(ValueError, match="starts before the previous one ends"):
+            ObservationStream("z", "ground_focal", ((10, 20, "G"), (0, 5, "W")))
+
+    def test_rejects_interval_nested_in_another(self):
+        # code_at(8.0) would read None on this stream, though (0, 10, A) covers 8
+        with pytest.raises(ValueError, match="starts before the previous one ends"):
+            ObservationStream("z", "ground_focal", ((0, 10, "A"), (5, 7, "B")))
+
+    def test_rejects_end_before_start(self):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            ObservationStream("z", "ground_focal", ((0, 10, "A"), (20, 15, "B")))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 5.0), (math.inf, math.inf)],
+    )
+    def test_rejects_non_finite_bound(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationStream("z", "ground_focal", ((*bounds, "A"),))
+
+    def test_instants_and_touching_intervals_are_legal(self):
+        scan = obs("z1", "ground_scan", (0, 0, "G"), (0, 0, "W"), (5, 5, "G"))
+        assert len(scan.intervals) == 3
+        focal = obs("z1", "ground_focal", (0, 10, "G"), (10, 10, "W"), (10, 20, "R"))
+        assert focal.code_at(EPOCH0 + 10) == "R"
+
+    @given(
+        parts=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 4), st.sampled_from("GWR")), max_size=12
+        )
+    )
+    def test_accepts_exactly_the_sorted_disjoint_streams(self, parts):
+        # any start/length draw, in the drawn order: legal iff each start >= the previous end
+        triples, legal, prev_end = [], True, -math.inf
+        for start, length, code in parts:
+            triples.append((start, start + length, code))
+            legal = legal and start >= prev_end
+            prev_end = start + length
+        if legal:
+            assert len(obs("z1", "ground_scan", *triples).intervals) == len(triples)
+        else:
+            with pytest.raises(ValueError):
+                obs("z1", "ground_scan", *triples)
+
 
 class TestAnalysisParams:
     def test_defaults(self):
@@ -177,15 +232,6 @@ class TestValidateSession:
         labels = [LabelStream("t1", (Segment(0, 9, "G"), Segment(12, 19, "W")))]
         report = validate_session([make_track()], labels, meta, ethogram)
         assert not report.ok
-
-    def test_flags_overlapping_observation_intervals(self, meta, ethogram):
-        stream = ObservationStream(
-            "z1",
-            "ground_focal",
-            (ObsInterval(EPOCH0, EPOCH0 + 10, "G"), ObsInterval(EPOCH0 + 5, EPOCH0 + 20, "W")),
-        )
-        report = validate_session([], [stream], meta, ethogram)
-        assert any("overlap" in issue.message for issue in report)
 
     def test_flags_instantaneous_event_outside_scan(self, meta, ethogram):
         stream = ObservationStream(

@@ -2,7 +2,8 @@
 
 The least-squares oracle here is deliberately different plumbing from
 the implementation: plain Gaussian elimination on the normal equations
-and quadrature for distribution tails.
+and quadrature for distribution tails. The tails are also compared, to
+the bit, with ``scipy.stats`` (see ``scipy_stats_oracle``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ import random
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scipy_stats_oracle as oracle
 from ethokit import (
     DesignMatrix,
+    RegressionResult,
     dummy_code,
     f_cdf,
     nested_f_test,
@@ -353,6 +358,79 @@ class TestDistributionTails:
         values = [f_cdf(v, 3, 12) for v in (0.0, 0.5, 1.0, 2.0, 8.0)]
         assert values[0] == 0.0
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("df", [math.nan, -math.inf, -1.0])
+    def test_nan_or_negative_df_rejected(self, df):
+        with pytest.raises(ValueError):
+            student_t_cdf(1.0, df)
+        with pytest.raises(ValueError):
+            two_sided_p(1.0, df)
+        with pytest.raises(ValueError):
+            f_cdf(1.0, 3, df)
+
+
+DFS = st.one_of(st.integers(1, 10_000), st.floats(1.0, 1e4))
+T_VALUES = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, math.inf, -math.inf])
+)
+F_VALUES = st.one_of(st.floats(0.0, 1e4), st.sampled_from([0.0, math.inf]))
+
+
+def _fit_summary(n_columns: int, n_obs: int, rss: float) -> RegressionResult:
+    """A fit with only what nested_f_test reads: columns, n_obs, rss, tss."""
+    zeros = (0.0,) * n_columns
+    return RegressionResult(
+        tuple(f"x{j}" for j in range(n_columns)),
+        zeros, zeros, zeros, zeros, zeros, zeros,
+        (0.0,) * n_obs, rss, 1e6, 0.0, 0.0, 0.0,
+    )
+
+
+class TestTailsMatchScipyStats:
+    """The scipy.special tails equal the scipy.stats ones exactly."""
+
+    @given(t=T_VALUES, df=DFS)
+    @settings(max_examples=500, deadline=None)
+    def test_two_sided_p(self, t, df):
+        assert two_sided_p(t, df) == oracle.two_sided_p(t, df)
+
+    @given(t=T_VALUES, df=DFS)
+    @settings(max_examples=500, deadline=None)
+    def test_student_t_cdf(self, t, df):
+        assert student_t_cdf(t, df) == oracle.t_cdf(t, df)
+
+    @given(f=F_VALUES, df1=DFS, df2=DFS)
+    @settings(max_examples=500, deadline=None)
+    def test_f_cdf(self, f, df1, df2):
+        assert f_cdf(f, df1, df2) == oracle.f_cdf(f, df1, df2)
+
+    @pytest.mark.parametrize("df1,df2", [(3, 12), (math.inf, 5), (5, math.inf)])
+    @pytest.mark.parametrize("f", [-math.inf, -1.0, -0.0, 0.0])
+    def test_f_cdf_at_and_below_zero(self, f, df1, df2):
+        # fdtr is nan here; the F distribution's support starts at 0
+        assert f_cdf(f, df1, df2) == oracle.f_cdf(f, df1, df2) == 0.0
+
+    @given(f=F_VALUES, df1=st.integers(1, 20), df2=st.integers(1, 10_000))
+    @settings(max_examples=300, deadline=None)
+    def test_nested_f_test_p(self, f, df1, df2):
+        full = _fit_summary(1 + df1, 1 + df1 + df2, float(df2))
+        reduced = _fit_summary(1, 1 + df1 + df2, df2 + f * df1)
+        result = nested_f_test(full, reduced)
+        assert (result.df1, result.df2) == (df1, df2)
+        assert result.p == oracle.f_sf(result.f, df1, df2)
+
+    @given(df=st.integers(1, 10_000), p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_ols_confidence_bounds(self, df, p, seed):
+        rng = np.random.default_rng(seed)
+        n = df + p
+        x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        result = ols_fit(x, rng.normal(size=n))
+        crit = oracle.t_ppf(0.975, df)
+        beta, se = np.array(result.beta), np.array(result.se)
+        assert result.ci_low == tuple((beta - crit * se).tolist())
+        assert result.ci_high == tuple((beta + crit * se).tolist())
+        assert result.p_values == tuple(oracle.two_sided_p(t, df) for t in result.t_stats)
 
 
 class TestSignificanceStars:

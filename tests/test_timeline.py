@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,24 @@ class TestPropagateScan:
         events = obs("z1", "ground_scan", (0, 0, "G"))
         out = propagate_scan(events, horizon_s=30.0)
         assert out.intervals == (ObsInterval(EPOCH0, EPOCH0 + 30, "G"),)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        events = obs("z1", "ground_scan", (0, 0, "G"))
+        with pytest.raises(ValueError, match="horizon"):
+            propagate_scan(events, horizon_s=horizon)
+
+    @given(st.lists(st.integers(0, 200), min_size=1, max_size=12))
+    @settings(max_examples=60)
+    def test_simultaneous_events_keep_the_last(self, gaps):
+        # equal instants are legal scan events; only the last one propagates
+        t, triples = 0.0, []
+        for k, g in enumerate(gaps):
+            t += g
+            triples.append((t, t, "GWR"[k % 3]))
+        out = propagate_scan(obs("z1", "ground_scan", *triples), horizon_s=120.0)
+        last_at = {u: code for u, _, code in triples}
+        assert [(iv.start - EPOCH0, iv.code) for iv in out.intervals] == sorted(last_at.items())
 
     @given(st.lists(st.integers(1, 400), min_size=1, max_size=12))
     @settings(max_examples=60)
@@ -348,16 +368,21 @@ class TestSweepsMatchScalarOracle:
         assert got == want
 
     @given(
-        intervals=st.lists(
-            st.tuples(st.integers(0, 60), st.integers(0, 8), st.sampled_from(CODES)), max_size=20
+        parts=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 8), st.sampled_from(CODES)), max_size=20
         ),
         spans_a=span_lists,
         spans_b=span_lists,
     )
     @settings(max_examples=300, deadline=None)
-    def test_restrict_any_interval_order(self, intervals, spans_a, spans_b):
-        # unsorted, overlapping and zero-length intervals; spans as visibility_filter makes them
-        stream = obs("z1", "ground_focal", *((s / 2, (s + n) / 2, c) for s, n, c in intervals))
+    def test_restrict_zero_length_and_touching_intervals(self, parts, spans_a, spans_b):
+        # zero-length intervals, shared and touching bounds; spans as visibility_filter makes them
+        t, triples = 0, []
+        for gap, n, code in parts:
+            t += gap
+            triples.append((t / 2, (t + n) / 2, code))
+            t += n
+        stream = obs("z1", "ground_focal", *triples)
         spans = _intersect(_spans(spans_a), _spans(spans_b))
         assert _restrict(stream, spans) == restrict_scalar(stream, spans)
 
