@@ -8,14 +8,11 @@ simulator providing ground truth for end-to-end verification.
 """
 
 from .core import (
-    AGE_SEX_CLASSES,
     DRONE_FOCAL,
     GIRAFFE,
     GREVYS_ZEBRA,
     GROUND_FOCAL,
     GROUND_SCAN,
-    HABITATS,
-    HERD_SIZE_CATEGORIES,
     KNOWN_SPECIES,
     METHODS,
     ML_AUTO,
@@ -23,7 +20,6 @@ from .core import (
     ZEBRA_UNSPECIFIED,
     AnalysisParams,
     BoundingBox,
-    GroupComposition,
     LabelStream,
     ObservationStream,
     ObsInterval,

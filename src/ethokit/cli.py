@@ -143,6 +143,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     bad = set(params_doc) - _PARAM_KEYS
     if bad:
         raise ParseError(f"{p.name}: unknown params keys {sorted(bad)}")
+    for key, value in params_doc.items():
+        default = getattr(AnalysisParams, key)
+        if not isinstance(default, str):
+            params_doc[key] = _config_number(f"{p.name}: params.{key}", value, type(default) is int)
     params = dataclasses.replace(AnalysisParams(), **params_doc)
     crop_doc = doc.get("crop", {})
     if set(crop_doc) - {"out_w", "out_h"}:
@@ -156,20 +160,37 @@ def load_config(path: str | Path | None) -> RunConfig:
         parts = key.split("|")
         if len(parts) != 2:
             raise ParseError(f"{p.name}: overlap_counts key {key!r} is not 'speciesA|speciesB'")
-        counts[tuple(sorted(parts))] = int(value)
+        where = f"{p.name}: overlap_counts[{key!r}]"
+        counts[tuple(sorted(parts))] = _config_number(where, value, integer=True)
+    crop = tuple(
+        _config_number(f"{p.name}: crop.{k}", crop_doc.get(k, default), integer=True)
+        for k, default in (("out_w", DEFAULT_OUT_W), ("out_h", DEFAULT_OUT_H))
+    )
     return RunConfig(
         doc.get("ethogram"),
         params,
         dict(doc.get("label_map", {})),
-        (int(crop_doc.get("out_w", DEFAULT_OUT_W)), int(crop_doc.get("out_h", DEFAULT_OUT_H))),
-        float(doc.get("clock_offset_s", 0.0)),
-        {str(k): int(v) for k, v in doc.get("composition", {}).items()},
+        crop,
+        float(_config_number(f"{p.name}: clock_offset_s", doc.get("clock_offset_s", 0.0))),
+        {
+            str(k): _config_number(f"{p.name}: composition[{k!r}]", v, integer=True)
+            for k, v in doc.get("composition", {}).items()
+        },
         counts,
         sim_doc,
         {str(k): str(v) for k, v in doc.get("references", {}).items()},
         [str(f) for f in doc.get("factors", [])],
         [tuple(pair) for pair in doc.get("interactions", [])],
     )
+
+
+def _config_number(where: str, value, integer: bool = False):
+    """A finite JSON number from --config; with integer, a whole one, returned as int."""
+    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if isinstance(value, bool) or not finite or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ParseError(f"{where} must be {kind}, got {value!r}")
+    return int(value) if integer else value
 
 
 def _load_ethogram(config: RunConfig) -> Ethogram:

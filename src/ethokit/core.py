@@ -9,12 +9,11 @@ across concurrent workers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 # Canonical species identifiers. Any other non-empty string is accepted
 # and treated as an "other" species.
@@ -29,17 +28,6 @@ GROUND_SCAN = "ground_scan"
 DRONE_FOCAL = "drone_focal"
 ML_AUTO = "ml_auto"
 METHODS = (GROUND_FOCAL, GROUND_SCAN, DRONE_FOCAL, ML_AUTO)
-
-HABITATS = ("open", "closed", "mixed")
-HERD_SIZE_CATEGORIES = ("small", "large")
-AGE_SEX_CLASSES = (
-    "adult_male",
-    "adult_female",
-    "subadult",
-    "juvenile",
-    "infant",
-    "unknown",
-)
 
 
 @dataclass(frozen=True)
@@ -127,24 +115,10 @@ class Track:
         return self.boxes[-1].frame
 
     def box_at(self, frame: int) -> BoundingBox | None:
-        i = _bisect_frames(self.boxes, frame)
-        if i is not None and self.boxes[i].frame == frame:
+        i = bisect_left(self.boxes, frame, key=attrgetter("frame"))
+        if i < len(self.boxes) and self.boxes[i].frame == frame:
             return self.boxes[i]
         return None
-
-
-def _bisect_frames(boxes: tuple[BoundingBox, ...], frame: int) -> int | None:
-    lo, hi = 0, len(boxes) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        f = boxes[mid].frame
-        if f == frame:
-            return mid
-        if f < frame:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
 
 
 class Segment(NamedTuple):
@@ -160,16 +134,26 @@ class LabelStream:
     """Per-frame behavior codes for one track, run-length encoded.
 
     Segments are contiguous, non-overlapping and sorted; every frame in
-    [start_frame, end_frame] carries exactly one code.
+    [start_frame, end_frame] carries exactly one code. Construction
+    rejects a segment that ends before it starts and one that does not
+    start on the frame after the previous one ends.
     """
 
     track_id: str
     segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "segments", tuple(Segment(*s) for s in self.segments)
-        )
+        segments = tuple(Segment(*s) for s in self.segments)
+        prev_end = None
+        for seg in segments:
+            if seg.end_frame < seg.start_frame:
+                raise ValueError(f"segment ends before it starts: {tuple(seg)}")
+            if prev_end is not None and seg.start_frame != prev_end + 1:
+                raise ValueError(
+                    f"segment {tuple(seg)} does not start on the frame after {prev_end}"
+                )
+            prev_end = seg.end_frame
+        object.__setattr__(self, "segments", segments)
 
     @property
     def start_frame(self) -> int:
@@ -187,16 +171,9 @@ class LabelStream:
         return {s.code for s in self.segments}
 
     def code_at(self, frame: int) -> str | None:
-        lo, hi = 0, len(self.segments) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            seg = self.segments[mid]
-            if frame < seg.start_frame:
-                hi = mid - 1
-            elif frame > seg.end_frame:
-                lo = mid + 1
-            else:
-                return seg.code
+        i = bisect_right(self.segments, frame, key=attrgetter("start_frame")) - 1
+        if i >= 0 and frame <= self.segments[i].end_frame:
+            return self.segments[i].code
         return None
 
     def expand(self) -> list[str]:
@@ -221,14 +198,10 @@ class LabelStream:
         cls, track_id: str, start_frame: int, codes: list[str] | tuple[str, ...]
     ) -> LabelStream:
         """Run-length encode an explicit per-frame code sequence."""
-        segments: list[Segment] = []
-        for i, code in enumerate(codes):
-            frame = start_frame + i
-            if segments and segments[-1].code == code and segments[-1].end_frame == frame - 1:
-                segments[-1] = Segment(segments[-1].start_frame, frame, code)
-            else:
-                segments.append(Segment(frame, frame, code))
-        return cls(track_id, tuple(segments))
+        return cls(
+            track_id,
+            tuple(Segment(start_frame + a, start_frame + b - 1, c) for a, b, c in runs(codes)),
+        )
 
 
 class ObsInterval(NamedTuple):
@@ -237,6 +210,34 @@ class ObsInterval(NamedTuple):
     start: float
     end: float
     code: str
+
+
+T = TypeVar("T")
+
+
+def coalesce(intervals: Iterable[tuple]) -> list[tuple]:
+    """Merge runs of touching equal-code half-open (start, end, code) items.
+
+    Items come in time order. One is merged into the previous when it
+    starts where that one ends and carries the same code, giving an
+    ObsInterval; an item that is not merged is kept as given.
+    """
+    out: list[tuple] = []
+    prev = None  # out[-1]
+    for item in intervals:
+        if prev is not None and prev[1] == item[0] and prev[2] == item[2]:
+            prev = out[-1] = ObsInterval(prev[0], item[1], prev[2])
+        else:
+            out.append(item)
+            prev = item
+    return out
+
+
+def runs(values: Sequence[T]) -> list[tuple[int, int, T]]:
+    """Maximal runs of equal consecutive values as (a, b, value), [a, b) indices."""
+    edges = [k for k in range(1, len(values)) if values[k] != values[k - 1]]
+    edges = [0, *edges, len(values)] if values else []
+    return [(a, b, values[a]) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -280,13 +281,8 @@ class ObservationStream:
 
     def covered_intervals(self) -> list[tuple[float, float]]:
         """Covered time as merged (start, end) pairs, gaps preserved."""
-        merged: list[tuple[float, float]] = []
-        for iv in self.intervals:
-            if merged and iv.start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], iv.end))
-            else:
-                merged.append((iv.start, iv.end))
-        return merged
+        spans = coalesce((s, e, None) for s, e, _ in self.intervals)
+        return [(s, e) for s, e, _ in spans]
 
     def code_at(self, t: float) -> str | None:
         i = bisect_right(self.intervals, t, key=attrgetter("start")) - 1
@@ -301,26 +297,6 @@ class ObservationStream:
         return ObservationStream(
             self.subject_id, self.method, tuple(intervals), self.observer_id
         )
-
-
-@dataclass(frozen=True)
-class GroupComposition:
-    """Herd size, demographics and habitat context for one session."""
-
-    herd_size: int
-    habitat: str
-    herd_size_category: str
-    counts: Mapping[tuple[str, str], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-
-    def species_counts(self) -> dict[str, int]:
-        """Individuals per species, summed over age-sex classes."""
-        out: dict[str, int] = {}
-        for (species, _age_sex), n in self.counts.items():
-            out[species] = out.get(species, 0) + n
-        return out
 
 
 @dataclass(frozen=True)
@@ -454,20 +430,10 @@ def _validate_label_stream(stream, known_codes, track_ids, report) -> None:
         report.add(loc, "label stream refers to unknown track")
     if not stream.segments:
         report.add(loc, "label stream has no segments")
-        return
-    prev_end = None
+    # order and contiguity are enforced by LabelStream itself
     for i, seg in enumerate(stream.segments):
-        sloc = f"{loc}.segments[{i}]"
-        if seg.end_frame < seg.start_frame:
-            report.add(sloc, f"empty segment range ({seg.start_frame}, {seg.end_frame})")
-        if prev_end is not None and seg.start_frame != prev_end + 1:
-            report.add(
-                sloc,
-                f"segments not contiguous (gap or overlap after frame {prev_end})",
-            )
-        prev_end = seg.end_frame
         if seg.code not in known_codes:
-            report.add(sloc, f"unknown behavior code {seg.code!r}")
+            report.add(f"{loc}.segments[{i}]", f"unknown behavior code {seg.code!r}")
 
 
 def _validate_observation_stream(stream, known_codes, report) -> None:

@@ -50,6 +50,7 @@ from .core import (
     TelemetryRecord,
     Track,
     VideoMeta,
+    coalesce,
 )
 from .ethogram import Ethogram, default_ethogram, read_ethogram, write_ethogram
 
@@ -664,17 +665,9 @@ def import_cvat_video_xml(
 
 def _label_runs(track_id: str, labels: list[tuple[int, str]]) -> list[LabelStream]:
     """Group (frame, code) pairs into contiguous-run label streams."""
-    runs: list[LabelStream] = []
-    segments: list[Segment] = []
-    for frame, code in labels:
-        if segments and frame == segments[-1].end_frame + 1 and code == segments[-1].code:
-            segments[-1] = Segment(segments[-1].start_frame, frame, code)
-        elif segments and frame == segments[-1].end_frame + 1:
-            segments.append(Segment(frame, frame, code))
-        else:
-            if segments:
-                runs.append(LabelStream(track_id, tuple(segments)))
-            segments = [Segment(frame, frame, code)]
-    if segments:
-        runs.append(LabelStream(track_id, tuple(segments)))
-    return runs
+    streams: list[list[Segment]] = []
+    for start, end, code in coalesce((f, f + 1, c) for f, c in labels):
+        if not streams or start != streams[-1][-1].end_frame + 1:
+            streams.append([])  # a gap starts a new stream
+        streams[-1].append(Segment(start, end - 1, code))
+    return [LabelStream(track_id, tuple(segments)) for segments in streams]

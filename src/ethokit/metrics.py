@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import LabelStream, ObsInterval, Segment, VideoMeta
+from .core import LabelStream, Segment, VideoMeta, coalesce, runs
 from .ethogram import TECHNICAL_CODES
 
 __all__ = [
@@ -336,24 +336,12 @@ def gantt_segments(stream):
     yields half-open ObsIntervals. Adjacent equal-code entries merge.
     """
     if isinstance(stream, LabelStream):
-        merged: list[Segment] = []
-        for seg in stream.segments:
-            if (
-                merged
-                and merged[-1].code == seg.code
-                and seg.start_frame == merged[-1].end_frame + 1
-            ):
-                merged[-1] = Segment(merged[-1].start_frame, seg.end_frame, seg.code)
-            else:
-                merged.append(seg)
-        return merged
-    out: list[ObsInterval] = []
-    for iv in stream.intervals:
-        if out and out[-1].code == iv.code and out[-1].end == iv.start:
-            out[-1] = ObsInterval(out[-1].start, iv.end, iv.code)
-        else:
-            out.append(iv)
-    return out
+        segs = stream.segments
+        return [
+            segs[a] if b - a == 1 else Segment(segs[a].start_frame, segs[b - 1].end_frame, code)
+            for a, b, code in runs([seg.code for seg in segs])
+        ]
+    return coalesce(stream.intervals)
 
 
 @dataclass(frozen=True)

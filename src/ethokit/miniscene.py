@@ -19,6 +19,7 @@ from .core import (
     Rect,
     Track,
     VideoMeta,
+    coalesce,
 )
 
 __all__ = [
@@ -164,35 +165,9 @@ def dump_miniscene_manifest(scenes: list[MiniScene]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["track_id", "start_frame", "end_frame", "cx", "cy", "out_w", "out_h"])
     for scene in scenes:
-        run_start: Window | None = None
-        prev: Window | None = None
-        for window in scene.windows:
-            if (
-                run_start is not None
-                and prev is not None
-                and window.frame == prev.frame + 1
-                and window.cx == prev.cx
-                and window.cy == prev.cy
-            ):
-                prev = window
-                continue
-            if run_start is not None and prev is not None:
-                _write_run(writer, scene, run_start, prev)
-            run_start = prev = window
-        if run_start is not None and prev is not None:
-            _write_run(writer, scene, run_start, prev)
+        cells = ((w.frame, w.frame + 1, (w.cx, w.cy)) for w in scene.windows)
+        for start, end, (cx, cy) in coalesce(cells):
+            writer.writerow(
+                [scene.track_id, start, end - 1, repr(cx), repr(cy), scene.out_w, scene.out_h]
+            )
     return out.getvalue()
-
-
-def _write_run(writer, scene: MiniScene, first: Window, last: Window) -> None:
-    writer.writerow(
-        [
-            scene.track_id,
-            first.frame,
-            last.frame,
-            repr(first.cx),
-            repr(first.cy),
-            scene.out_w,
-            scene.out_h,
-        ]
-    )

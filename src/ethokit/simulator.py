@@ -34,6 +34,7 @@ from .core import (
     Segment,
     Track,
     VideoMeta,
+    runs,
 )
 from .ethogram import OUT_OF_SIGHT
 from .ingest import (
@@ -155,37 +156,27 @@ class SimWorld:
         except ValueError:
             raise ValueError(f"unknown subject {subject!r}") from None
 
-    def _code_runs(self, i: int) -> list[tuple[int, int, str]]:
-        """Maximal constant-code step runs [a, b) per individual."""
-        steps = self.code_steps[i]
-        runs = []
-        start = 0
-        for k in range(1, len(steps) + 1):
-            if k == len(steps) or steps[k] != steps[start]:
-                runs.append((start, k, self.config.codes[steps[start]]))
-                start = k
-        return runs
-
     def truth_label_stream(self, subject: str) -> LabelStream:
         """Frame-indexed ground-truth behavior, no technical codes."""
         i = self._index(subject)
         cfg = self.config
         frames_per_step = cfg.step_s * cfg.fps
         segments = []
-        for a, b, code in self._code_runs(i):
+        for a, b, k in runs(self.code_steps[i]):
             fa = int(round(a * frames_per_step))
             fb = min(int(round(b * frames_per_step)), cfg.n_frames) - 1
             if fb >= fa:
-                segments.append(Segment(fa, fb, code))
+                segments.append(Segment(fa, fb, cfg.codes[k]))
         return LabelStream(subject, tuple(segments))
 
     def truth_observation(self, subject: str) -> ObservationStream:
         """Ground truth on the wall clock, tagged as the automated method."""
         i = self._index(subject)
         t0 = self.meta.start_time.timestamp()
-        step = self.config.step_s
+        step, codes = self.config.step_s, self.config.codes
         intervals = [
-            ObsInterval(t0 + a * step, t0 + b * step, code) for a, b, code in self._code_runs(i)
+            ObsInterval(t0 + a * step, t0 + b * step, codes[k])
+            for a, b, k in runs(self.code_steps[i])
         ]
         return ObservationStream(subject, ML_AUTO, tuple(intervals), _OBSERVER)
 
@@ -345,12 +336,7 @@ def observe_focal(world: SimWorld, subject: str, method: str) -> ObservationStre
     ]
     t0 = world.meta.start_time.timestamp()
     step = cfg.step_s
-    intervals = []
-    start = 0
-    for k in range(1, len(observed) + 1):
-        if k == len(observed) or observed[k] != observed[start]:
-            intervals.append(ObsInterval(t0 + start * step, t0 + k * step, observed[start]))
-            start = k
+    intervals = [ObsInterval(t0 + a * step, t0 + b * step, code) for a, b, code in runs(observed)]
     return ObservationStream(subject, method, tuple(intervals), _OBSERVER)
 
 

@@ -24,6 +24,8 @@ from .core import (
     ObservationStream,
     Segment,
     VideoMeta,
+    coalesce,
+    runs,
 )
 from .ethogram import TECHNICAL_CODES
 
@@ -95,18 +97,6 @@ def propagate_scan(events: ObservationStream, horizon_s: float = 120.0) -> Obser
     return events.replace_intervals(intervals)
 
 
-def _union(spans: list[Span]) -> list[Span]:
-    merged: list[Span] = []
-    for s, e in sorted(spans):
-        if e <= s:
-            continue
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
-
-
 def _intersect(a: list[Span], b: list[Span]) -> list[Span]:
     out: list[Span] = []
     i = j = 0
@@ -123,7 +113,8 @@ def _intersect(a: list[Span], b: list[Span]) -> list[Span]:
 
 
 def _visible_spans(stream: ObservationStream, technical: frozenset[str]) -> list[Span]:
-    return _union([(iv.start, iv.end) for iv in stream.intervals if iv.code not in technical])
+    visible = ((s, e, None) for s, e, code in stream.intervals if s != e and code not in technical)
+    return [(s, e) for s, e, _ in coalesce(visible)]
 
 
 def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream:
@@ -176,29 +167,18 @@ def map_labels(stream, mapping: dict[str, str]):
         missing = sorted(stream.codes() - mapping.keys())
         if missing:
             raise ValueError(f"mapping missing codes: {', '.join(missing)}")
-        segments: list[Segment] = []
-        for seg in stream.segments:
-            code = mapping[seg.code]
-            if (
-                segments
-                and segments[-1].code == code
-                and seg.start_frame == segments[-1].end_frame + 1
-            ):
-                segments[-1] = Segment(segments[-1].start_frame, seg.end_frame, code)
-            else:
-                segments.append(Segment(seg.start_frame, seg.end_frame, code))
-        return LabelStream(stream.track_id, tuple(segments))
+        segs = stream.segments
+        merged = runs([mapping[seg.code] for seg in segs])
+        return LabelStream(
+            stream.track_id,
+            tuple(Segment(segs[a].start_frame, segs[b - 1].end_frame, c) for a, b, c in merged),
+        )
     missing = sorted({iv.code for iv in stream.intervals} - mapping.keys())
     if missing:
         raise ValueError(f"mapping missing codes: {', '.join(missing)}")
-    intervals: list[ObsInterval] = []
-    for iv in stream.intervals:
-        code = mapping[iv.code]
-        if intervals and intervals[-1].code == code and intervals[-1].end == iv.start:
-            intervals[-1] = ObsInterval(intervals[-1].start, iv.end, code)
-        else:
-            intervals.append(ObsInterval(iv.start, iv.end, code))
-    return stream.replace_intervals(intervals)
+    return stream.replace_intervals(
+        coalesce((s, e, mapping[code]) for s, e, code in stream.intervals)
+    )
 
 
 def _atoms(
@@ -291,14 +271,11 @@ def label_stream_to_observation(
     Frame f covers [f, f+1) / fps after the session start; offset
     corrects a known ground-vs-drone clock skew (default 0).
     """
-    intervals: list[ObsInterval] = []
-    for seg in stream.segments:
-        start = meta.frame_to_epoch(seg.start_frame) + clock_offset_s
-        end = meta.frame_to_epoch(seg.end_frame + 1) + clock_offset_s
-        if intervals and intervals[-1].code == seg.code and intervals[-1].end == start:
-            intervals[-1] = ObsInterval(intervals[-1].start, end, seg.code)
-        else:
-            intervals.append(ObsInterval(start, end, seg.code))
+    epoch = meta.frame_to_epoch
+    intervals = coalesce(
+        (epoch(s) + clock_offset_s, epoch(e + 1) + clock_offset_s, code)
+        for s, e, code in stream.segments
+    )
     return ObservationStream(subject_id or stream.track_id, method, tuple(intervals))
 
 

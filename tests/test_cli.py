@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import filecmp
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -119,6 +120,61 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "interval" in capsys.readouterr().err
+
+
+COMPARE_FOCAL = ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
+                 "--method-b", "drone_focal"]
+COUNTS = {"giraffe|giraffe": 4, "giraffe|grevys_zebra": 2}
+
+
+class TestConfigNumbers:
+    """A wrongly typed or non-finite config number is a parse error naming its key."""
+
+    @pytest.mark.parametrize(
+        "doc,argv,key",
+        [
+            ({"params": {"min_overlap_frames": "4"}}, COMPARE_FOCAL, "params.min_overlap_frames"),
+            ({"params": {"min_overlap_frames": "4"}}, ["report", "{session}"],
+             "params.min_overlap_frames"),
+            ({"params": {"min_overlap_frames": "4"}}, ["interactions", "{session}"],
+             "params.min_overlap_frames"),
+            ({"params": {"min_overlap_frames": 4.5}}, ["interactions", "{session}"],
+             "params.min_overlap_frames"),
+            ({"params": {"downsample_interval_s": math.nan}}, ["report", "{session}"],
+             "params.downsample_interval_s"),
+            ({"params": {"overlap_ratio_threshold": True}}, ["interactions", "{session}"],
+             "params.overlap_ratio_threshold"),
+            ({"composition": {"giraffe": 1.7, "grevys_zebra": 3}, "overlap_counts": COUNTS},
+             ["interactions"], "composition['giraffe']"),
+            ({"composition": {"giraffe": 2, "grevys_zebra": 3},
+              "overlap_counts": {"giraffe|giraffe": "4"}},
+             ["interactions"], "overlap_counts['giraffe|giraffe']"),
+            ({"clock_offset_s": math.nan}, COMPARE_FOCAL, "clock_offset_s"),
+            ({"clock_offset_s": "1.5"}, COMPARE_FOCAL, "clock_offset_s"),
+            ({"crop": {"out_w": 400.5}}, ["miniscenes", "{session}"], "crop.out_w"),
+            ({"crop": {"out_h": math.inf}}, ["miniscenes", "{session}"], "crop.out_h"),
+        ],
+    )
+    def test_bad_number_is_a_parse_error(self, sim_session, tmp_path, capsys, doc, argv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # json writes NaN and Infinity, and reads them back
+        argv = [a.format(session=sim_session) for a in argv]
+        rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_whole_float_counts_are_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "composition": {"giraffe": 2.0, "grevys_zebra": 3},
+            "overlap_counts": COUNTS,
+            "params": {"min_overlap_frames": 4.0},
+            "crop": {"out_w": 400.0},
+        }))
+        out = tmp_path / "o"
+        assert main(["interactions", "--config", str(cfg), "--out", str(out)]) == 0
+        # two giraffes make one possible pair
+        assert "giraffe,giraffe,4,1,4.00" in (out / "overlap_summary.csv").read_text()
 
 
 class TestSimulate:

@@ -76,6 +76,27 @@ class TestLabelStream:
         stream = LabelStream("t1", (Segment(10, 19, "G"),))
         assert stream.n_frames == 10
 
+    def test_rejects_non_contiguous_segments(self):
+        with pytest.raises(ValueError, match="does not start on the frame after 9"):
+            LabelStream("t1", (Segment(0, 9, "G"), Segment(12, 19, "W")))
+
+    def test_rejects_overlapping_segments(self):
+        with pytest.raises(ValueError, match="does not start on the frame after 9"):
+            LabelStream("t1", (Segment(0, 9, "G"), Segment(5, 19, "W")))
+
+    def test_rejects_unsorted_segments(self):
+        # code_at(3) would read None and n_frames -4 on this stream
+        with pytest.raises(ValueError, match="does not start on the frame after 19"):
+            LabelStream("t1", (Segment(10, 19, "G"), Segment(0, 5, "W")))
+
+    def test_rejects_empty_segment_range(self):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            LabelStream("t1", (Segment(5, 4, "G"),))
+
+    def test_accepts_one_frame_segments_and_no_segments(self):
+        assert LabelStream("t1", (Segment(3, 3, "G"), Segment(4, 4, "G"))).n_frames == 2
+        assert LabelStream("t1", ()).segments == ()
+
     @given(
         st.lists(st.sampled_from(["G", "W", "R", "OOS"]), min_size=1, max_size=60),
         st.integers(min_value=0, max_value=1000),
@@ -226,11 +247,6 @@ class TestValidateSession:
     def test_flags_center_out_of_bounds(self, meta, ethogram):
         track = Track("t1", "grevys_zebra", (BoundingBox(0, 5000.0, 10.0, 20.0, 20.0),))
         report = validate_session([track], [], meta, ethogram)
-        assert not report.ok
-
-    def test_flags_non_contiguous_labels(self, meta, ethogram):
-        labels = [LabelStream("t1", (Segment(0, 9, "G"), Segment(12, 19, "W")))]
-        report = validate_session([make_track()], labels, meta, ethogram)
         assert not report.ok
 
     def test_flags_instantaneous_event_outside_scan(self, meta, ethogram):

@@ -22,8 +22,9 @@ from ethokit import (
     visibility_filter,
 )
 from ethokit import timeline
-from ethokit.timeline import _atoms, _intersect, _restrict, _union
+from ethokit.timeline import _atoms, _intersect, _restrict
 from conftest import EPOCH0, obs
+from scalar_runs import union
 from scalar_timeline import atoms_scalar, restrict_scalar
 
 
@@ -346,7 +347,7 @@ def _filter_and_align(a, b, delta):
 
 
 def _spans(pairs):
-    return _union([(EPOCH0 + s / 2, EPOCH0 + (s + n) / 2) for s, n in pairs])
+    return union([(EPOCH0 + s / 2, EPOCH0 + (s + n) / 2) for s, n in pairs])
 
 
 span_lists = st.lists(st.tuples(st.integers(0, 60), st.integers(0, 8)), max_size=12)
