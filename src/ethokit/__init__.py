@@ -25,7 +25,6 @@ from .core import (
     ObsInterval,
     Rect,
     Segment,
-    TelemetryRecord,
     Track,
     ValidationIssue,
     ValidationReport,
@@ -49,26 +48,24 @@ from .ethogram import (
 from .ingest import (
     END_CODE,
     CvatImportWarning,
+    ObservationIndex,
     ParseError,
     dump_ground_observations,
     dump_labels,
-    dump_telemetry,
     dump_tracks,
     dump_video_meta,
     import_cvat_video_xml,
     parse_ground_observations,
     parse_labels,
-    parse_telemetry,
     parse_tracks,
     parse_video_meta,
     read_ground_observations,
     read_labels,
-    read_telemetry,
+    read_observation_index,
     read_tracks,
     read_video_meta,
     write_ground_observations,
     write_labels,
-    write_telemetry,
     write_tracks,
     write_video_meta,
 )

@@ -33,9 +33,11 @@ from .core import (
 )
 from .ethogram import Ethogram, default_ethogram, read_ethogram
 from .ingest import (
+    ObservationIndex,
     ParseError,
-    read_ground_observations,
+    read_ground_observations,  # noqa: F401  (benchmarks/tracing.py wraps it here)
     read_labels,
+    read_observation_index,
     read_tracks,
     read_video_meta,
 )
@@ -67,19 +69,6 @@ from .timeline import (
     visibility_filter,
 )
 
-_CONFIG_KEYS = {
-    "ethogram",
-    "params",
-    "label_map",
-    "crop",
-    "clock_offset_s",
-    "composition",
-    "overlap_counts",
-    "simulation",
-    "references",
-    "factors",
-    "interactions",
-}
 _PARAM_KEYS = {f.name for f in dataclasses.fields(AnalysisParams)}
 _SIM_KEYS = {
     "n_individuals",
@@ -100,6 +89,22 @@ _SIM_KEYS = {
     "body_w_m",
     "body_h_m",
 }
+
+# JSON type of each --config section but clock_offset_s, which is a number
+_OBJECT, _LIST = (dict, "an object"), (list, "a list")
+_SECTION_TYPES = {
+    "ethogram": ((str, type(None)), "a string"),
+    "params": _OBJECT,
+    "label_map": _OBJECT,
+    "crop": _OBJECT,
+    "composition": _OBJECT,
+    "overlap_counts": _OBJECT,
+    "simulation": _OBJECT,
+    "references": _OBJECT,
+    "factors": _LIST,
+    "interactions": _LIST,
+}
+_CONFIG_KEYS = {*_SECTION_TYPES, "clock_offset_s"}
 
 
 class RunConfig(NamedTuple):
@@ -139,6 +144,7 @@ def load_config(path: str | Path | None) -> RunConfig:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ParseError(f"{p.name}: unknown config keys {sorted(unknown)}")
+    _check_sections(p.name, doc)
     params_doc = doc.get("params", {})
     bad = set(params_doc) - _PARAM_KEYS
     if bad:
@@ -179,9 +185,27 @@ def load_config(path: str | Path | None) -> RunConfig:
         counts,
         sim_doc,
         {str(k): str(v) for k, v in doc.get("references", {}).items()},
-        [str(f) for f in doc.get("factors", [])],
+        list(doc.get("factors", [])),
         [tuple(pair) for pair in doc.get("interactions", [])],
     )
+
+
+def _check_sections(name: str, doc: dict) -> None:
+    """Each section has its JSON type; label_map, factors and interactions hold strings."""
+    for key, (kind, expected) in _SECTION_TYPES.items():
+        if key in doc and not isinstance(doc[key], kind):
+            raise ParseError(f"{name}: {key} must be {expected}, got {doc[key]!r}")
+    for code, target in doc.get("label_map", {}).items():
+        if not isinstance(target, str):
+            raise ParseError(f"{name}: label_map[{code!r}] must be a string, got {target!r}")
+    for factor in doc.get("factors", []):
+        if not isinstance(factor, str):
+            raise ParseError(f"{name}: factors must hold strings, got {factor!r}")
+    for pair in doc.get("interactions", []):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(f, str) for f in pair)):
+            raise ParseError(
+                f"{name}: interactions must hold [factor, factor] pairs, got {pair!r}"
+            )
 
 
 def _config_number(where: str, value, integer: bool = False):
@@ -209,6 +233,12 @@ class Session:
     read when a command first asks for them, so a command parses (and
     fails on) only the files it uses. A file listed in ``need`` must
     exist; any other missing file reads as empty.
+
+    observations.csv is read once into an :class:`ObservationIndex`,
+    whose pass checks the header and field counts. ``observations``
+    builds every stream from it; :meth:`observation_streams` builds one
+    subject's streams for one method, so ``compare`` fails only on
+    faults inside the streams it compares.
     """
 
     def __init__(self, root: Path, meta: VideoMeta, need: tuple[str, ...]):
@@ -225,7 +255,7 @@ class Session:
         return []
 
     # the readers are looked up in this module at call time, so a wrapper
-    # put on them there (as benchmarks/tracing.py does) sees every read
+    # put on one there (as benchmarks/tracing.py does) sees each of its reads
     @functools.cached_property
     def tracks(self) -> list[Track]:
         return self._read("tracks.csv", read_tracks)
@@ -235,8 +265,19 @@ class Session:
         return self._read("labels.csv", read_labels)
 
     @functools.cached_property
+    def _observation_index(self) -> ObservationIndex | None:
+        # _read gives [] for an absent file that is not needed
+        return self._read("observations.csv", read_observation_index) or None
+
+    @functools.cached_property
     def observations(self) -> list[ObservationStream]:
-        return self._read("observations.csv", read_ground_observations)
+        return self.observation_streams()
+
+    def observation_streams(
+        self, subject: str | None = None, method: str | None = None
+    ) -> list[ObservationStream]:
+        index = self._observation_index
+        return index.streams(subject, method) if index else []
 
 
 def _load_session(directory: str | Path, *, need: tuple[str, ...] = ()) -> Session:
@@ -426,9 +467,7 @@ def cmd_interactions(args) -> int:
 def _pick_stream(session: Session, config: RunConfig, subject: str, method: str):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-    found = [
-        s for s in session.observations if s.subject_id == subject and s.method == method
-    ]
+    found = session.observation_streams(subject, method)
     if len(found) > 1:
         observers = sorted(s.observer_id for s in found)
         raise ValueError(

@@ -257,7 +257,9 @@ class ObservationStream:
     observer_id: str = ""
 
     def __post_init__(self) -> None:
-        intervals = tuple(ObsInterval(*iv) for iv in self.intervals)
+        intervals = tuple(
+            iv if isinstance(iv, ObsInterval) else ObsInterval(*iv) for iv in self.intervals
+        )
         prev_end = -math.inf
         for iv in intervals:
             if not (math.isfinite(iv.start) and math.isfinite(iv.end)):
@@ -297,18 +299,6 @@ class ObservationStream:
         return ObservationStream(
             self.subject_id, self.method, tuple(intervals), self.observer_id
         )
-
-
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One drone telemetry sample."""
-
-    timestamp: float  # epoch seconds
-    lat: float
-    lon: float
-    altitude_m: float
-    heading_deg: float  # [0, 360)
-    speed_mps: float
 
 
 @dataclass(frozen=True)

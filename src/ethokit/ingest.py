@@ -9,7 +9,6 @@ decimal points and no thousands separators:
 * labels:       ``session_id,track_id,start_frame,end_frame,code``
                 (inclusive frame ranges, contiguous per stream)
 * observations: ``observer_id,subject_id,method,timestamp_iso8601,code``
-* telemetry:    ``timestamp_iso8601,lat,lon,altitude_m,heading_deg,speed_mps``
 
 Ground observation rows are events. Scan rows are instantaneous
 snapshots of each visible individual. Focal rows are behavior-change
@@ -17,6 +16,13 @@ events: each row opens an interval that the next row closes, and a
 reserved ``END`` row closes the final interval (or an interior run,
 when the record has gaps). The AnimalBehaviourPro export schema is not
 public, so this event layout is a documented stand-in.
+
+observations.csv is read in two steps. :class:`ObservationIndex` makes
+one pass that checks the header and every row's field count and groups
+the raw rows by stream; each stream is then parsed and checked when it
+is built. A caller that builds only some streams (``compare`` builds one
+subject's) fails only on faults inside those, while a bad header or
+field count fails every caller.
 
 Writing then reading is the identity on stream values; reading then
 writing is the identity on canonical files. Timestamps are serialized
@@ -47,7 +53,6 @@ from .core import (
     ObservationStream,
     ObsInterval,
     Segment,
-    TelemetryRecord,
     Track,
     VideoMeta,
     coalesce,
@@ -62,10 +67,10 @@ __all__ = [
     "write_tracks",
     "read_labels",
     "write_labels",
+    "ObservationIndex",
     "read_ground_observations",
+    "read_observation_index",
     "write_ground_observations",
-    "read_telemetry",
-    "write_telemetry",
     "read_video_meta",
     "write_video_meta",
     "read_ethogram",
@@ -76,7 +81,6 @@ __all__ = [
 TRACK_HEADER = ["session_id", "track_id", "species", "frame", "x", "y", "w", "h", "excluded"]
 LABEL_HEADER = ["session_id", "track_id", "start_frame", "end_frame", "code"]
 OBS_HEADER = ["observer_id", "subject_id", "method", "timestamp_iso8601", "code"]
-TELEMETRY_HEADER = ["timestamp_iso8601", "lat", "lon", "altitude_m", "heading_deg", "speed_mps"]
 
 # Reserved code closing a focal interval run; never a behavior.
 END_CODE = "END"
@@ -99,14 +103,16 @@ def _iso(epoch_s: float) -> str:
     return datetime.fromtimestamp(epoch_s, timezone.utc).isoformat()
 
 
-def _parse_iso(text: str, where: str) -> float:
-    try:
-        dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad timestamp {text!r}") from exc
+def _parse_iso(text: str) -> float:
+    """Epoch seconds of an ISO 8601 timestamp, naive ones read as UTC; ValueError if malformed."""
+    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
+
+
+def _at(name: str, row_no: int, column: str) -> str:
+    return f"{name} row {row_no} column {column!r}"
 
 
 class _Rows:
@@ -134,11 +140,8 @@ class _Rows:
                 )
             yield row
 
-    def where(self, column: str) -> str:
-        return f"{self.name} row {self.row_no} column {column!r}"
-
     def fail(self, column: str, message: str) -> ParseError:
-        return ParseError(f"{self.where(column)}: {message}")
+        return ParseError(f"{_at(self.name, self.row_no, column)}: {message}")
 
     def to_int(self, row: list[str], col: str) -> int:
         raw = row[self._pos[col]]
@@ -316,30 +319,70 @@ def write_labels(streams: list[LabelStream], path: str | Path, session_id: str) 
 # ground observations
 
 
-def parse_ground_observations(text: str, name: str = "observations") -> list[ObservationStream]:
-    rows = _Rows(text, OBS_HEADER, name)
-    events: dict[tuple[str, str, str], list[tuple[float, str, int]]] = {}
-    for row in rows:
-        observer = rows.get(row, "observer_id")
-        subject = rows.get(row, "subject_id")
-        method = rows.get(row, "method")
-        if method not in METHODS:
-            raise rows.fail("method", f"unknown method {method!r}")
-        t = _parse_iso(rows.get(row, "timestamp_iso8601"), rows.where("timestamp_iso8601"))
-        code = rows.get(row, "code")
-        if not code:
-            raise rows.fail("code", "empty behavior code")
-        key = (observer, subject, method)
-        group = events.setdefault(key, [])
-        if group and t < group[-1][0]:
-            raise rows.fail("timestamp_iso8601", "timestamps decrease within a stream")
-        group.append((t, code, rows.row_no))
+class ObservationIndex:
+    """observations.csv rows grouped by stream, each stream built on request.
 
-    streams = []
-    for key in sorted(events):
+    Construction makes one pass over the file and checks its structure
+    only: the header and every row's field count. Everything else (the
+    method, timestamps, empty codes, END pairing) is checked when a
+    stream is built, so a fault inside one stream fails only a caller
+    that builds that stream. Streams are keyed by
+    ``(observer_id, subject_id, method)``.
+    """
+
+    def __init__(self, text: str, name: str = "observations"):
+        self.name = name
+        rows = _Rows(text, OBS_HEADER, name)
+        groups: dict[tuple[str, str, str], list[tuple[int, str, str]]] = {}
+        for observer, subject, method, stamp, code in rows:
+            key = (observer, subject, method)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = []
+            group.append((rows.row_no, stamp, code))
+        self._groups = groups
+
+    def keys(self) -> list[tuple[str, str, str]]:
+        """Every stream's (observer_id, subject_id, method), sorted."""
+        return sorted(self._groups)
+
+    def streams(
+        self, subject: str | None = None, method: str | None = None
+    ) -> list[ObservationStream]:
+        """Build the streams of one subject and method (default: all), in key order."""
+        return [
+            self.build(key)
+            for key in self.keys()
+            if (subject is None or key[1] == subject) and (method is None or key[2] == method)
+        ]
+
+    def build(self, key: tuple[str, str, str]) -> ObservationStream:
         observer, subject, method = key
-        streams.append(_events_to_stream(events[key], subject, method, observer, name))
-    return streams
+        group = self._groups[key]
+        if method not in METHODS:
+            raise self._fail(group[0][0], "method", f"unknown method {method!r}")
+        events: list[tuple[float, str, int]] = []
+        prev = -math.inf
+        for row_no, stamp, code in group:
+            try:
+                t = _parse_iso(stamp)
+            except ValueError as exc:
+                raise self._fail(row_no, "timestamp_iso8601", f"bad timestamp {stamp!r}") from exc
+            if not code:
+                raise self._fail(row_no, "code", "empty behavior code")
+            if t < prev:
+                message = "timestamps decrease within a stream"
+                raise self._fail(row_no, "timestamp_iso8601", message)
+            prev = t
+            events.append((t, code, row_no))
+        return _events_to_stream(events, subject, method, observer, self.name)
+
+    def _fail(self, row_no: int, column: str, message: str) -> ParseError:
+        return ParseError(f"{_at(self.name, row_no, column)}: {message}")
+
+
+def parse_ground_observations(text: str, name: str = "observations") -> list[ObservationStream]:
+    return ObservationIndex(text, name).streams()
 
 
 def _events_to_stream(
@@ -401,67 +444,15 @@ def read_ground_observations(path: str | Path) -> list[ObservationStream]:
     return parse_ground_observations(p.read_text(encoding="utf-8"), name=p.name)
 
 
+def read_observation_index(path: str | Path) -> ObservationIndex:
+    p = Path(path)
+    return ObservationIndex(p.read_text(encoding="utf-8"), name=p.name)
+
+
 def write_ground_observations(
     streams: list[ObservationStream], path: str | Path, observer_id: str = "field"
 ) -> None:
     Path(path).write_text(dump_ground_observations(streams, observer_id), encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# telemetry
-
-
-def parse_telemetry(text: str, name: str = "telemetry") -> list[TelemetryRecord]:
-    rows = _Rows(text, TELEMETRY_HEADER, name)
-    records: list[TelemetryRecord] = []
-    for row in rows:
-        t = _parse_iso(rows.get(row, "timestamp_iso8601"), rows.where("timestamp_iso8601"))
-        if records and t < records[-1].timestamp:
-            raise rows.fail("timestamp_iso8601", "timestamps decrease")
-        heading = rows.to_float(row, "heading_deg")
-        if not 0.0 <= heading < 360.0:
-            raise rows.fail("heading_deg", f"heading {heading} outside [0, 360)")
-        speed = rows.to_float(row, "speed_mps")
-        if speed < 0:
-            raise rows.fail("speed_mps", f"negative speed {speed}")
-        records.append(
-            TelemetryRecord(
-                t,
-                rows.to_float(row, "lat"),
-                rows.to_float(row, "lon"),
-                rows.to_float(row, "altitude_m"),
-                heading,
-                speed,
-            )
-        )
-    return records
-
-
-def dump_telemetry(records: list[TelemetryRecord]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TELEMETRY_HEADER)
-    for rec in records:
-        writer.writerow(
-            [
-                _iso(rec.timestamp),
-                _fmt(rec.lat),
-                _fmt(rec.lon),
-                _fmt(rec.altitude_m),
-                _fmt(rec.heading_deg),
-                _fmt(rec.speed_mps),
-            ]
-        )
-    return out.getvalue()
-
-
-def read_telemetry(path: str | Path) -> list[TelemetryRecord]:
-    p = Path(path)
-    return parse_telemetry(p.read_text(encoding="utf-8"), name=p.name)
-
-
-def write_telemetry(records: list[TelemetryRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_telemetry(records), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

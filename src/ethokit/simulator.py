@@ -8,6 +8,7 @@ occlusion zones degrade the ground and drone observer streams
 independently. Everything is a pure function of the config: randomness
 is Philox keyed (seed, individual), with each individual's draws laid
 out as fixed-size blocks, so equal configs give bit-identical worlds.
+NumPy, which supplies the generator, is imported by :func:`simulate`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .core import (
     DRONE_FOCAL,
@@ -208,6 +207,8 @@ class SimWorld:
 
 def simulate(config: SimConfig) -> SimWorld:
     """Run the chain and the walk; same config, same world, always."""
+    import numpy as np
+
     cfg = config
     k_codes = len(cfg.codes)
     cum_rows = [list(np.cumsum(row)) for row in cfg.transition]

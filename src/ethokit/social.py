@@ -3,7 +3,9 @@
 An interaction is a sustained stretch of frames where two animals'
 bounding boxes overlap by more than a threshold fraction. Counts are
 normalized by the number of possible pairs per species combination so
-groups of different sizes are comparable.
+groups of different sizes are comparable. NumPy is imported inside the
+functions that use it, so only a command that detects interactions
+loads it.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .core import AnalysisParams, BoundingBox, LabelStream, Track
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "InteractionEvent",
@@ -99,6 +102,8 @@ def detect_interactions(
     results match it bit for bit. Duplicate track ids, or a track whose
     frames do not strictly increase, raise ValueError.
     """
+    import numpy as np
+
     if params is None:
         params = AnalysisParams()
     active = sorted((t for t in tracks if not t.excluded and t.boxes), key=lambda t: t.track_id)
@@ -135,6 +140,8 @@ class _BoxColumns(NamedTuple):
 
     @classmethod
     def of(cls, track: Track) -> _BoxColumns:
+        import numpy as np
+
         frames = np.fromiter((b.frame for b in track.boxes), dtype=np.int64, count=len(track.boxes))
         if np.any(np.diff(frames) <= 0):
             raise ValueError(f"track {track.track_id!r}: frames not strictly increasing")
@@ -148,6 +155,8 @@ class _BoxColumns(NamedTuple):
 
 def _overlap_runs(a: _BoxColumns, b: _BoxColumns, params: AnalysisParams):
     """(start_frame, end_frame, mean_ratio) of each qualifying run of one pair."""
+    import numpy as np
+
     shared, ia, ib = np.intersect1d(a.frames, b.frames, assume_unique=True, return_indices=True)
     if shared.size < params.min_overlap_frames:
         return

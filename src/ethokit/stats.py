@@ -9,18 +9,20 @@ Distribution tails come from ``scipy.special`` (``stdtr``, ``stdtrit``,
 ``fdtr``, ``fdtrc``): these are the functions scipy's own ``stats`` t
 and F distributions evaluate, so the values are the same to the bit,
 but the ``stats`` subpackage (which also loads ``scipy.optimize`` and
-``scipy.spatial``) is never loaded. scipy itself is imported on first
-use, inside the functions that call it, so importing this module (and
-every command that never fits a model) does not pay for loading it.
+``scipy.spatial``) is never loaded. NumPy and scipy are imported on
+first use, inside the functions that call them, so importing this
+module (and every command that never fits a model) does not pay for
+loading either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DesignMatrix",
@@ -64,6 +66,8 @@ class DesignMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.rows, dtype=float)
 
     @property
@@ -172,6 +176,7 @@ class RegressionResult:
 
 def _qr_solve(x: np.ndarray, y: np.ndarray, names: Sequence[str]):
     """Least squares via pivoted QR; names rank-deficient columns."""
+    import numpy as np
     import scipy.linalg
 
     n, p = x.shape
@@ -199,6 +204,8 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
     Requires more observations than parameters and a full-rank design;
     a rank-deficient design fails with the dependent columns named.
     """
+    import numpy as np
+
     if isinstance(design, DesignMatrix):
         x = design.matrix
         names: Sequence[str] = design.columns
@@ -266,6 +273,8 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
 
 
 def _r_squared(x: np.ndarray, y: np.ndarray, tss: float) -> float:
+    import numpy as np
+
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
     return 1.0 - float(resid @ resid) / tss
@@ -280,6 +289,8 @@ class TTestResult(NamedTuple):
 
 def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     """Two-sided paired t-test on the elementwise differences."""
+    import numpy as np
+
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape or av.ndim != 1:

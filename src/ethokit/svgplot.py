@@ -7,8 +7,8 @@ and golden-tested like any other output file.
 
 from __future__ import annotations
 
+import html
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .core import LabelStream, ObservationStream
 from .metrics import ConfusionMatrix, TransitionMatrix, gantt_segments
@@ -37,6 +37,11 @@ _PALETTE = (
 )
 
 _FONT = 'font-family="sans-serif"'
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content (quotes need no escape there)."""
+    return html.escape(text, quote=False)
 
 
 def _num(v: float) -> str:
@@ -103,26 +108,26 @@ def gantt_svg(
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" {_FONT} '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     for i, (label, segments) in enumerate(lanes):
         y = margin_top + i * row_h
         parts.append(
             f'<text x="{margin_left - 8}" y="{y + bar_h - 4}" text-anchor="end" {_FONT} '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
         for s, e, code in segments:
             x, x2 = sx(s), sx(e)
             parts.append(
                 f'<rect x="{x:.2f}" y="{y}" width="{max(x2 - x, 0.5):.2f}" height="{bar_h}" '
-                f'fill="{color[code]}"><title>{escape(code)}: {_num(s)}-{_num(e)}</title></rect>'
+                f'fill="{color[code]}"><title>{_escape(code)}: {_num(s)}-{_num(e)}</title></rect>'
             )
     legend_y = margin_top + row_h * len(lanes) + 16
     x = margin_left
     for code in codes:
         parts.append(f'<rect x="{x}" y="{legend_y}" width="12" height="12" fill="{color[code]}"/>')
         parts.append(
-            f'<text x="{x + 16}" y="{legend_y + 10}" {_FONT} font-size="11">{escape(code)}</text>'
+            f'<text x="{x + 16}" y="{legend_y + 10}" {_FONT} font-size="11">{_escape(code)}</text>'
         )
         x += 24 + 8 * len(code)
     parts.append("</svg>")
@@ -161,19 +166,19 @@ def heatmap_svg(
     if title:
         parts.append(
             f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" {_FONT} '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     for j, label in enumerate(col_labels):
         x = margin_left + j * cell + cell / 2
         parts.append(
             f'<text x="{x:.1f}" y="{margin_top - 8}" text-anchor="middle" {_FONT} '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
     for i, label in enumerate(row_labels):
         y = margin_top + i * cell + cell / 2 + 4
         parts.append(
             f'<text x="{margin_left - 8}" y="{y:.1f}" text-anchor="end" {_FONT} '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
         for j in range(n_cols):
             v = float(values[i][j])

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import scipy.stats
 
-from ethokit import dump_labels, dump_tracks, dump_video_meta
+from ethokit import ParseError, dump_labels, dump_tracks, dump_video_meta
 from ethokit.cli import main
 from conftest import make_labels, make_track
 
@@ -122,6 +122,79 @@ class TestExitCodes:
         assert "interval" in capsys.readouterr().err
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _fault_ind001(text: str, fault: str) -> str:
+    """observations.csv text with one fault in a stream of subject ind001."""
+    lines = text.splitlines(keepends=True)
+    focal = [i for i, line in enumerate(lines) if line.startswith("sim,ind001,ground_focal,")]
+    first = lines[focal[0]].split(",")
+    if fault == "timestamp":
+        lines[focal[0]] = ",".join(first[:3] + ["not-a-time", first[4]])
+    elif fault == "method":
+        lines = [line.replace("sim,ind001,ground_scan,", "sim,ind001,telepathy,") for line in lines]
+    elif fault == "code":
+        lines[focal[0]] = ",".join(first[:4]) + ",\n"
+    elif fault == "end":
+        assert lines[focal[-1]].rstrip().endswith(",END")
+        del lines[focal[-1]]
+    elif fault == "fields":
+        lines[focal[0]] = lines[focal[0]].rstrip("\n") + ",extra\n"
+    elif fault == "header":
+        lines[0] = "observer,subject,method,time,code\n"
+    return "".join(lines)
+
+
+class TestObservationFaults:
+    """A fault inside one observation stream fails only the commands that build it."""
+
+    COMPARE = ["--method-a", "ground_focal", "--method-b", "drone_focal", "--interval", "2"]
+
+    def _session(self, tmp_path, fault: str) -> Path:
+        session = tmp_path / "session"
+        shutil.copytree(GOLDEN, session)
+        obs = session / "observations.csv"
+        obs.write_text(_fault_ind001(obs.read_text(), fault))
+        return session
+
+    @pytest.mark.parametrize("fault", ["timestamp", "method", "code", "end"])
+    def test_compare_of_another_subject_still_runs(self, tmp_path, capsys, fault):
+        from scalar_ingest import parse_ground_observations as oracle_parse
+
+        session = self._session(tmp_path, fault)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        for src, dest in ((GOLDEN, clean), (session, out)):
+            argv = ["compare", str(src), "--subject", "ind000", *self.COMPARE, "--out", str(dest)]
+            assert main(argv) == 0
+        for name in ("paired.csv", "agreement.json", "confusion.csv", "class_metrics.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        # the commands that read every stream fail with the single-pass parser's message
+        with pytest.raises(ParseError) as expected:
+            oracle_parse((session / "observations.csv").read_text(), name="observations.csv")
+        capsys.readouterr()
+        for argv in (["validate", str(session)],
+                     ["report", str(session), "--out", str(tmp_path / "r")],
+                     ["timebudget", str(session), "--out", str(tmp_path / "b")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {expected.value}\n"
+        if fault != "method":  # a stream of an unknown method cannot be asked for
+            argv = ["compare", str(session), "--subject", "ind001", *self.COMPARE,
+                    "--out", str(tmp_path / "c")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    @pytest.mark.parametrize("fault", ["fields", "header"])
+    def test_structure_fault_fails_compare(self, tmp_path, capsys, fault):
+        session = self._session(tmp_path, fault)
+        argv = ["compare", str(session), "--subject", "ind000", *self.COMPARE,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "observations.csv" in err
+        assert ("expected 5 fields" if fault == "fields" else "unexpected header") in err
+
+
 COMPARE_FOCAL = ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
                  "--method-b", "drone_focal"]
 COUNTS = {"giraffe|giraffe": 4, "giraffe|grevys_zebra": 2}
@@ -175,6 +248,69 @@ class TestConfigNumbers:
         assert main(["interactions", "--config", str(cfg), "--out", str(out)]) == 0
         # two giraffes make one possible pair
         assert "giraffe,giraffe,4,1,4.00" in (out / "overlap_summary.csv").read_text()
+
+
+class TestConfigSections:
+    """A config section of the wrong JSON type is a parse error naming its key."""
+
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            ({"ethogram": 5}, "ethogram must be a string"),
+            ({"params": []}, "params must be an object"),
+            ({"label_map": [1]}, "label_map must be an object"),
+            ({"label_map": {"TR": 1}}, "label_map['TR'] must be a string"),
+            ({"crop": [400, 300]}, "crop must be an object"),
+            ({"clock_offset_s": [1]}, "clock_offset_s must be a finite number"),
+            ({"composition": [1]}, "composition must be an object"),
+            ({"overlap_counts": [["giraffe", "giraffe", 4]]}, "overlap_counts must be an object"),
+            ({"simulation": []}, "simulation must be an object"),
+            ({"references": []}, "references must be an object"),
+            ({"factors": "habitat"}, "factors must be a list"),
+            ({"factors": ["habitat", 1]}, "factors must hold strings"),
+            ({"interactions": "habitat|herd"}, "interactions must be a list"),
+            ({"interactions": [["habitat"]]}, "interactions must hold [factor, factor] pairs"),
+            ({"interactions": [["habitat", 2]]}, "interactions must hold [factor, factor] pairs"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "regress"])
+    def test_wrong_type_is_a_parse_error(self, tmp_path, capsys, doc, key, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if command == "validate":
+            argv = ["validate", str(tiny_session(tmp_path / "s"))]
+        else:
+            data = small_regress_table(tmp_path / "data.csv")
+            argv = ["regress", str(data), "--response", "prop", "--out", str(tmp_path / "o")]
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_every_section_at_its_default(self, tmp_path):
+        from ethokit.cli import _default_config, load_config
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "ethogram": None, "params": {}, "label_map": {}, "crop": {}, "clock_offset_s": 0.0,
+            "composition": {}, "overlap_counts": {}, "simulation": {}, "references": {},
+            "factors": [], "interactions": [],
+        }))
+        assert load_config(cfg) == _default_config()
+
+    def test_valid_sections_are_read(self, tmp_path):
+        from ethokit.cli import load_config
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "ethogram": "custom.csv", "label_map": {"TR": "W"},
+            "references": {"habitat": "open", "herd": 3}, "factors": ["habitat", "herd"],
+            "interactions": [["habitat", "herd"]],
+        }))
+        config = load_config(cfg)
+        assert config.ethogram_path == "custom.csv"
+        assert config.label_map == {"TR": "W"}
+        assert config.references == {"habitat": "open", "herd": "3"}
+        assert config.factors == ["habitat", "herd"]
+        assert config.interactions == [("habitat", "herd")]
 
 
 class TestSimulate:
@@ -447,6 +583,16 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
+def _main_then_modules(argv: list[str], package: str) -> str:
+    """Code that runs one command, then prints the loaded modules of package."""
+    return (
+        "import sys\n"
+        "from ethokit.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
         code = (
@@ -456,6 +602,44 @@ class TestImports:
         done = run_python(code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_does_not_load_numpy_or_urllib_request(self):
+        code = (
+            "import sys, ethokit.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'numpy' or m.startswith('urllib.request')))"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{session}"],
+            ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
+             "--method-b", "drone_focal", "--interval", "2", "--out", "{out}"],
+            ["compare", "{session}", "--subject", "ind002", "--method-a", "ground_scan",
+             "--method-b", "ml_auto", "--interval", "2", "--out", "{out}"],
+            ["report", "{session}", "--out", "{out}"],
+            ["timebudget", "{session}", "--out", "{out}"],
+            ["transitions", "{session}", "--interval", "1", "--out", "{out}"],
+            ["miniscenes", "{session}", "--out", "{out}"],
+        ],
+        ids=["validate", "compare-focal", "compare-scan", "report", "timebudget", "transitions",
+             "miniscenes"],
+    )
+    def test_commands_without_array_math_do_not_load_numpy(self, tmp_path, argv):
+        argv = [a.format(session=GOLDEN, out=tmp_path / "o") for a in argv]
+        done = run_python(_main_then_modules(argv, "numpy"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_interactions_loads_numpy(self, tmp_path):
+        argv = ["interactions", str(GOLDEN), "--out", str(tmp_path / "o")]
+        done = run_python(_main_then_modules(argv, "numpy"))
+        assert done.returncode == 0, done.stderr
+        assert "numpy" in done.stdout.splitlines()[-1]
 
     def test_regress_does_not_load_scipy_stats(self, tmp_path):
         data = small_regress_table(tmp_path / "data.csv")

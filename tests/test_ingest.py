@@ -17,20 +17,17 @@ from ethokit import (
     ObsInterval,
     ParseError,
     Segment,
-    TelemetryRecord,
     Track,
     VideoMeta,
 )
 from ethokit.ingest import (
     dump_ground_observations,
     dump_labels,
-    dump_telemetry,
     dump_tracks,
     dump_video_meta,
     import_cvat_video_xml,
     parse_ground_observations,
     parse_labels,
-    parse_telemetry,
     parse_tracks,
     parse_video_meta,
 )
@@ -284,40 +281,6 @@ class TestGroundObservations:
             t += dur
         stream = ObservationStream("z1", "ground_focal", tuple(intervals), "o")
         assert parse_ground_observations(dump_ground_observations([stream])) == [stream]
-
-
-class TestTelemetry:
-    def test_round_trip(self):
-        records = [
-            TelemetryRecord(EPOCH0, 0.35, 36.9, 18.5, 270.0, 4.2),
-            TelemetryRecord(EPOCH0 + 1, 0.3501, 36.9001, 18.4, 271.5, 4.0),
-        ]
-        text = dump_telemetry(records)
-        assert parse_telemetry(text) == records
-
-    def test_heading_range_enforced(self):
-        text = (
-            "timestamp_iso8601,lat,lon,altitude_m,heading_deg,speed_mps\n"
-            f"{T0.isoformat()},0.0,36.0,20.0,360.0,1.0\n"
-        )
-        with pytest.raises(ParseError, match="heading"):
-            parse_telemetry(text)
-
-    def test_negative_speed_rejected(self):
-        text = (
-            "timestamp_iso8601,lat,lon,altitude_m,heading_deg,speed_mps\n"
-            f"{T0.isoformat()},0.0,36.0,20.0,90.0,-1.0\n"
-        )
-        with pytest.raises(ParseError, match="speed"):
-            parse_telemetry(text)
-
-    def test_non_finite_value_rejected(self):
-        text = (
-            "timestamp_iso8601,lat,lon,altitude_m,heading_deg,speed_mps\n"
-            f"{T0.isoformat()},0.0,36.0,nan,90.0,1.0\n"
-        )
-        with pytest.raises(ParseError, match="row 2 column 'altitude_m': not a finite number"):
-            parse_telemetry(text)
 
 
 class TestVideoMeta:

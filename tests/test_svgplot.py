@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as saxutils_escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ethokit import (
     ConfusionMatrix,
@@ -16,6 +19,7 @@ from ethokit import (
     heatmap_svg,
     transition_heatmap_svg,
 )
+from ethokit.svgplot import _escape
 from conftest import make_labels, obs
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -100,3 +104,8 @@ class TestHeatmap:
     def test_deterministic(self):
         args = (["G", "W"], ["G", "W"], [[0.9, 0.1], [0.5, 0.5]])
         assert heatmap_svg(*args) == heatmap_svg(*args)
+
+
+@given(st.text(alphabet=st.sampled_from("&<>\"' aZ;#\n") | st.characters()))
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == saxutils_escape(text)
