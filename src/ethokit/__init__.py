@@ -14,17 +14,16 @@ from .core import (
     GROUND_FOCAL,
     GROUND_SCAN,
     KNOWN_SPECIES,
+    LABELS,
     METHODS,
     ML_AUTO,
     PLAINS_ZEBRA,
     ZEBRA_UNSPECIFIED,
     AnalysisParams,
     BoundingBox,
-    LabelStream,
     ObservationStream,
     ObsInterval,
     Rect,
-    Segment,
     Track,
     ValidationIssue,
     ValidationReport,
@@ -111,12 +110,10 @@ from .stats import (
     RegressionResult,
     TTestResult,
     dummy_code,
-    f_cdf,
     nested_f_test,
     ols_fit,
     paired_ttest,
     significance_stars,
-    student_t_cdf,
     two_sided_p,
 )
 from .simulator import (

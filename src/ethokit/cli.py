@@ -25,7 +25,6 @@ from .core import (
     METHODS,
     ML_AUTO,
     AnalysisParams,
-    LabelStream,
     ObservationStream,
     Track,
     VideoMeta,
@@ -261,8 +260,9 @@ class Session:
         return self._read("tracks.csv", read_tracks)
 
     @functools.cached_property
-    def labels(self) -> list[LabelStream]:
-        return self._read("labels.csv", read_labels)
+    def labels(self) -> list[ObservationStream]:
+        """Frame streams at the session's frame rate."""
+        return self._read("labels.csv", lambda path: read_labels(path, self.meta.fps))
 
     @functools.cached_property
     def _observation_index(self) -> ObservationIndex | None:
@@ -341,19 +341,15 @@ def cmd_miniscenes(args) -> int:
 
 def _budget_rows(session: Session, ethogram: Ethogram) -> list[tuple[str, str, str, float, float]]:
     technical = ethogram.technical_codes()
+    # scans are instantaneous and a fully occluded focal record has no
+    # behavioral denominator; neither yields a budget row
+    observed = [
+        stream
+        for stream in session.observations
+        if sum(iv.end - iv.start for iv in stream.intervals if iv.code not in technical) > 0
+    ]
     rows = []
-    for stream in session.labels:
-        budget = time_budget(stream, ethogram, session.meta)
-        for code in sorted(budget.seconds):
-            rows.append(
-                ("labels", stream.track_id, code, budget.seconds[code], budget.proportion(code))
-            )
-    for stream in session.observations:
-        # scans are instantaneous and a fully occluded focal record has
-        # no behavioral denominator; neither yields a budget row
-        visible = sum(iv.end - iv.start for iv in stream.intervals if iv.code not in technical)
-        if visible <= 0:
-            continue
+    for stream in session.labels + observed:
         budget = time_budget(stream, ethogram)
         for code in sorted(budget.seconds):
             rows.append(
@@ -392,12 +388,7 @@ def _transition_inputs(session: Session, ethogram: Ethogram):
         streams = [s for s in session.observations if s.method != GROUND_SCAN]
     if not streams:
         raise ValueError("no streams to sample transitions from")
-    codes: set[str] = set()
-    for stream in streams:
-        if isinstance(stream, LabelStream):
-            codes |= stream.codes()
-        else:
-            codes |= {iv.code for iv in stream.intervals}
+    codes = {iv.code for stream in streams for iv in stream.intervals}
     codes -= ethogram.technical_codes()
     return streams, sorted(codes)
 
@@ -415,7 +406,7 @@ def cmd_transitions(args) -> int:
     session = _load_session(args.session)
     streams, codes = _transition_inputs(session, ethogram)
     delta = args.interval if args.interval is not None else config.params.downsample_interval_s
-    matrix = transition_matrix(streams, delta, codes, ethogram, session.meta)
+    matrix = transition_matrix(streams, delta, codes, ethogram)
     out = Path(args.out)
     if args.format == "json":
         doc = {
@@ -477,7 +468,7 @@ def _pick_stream(session: Session, config: RunConfig, subject: str, method: str)
         return found[0]
     if method in (DRONE_FOCAL, ML_AUTO):
         for stream in session.labels:
-            if stream.track_id == subject:
+            if stream.subject_id == subject:
                 return label_stream_to_observation(
                     stream, session.meta, method, subject, config.clock_offset_s
                 )
@@ -671,14 +662,12 @@ def cmd_report(args) -> int:
     _emit(out, "timebudget.csv", "\n".join(lines) + "\n")
 
     streams, codes = _transition_inputs(session, ethogram)
-    matrix = transition_matrix(
-        streams, config.params.downsample_interval_s, codes, ethogram, session.meta
-    )
+    matrix = transition_matrix(streams, config.params.downsample_interval_s, codes, ethogram)
     _emit(out, "transitions.csv", _matrix_csv(matrix.codes, matrix.probabilities))
     _emit(out, "transitions.svg", transition_heatmap_svg(matrix, "Transition probabilities"))
 
     if session.labels:
-        lanes = [(s.track_id, s) for s in sorted(session.labels, key=lambda s: s.track_id)]
+        lanes = [(s.subject_id, s) for s in sorted(session.labels, key=lambda s: s.subject_id)]
     else:
         lanes = [
             (f"{s.subject_id} ({s.method})", s)

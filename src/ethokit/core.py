@@ -1,9 +1,10 @@
 """Core domain types shared by every analysis stage.
 
 Frames are the canonical time axis for drone-derived data, wall-clock
-seconds for ground observations; :class:`VideoMeta` carries the
-conversion. All types are immutable after construction and safe to share
-across concurrent workers.
+seconds for ground observations. One stream type holds both: an
+:class:`ObservationStream` keeps its bounds in its own unit and carries
+the frame rate that turns them into seconds. All types are immutable
+after construction and safe to share across concurrent workers.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ GROUND_SCAN = "ground_scan"
 DRONE_FOCAL = "drone_focal"
 ML_AUTO = "ml_auto"
 METHODS = (GROUND_FOCAL, GROUND_SCAN, DRONE_FOCAL, ML_AUTO)
+# method of a frame label stream read from labels.csv, which does not say
+# whether a person or a model labeled it
+LABELS = "labels"
 
 
 @dataclass(frozen=True)
@@ -46,16 +50,9 @@ class VideoMeta:
                 self, "start_time", self.start_time.replace(tzinfo=timezone.utc)
             )
 
-    def frame_to_seconds(self, frame: float) -> float:
-        """Offset of a frame from the start of the video, in seconds."""
-        return frame / self.fps
-
     def frame_to_epoch(self, frame: float) -> float:
         """Wall-clock time (epoch seconds) at which a frame starts."""
         return self.start_time.timestamp() + frame / self.fps
-
-    def seconds_to_frame(self, seconds: float) -> int:
-        return int(seconds * self.fps)
 
 
 class Rect(NamedTuple):
@@ -121,91 +118,8 @@ class Track:
         return None
 
 
-class Segment(NamedTuple):
-    """Run-length encoded behavior run over an inclusive frame range."""
-
-    start_frame: int
-    end_frame: int
-    code: str
-
-
-@dataclass(frozen=True)
-class LabelStream:
-    """Per-frame behavior codes for one track, run-length encoded.
-
-    Segments are contiguous, non-overlapping and sorted; every frame in
-    [start_frame, end_frame] carries exactly one code. Construction
-    rejects a segment that ends before it starts and one that does not
-    start on the frame after the previous one ends.
-    """
-
-    track_id: str
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        segments = tuple(Segment(*s) for s in self.segments)
-        prev_end = None
-        for seg in segments:
-            if seg.end_frame < seg.start_frame:
-                raise ValueError(f"segment ends before it starts: {tuple(seg)}")
-            if prev_end is not None and seg.start_frame != prev_end + 1:
-                raise ValueError(
-                    f"segment {tuple(seg)} does not start on the frame after {prev_end}"
-                )
-            prev_end = seg.end_frame
-        object.__setattr__(self, "segments", segments)
-
-    @property
-    def start_frame(self) -> int:
-        return self.segments[0].start_frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.segments[-1].end_frame
-
-    @property
-    def n_frames(self) -> int:
-        return self.end_frame - self.start_frame + 1
-
-    def codes(self) -> set[str]:
-        return {s.code for s in self.segments}
-
-    def code_at(self, frame: int) -> str | None:
-        i = bisect_right(self.segments, frame, key=attrgetter("start_frame")) - 1
-        if i >= 0 and frame <= self.segments[i].end_frame:
-            return self.segments[i].code
-        return None
-
-    def expand(self) -> list[str]:
-        """Per-frame code list over [start_frame, end_frame]."""
-        out: list[str] = []
-        for seg in self.segments:
-            out.extend([seg.code] * (seg.end_frame - seg.start_frame + 1))
-        return out
-
-    def clip(self, start_frame: int, end_frame: int) -> LabelStream:
-        """Restrict to the inclusive frame range [start_frame, end_frame]."""
-        kept = []
-        for seg in self.segments:
-            s = max(seg.start_frame, start_frame)
-            e = min(seg.end_frame, end_frame)
-            if s <= e:
-                kept.append(Segment(s, e, seg.code))
-        return LabelStream(self.track_id, tuple(kept))
-
-    @classmethod
-    def from_frames(
-        cls, track_id: str, start_frame: int, codes: list[str] | tuple[str, ...]
-    ) -> LabelStream:
-        """Run-length encode an explicit per-frame code sequence."""
-        return cls(
-            track_id,
-            tuple(Segment(start_frame + a, start_frame + b - 1, c) for a, b, c in runs(codes)),
-        )
-
-
 class ObsInterval(NamedTuple):
-    """Behavior interval in seconds, half-open [start, end)."""
+    """Behavior interval, half-open [start, end), in its stream's unit."""
 
     start: float
     end: float
@@ -242,19 +156,27 @@ def runs(values: Sequence[T]) -> list[tuple[int, int, T]]:
 
 @dataclass(frozen=True)
 class ObservationStream:
-    """Wall-clock behavior record for one subject from one method.
+    """Behavior record for one subject from one method.
+
+    Bounds are in the stream's own unit: wall-clock seconds when ``fps``
+    is None, video frames at ``fps`` frames per second otherwise. A label
+    run over frames s..e (inclusive) is the interval ``(s, e + 1)``, so a
+    frame stream's length in frames is an exact integer difference, and
+    :meth:`to_seconds` divides by the frame rate once, where a metric
+    needs seconds.
 
     Intervals are non-overlapping and sorted with ``end > start``; scan
     streams may instead hold instantaneous events (``start == end``)
     prior to propagation. Construction rejects a non-finite bound, an
-    end before its start, and an interval that starts before the
-    previous one ends.
+    end before its start, an empty frame interval, and an interval that
+    starts before the previous one ends.
     """
 
     subject_id: str
     method: str
     intervals: tuple[ObsInterval, ...]
     observer_id: str = ""
+    fps: float | None = None
 
     def __post_init__(self) -> None:
         intervals = tuple(
@@ -266,6 +188,8 @@ class ObservationStream:
                 raise ValueError(f"interval bounds must be finite: {tuple(iv)}")
             if iv.end < iv.start:
                 raise ValueError(f"interval ends before it starts: {tuple(iv)}")
+            if iv.end == iv.start and self.fps is not None:
+                raise ValueError(f"frame interval holds no frame: {tuple(iv)}")
             if iv.start < prev_end:
                 raise ValueError(
                     f"interval {tuple(iv)} starts before the previous one ends at {prev_end!r}"
@@ -287,17 +211,34 @@ class ObservationStream:
         return [(s, e) for s, e, _ in spans]
 
     def code_at(self, t: float) -> str | None:
+        """Code at t in the stream's unit (a frame index for a frame stream)."""
         i = bisect_right(self.intervals, t, key=attrgetter("start")) - 1
         if i >= 0 and t < self.intervals[i].end:
             return self.intervals[i].code
         return None
 
+    def to_seconds(self, t: float) -> float:
+        """A time or length in the stream's unit, in seconds."""
+        return t if self.fps is None else t / self.fps
+
+    def code_at_seconds(self, t: float) -> str | None:
+        """Code at t seconds; a frame stream reads the frame that holds t."""
+        return self.code_at(t if self.fps is None else math.floor(t * self.fps))
+
     def is_instantaneous(self) -> bool:
         return bool(self.intervals) and all(iv.start == iv.end for iv in self.intervals)
 
+    def clip(self, start: float, end: float) -> ObservationStream:
+        """The intervals cut to [start, end), in the stream's unit."""
+        return self.replace_intervals(
+            ObsInterval(max(s, start), min(e, end), code)
+            for s, e, code in self.intervals
+            if s < end and e > start
+        )
+
     def replace_intervals(self, intervals) -> ObservationStream:
         return ObservationStream(
-            self.subject_id, self.method, tuple(intervals), self.observer_id
+            self.subject_id, self.method, tuple(intervals), self.observer_id, self.fps
         )
 
 
@@ -369,7 +310,7 @@ def validate_session(tracks, streams, meta, ethogram) -> ValidationReport:
     """Check every session invariant; problems become report entries.
 
     Nothing raises here: callers decide which violations are fatal.
-    ``streams`` may mix :class:`LabelStream` and :class:`ObservationStream`.
+    ``streams`` may mix frame label streams and seconds streams.
     """
     report = ValidationReport()
 
@@ -406,24 +347,24 @@ def validate_session(tracks, streams, meta, ethogram) -> ValidationReport:
 
     known_codes = set(ethogram.codes())
     for stream in streams:
-        if isinstance(stream, LabelStream):
-            _validate_label_stream(stream, known_codes, seen_ids, report)
-        else:
+        if stream.fps is None:
             _validate_observation_stream(stream, known_codes, report)
+        else:
+            _validate_label_stream(stream, known_codes, seen_ids, report)
 
     return report
 
 
 def _validate_label_stream(stream, known_codes, track_ids, report) -> None:
-    loc = f"labels[{stream.track_id}]"
-    if track_ids and stream.track_id not in track_ids:
+    loc = f"labels[{stream.subject_id}]"
+    if track_ids and stream.subject_id not in track_ids:
         report.add(loc, "label stream refers to unknown track")
-    if not stream.segments:
+    if not stream.intervals:
         report.add(loc, "label stream has no segments")
-    # order and contiguity are enforced by LabelStream itself
-    for i, seg in enumerate(stream.segments):
-        if seg.code not in known_codes:
-            report.add(f"{loc}.segments[{i}]", f"unknown behavior code {seg.code!r}")
+    # order and overlap are enforced by ObservationStream itself
+    for i, iv in enumerate(stream.intervals):
+        if iv.code not in known_codes:
+            report.add(f"{loc}.segments[{i}]", f"unknown behavior code {iv.code!r}")
 
 
 def _validate_observation_stream(stream, known_codes, report) -> None:

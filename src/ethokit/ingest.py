@@ -7,7 +7,8 @@ decimal points and no thousands separators:
 * tracks:       ``session_id,track_id,species,frame,x,y,w,h,excluded``
                 (one row per box, sorted by track_id then frame)
 * labels:       ``session_id,track_id,start_frame,end_frame,code``
-                (inclusive frame ranges, contiguous per stream)
+                (inclusive, non-negative frame ranges; read as half-open
+                frame intervals, one stream per contiguous run)
 * observations: ``observer_id,subject_id,method,timestamp_iso8601,code``
 
 Ground observation rows are events. Scan rows are instantaneous
@@ -45,14 +46,13 @@ from .core import (
     GREVYS_ZEBRA,
     GROUND_SCAN,
     KNOWN_SPECIES,
+    LABELS,
     METHODS,
     PLAINS_ZEBRA,
     ZEBRA_UNSPECIFIED,
     BoundingBox,
-    LabelStream,
     ObservationStream,
     ObsInterval,
-    Segment,
     Track,
     VideoMeta,
     coalesce,
@@ -255,16 +255,17 @@ def write_tracks(tracks: list[Track], path: str | Path, session_id: str) -> None
 # labels
 
 
-def parse_labels(text: str, name: str = "labels") -> list[LabelStream]:
+def parse_labels(text: str, fps: float, name: str = "labels") -> list[ObservationStream]:
+    """Frame streams at ``fps``; a gap in a track's rows starts a new stream."""
     rows = _Rows(text, LABEL_HEADER, name)
     session: str | None = None
-    streams: list[LabelStream] = []
+    streams: list[ObservationStream] = []
     current_id: str | None = None
-    current: list[Segment] = []
+    current: list[ObsInterval] = []
 
     def flush() -> None:
         if current_id is not None and current:
-            streams.append(LabelStream(current_id, tuple(current)))
+            streams.append(ObservationStream(current_id, LABELS, tuple(current), fps=fps))
 
     for row in rows:
         sid = rows.get(row, "session_id")
@@ -276,6 +277,8 @@ def parse_labels(text: str, name: str = "labels") -> list[LabelStream]:
         start = rows.to_int(row, "start_frame")
         end = rows.to_int(row, "end_frame")
         code = rows.get(row, "code")
+        if start < 0:
+            raise rows.fail("start_frame", f"negative frame {start}")
         if end < start:
             raise rows.fail("end_frame", f"end_frame {end} before start_frame {start}")
         if track_id != current_id:
@@ -284,34 +287,33 @@ def parse_labels(text: str, name: str = "labels") -> list[LabelStream]:
             flush()
             current_id, current = track_id, []
         if current:
-            prev = current[-1]
-            if start <= prev.end_frame:
+            if start < current[-1].end:
                 raise rows.fail("start_frame", f"segments overlap in track {track_id!r}")
-            if start != prev.end_frame + 1:
+            if start != current[-1].end:
                 # gap: a new stream for the same track starts here
                 flush()
                 current = []
-        current.append(Segment(start, end, code))
+        current.append(ObsInterval(start, end + 1, code))
     flush()
     return streams
 
 
-def dump_labels(streams: list[LabelStream], session_id: str) -> str:
+def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LABEL_HEADER)
-    for stream in sorted(streams, key=lambda s: (s.track_id, s.start_frame)):
-        for seg in stream.segments:
-            writer.writerow([session_id, stream.track_id, seg.start_frame, seg.end_frame, seg.code])
+    for stream in sorted(streams, key=lambda s: (s.subject_id, s.span[0])):
+        for start, end, code in stream.intervals:
+            writer.writerow([session_id, stream.subject_id, start, end - 1, code])
     return out.getvalue()
 
 
-def read_labels(path: str | Path) -> list[LabelStream]:
+def read_labels(path: str | Path, fps: float) -> list[ObservationStream]:
     p = Path(path)
-    return parse_labels(p.read_text(encoding="utf-8"), name=p.name)
+    return parse_labels(p.read_text(encoding="utf-8"), fps, name=p.name)
 
 
-def write_labels(streams: list[LabelStream], path: str | Path, session_id: str) -> None:
+def write_labels(streams: list[ObservationStream], path: str | Path, session_id: str) -> None:
     Path(path).write_text(dump_labels(streams, session_id), encoding="utf-8")
 
 
@@ -548,15 +550,16 @@ def _warn(seen: set[str], key: str, message: str) -> None:
 
 def import_cvat_video_xml(
     document: str, meta: VideoMeta, ethogram: Ethogram | None = None
-) -> tuple[list[Track], list[LabelStream]]:
+) -> tuple[list[Track], list[ObservationStream]]:
     """Import the CVAT "video annotation" XML subset.
 
     Supported content is ``<track id= label=>`` elements holding
     ``<box frame= xtl= ytl= xbr= ybr= outside=>`` boxes with one
     ``<attribute name="behavior">`` each. A box with ``outside="1"``
-    ends the visible run; behavior attributes become label segments
-    (one stream per contiguous labeled run). Anything else is skipped
-    with a :class:`CvatImportWarning`.
+    ends the visible run; behavior attributes become frame label
+    streams at ``meta.fps`` (one per contiguous labeled run). A negative
+    frame is a :class:`ParseError`; anything else unsupported is
+    skipped with a :class:`CvatImportWarning`.
     """
     if ethogram is None:
         ethogram = default_ethogram()
@@ -568,7 +571,7 @@ def import_cvat_video_xml(
 
     warned: set[str] = set()
     tracks: list[Track] = []
-    streams: list[LabelStream] = []
+    streams: list[ObservationStream] = []
     for elem in root:
         if elem.tag in ("version", "meta"):
             continue
@@ -603,6 +606,8 @@ def import_cvat_video_xml(
                 ) from None
             except ValueError as exc:
                 raise ParseError(f"box in track {track_id}, frame attr unreadable: {exc}") from None
+            if frame < 0:
+                raise ParseError(f"box in track {track_id} has negative frame {frame}")
             if outside:
                 continue
             if xbr <= xtl or ybr <= ytl:
@@ -650,15 +655,17 @@ def import_cvat_video_xml(
         boxes.sort(key=lambda b: b.frame)
         labels.sort(key=lambda fc: fc[0])
         tracks.append(Track(str(track_id), _species_from_label(label), tuple(boxes)))
-        streams.extend(_label_runs(str(track_id), labels))
+        streams.extend(_label_runs(str(track_id), labels, meta.fps))
     return tracks, streams
 
 
-def _label_runs(track_id: str, labels: list[tuple[int, str]]) -> list[LabelStream]:
-    """Group (frame, code) pairs into contiguous-run label streams."""
-    streams: list[list[Segment]] = []
-    for start, end, code in coalesce((f, f + 1, c) for f, c in labels):
-        if not streams or start != streams[-1][-1].end_frame + 1:
+def _label_runs(
+    track_id: str, labels: list[tuple[int, str]], fps: float
+) -> list[ObservationStream]:
+    """Group (frame, code) pairs into one frame stream per contiguous run."""
+    streams: list[list[ObsInterval]] = []
+    for iv in coalesce(ObsInterval(f, f + 1, c) for f, c in labels):
+        if not streams or iv.start != streams[-1][-1].end:
             streams.append([])  # a gap starts a new stream
-        streams[-1].append(Segment(start, end - 1, code))
-    return [LabelStream(track_id, tuple(segments)) for segments in streams]
+        streams[-1].append(iv)
+    return [ObservationStream(track_id, LABELS, tuple(run), fps=fps) for run in streams]

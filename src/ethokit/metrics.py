@@ -2,8 +2,8 @@
 
 Time here is always seconds of *visible* time: spans carrying technical
 codes (occlusion, out of frame/focus/sight) never enter a behavioral
-denominator. Frame-indexed streams need the session VideoMeta to fix
-the seconds-per-frame scale.
+denominator. A frame stream carries its own frame rate, so frames and
+seconds streams go through the same code.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import LabelStream, Segment, VideoMeta, coalesce, runs
+from .core import coalesce
 from .ethogram import TECHNICAL_CODES
 
 __all__ = [
@@ -38,16 +38,9 @@ __all__ = [
 OTHER_CODE = "other"
 
 
-def _durations(stream, meta: VideoMeta | None) -> list[tuple[str, float]]:
-    """(code, seconds) per stream element, in time order."""
-    if isinstance(stream, LabelStream):
-        if meta is None:
-            raise ValueError("frame-indexed stream needs VideoMeta for a time scale")
-        return [
-            (seg.code, (seg.end_frame - seg.start_frame + 1) / meta.fps)
-            for seg in stream.segments
-        ]
-    return [(iv.code, iv.end - iv.start) for iv in stream.intervals]
+def _durations(stream) -> list[tuple[str, float]]:
+    """(code, seconds) per interval, in time order."""
+    return [(iv.code, stream.to_seconds(iv.end - iv.start)) for iv in stream.intervals]
 
 
 @dataclass(frozen=True)
@@ -68,11 +61,11 @@ class TimeBudget:
         return self.seconds.get(code, 0.0) / self.t_visible
 
 
-def time_budget(stream, ethogram=None, meta: VideoMeta | None = None) -> TimeBudget:
+def time_budget(stream, ethogram=None) -> TimeBudget:
     """Visible-time budget; technical codes drop out of the denominator."""
     technical = ethogram.technical_codes() if ethogram is not None else TECHNICAL_CODES
     seconds: dict[str, float] = {}
-    for code, dur in _durations(stream, meta):
+    for code, dur in _durations(stream):
         if code in technical:
             continue
         seconds[code] = seconds.get(code, 0.0) + dur
@@ -82,10 +75,10 @@ def time_budget(stream, ethogram=None, meta: VideoMeta | None = None) -> TimeBud
     return TimeBudget(seconds, t_visible)
 
 
-def out_of_sight_fraction(stream, ethogram=None, meta: VideoMeta | None = None) -> float:
+def out_of_sight_fraction(stream, ethogram=None) -> float:
     """Share of the recorded time carrying a technical code."""
     technical = ethogram.technical_codes() if ethogram is not None else TECHNICAL_CODES
-    pairs = _durations(stream, meta)
+    pairs = _durations(stream)
     total = sum(dur for _, dur in pairs)
     if total <= 0:
         raise ValueError("empty stream")
@@ -127,44 +120,23 @@ class TransitionMatrix:
         return sum(sum(row) for row in self.counts)
 
 
-def _sample_codes(stream, delta_s: float, meta: VideoMeta | None, technical) -> list[str | None]:
+def _sample_codes(stream, delta_s: float, technical) -> list[str | None]:
     """Point-in-time codes at t0, t0+delta, ... within the stream span.
 
     t0 anchors at the first instant carrying a non-technical code; None
     marks samples landing on gaps or technical time.
     """
-    if isinstance(stream, LabelStream):
-        if meta is None:
-            raise ValueError("frame-indexed stream needs VideoMeta for a time scale")
-        span_end = (stream.end_frame + 1) / meta.fps
-        t0 = None
-        for seg in stream.segments:
-            if seg.code not in technical:
-                t0 = seg.start_frame / meta.fps
-                break
-
-        def code_at(t: float) -> str | None:
-            return stream.code_at(int(t * meta.fps))
-
-    else:
-        if not stream.intervals:
-            return []
-        span_end = stream.span[1]
-        t0 = None
-        for iv in stream.intervals:
-            if iv.code not in technical:
-                t0 = iv.start
-                break
-        code_at = stream.code_at
+    t0 = next((iv.start for iv in stream.intervals if iv.code not in technical), None)
     if t0 is None:
         return []
+    t0, span_end = stream.to_seconds(t0), stream.to_seconds(stream.span[1])
     samples: list[str | None] = []
     k = 0
     while True:
         t = t0 + k * delta_s
         if t >= span_end:
             break
-        code = code_at(t)
+        code = stream.code_at_seconds(t)
         samples.append(None if code is None or code in technical else code)
         k += 1
     return samples
@@ -175,7 +147,6 @@ def transition_matrix(
     delta_s: float,
     codes: Sequence[str],
     ethogram=None,
-    meta: VideoMeta | None = None,
 ) -> TransitionMatrix:
     """Pool downsampled transition counts across streams.
 
@@ -192,7 +163,7 @@ def transition_matrix(
     counts = [[0] * len(codes) for _ in codes]
     pairs = 0
     for stream in streams:
-        samples = _sample_codes(stream, delta_s, meta, technical)
+        samples = _sample_codes(stream, delta_s, technical)
         for prev, cur in zip(samples, samples[1:]):
             if prev in index and cur in index:
                 counts[index[prev]][index[cur]] += 1
@@ -330,17 +301,10 @@ def class_metrics(m: ConfusionMatrix) -> ClassMetrics:
 
 
 def gantt_segments(stream):
-    """Maximal constant-code runs in time order, for timeline plotting.
+    """Maximal constant-code runs in time order, in the stream's unit, for plotting.
 
-    Frame-indexed input yields inclusive frame Segments; interval input
-    yields half-open ObsIntervals. Adjacent equal-code entries merge.
+    Touching equal-code intervals merge.
     """
-    if isinstance(stream, LabelStream):
-        segs = stream.segments
-        return [
-            segs[a] if b - a == 1 else Segment(segs[a].start_frame, segs[b - 1].end_frame, code)
-            for a, b, code in runs([seg.code for seg in segs])
-        ]
     return coalesce(stream.intervals)
 
 

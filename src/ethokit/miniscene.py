@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .core import (
     AnalysisParams,
     BoundingBox,
-    LabelStream,
+    ObservationStream,
     Rect,
     Track,
     VideoMeta,
@@ -61,7 +61,7 @@ class MiniScene:
     out_w: int
     out_h: int
     windows: tuple[Window, ...]
-    labels: LabelStream
+    labels: ObservationStream  # frame stream covering every frame of the scene
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "windows", tuple(self.windows))
@@ -108,13 +108,15 @@ def _split_segments(track: Track, max_gap: int) -> list[tuple[BoundingBox, ...]]
 
 
 def _labels_for(
-    track_id: str, start: int, end: int, streams: list[LabelStream]
-) -> LabelStream:
+    track_id: str, start: int, end: int, streams: list[ObservationStream]
+) -> ObservationStream:
+    """The track's labels over frames start..end, from a stream with no gap there."""
     for stream in streams:
-        if stream.track_id != track_id:
+        if stream.subject_id != track_id:
             continue
-        if stream.start_frame <= start and stream.end_frame >= end:
-            return stream.clip(start, end)
+        clipped = stream.clip(start, end + 1)
+        if clipped.covered_duration() == end + 1 - start:
+            return clipped
     raise ValueError(
         f"missing label coverage for track {track_id!r} frames {start}..{end}"
     )
@@ -122,7 +124,7 @@ def _labels_for(
 
 def extract_miniscenes(
     tracks: list[Track],
-    labels: list[LabelStream],
+    labels: list[ObservationStream],
     params: AnalysisParams,
     meta: VideoMeta,
     out_w: int = DEFAULT_OUT_W,

@@ -25,12 +25,11 @@ from .core import (
     GREVYS_ZEBRA,
     GROUND_FOCAL,
     GROUND_SCAN,
+    LABELS,
     ML_AUTO,
     BoundingBox,
-    LabelStream,
     ObservationStream,
     ObsInterval,
-    Segment,
     Track,
     VideoMeta,
     runs,
@@ -155,18 +154,18 @@ class SimWorld:
         except ValueError:
             raise ValueError(f"unknown subject {subject!r}") from None
 
-    def truth_label_stream(self, subject: str) -> LabelStream:
-        """Frame-indexed ground-truth behavior, no technical codes."""
+    def truth_label_stream(self, subject: str) -> ObservationStream:
+        """Ground-truth behavior as a frame stream, no technical codes."""
         i = self._index(subject)
         cfg = self.config
         frames_per_step = cfg.step_s * cfg.fps
-        segments = []
+        intervals = []
         for a, b, k in runs(self.code_steps[i]):
             fa = int(round(a * frames_per_step))
-            fb = min(int(round(b * frames_per_step)), cfg.n_frames) - 1
-            if fb >= fa:
-                segments.append(Segment(fa, fb, cfg.codes[k]))
-        return LabelStream(subject, tuple(segments))
+            fb = min(int(round(b * frames_per_step)), cfg.n_frames)
+            if fb > fa:
+                intervals.append(ObsInterval(fa, fb, cfg.codes[k]))
+        return ObservationStream(subject, LABELS, tuple(intervals), fps=self.meta.fps)
 
     def truth_observation(self, subject: str) -> ObservationStream:
         """Ground truth on the wall clock, tagged as the automated method."""

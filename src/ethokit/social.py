@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .core import AnalysisParams, BoundingBox, LabelStream, Track
+from .core import AnalysisParams, BoundingBox, ObservationStream, Track
 
 if TYPE_CHECKING:
     import numpy as np
@@ -182,16 +182,16 @@ def _overlap_runs(a: _BoxColumns, b: _BoxColumns, params: AnalysisParams):
 
 
 def tag_interactions(
-    events: Sequence[InteractionEvent], labels: Sequence[LabelStream]
+    events: Sequence[InteractionEvent], labels: Sequence[ObservationStream]
 ) -> list[InteractionEvent]:
     """Attach to each event the modal concurrent code pair, as "A|B".
 
-    Frames where either animal lacks a label are skipped; events with no
-    jointly labeled frame keep an empty tag.
+    labels are frame streams. Frames where either animal lacks a label
+    are skipped; events with no jointly labeled frame keep an empty tag.
     """
-    by_track: dict[str, list[LabelStream]] = {}
+    by_track: dict[str, list[ObservationStream]] = {}
     for stream in labels:
-        by_track.setdefault(stream.track_id, []).append(stream)
+        by_track.setdefault(stream.subject_id, []).append(stream)
 
     def code_at(track_id: str, frame: int) -> str | None:
         for stream in by_track.get(track_id, []):

@@ -6,8 +6,8 @@ sizes reported as Cohen's f2 at the model level and incrementally per
 predictor block. Solving uses QR, never an explicit inverse.
 
 Distribution tails come from ``scipy.special`` (``stdtr``, ``stdtrit``,
-``fdtr``, ``fdtrc``): these are the functions scipy's own ``stats`` t
-and F distributions evaluate, so the values are the same to the bit,
+``fdtrc``): these are the functions scipy's own ``stats`` t and F
+distributions evaluate, so the values are the same to the bit,
 but the ``stats`` subpackage (which also loads ``scipy.optimize`` and
 ``scipy.spatial``) is never loaded. NumPy and scipy are imported on
 first use, inside the functions that call them, so importing this
@@ -33,8 +33,6 @@ __all__ = [
     "ols_fit",
     "paired_ttest",
     "nested_f_test",
-    "student_t_cdf",
-    "f_cdf",
     "two_sided_p",
     "significance_stars",
 ]
@@ -331,26 +329,6 @@ def nested_f_test(full: RegressionResult, reduced: RegressionResult) -> FTestRes
 
     f = max(0.0, (reduced.rss - full.rss) / df1) / (full.rss / df2)
     return FTestResult(f, df1, df2, float(special.fdtrc(df1, df2, f)))
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t (via the regularized incomplete beta)."""
-    if not df > 0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
-    from scipy import special
-
-    return float(special.stdtr(df, t))
-
-
-def f_cdf(f: float, df1: float, df2: float) -> float:
-    """CDF of the F distribution; 0 at and below its lower bound of 0."""
-    if not (df1 > 0 and df2 > 0):
-        raise ValueError(f"degrees of freedom must be positive, got ({df1}, {df2})")
-    if f <= 0:
-        return 0.0  # fdtr is undefined below 0 and, for infinite df, at 0
-    from scipy import special
-
-    return float(special.fdtr(df1, df2, f))
 
 
 def two_sided_p(t: float, df: float) -> float:

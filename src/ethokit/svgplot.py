@@ -10,7 +10,7 @@ from __future__ import annotations
 import html
 from typing import Sequence
 
-from .core import LabelStream, ObservationStream
+from .core import ObservationStream
 from .metrics import ConfusionMatrix, TransitionMatrix, gantt_segments
 
 __all__ = [
@@ -49,38 +49,17 @@ def _num(v: float) -> str:
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
-def _normalize_segments(segments) -> list[tuple[float, float, str]]:
-    """Accept Segment (inclusive frames), ObsInterval, or plain tuples."""
-    out = []
-    for seg in segments:
-        if hasattr(seg, "start_frame"):
-            out.append((float(seg.start_frame), float(seg.end_frame + 1), seg.code))
-        elif hasattr(seg, "start"):
-            out.append((float(seg.start), float(seg.end), seg.code))
-        else:
-            s, e, code = seg
-            out.append((float(s), float(e), code))
-    return out
-
-
 def gantt_svg(
-    rows: Sequence[tuple[str, object]],
+    rows: Sequence[tuple[str, ObservationStream]],
     width: int = 900,
     title: str = "",
 ) -> str:
     """Behavior timeline chart, one horizontal lane per stream.
 
-    rows pairs a lane label with either a stream (LabelStream or
-    ObservationStream) or an explicit segment list. All lanes share one
-    time axis spanning the earliest to the latest segment edge.
+    rows pairs a lane label with a stream. All lanes share one axis in
+    the streams' unit, spanning the earliest to the latest interval edge.
     """
-    lanes: list[tuple[str, list[tuple[float, float, str]]]] = []
-    for label, source in rows:
-        if isinstance(source, (LabelStream, ObservationStream)):
-            segments = _normalize_segments(gantt_segments(source))
-        else:
-            segments = _normalize_segments(source)
-        lanes.append((label, segments))
+    lanes = [(label, gantt_segments(stream)) for label, stream in rows]
     all_edges = [t for _, segs in lanes for s, e, _ in segs for t in (s, e)]
     if not all_edges:
         raise ValueError("nothing to plot")

@@ -3,9 +3,9 @@
 Scan snapshots are propagated into intervals, technical (visibility)
 time is excised jointly, codes are mapped onto a shared vocabulary, and
 the two streams are resampled onto a common grid for agreement
-analysis. All times are epoch seconds; drone-side label streams enter
-through :func:`label_stream_to_observation`, which anchors frames to
-the session start timestamp (plus any per-session clock offset).
+analysis. All times are epoch seconds; drone-side frame label streams
+enter through :func:`label_stream_to_observation`, which anchors frames
+to the session start timestamp (plus any per-session clock offset).
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ from dataclasses import dataclass
 from .core import (
     DRONE_FOCAL,
     GROUND_SCAN,
-    LabelStream,
     ObsInterval,
     ObservationStream,
-    Segment,
     VideoMeta,
     coalesce,
-    runs,
 )
 from .ethogram import TECHNICAL_CODES
 
@@ -157,22 +154,11 @@ def visibility_filter(
     return _restrict(a, common), _restrict(b, common)
 
 
-def map_labels(stream, mapping: dict[str, str]):
+def map_labels(stream: ObservationStream, mapping: dict[str, str]) -> ObservationStream:
     """Rename codes through a total mapping, merging what becomes equal.
 
-    Accepts either an ObservationStream or a LabelStream; the mapping
-    must cover every code present.
+    The mapping must cover every code present.
     """
-    if isinstance(stream, LabelStream):
-        missing = sorted(stream.codes() - mapping.keys())
-        if missing:
-            raise ValueError(f"mapping missing codes: {', '.join(missing)}")
-        segs = stream.segments
-        merged = runs([mapping[seg.code] for seg in segs])
-        return LabelStream(
-            stream.track_id,
-            tuple(Segment(segs[a].start_frame, segs[b - 1].end_frame, c) for a, b, c in merged),
-        )
     missing = sorted({iv.code for iv in stream.intervals} - mapping.keys())
     if missing:
         raise ValueError(f"mapping missing codes: {', '.join(missing)}")
@@ -260,23 +246,23 @@ def _majority(tally: dict[str, float], start_code: str | None) -> str:
 
 
 def label_stream_to_observation(
-    stream: LabelStream,
+    stream: ObservationStream,
     meta: VideoMeta,
     method: str = DRONE_FOCAL,
     subject_id: str | None = None,
     clock_offset_s: float = 0.0,
 ) -> ObservationStream:
-    """Anchor a frame-indexed label stream on the wall clock.
+    """Anchor a frame label stream on the wall clock.
 
     Frame f covers [f, f+1) / fps after the session start; offset
     corrects a known ground-vs-drone clock skew (default 0).
     """
     epoch = meta.frame_to_epoch
     intervals = coalesce(
-        (epoch(s) + clock_offset_s, epoch(e + 1) + clock_offset_s, code)
-        for s, e, code in stream.segments
+        (epoch(s) + clock_offset_s, epoch(e) + clock_offset_s, code)
+        for s, e, code in stream.intervals
     )
-    return ObservationStream(subject_id or stream.track_id, method, tuple(intervals))
+    return ObservationStream(subject_id or stream.subject_id, method, tuple(intervals))
 
 
 def dump_paired_series(pairs: PairedSeries) -> str:

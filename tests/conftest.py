@@ -7,11 +7,10 @@ from datetime import datetime, timezone
 import pytest
 
 from ethokit import (
+    LABELS,
     BoundingBox,
-    LabelStream,
     ObservationStream,
     ObsInterval,
-    Segment,
     Track,
     VideoMeta,
     default_ethogram,
@@ -45,10 +44,11 @@ def make_track(
     return Track(track_id, species, boxes, excluded=excluded)
 
 
-def make_labels(*triples, track_id: str = "t1") -> LabelStream:
-    """triples are flat (start_frame, end_frame, code) groups."""
-    segs = tuple(Segment(*triples[i : i + 3]) for i in range(0, len(triples), 3))
-    return LabelStream(track_id, segs)
+def make_labels(*triples, track_id: str = "t1", fps: float = 30.0) -> ObservationStream:
+    """A frame stream; triples are flat (start_frame, end_frame, code) groups, ends inclusive."""
+    groups = [triples[i : i + 3] for i in range(0, len(triples), 3)]
+    intervals = tuple(ObsInterval(s, e + 1, code) for s, e, code in groups)
+    return ObservationStream(track_id, LABELS, intervals, fps=fps)
 
 
 def obs(subject: str, method: str, *triples, observer: str = "obs1") -> ObservationStream:

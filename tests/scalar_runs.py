@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import io
 
-from ethokit import LabelStream, ObservationStream, ObsInterval, Segment, VideoMeta
+from ethokit import ObservationStream, ObsInterval, VideoMeta
 from ethokit.ethogram import TECHNICAL_CODES
+from scalar_labels import LabelStream, Segment
 
 Span = tuple[float, float]
 

@@ -17,20 +17,12 @@ def t_sf(t: float, df: float) -> float:
     return float(scipy.stats.t.sf(t, df))
 
 
-def t_cdf(t: float, df: float) -> float:
-    return float(scipy.stats.t.cdf(t, df))
-
-
 def t_ppf(q: float, df: float) -> float:
     return float(scipy.stats.t.ppf(q, df))
 
 
 def f_sf(f: float, df1: float, df2: float) -> float:
     return float(scipy.stats.f.sf(f, df1, df2))
-
-
-def f_cdf(f: float, df1: float, df2: float) -> float:
-    return float(scipy.stats.f.cdf(f, df1, df2))
 
 
 def two_sided_p(t: float, df: float) -> float:

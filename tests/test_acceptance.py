@@ -151,7 +151,7 @@ def test_estimators_recover_known_dynamics(capsys):
         world = simulate(config)
         streams = [world.truth_label_stream(s) for s in world.subjects]
 
-        estimate = transition_matrix(streams, 1.0, codes, meta=world.meta)
+        estimate = transition_matrix(streams, 1.0, codes)
         assert estimate.total >= 100_000
         worst = max(
             abs(estimate.probabilities[i][j] - q[i][j])
@@ -162,7 +162,7 @@ def test_estimators_recover_known_dynamics(capsys):
 
         seconds: dict[str, float] = {}
         for stream in streams:
-            budget = time_budget(stream, meta=world.meta)
+            budget = time_budget(stream)
             for code, sec in budget.seconds.items():
                 seconds[code] = seconds.get(code, 0.0) + sec
         visible = sum(seconds.values())
@@ -344,14 +344,14 @@ def test_worked_example_dataset(capsys):
         ethogram = default_ethogram()
         technical = ethogram.technical_codes()
 
-        labeled: list[tuple[list, object]] = []  # (streams, meta) per source
+        labeled: list[list] = []  # frame streams per source
         for xml in sorted(root.rglob("*.xml")):
             meta = _nearest_meta(xml, root)
             assert meta is not None, f"{xml.name}: no meta.json alongside"
             tracks, labels = import_cvat_video_xml(xml.read_text(), meta, ethogram)
             assert tracks, f"{xml.name}: no tracks imported"
             if labels:
-                labeled.append((labels, meta))
+                labeled.append(labels)
 
         ground_fracs: list[float] = []
         drone_fracs: list[float] = []
@@ -367,15 +367,13 @@ def test_worked_example_dataset(capsys):
                         drone_fracs.append(out_of_sight_fraction(stream, ethogram))
             labels_path = session / "labels.csv"
             if labels_path.exists():
-                streams = parse_labels(labels_path.read_text())
+                streams = parse_labels(labels_path.read_text(), meta.fps)
                 if streams:
-                    labeled.append((streams, meta))
+                    labeled.append(streams)
 
         if not drone_fracs:
             drone_fracs = [
-                out_of_sight_fraction(s, ethogram, meta=m)
-                for streams, m in labeled
-                for s in streams
+                out_of_sight_fraction(s, ethogram) for streams in labeled for s in streams
             ]
         assert ground_fracs, "no ground focal observation streams found"
         assert drone_fracs, "no drone-derived label or observation streams found"
@@ -383,14 +381,14 @@ def test_worked_example_dataset(capsys):
         assert abs(fmean(drone_fracs) - 0.087) <= 0.03
 
         codes = sorted(
-            {seg.code for streams, _ in labeled for s in streams for seg in s.segments}
+            {iv.code for streams in labeled for s in streams for iv in s.intervals}
             - set(technical)
         )
         assert "G" in codes, "no grazing labels in the dataset"
         pooled = None
-        for streams, meta in labeled:
+        for streams in labeled:
             try:
-                estimate = transition_matrix(streams, 1.0, codes, ethogram, meta=meta)
+                estimate = transition_matrix(streams, 1.0, codes, ethogram)
             except ValueError:
                 continue
             counts = np.asarray(estimate.counts)

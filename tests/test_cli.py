@@ -99,6 +99,17 @@ class TestExitCodes:
         assert main(["validate", str(session)]) == 2
         assert "fps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "timebudget", "transitions"])
+    def test_negative_label_frame_is_a_parse_error(self, tmp_path, capsys, command):
+        session = tiny_session(tmp_path / "s")
+        (session / "labels.csv").write_text(
+            "session_id,track_id,start_frame,end_frame,code\ntiny,t1,-3,-1,G\ntiny,t1,0,119,G\n"
+        )
+        options = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+        assert main([command, str(session), *options]) == 2
+        err = capsys.readouterr().err
+        assert "labels.csv row 2 column 'start_frame': negative frame -3" in err
+
     def test_invariant_violation_reports_and_fails(self, tmp_path, capsys):
         session = tiny_session(tmp_path / "weird", label_code="ZZ")
         assert main(["validate", str(session)]) == 1

@@ -12,30 +12,21 @@ from hypothesis import strategies as st
 from ethokit import (
     AnalysisParams,
     BoundingBox,
-    LabelStream,
     ObservationStream,
     ObsInterval,
-    Segment,
     Track,
     VideoMeta,
     validate_session,
 )
-from conftest import EPOCH0, T0, make_track, obs
+from ethokit.ingest import _label_runs
+from conftest import EPOCH0, T0, make_labels, make_track, obs
+from scalar_labels import LabelStream, Segment
 
 
 class TestVideoMeta:
-    def test_frame_to_seconds(self, meta):
-        assert meta.frame_to_seconds(0) == 0.0
-        assert meta.frame_to_seconds(30) == 1.0
-        assert meta.frame_to_seconds(45) == 1.5
-
     def test_frame_to_epoch_preserves_start(self, meta):
         assert meta.frame_to_epoch(0) == EPOCH0
         assert meta.frame_to_epoch(60) == EPOCH0 + 2.0
-
-    def test_seconds_to_frame_floor(self, meta):
-        assert meta.seconds_to_frame(1.0) == 30
-        assert meta.seconds_to_frame(0.999) == 29
 
     def test_naive_start_coerced_to_utc(self):
         m = VideoMeta("s", 100, 100, datetime(2023, 1, 1, 12, 0, 0))
@@ -60,54 +51,72 @@ class TestTrack:
 
 
 class TestLabelStream:
+    """Frame label streams: half-open frame intervals with a frame rate."""
+
     def test_code_at_boundaries(self):
-        stream = LabelStream("t1", (Segment(0, 9, "G"), Segment(10, 19, "W")))
+        stream = make_labels(0, 9, "G", 10, 19, "W")
         assert stream.code_at(0) == "G"
         assert stream.code_at(9) == "G"
         assert stream.code_at(10) == "W"
         assert stream.code_at(20) is None
 
     def test_clip_inside_segment(self):
-        stream = LabelStream("t1", (Segment(0, 9, "G"), Segment(10, 19, "W")))
-        clipped = stream.clip(5, 12)
-        assert clipped.segments == (Segment(5, 9, "G"), Segment(10, 12, "W"))
+        stream = make_labels(0, 9, "G", 10, 19, "W")
+        clipped = stream.clip(5, 13)
+        assert clipped.intervals == (ObsInterval(5, 10, "G"), ObsInterval(10, 13, "W"))
+        assert clipped.fps == stream.fps
 
     def test_n_frames(self):
-        stream = LabelStream("t1", (Segment(10, 19, "G"),))
-        assert stream.n_frames == 10
+        stream = make_labels(10, 19, "G")
+        assert stream.span == (10, 20)
+        assert stream.covered_duration() == 10
 
     def test_rejects_non_contiguous_segments(self):
+        # the oracle type the differential tests draw from stays contiguous
         with pytest.raises(ValueError, match="does not start on the frame after 9"):
             LabelStream("t1", (Segment(0, 9, "G"), Segment(12, 19, "W")))
 
     def test_rejects_overlapping_segments(self):
-        with pytest.raises(ValueError, match="does not start on the frame after 9"):
-            LabelStream("t1", (Segment(0, 9, "G"), Segment(5, 19, "W")))
+        with pytest.raises(ValueError, match="starts before the previous one ends"):
+            make_labels(0, 9, "G", 5, 19, "W")
 
     def test_rejects_unsorted_segments(self):
-        # code_at(3) would read None and n_frames -4 on this stream
-        with pytest.raises(ValueError, match="does not start on the frame after 19"):
-            LabelStream("t1", (Segment(10, 19, "G"), Segment(0, 5, "W")))
+        # code_at(3) would read None on this stream
+        with pytest.raises(ValueError, match="starts before the previous one ends"):
+            make_labels(10, 19, "G", 0, 5, "W")
 
     def test_rejects_empty_segment_range(self):
         with pytest.raises(ValueError, match="ends before it starts"):
-            LabelStream("t1", (Segment(5, 4, "G"),))
+            make_labels(5, 3, "G")
+        with pytest.raises(ValueError, match="holds no frame"):
+            make_labels(5, 4, "G")
 
     def test_accepts_one_frame_segments_and_no_segments(self):
-        assert LabelStream("t1", (Segment(3, 3, "G"), Segment(4, 4, "G"))).n_frames == 2
-        assert LabelStream("t1", ()).segments == ()
+        assert make_labels(3, 3, "G", 4, 4, "G").covered_duration() == 2
+        assert make_labels().intervals == ()
+
+    @pytest.mark.parametrize("fps", [1.0, 25.0, 29.97, 30.0])
+    def test_seconds_divide_frames_by_the_frame_rate(self, fps):
+        stream = make_labels(0, 9, "G", 10, 19, "W", fps=fps)
+        assert stream.to_seconds(10) == 10 / fps
+        assert stream.code_at_seconds(9.5 / fps) == "G"
+        assert stream.code_at_seconds(10 / fps) == "W"
+        assert stream.code_at_seconds(20 / fps) is None
+        # a seconds stream reads its bounds as they are
+        assert obs("z1", "ground_focal", (0, 10, "G")).to_seconds(10.0) == 10.0
 
     @given(
         st.lists(st.sampled_from(["G", "W", "R", "OOS"]), min_size=1, max_size=60),
         st.integers(min_value=0, max_value=1000),
     )
     def test_from_frames_round_trip(self, codes, start):
-        stream = LabelStream.from_frames("t1", start, codes)
-        assert stream.expand() == codes
-        assert stream.start_frame == start
-        # runs are maximal: no two adjacent segments share a code
-        for a, b in zip(stream.segments, stream.segments[1:]):
-            assert b.start_frame == a.end_frame + 1
+        # per-frame codes, as a CVAT export holds them, become one frame stream
+        (stream,) = _label_runs("t1", list(enumerate(codes, start)), 30.0)
+        assert [stream.code_at(f) for f in range(start, start + len(codes))] == codes
+        assert stream.span == (start, start + len(codes))
+        # runs are maximal: no two adjacent intervals share a code
+        for a, b in zip(stream.intervals, stream.intervals[1:]):
+            assert b.start == a.end
             assert a.code != b.code
 
 
@@ -228,14 +237,14 @@ class TestAnalysisParams:
 class TestValidateSession:
     def test_clean_session(self, meta, ethogram):
         tracks = [make_track()]
-        labels = [LabelStream("t1", (Segment(0, 99, "G"),))]
+        labels = [make_labels(0, 99, "G")]
         report = validate_session(tracks, labels, meta, ethogram)
         assert report.ok
         assert len(report) == 0
 
     def test_flags_unknown_code(self, meta, ethogram):
         tracks = [make_track()]
-        labels = [LabelStream("t1", (Segment(0, 99, "ZZZ"),))]
+        labels = [make_labels(0, 99, "ZZZ")]
         report = validate_session(tracks, labels, meta, ethogram)
         assert not report.ok
         assert any("ZZZ" in issue.message for issue in report)

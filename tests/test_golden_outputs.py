@@ -7,13 +7,17 @@ its standard output, with the output directory masked) must equal the
 recorded digest. A change meant to keep outputs byte-identical passes
 unchanged; one that alters an output byte fails here and must record the
 new digests on purpose. ``regress`` is left out: its last bits depend on
-the LAPACK build.
+the LAPACK build. ``validate-faulty`` runs on a copy of the session with
+one unknown code in ``labels.csv``, one in ``observations.csv`` and a
+label row for an unknown track, so its report pins the text of each
+issue location.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,7 @@ RUN_CONFIG = {"label_map": {"TR": "W"}, "params": {"downsample_interval_s": 2.0}
 
 COMMANDS = {
     "validate": ["validate", "{session}"],
+    "validate-faulty": ["validate", "{faulty}"],
     "timebudget-csv": ["timebudget", "{session}", "--out", "{out}"],
     "timebudget-json": ["timebudget", "{session}", "--format", "json", "--out", "{out}"],
     "transitions-csv": ["transitions", "{session}", "--interval", "1", "--out", "{out}"],
@@ -78,11 +83,31 @@ DIGESTS = {
     "transitions-json/stdout": "ea22ecfb983fe27f2d6711b452cbbbed5806164298d09ab48734ada3d131f0b5",
     "transitions-json/transitions.json": "a7c9cc09cd866ffa5aab76def5faa566c7f511f43d780be99797ffd0d5ff1fe3",
     "validate/stdout": "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+    "validate-faulty/stdout": "aed9c0320aa663236dc51f996b2d3a03225259cb6cbc70669ed4ce88a3d08e91",
 }
+# exit status of each command that is expected to fail
+EXIT_STATUS = {"validate-faulty": 1}
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def write_faulty_session(root: Path) -> Path:
+    """A copy of the golden session with two unknown codes and an unknown track."""
+    root.mkdir()
+    for path in SESSION.iterdir():
+        shutil.copy(path, root / path.name)
+    labels = (root / "labels.csv").read_text(encoding="utf-8").splitlines()
+    assert labels[2] == "sim-7,ind000,5,9,R"
+    labels[2] = "sim-7,ind000,5,9,XX"
+    labels.insert(1, "sim-7,ghost,0,4,G")  # sorts before ind000
+    (root / "labels.csv").write_text("\n".join(labels) + "\n", encoding="utf-8")
+    rows = (root / "observations.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[2] == "sim,ind000,drone_focal,2023-01-01T06:00:01+00:00,R"
+    rows[2] = "sim,ind000,drone_focal,2023-01-01T06:00:01+00:00,YY"
+    (root / "observations.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return root
 
 
 def run_digests(name: str, tmp_path: Path, capsys) -> dict[str, str]:
@@ -90,11 +115,15 @@ def run_digests(name: str, tmp_path: Path, capsys) -> dict[str, str]:
     config = tmp_path / "config.json"
     config.write_text(json.dumps(RUN_CONFIG), encoding="utf-8")
     out = tmp_path / "out"
+    faulty = tmp_path / "faulty"
+    if "{faulty}" in COMMANDS[name]:
+        write_faulty_session(faulty)
     argv = [
-        a.format(session=SESSION, out=out, config=config) for a in COMMANDS[name]
+        a.format(session=SESSION, faulty=faulty, out=out, config=config)
+        for a in COMMANDS[name]
     ]
     capsys.readouterr()
-    assert main(argv) == 0
+    assert main(argv) == EXIT_STATUS.get(name, 0)
     stdout = capsys.readouterr().out.replace(str(out), "OUT")
     digests = {f"{name}/stdout": _sha(stdout.encode())}
     if out.is_dir():

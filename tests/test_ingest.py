@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 from ethokit import (
     BoundingBox,
     CvatImportWarning,
-    LabelStream,
     ObservationStream,
     ObsInterval,
     ParseError,
-    Segment,
     Track,
     VideoMeta,
 )
@@ -31,7 +29,7 @@ from ethokit.ingest import (
     parse_tracks,
     parse_video_meta,
 )
-from conftest import EPOCH0, T0
+from conftest import EPOCH0, T0, make_labels
 
 
 class TestTracks:
@@ -129,12 +127,13 @@ class TestTracks:
 class TestLabels:
     def test_round_trip(self):
         streams = [
-            LabelStream("a", (Segment(0, 9, "G"), Segment(10, 19, "W"))),
-            LabelStream("b", (Segment(5, 7, "OOS"),)),
+            make_labels(0, 9, "G", 10, 19, "W", track_id="a", fps=25.0),
+            make_labels(5, 7, "OOS", track_id="b", fps=25.0),
         ]
         text = dump_labels(streams, "sess01")
-        assert parse_labels(text) == streams
-        assert dump_labels(parse_labels(text), "sess01") == text
+        assert text.splitlines()[1:] == ["sess01,a,0,9,G", "sess01,a,10,19,W", "sess01,b,5,7,OOS"]
+        assert parse_labels(text, 25.0) == streams
+        assert dump_labels(parse_labels(text, 25.0), "sess01") == text
 
     def test_gap_splits_streams(self):
         text = (
@@ -142,10 +141,10 @@ class TestLabels:
             "s,a,0,9,G\n"
             "s,a,20,29,W\n"
         )
-        streams = parse_labels(text)
+        streams = parse_labels(text, 30.0)
         assert len(streams) == 2
-        assert streams[0].segments == (Segment(0, 9, "G"),)
-        assert streams[1].segments == (Segment(20, 29, "W"),)
+        assert streams[0].intervals == (ObsInterval(0, 10, "G"),)
+        assert streams[1].intervals == (ObsInterval(20, 30, "W"),)
 
     def test_overlap_rejected(self):
         text = (
@@ -154,18 +153,31 @@ class TestLabels:
             "s,a,9,12,W\n"
         )
         with pytest.raises(ParseError, match="overlap"):
-            parse_labels(text)
+            parse_labels(text, 30.0)
 
     def test_backwards_range_rejected(self):
         text = "session_id,track_id,start_frame,end_frame,code\ns,a,9,0,G\n"
         with pytest.raises(ParseError, match="end_frame"):
-            parse_labels(text)
+            parse_labels(text, 30.0)
 
-    @given(st.lists(st.sampled_from("GWRT"), min_size=1, max_size=40))
+    @pytest.mark.parametrize("row", ["s,a,-3,-1,A", "s,a,-1,5,A"])
+    def test_negative_frame_rejected(self, row):
+        text = "session_id,track_id,start_frame,end_frame,code\n" + row + "\ns,a,0,4,G\n"
+        with pytest.raises(ParseError, match="labels row 2 column 'start_frame': negative frame"):
+            parse_labels(text, 30.0)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 5), st.sampled_from("GWRT")), min_size=1, max_size=40),
+        st.sampled_from([1.0, 25.0, 29.97, 30.0]),
+    )
     @settings(max_examples=50)
-    def test_per_frame_round_trip_property(self, codes):
-        stream = LabelStream.from_frames("t", 0, codes)
-        assert parse_labels(dump_labels([stream], "s")) == [stream]
+    def test_per_frame_round_trip_property(self, runs, fps):
+        triples, frame = [], 0
+        for length, code in runs:
+            triples += [frame, frame + length - 1, code]
+            frame += length
+        stream = make_labels(*triples, track_id="t", fps=fps)
+        assert parse_labels(dump_labels([stream], "s"), fps) == [stream]
 
 
 class TestGroundObservations:
@@ -358,12 +370,13 @@ class TestCvatImport:
         assert [b.frame for b in tracks[0].boxes] == [0, 1, 3]
         assert tracks[0].boxes[0] == BoundingBox(0, 100.0, 200.0, 120.0, 80.0)
         # labeled runs split at the outside frame
-        by_track = [s for s in labels if s.track_id == "1"]
-        assert [s.segments for s in by_track] == [
-            (Segment(0, 1, "W"),),
-            (Segment(3, 3, "G"),),
+        by_track = [s for s in labels if s.subject_id == "1"]
+        assert [s.intervals for s in by_track] == [
+            (ObsInterval(0, 2, "W"),),
+            (ObsInterval(3, 4, "G"),),
         ]
-        assert [s.segments for s in labels if s.track_id == "2"] == [(Segment(0, 0, "B"),)]
+        assert [s.intervals for s in labels if s.subject_id == "2"] == [(ObsInterval(0, 1, "B"),)]
+        assert {s.fps for s in labels} == {meta.fps}
 
     def test_malformed_xml_names_position(self, meta):
         with pytest.raises(ParseError, match="line"):
@@ -377,6 +390,14 @@ class TestCvatImport:
         with pytest.raises(ParseError, match="degenerate"):
             import_cvat_video_xml(doc, meta)
 
+    def test_negative_frame_rejected(self, meta):
+        doc = (
+            '<annotations><track id="1" label="Zebra"><box frame="-1" xtl="10" ytl="10" '
+            'xbr="60" ybr="40" outside="0"/></track></annotations>'
+        )
+        with pytest.raises(ParseError, match="track 1 has negative frame -1"):
+            import_cvat_video_xml(doc, meta)
+
     def test_unknown_behavior_kept_with_warning(self, meta):
         doc = (
             '<annotations><track id="1" label="Zebra"><box frame="0" xtl="10" ytl="10" '
@@ -385,7 +406,7 @@ class TestCvatImport:
         )
         with pytest.warns(CvatImportWarning, match="Moonwalk"):
             _, labels = import_cvat_video_xml(doc, meta)
-        assert labels[0].segments[0].code == "Moonwalk"
+        assert labels[0].intervals[0].code == "Moonwalk"
 
     def test_unsupported_elements_warn_once(self, meta):
         doc = (

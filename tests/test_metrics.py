@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from ethokit import (
     ConfusionMatrix,
-    LabelStream,
     PairedSeries,
-    Segment,
     annotation_cost,
     class_metrics,
     cohens_kappa,
@@ -22,7 +20,7 @@ from ethokit import (
     time_budget,
     transition_matrix,
 )
-from conftest import EPOCH0, obs
+from conftest import EPOCH0, make_labels, obs
 
 
 def paired(codes_a, codes_b):
@@ -50,9 +48,9 @@ class TestTimeBudget:
             time_budget(obs("z1", "ground_focal", (0, 50, "OOS")))
 
     def test_label_stream_needs_meta(self, meta):
-        stream = LabelStream("t1", (Segment(0, 59, "G"),))
-        budget = time_budget(stream, meta=meta)
-        assert budget.t_visible == pytest.approx(2.0)  # 60 frames at 30 fps
+        # a frame stream carries its own frame rate
+        budget = time_budget(make_labels(0, 59, "G", fps=meta.fps))
+        assert budget.t_visible == 2.0  # 60 frames at 30 fps
 
     @given(st.lists(st.sampled_from(["G", "W", "R", "HU", "OOS"]), min_size=1, max_size=40))
     @settings(max_examples=80)
@@ -127,9 +125,22 @@ class TestTransitionMatrix:
             transition_matrix([stream], 10.0, ["G"])
 
     def test_label_stream_input(self, meta):
-        stream = LabelStream("t1", (Segment(0, 3000 - 1, "G"),))  # 100 s at 30 fps
-        tm = transition_matrix([stream], 10.0, ["G"], meta=meta)
+        stream = make_labels(0, 3000 - 1, "G", fps=meta.fps)  # 100 s at 30 fps
+        tm = transition_matrix([stream], 10.0, ["G"])
         assert tm.counts == ((9,),)
+
+    def test_one_fps_frame_stream_samples_frames(self):
+        # 10 frames at 1 fps last 10 s, not 10 frames' worth of seconds
+        stream = make_labels(0, 4, "G", 5, 9, "W", fps=1.0)
+        tm = transition_matrix([stream], 1.0, ["G", "W"])
+        assert tm.counts == ((4, 1), (0, 4))
+
+    def test_negative_frames_sample_the_frame_holding_t(self):
+        # samples at -0.1, -0.01, 0.08 and 0.17 s read frames -3, -1, 2 and 5;
+        # truncating t * fps toward zero read frame 0 ("B") at -0.01 s
+        stream = make_labels(-3, -1, "A", 0, 5, "B", fps=30.0)
+        tm = transition_matrix([stream], 0.09, ["A", "B"])
+        assert tm.counts == ((1, 1), (0, 1))
 
     @given(
         st.lists(st.sampled_from(["G", "W", "R"]), min_size=2, max_size=60),
@@ -265,9 +276,9 @@ class TestGanttSegments:
         assert len(segs) == 1
 
     def test_per_frame_codes_merge(self):
-        stream = LabelStream.from_frames("t1", 0, ["G", "G", "W", "G"])
+        stream = make_labels(0, 0, "G", 1, 1, "G", 2, 2, "W", 3, 3, "G")
         segs = gantt_segments(stream)
-        assert [s.code for s in segs] == ["G", "W", "G"]
+        assert segs == [(0, 2, "G"), (2, 3, "W"), (3, 4, "G")]
 
     def test_adjacent_equal_intervals_merge(self):
         stream = obs("z1", "ground_focal", (0, 10, "G"), (10, 20, "G"), (20, 30, "W"))

@@ -106,6 +106,20 @@ class TestExtractMiniscenes:
         with pytest.raises(ValueError, match=r"t1.*0.*119"):
             extract_miniscenes(tracks, labels, AnalysisParams(), meta)
 
+    def test_gap_inside_window_is_missing_coverage(self, meta):
+        # one frame stream spans the window but leaves frames 60..64 unlabeled
+        tracks = [make_track(frames=range(0, 120))]
+        labels = [make_labels(0, 59, "G", 65, 119, "W")]
+        with pytest.raises(ValueError, match=r"missing label coverage for track 't1' frames 0\.\.119"):
+            extract_miniscenes(tracks, labels, AnalysisParams(), meta)
+
+    def test_labels_clipped_to_window(self, meta):
+        tracks = [make_track(frames=range(10, 110))]
+        labels = [make_labels(0, 49, "G", 50, 119, "W", fps=meta.fps)]
+        (scene,) = extract_miniscenes(tracks, labels, AnalysisParams(), meta)
+        assert scene.labels.intervals == ((10, 50, "G"), (50, 110, "W"))
+        assert scene.labels.fps == meta.fps
+
     def test_windows_follow_box_centers(self, meta):
         tracks = [make_track(frames=range(0, 90), x=900.0, y=500.0, w=60.0, h=40.0)]
         labels = [make_labels(0, 89, "W")]

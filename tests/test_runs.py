@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from ethokit import (
     BoundingBox,
-    LabelStream,
     ObsInterval,
-    Segment,
     Track,
     VideoMeta,
     dump_miniscene_manifest,
@@ -23,7 +21,8 @@ from ethokit.core import coalesce, runs
 from ethokit.ingest import _label_runs
 from ethokit.miniscene import MiniScene, Window
 from ethokit.timeline import _visible_spans
-from conftest import obs
+from conftest import make_labels, obs
+from scalar_labels import LabelStream, Segment, to_frames
 from scalar_runs import (
     box_at_scalar,
     covered_intervals_scalar,
@@ -107,8 +106,9 @@ class TestRuns:
     @given(st.lists(st.sampled_from(CODES), max_size=60), st.integers(0, 1000))
     @settings(max_examples=300, deadline=None)
     def test_from_frames_matches_loop(self, codes, start):
-        got = LabelStream.from_frames("t1", start, codes)
-        assert got == from_frames_scalar("t1", start, codes)
+        # one run of per-frame codes, as a CVAT export holds them
+        got = _label_runs("t1", list(enumerate(codes, start)), 25.0)
+        assert got == ([to_frames(from_frames_scalar("t1", start, codes), 25.0)] if codes else [])
 
 
 class TestObservationStreamRuns:
@@ -136,15 +136,19 @@ class TestObservationStreamRuns:
 
 
 class TestLabelStreamRuns:
+    """Frame streams against the loops over the old inclusive segments."""
+
     @given(label_streams(), MAPPINGS)
     @settings(max_examples=300, deadline=None)
     def test_map_labels(self, stream, mapping):
-        assert map_labels(stream, mapping) == map_labels_scalar(stream, mapping)
+        got = map_labels(to_frames(stream, 30.0), mapping)
+        assert got == to_frames(map_labels_scalar(stream, mapping), 30.0)
 
     @given(label_streams())
     @settings(max_examples=300, deadline=None)
     def test_gantt_segments(self, stream):
-        assert gantt_segments(stream) == gantt_segments_scalar(stream)
+        got = gantt_segments(to_frames(stream, 30.0))
+        assert got == [(s, e + 1, code) for s, e, code in gantt_segments_scalar(stream)]
 
     @given(
         label_streams().filter(lambda s: s.segments),
@@ -154,16 +158,19 @@ class TestLabelStreamRuns:
     @settings(max_examples=300, deadline=None)
     def test_label_stream_to_observation(self, stream, fps, offset):
         meta = VideoMeta("s", 1920, 1080, datetime(2023, 6, 1, 8, 30, tzinfo=timezone.utc), fps)
-        got = label_stream_to_observation(stream, meta, "ml_auto", clock_offset_s=offset)
+        got = label_stream_to_observation(
+            to_frames(stream, fps), meta, "ml_auto", clock_offset_s=offset
+        )
         assert got == label_stream_to_observation_scalar(stream, meta, "ml_auto", offset)
 
     @given(label_streams())
     @settings(max_examples=300, deadline=None)
     def test_code_at(self, stream):
+        frames = to_frames(stream, 30.0)
         lo = stream.start_frame - 2 if stream.segments else 0
         hi = stream.end_frame + 3 if stream.segments else 3
         for frame in range(lo, hi):
-            assert stream.code_at(frame) == label_code_at_scalar(stream, frame)
+            assert frames.code_at(frame) == label_code_at_scalar(stream, frame)
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CODES)), max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -173,7 +180,8 @@ class TestLabelStreamRuns:
         for step, code in steps:
             frame += step
             labels.append((frame, code))
-        assert _label_runs("t1", labels) == label_runs_scalar("t1", labels)
+        expected = [to_frames(s, 30.0) for s in label_runs_scalar("t1", labels)]
+        assert _label_runs("t1", labels, 30.0) == expected
 
 
 class TestTrackAndManifestRuns:
@@ -206,7 +214,7 @@ class TestTrackAndManifestRuns:
             for step, cx, cy in steps:
                 frame += step
                 windows.append(Window(frame, cx, cy))
-            labels = LabelStream(f"t{n}", (Segment(windows[0].frame, frame, "G"),))
+            labels = make_labels(windows[0].frame, frame, "G", track_id=f"t{n}")
             scenes.append(
                 MiniScene(f"t{n}", windows[0].frame, frame, 400, 300, tuple(windows), labels)
             )

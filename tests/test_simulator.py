@@ -73,7 +73,7 @@ class TestSimulate:
                               initial_code="G")
         world = simulate(cfg)
         stream = world.truth_label_stream(world.subjects[0])
-        assert [s.code for s in stream.segments] == ["G"]
+        assert [iv.code for iv in stream.intervals] == ["G"]
 
     def test_positions_stay_inside_arena(self):
         cfg = two_code_config(duration=500.0, n=4)
@@ -86,7 +86,7 @@ class TestSimulate:
     def test_truth_streams_have_no_technical_codes(self):
         world = simulate(demo_config(5, duration_s=300.0))
         for subject in world.subjects:
-            codes = {s.code for s in world.truth_label_stream(subject).segments}
+            codes = {iv.code for iv in world.truth_label_stream(subject).intervals}
             assert codes <= {"G", "W", "TR", "R"}
 
     def test_empirical_frequencies_match_q(self):
@@ -227,8 +227,9 @@ class TestExport:
         assert meta.session_id == "sim-7"
         tracks = parse_tracks(files["tracks.csv"].read_text())
         assert len(tracks) == 2
-        labels = parse_labels(files["labels.csv"].read_text())
-        assert {s.track_id for s in labels} == {"ind000", "ind001"}
+        labels = parse_labels(files["labels.csv"].read_text(), meta.fps)
+        assert {s.subject_id for s in labels} == {"ind000", "ind001"}
+        assert labels == [world.truth_label_stream(s) for s in world.subjects]
         streams = parse_ground_observations(files["observations.csv"].read_text())
         methods = {(s.subject_id, s.method) for s in streams}
         assert ("ind000", "ground_scan") in methods

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ethokit import (
     ConfusionMatrix,
-    LabelStream,
     TransitionMatrix,
     confusion_heatmap_svg,
     gantt_segments,
@@ -54,7 +53,7 @@ class TestGantt:
         assert len(lane_rects(root)) == 2
 
     def test_adjacent_equal_codes_merge_into_one_rect(self):
-        stream = LabelStream.from_frames("t1", 0, ["G"] * 10 + ["W"] * 5 + ["G"] * 10)
+        stream = make_labels(0, 4, "G", 5, 9, "G", 10, 14, "W", 15, 24, "G")
         root = svg_root(gantt_svg([("t1", stream)]))
         assert len(lane_rects(root)) == 3
 

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from ethokit import (
     TECHNICAL_CODES,
-    LabelStream,
     ObservationStream,
     ObsInterval,
-    Segment,
     align_pair,
     dump_paired_series,
     label_stream_to_observation,
@@ -23,7 +21,7 @@ from ethokit import (
 )
 from ethokit import timeline
 from ethokit.timeline import _atoms, _intersect, _restrict
-from conftest import EPOCH0, obs
+from conftest import EPOCH0, make_labels, obs
 from scalar_runs import union
 from scalar_timeline import atoms_scalar, restrict_scalar
 
@@ -167,9 +165,10 @@ class TestMapLabels:
             map_labels(s, {"G": "G"})
 
     def test_label_stream_variant(self):
-        s = LabelStream("t1", (Segment(0, 4, "TR"), Segment(5, 9, "R")))
+        s = make_labels(0, 4, "TR", 5, 9, "R", fps=25.0)
         out = map_labels(s, {"TR": "W", "R": "W"})
-        assert out.segments == (Segment(0, 9, "W"),)
+        assert out.intervals == (ObsInterval(0, 10, "W"),)
+        assert out.fps == 25.0
 
     @given(st.lists(st.sampled_from(["G", "W", "TR", "R"]), min_size=1, max_size=25))
     @settings(max_examples=60)
@@ -250,7 +249,7 @@ class TestAlignPair:
 
 class TestLabelStreamToObservation:
     def test_frame_to_epoch_conversion(self, meta):
-        s = LabelStream("t1", (Segment(0, 29, "G"), Segment(30, 59, "W")))
+        s = make_labels(0, 29, "G", 30, 59, "W")
         out = label_stream_to_observation(s, meta, subject_id="z9")
         assert out.subject_id == "z9"
         assert out.method == "drone_focal"
@@ -260,7 +259,7 @@ class TestLabelStreamToObservation:
         )
 
     def test_clock_offset_applied(self, meta):
-        s = LabelStream("t1", (Segment(0, 29, "G"),))
+        s = make_labels(0, 29, "G")
         out = label_stream_to_observation(s, meta, clock_offset_s=2.5)
         assert out.intervals[0].start == EPOCH0 + 2.5
 
