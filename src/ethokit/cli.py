@@ -28,6 +28,7 @@ from .core import (
     ObservationStream,
     Track,
     VideoMeta,
+    streams_by_track,
     validate_session,
 )
 from .ethogram import Ethogram, default_ethogram, read_ethogram
@@ -261,7 +262,7 @@ class Session:
 
     @functools.cached_property
     def labels(self) -> list[ObservationStream]:
-        """Frame streams at the session's frame rate."""
+        """One frame stream per track at the session's frame rate, gaps unlabeled."""
         return self._read("labels.csv", lambda path: read_labels(path, self.meta.fps))
 
     @functools.cached_property
@@ -341,15 +342,15 @@ def cmd_miniscenes(args) -> int:
 
 def _budget_rows(session: Session, ethogram: Ethogram) -> list[tuple[str, str, str, float, float]]:
     technical = ethogram.technical_codes()
-    # scans are instantaneous and a fully occluded focal record has no
-    # behavioral denominator; neither yields a budget row
-    observed = [
+    # scans are instantaneous and a fully occluded track or focal record
+    # has no behavioral denominator; neither yields a budget row
+    visible = [
         stream
-        for stream in session.observations
+        for stream in session.labels + session.observations
         if sum(iv.end - iv.start for iv in stream.intervals if iv.code not in technical) > 0
     ]
     rows = []
-    for stream in session.labels + observed:
+    for stream in visible:
         budget = time_budget(stream, ethogram)
         for code in sorted(budget.seconds):
             rows.append(
@@ -466,12 +467,11 @@ def _pick_stream(session: Session, config: RunConfig, subject: str, method: str)
         )
     if found:
         return found[0]
-    if method in (DRONE_FOCAL, ML_AUTO):
-        for stream in session.labels:
-            if stream.subject_id == subject:
-                return label_stream_to_observation(
-                    stream, session.meta, method, subject, config.clock_offset_s
-                )
+    labels = streams_by_track(session.labels) if method in (DRONE_FOCAL, ML_AUTO) else {}
+    if subject in labels:
+        return label_stream_to_observation(
+            labels[subject], session.meta, method, subject, config.clock_offset_s
+        )
     raise ValueError(f"no {method} stream for subject {subject!r}")
 
 

@@ -34,6 +34,10 @@ METHODS = (GROUND_FOCAL, GROUND_SCAN, DRONE_FOCAL, ML_AUTO)
 LABELS = "labels"
 
 
+class ParseError(ValueError):
+    """A file violated its schema; message names file position."""
+
+
 @dataclass(frozen=True)
 class VideoMeta:
     """Recording session metadata and the frame/seconds/wall-clock bridge."""
@@ -240,6 +244,15 @@ class ObservationStream:
         return ObservationStream(
             self.subject_id, self.method, tuple(intervals), self.observer_id, self.fps
         )
+
+
+def streams_by_track(streams: Iterable[ObservationStream]) -> dict[str, ObservationStream]:
+    """Each track's one label stream; ValueError naming a track given two."""
+    by_track: dict[str, ObservationStream] = {}
+    for stream in streams:
+        if by_track.setdefault(stream.subject_id, stream) is not stream:
+            raise ValueError(f"track {stream.subject_id!r} has more than one label stream")
+    return by_track
 
 
 @dataclass(frozen=True)

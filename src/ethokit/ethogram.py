@@ -16,6 +16,8 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from .core import ParseError
+
 OCCLUDED = "OCL"
 OUT_OF_FOCUS = "OOC"
 OUT_OF_FRAME = "OOF"
@@ -139,20 +141,23 @@ class Ethogram:
 
 
 def parse_ethogram(text: str) -> Ethogram:
-    """Parse ethogram CSV text (``code,name,species,technical``)."""
-    reader = csv.reader(io.StringIO(text))
+    """Parse ethogram CSV text (``code,name,species,technical``); ParseError if malformed."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != _ETHOGRAM_HEADER:
-        raise ValueError(f"unexpected ethogram header {header!r}")
+        raise ParseError(f"unexpected ethogram header {header!r}")
     classes = []
     for row in reader:
         if not row:
             continue
         if len(row) != 4:
-            raise ValueError(f"ethogram row has {len(row)} fields: {row!r}")
+            raise ParseError(f"ethogram row has {len(row)} fields: {row!r}")
         code, name, species, technical = row
         classes.append(BehaviorClass(code, name, species, technical == "1"))
-    return Ethogram(tuple(classes))
+    try:
+        return Ethogram(tuple(classes))
+    except ValueError as exc:
+        raise ParseError(f"ethogram: {exc}") from None
 
 
 def dump_ethogram(ethogram: Ethogram) -> str:

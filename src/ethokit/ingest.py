@@ -8,7 +8,8 @@ decimal points and no thousands separators:
                 (one row per box, sorted by track_id then frame)
 * labels:       ``session_id,track_id,start_frame,end_frame,code``
                 (inclusive, non-negative frame ranges; read as half-open
-                frame intervals, one stream per contiguous run)
+                frame intervals, one stream per track, a gap between
+                rows being unlabeled time inside it)
 * observations: ``observer_id,subject_id,method,timestamp_iso8601,code``
 
 Ground observation rows are events. Scan rows are instantaneous
@@ -53,6 +54,7 @@ from .core import (
     BoundingBox,
     ObservationStream,
     ObsInterval,
+    ParseError,
     Track,
     VideoMeta,
     coalesce,
@@ -84,10 +86,6 @@ OBS_HEADER = ["observer_id", "subject_id", "method", "timestamp_iso8601", "code"
 
 # Reserved code closing a focal interval run; never a behavior.
 END_CODE = "END"
-
-
-class ParseError(ValueError):
-    """A file violated its schema; message names file position."""
 
 
 class CvatImportWarning(UserWarning):
@@ -122,7 +120,8 @@ class _Rows:
         self.name = name
         self.header = header
         self._pos = {col: i for i, col in enumerate(header)}
-        self._reader = csv.reader(io.StringIO(text))
+        # newline="" lets csv end a row at a lone \r too, as reading a file does
+        self._reader = csv.reader(io.StringIO(text, newline=""))
         got = next(self._reader, None)
         if got != header:
             raise ParseError(f"{name}: unexpected header {got!r}")
@@ -256,17 +255,10 @@ def write_tracks(tracks: list[Track], path: str | Path, session_id: str) -> None
 
 
 def parse_labels(text: str, fps: float, name: str = "labels") -> list[ObservationStream]:
-    """Frame streams at ``fps``; a gap in a track's rows starts a new stream."""
+    """One frame stream at ``fps`` per track; frames between rows are unlabeled."""
     rows = _Rows(text, LABEL_HEADER, name)
     session: str | None = None
-    streams: list[ObservationStream] = []
-    current_id: str | None = None
-    current: list[ObsInterval] = []
-
-    def flush() -> None:
-        if current_id is not None and current:
-            streams.append(ObservationStream(current_id, LABELS, tuple(current), fps=fps))
-
+    groups: list[tuple[str, list[ObsInterval]]] = []
     for row in rows:
         sid = rows.get(row, "session_id")
         if session is None:
@@ -281,28 +273,25 @@ def parse_labels(text: str, fps: float, name: str = "labels") -> list[Observatio
             raise rows.fail("start_frame", f"negative frame {start}")
         if end < start:
             raise rows.fail("end_frame", f"end_frame {end} before start_frame {start}")
-        if track_id != current_id:
-            if current_id is not None and track_id < current_id:
+        if not groups or track_id != groups[-1][0]:
+            if groups and track_id < groups[-1][0]:
                 raise rows.fail("track_id", "rows not sorted by track_id")
-            flush()
-            current_id, current = track_id, []
-        if current:
-            if start < current[-1].end:
-                raise rows.fail("start_frame", f"segments overlap in track {track_id!r}")
-            if start != current[-1].end:
-                # gap: a new stream for the same track starts here
-                flush()
-                current = []
+            groups.append((track_id, []))
+        current = groups[-1][1]
+        if current and start < current[-1].end:
+            raise rows.fail("start_frame", f"segments overlap in track {track_id!r}")
         current.append(ObsInterval(start, end + 1, code))
-    flush()
-    return streams
+    return [
+        ObservationStream(track_id, LABELS, tuple(intervals), fps=fps)
+        for track_id, intervals in groups
+    ]
 
 
 def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LABEL_HEADER)
-    for stream in sorted(streams, key=lambda s: (s.subject_id, s.span[0])):
+    for stream in sorted(streams, key=lambda s: s.subject_id):
         for start, end, code in stream.intervals:
             writer.writerow([session_id, stream.subject_id, start, end - 1, code])
     return out.getvalue()
@@ -556,10 +545,12 @@ def import_cvat_video_xml(
     Supported content is ``<track id= label=>`` elements holding
     ``<box frame= xtl= ytl= xbr= ybr= outside=>`` boxes with one
     ``<attribute name="behavior">`` each. A box with ``outside="1"``
-    ends the visible run; behavior attributes become frame label
-    streams at ``meta.fps`` (one per contiguous labeled run). A negative
-    frame is a :class:`ParseError`; anything else unsupported is
-    skipped with a :class:`CvatImportWarning`.
+    ends the visible run; behavior attributes become one frame label
+    stream per labeled track at ``meta.fps``, frames without a label
+    being unlabeled time inside it. A repeated track id, a negative or
+    repeated frame and a non-finite coordinate are each a
+    :class:`ParseError`; anything else unsupported is skipped with a
+    :class:`CvatImportWarning`.
     """
     if ethogram is None:
         ethogram = default_ethogram()
@@ -571,6 +562,7 @@ def import_cvat_video_xml(
 
     warned: set[str] = set()
     tracks: list[Track] = []
+    track_ids: set[str] = set()
     streams: list[ObservationStream] = []
     for elem in root:
         if elem.tag in ("version", "meta"):
@@ -582,8 +574,12 @@ def import_cvat_video_xml(
         label = elem.get("label")
         if track_id is None or label is None:
             raise ParseError("<track> element missing id or label attribute")
+        if track_id in track_ids:
+            raise ParseError(f"track {track_id} appears twice")
+        track_ids.add(track_id)
         boxes: list[BoundingBox] = []
         labels: list[tuple[int, str]] = []  # (frame, code) for labeled visible boxes
+        frames: set[int] = set()
         out_of_bounds = 0
         for child in elem:
             if child.tag != "box":
@@ -595,10 +591,7 @@ def import_cvat_video_xml(
                 continue
             try:
                 frame = int(child.attrib["frame"])
-                xtl = float(child.attrib["xtl"])
-                ytl = float(child.attrib["ytl"])
-                xbr = float(child.attrib["xbr"])
-                ybr = float(child.attrib["ybr"])
+                xtl, ytl, xbr, ybr = (float(child.attrib[k]) for k in ("xtl", "ytl", "xbr", "ybr"))
                 outside = child.attrib["outside"] == "1"
             except KeyError as exc:
                 raise ParseError(
@@ -608,6 +601,13 @@ def import_cvat_video_xml(
                 raise ParseError(f"box in track {track_id}, frame attr unreadable: {exc}") from None
             if frame < 0:
                 raise ParseError(f"box in track {track_id} has negative frame {frame}")
+            if frame in frames:
+                raise ParseError(f"box in track {track_id} repeats frame {frame}")
+            frames.add(frame)
+            if not all(map(math.isfinite, (xtl, ytl, xbr, ybr))):
+                raise ParseError(
+                    f"box in track {track_id} at frame {frame} has a non-finite coordinate"
+                )
             if outside:
                 continue
             if xbr <= xtl or ybr <= ytl:
@@ -655,17 +655,7 @@ def import_cvat_video_xml(
         boxes.sort(key=lambda b: b.frame)
         labels.sort(key=lambda fc: fc[0])
         tracks.append(Track(str(track_id), _species_from_label(label), tuple(boxes)))
-        streams.extend(_label_runs(str(track_id), labels, meta.fps))
+        if labels:
+            intervals = tuple(coalesce(ObsInterval(f, f + 1, c) for f, c in labels))
+            streams.append(ObservationStream(str(track_id), LABELS, intervals, fps=meta.fps))
     return tracks, streams
-
-
-def _label_runs(
-    track_id: str, labels: list[tuple[int, str]], fps: float
-) -> list[ObservationStream]:
-    """Group (frame, code) pairs into one frame stream per contiguous run."""
-    streams: list[list[ObsInterval]] = []
-    for iv in coalesce(ObsInterval(f, f + 1, c) for f, c in labels):
-        if not streams or iv.start != streams[-1][-1].end:
-            streams.append([])  # a gap starts a new stream
-        streams[-1].append(iv)
-    return [ObservationStream(track_id, LABELS, tuple(run), fps=fps) for run in streams]

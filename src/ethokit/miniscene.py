@@ -20,6 +20,7 @@ from .core import (
     Track,
     VideoMeta,
     coalesce,
+    streams_by_track,
 )
 
 __all__ = [
@@ -108,18 +109,15 @@ def _split_segments(track: Track, max_gap: int) -> list[tuple[BoundingBox, ...]]
 
 
 def _labels_for(
-    track_id: str, start: int, end: int, streams: list[ObservationStream]
+    track_id: str, start: int, end: int, stream: ObservationStream | None
 ) -> ObservationStream:
-    """The track's labels over frames start..end, from a stream with no gap there."""
-    for stream in streams:
-        if stream.subject_id != track_id:
-            continue
-        clipped = stream.clip(start, end + 1)
-        if clipped.covered_duration() == end + 1 - start:
-            return clipped
-    raise ValueError(
-        f"missing label coverage for track {track_id!r} frames {start}..{end}"
-    )
+    """The track's labels over frames start..end, which must hold no gap."""
+    clipped = stream.clip(start, end + 1) if stream is not None else None
+    if clipped is None or clipped.covered_duration() != end + 1 - start:
+        raise ValueError(
+            f"missing label coverage for track {track_id!r} frames {start}..{end}"
+        )
+    return clipped
 
 
 def extract_miniscenes(
@@ -136,8 +134,10 @@ def extract_miniscenes(
     params.max_track_gap_frames; each remaining segment is kept only if
     it spans at least params.min_miniscene_frames frames. The length
     filter runs after gap-splitting, so a long track interrupted by a
-    large gap can lose its short remainder.
+    large gap can lose its short remainder. labels hold at most one
+    frame stream per track (ValueError otherwise).
     """
+    by_track = streams_by_track(labels)
     scenes: list[MiniScene] = []
     for track in tracks:
         if track.excluded or not track.boxes:
@@ -146,7 +146,7 @@ def extract_miniscenes(
             start, end = segment[0].frame, segment[-1].frame
             if end - start + 1 < params.min_miniscene_frames:
                 continue
-            stream = _labels_for(track.track_id, start, end, labels)
+            stream = _labels_for(track.track_id, start, end, by_track.get(track.track_id))
             windows = []
             for box in segment:
                 rect = crop_window(box, out_w, out_h, meta)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .core import AnalysisParams, BoundingBox, ObservationStream, Track
+from .core import AnalysisParams, BoundingBox, ObservationStream, Track, streams_by_track
 
 if TYPE_CHECKING:
     import numpy as np
@@ -186,29 +186,20 @@ def tag_interactions(
 ) -> list[InteractionEvent]:
     """Attach to each event the modal concurrent code pair, as "A|B".
 
-    labels are frame streams. Frames where either animal lacks a label
-    are skipped; events with no jointly labeled frame keep an empty tag.
+    labels are frame streams, at most one per track (ValueError
+    otherwise). Frames where either animal lacks a label are skipped;
+    events with no jointly labeled frame keep an empty tag.
     """
-    by_track: dict[str, list[ObservationStream]] = {}
-    for stream in labels:
-        by_track.setdefault(stream.subject_id, []).append(stream)
-
-    def code_at(track_id: str, frame: int) -> str | None:
-        for stream in by_track.get(track_id, []):
-            code = stream.code_at(frame)
-            if code is not None:
-                return code
-        return None
-
+    by_track = streams_by_track(labels)
     tagged = []
     for event in events:
+        a, b = by_track.get(event.track_a), by_track.get(event.track_b)
         tally: dict[tuple[str, str], int] = {}
-        for frame in range(event.start_frame, event.end_frame + 1):
-            ca = code_at(event.track_a, frame)
-            cb = code_at(event.track_b, frame)
-            if ca is None or cb is None:
-                continue
-            tally[(ca, cb)] = tally.get((ca, cb), 0) + 1
+        if a is not None and b is not None:
+            for frame in range(event.start_frame, event.end_frame + 1):
+                ca, cb = a.code_at(frame), b.code_at(frame)
+                if ca is not None and cb is not None:
+                    tally[(ca, cb)] = tally.get((ca, cb), 0) + 1
         if tally:
             best = max(tally.values())
             pair = sorted(p for p, n in tally.items() if n == best)[0]

@@ -51,6 +51,16 @@ def make_labels(*triples, track_id: str = "t1", fps: float = 30.0) -> Observatio
     return ObservationStream(track_id, LABELS, intervals, fps=fps)
 
 
+def cvat_document(labels, track_id: str = "t1") -> str:
+    """CVAT video XML with one track, a visible box per (frame, code) labeled with code."""
+    boxes = "".join(
+        f'<box frame="{frame}" xtl="10" ytl="10" xbr="60" ybr="40" outside="0">'
+        f'<attribute name="behavior">{code}</attribute></box>'
+        for frame, code in labels
+    )
+    return f'<annotations><track id="{track_id}" label="Zebra">{boxes}</track></annotations>'
+
+
 def obs(subject: str, method: str, *triples, observer: str = "obs1") -> ObservationStream:
     """triples are (start_offset_s, end_offset_s, code) relative to T0."""
     intervals = tuple(ObsInterval(EPOCH0 + s, EPOCH0 + e, code) for s, e, code in triples)

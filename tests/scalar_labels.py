@@ -5,7 +5,9 @@ rate, they were a ``LabelStream`` of inclusive, contiguous ``Segment``\\ s,
 and every consumer branched on the type. This module keeps that type
 and those branches, as ethokit had them, so the differential tests can
 require the one-stream code to agree with them bit for bit.
-``to_frames`` turns an oracle stream into the library's frame stream.
+``to_frames`` turns an oracle stream into the library's frame stream,
+and ``joined`` the contiguous oracle streams of each track into that
+track's one frame stream, with the gaps between them left unlabeled.
 """
 
 from __future__ import annotations
@@ -110,6 +112,14 @@ def to_frames(stream: LabelStream, fps: float) -> ObservationStream:
     """The library's frame stream holding the same frames."""
     intervals = tuple((s, e + 1, code) for s, e, code in stream.segments)
     return ObservationStream(stream.track_id, LABELS, intervals, fps=fps)
+
+
+def joined(streams: list[LabelStream], fps: float) -> list[ObservationStream]:
+    """One frame stream per track, holding the frames of its streams in order."""
+    by_track: dict[str, list] = {}
+    for stream in streams:
+        by_track.setdefault(stream.track_id, []).extend(to_frames(stream, fps).intervals)
+    return [ObservationStream(t, LABELS, tuple(ivs), fps=fps) for t, ivs in by_track.items()]
 
 
 def _technical(ethogram):

@@ -206,6 +206,56 @@ class TestObservationFaults:
         assert ("expected 5 fields" if fault == "fields" else "unexpected header") in err
 
 
+class TestGappedLabels:
+    """A gap in a track's labels.csv rows is unlabeled time inside its one stream."""
+
+    @pytest.fixture
+    def gapped(self, tmp_path) -> Path:
+        # frame 50 of ind002 loses its label
+        session = tmp_path / "gapped"
+        shutil.copytree(GOLDEN, session)
+        labels = session / "labels.csv"
+        text = labels.read_text()
+        assert "sim-7,ind002,50,54,W\n" in text
+        labels.write_text(text.replace("sim-7,ind002,50,54,W\n", "sim-7,ind002,51,54,W\n"))
+        return session
+
+    def test_compare_reads_the_whole_track(self, gapped, tmp_path):
+        out = tmp_path / "o"
+        argv = ["compare", str(gapped), "--subject", "ind002", "--method-a", "ground_scan",
+                "--method-b", "ml_auto", "--interval", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "agreement.json").read_text())["samples"] == 17
+
+    def test_timebudget_one_row_per_code(self, gapped, tmp_path):
+        out = tmp_path / "o"
+        assert main(["timebudget", str(gapped), "--out", str(out)]) == 0
+        rows = csv.DictReader((out / "timebudget.csv").open())
+        ind002 = [r for r in rows if (r["source"], r["subject"]) == ("labels", "ind002")]
+        # 199 labeled frames at 5 fps, the unlabeled frame in no denominator
+        assert {r["code"]: float(r["seconds"]) for r in ind002} == {
+            "G": 30.0, "R": 3.0, "TR": 2.0, "W": 4.8
+        }
+        assert len(ind002) == 4
+
+    def test_report_draws_one_lane_per_track(self, gapped, tmp_path):
+        out = tmp_path / "o"
+        assert main(["report", str(gapped), "--out", str(out)]) == 0
+        assert (out / "gantt.svg").read_text().count(">ind002<") == 1
+
+
+@pytest.mark.parametrize("command", ["timebudget", "report"])
+def test_track_without_visible_time_is_left_out(tmp_path, command):
+    session = tiny_session(tmp_path / "s")
+    # 30 s of t1 for report's transitions; t2 is out of sight throughout
+    labels = [make_labels(0, 899, "G"), make_labels(0, 119, "OOS", track_id="t2")]
+    (session / "labels.csv").write_text(dump_labels(labels, "tiny"))
+    out = tmp_path / "o"
+    assert main([command, str(session), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "timebudget.csv").open()))
+    assert [(r["subject"], r["code"]) for r in rows] == [("t1", "G")]
+
+
 COMPARE_FOCAL = ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
                  "--method-b", "drone_focal"]
 COUNTS = {"giraffe|giraffe": 4, "giraffe|grevys_zebra": 2}
@@ -568,6 +618,28 @@ class TestMiniscenes:
                      "--out", str(out)]) == 0
         lines = (out / "miniscenes.csv").read_text().strip().split("\n")
         assert len(lines) == 1  # header only
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bogus\nW,Walk,both,0\n", "unexpected ethogram header ['bogus']"),
+        ("code,name,species,technical\nW,Walk,both\n", "ethogram row has 3 fields"),
+        ("code,name,species,technical\nW,Walk,both,0\nW,Wade,both,0\n",
+         "duplicate ethogram code 'W'"),
+        ("code,name,species,technical\nW,Walk,fish,0\n", "species must be one of"),
+    ],
+    ids=["header", "fields", "duplicate", "species"],
+)
+def test_malformed_ethogram_is_a_parse_error(tmp_path, capsys, text, message):
+    ethogram = tmp_path / "ethogram.csv"
+    ethogram.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ethogram": str(ethogram)}))
+    session = tiny_session(tmp_path / "s")
+    assert main(["timebudget", str(session), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestEthogramEnv:

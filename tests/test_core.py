@@ -16,10 +16,10 @@ from ethokit import (
     ObsInterval,
     Track,
     VideoMeta,
+    import_cvat_video_xml,
     validate_session,
 )
-from ethokit.ingest import _label_runs
-from conftest import EPOCH0, T0, make_labels, make_track, obs
+from conftest import EPOCH0, T0, cvat_document, make_labels, make_track, obs
 from scalar_labels import LabelStream, Segment
 
 
@@ -111,7 +111,8 @@ class TestLabelStream:
     )
     def test_from_frames_round_trip(self, codes, start):
         # per-frame codes, as a CVAT export holds them, become one frame stream
-        (stream,) = _label_runs("t1", list(enumerate(codes, start)), 30.0)
+        document = cvat_document(enumerate(codes, start))
+        _, (stream,) = import_cvat_video_xml(document, VideoMeta("s", 1920, 1080, T0, 30.0))
         assert [stream.code_at(f) for f in range(start, start + len(codes))] == codes
         assert stream.span == (start, start + len(codes))
         # runs are maximal: no two adjacent intervals share a code

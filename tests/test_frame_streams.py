@@ -34,6 +34,7 @@ from scalar_labels import (
     Segment,
     extract_miniscenes_scalar,
     gantt_lane_scalar,
+    joined,
     out_of_sight_fraction_scalar,
     tag_interactions_scalar,
     time_budget_scalar,
@@ -67,7 +68,11 @@ def label_streams(draw, track_id: str = "t1", start: int | None = None):
 
 @st.composite
 def gappy_labels(draw, track_ids=("a", "b")):
-    """Per track, contiguous streams separated by gaps of 1-5 frames."""
+    """Per track, contiguous oracle streams separated by gaps of 1-5 frames.
+
+    The library gets them through ``joined``: one frame stream per track
+    with the gaps inside it.
+    """
     streams = []
     for track_id in track_ids:
         frame = draw(st.integers(0, 20))
@@ -157,7 +162,7 @@ class TestSocial:
             InteractionEvent("a", "b", "giraffe", "giraffe", start, start + length, 0.75)
             for start, length in spans
         ]
-        got = tag_interactions(events, [to_frames(s, fps) for s in labels])
+        got = tag_interactions(events, joined(labels, fps))
         assert got == tag_interactions_scalar(events, labels)
 
 
@@ -171,7 +176,7 @@ class TestMiniscenes:
     def test_extract_miniscenes(self, labels, frames, fps):
         params = AnalysisParams(min_miniscene_frames=5, max_track_gap_frames=3)
         meta = video(fps)
-        frame_labels = [to_frames(s, fps) for s in labels]
+        frame_labels = joined(labels, fps)
         # one track at a time, so a coverage error on one leaves the other compared
         for track in (make_track("a", frames=sorted(frames)), make_track("b", frames=range(5, 60))):
             got = _outcome(extract_miniscenes, [track], frame_labels, params, meta, 400, 300)

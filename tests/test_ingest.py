@@ -135,16 +135,24 @@ class TestLabels:
         assert parse_labels(text, 25.0) == streams
         assert dump_labels(parse_labels(text, 25.0), "sess01") == text
 
-    def test_gap_splits_streams(self):
+    def test_gap_stays_inside_one_stream(self):
         text = (
             "session_id,track_id,start_frame,end_frame,code\n"
             "s,a,0,9,G\n"
             "s,a,20,29,W\n"
+            "s,b,5,6,G\n"
         )
         streams = parse_labels(text, 30.0)
-        assert len(streams) == 2
-        assert streams[0].intervals == (ObsInterval(0, 10, "G"),)
-        assert streams[1].intervals == (ObsInterval(20, 30, "W"),)
+        assert [s.subject_id for s in streams] == ["a", "b"]
+        assert streams[0].intervals == (ObsInterval(0, 10, "G"), ObsInterval(20, 30, "W"))
+        # frames 10..19 are unlabeled time inside the stream
+        assert streams[0].code_at(15) is None
+        assert dump_labels(streams, "s") == text
+
+    def test_dump_orders_streams_by_track(self):
+        empty = ObservationStream("a", "labels", (), fps=30.0)
+        text = dump_labels([make_labels(0, 4, "G", track_id="b"), empty], "s")
+        assert text == "session_id,track_id,start_frame,end_frame,code\ns,b,0,4,G\n"
 
     def test_overlap_rejected(self):
         text = (
@@ -369,13 +377,11 @@ class TestCvatImport:
         # outside box at frame 2 is dropped from geometry
         assert [b.frame for b in tracks[0].boxes] == [0, 1, 3]
         assert tracks[0].boxes[0] == BoundingBox(0, 100.0, 200.0, 120.0, 80.0)
-        # labeled runs split at the outside frame
-        by_track = [s for s in labels if s.subject_id == "1"]
-        assert [s.intervals for s in by_track] == [
-            (ObsInterval(0, 2, "W"),),
-            (ObsInterval(3, 4, "G"),),
+        # one stream per track; the outside frame is unlabeled time inside it
+        assert [(s.subject_id, s.intervals) for s in labels] == [
+            ("1", (ObsInterval(0, 2, "W"), ObsInterval(3, 4, "G"))),
+            ("2", (ObsInterval(0, 1, "B"),)),
         ]
-        assert [s.intervals for s in labels if s.subject_id == "2"] == [(ObsInterval(0, 1, "B"),)]
         assert {s.fps for s in labels} == {meta.fps}
 
     def test_malformed_xml_names_position(self, meta):
@@ -397,6 +403,36 @@ class TestCvatImport:
         )
         with pytest.raises(ParseError, match="track 1 has negative frame -1"):
             import_cvat_video_xml(doc, meta)
+
+    @pytest.mark.parametrize(
+        "attr, value", [("xtl", "nan"), ("ytl", "-inf"), ("xbr", "inf"), ("ybr", "NaN")]
+    )
+    def test_non_finite_coordinate_rejected(self, meta, attr, value):
+        box = {"frame": "3", "xtl": "10", "ytl": "10", "xbr": "60", "ybr": "40", "outside": "0"}
+        box[attr] = value
+        attrs = " ".join(f'{k}="{v}"' for k, v in box.items())
+        doc = f'<annotations><track id="1" label="Zebra"><box {attrs}/></track></annotations>'
+        with pytest.raises(ParseError, match="track 1 at frame 3 has a non-finite coordinate"):
+            import_cvat_video_xml(doc, meta)
+
+    @pytest.mark.parametrize("outside", ["0", "1"])
+    def test_repeated_frame_rejected(self, meta, outside):
+        doc = (
+            '<annotations><track id="1" label="Zebra">'
+            '<box frame="4" xtl="10" ytl="10" xbr="60" ybr="40" outside="0"/>'
+            f'<box frame="4" xtl="12" ytl="10" xbr="62" ybr="40" outside="{outside}"/>'
+            "</track></annotations>"
+        )
+        with pytest.raises(ParseError, match="track 1 repeats frame 4"):
+            import_cvat_video_xml(doc, meta)
+
+    def test_repeated_track_id_rejected(self, meta):
+        track = (
+            '<track id="1" label="Zebra">'
+            '<box frame="0" xtl="10" ytl="10" xbr="60" ybr="40" outside="0"/></track>'
+        )
+        with pytest.raises(ParseError, match="track 1 appears twice"):
+            import_cvat_video_xml(f"<annotations>{track}{track}</annotations>", meta)
 
     def test_unknown_behavior_kept_with_warning(self, meta):
         doc = (

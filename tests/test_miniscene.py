@@ -83,7 +83,7 @@ class TestExtractMiniscenes:
         # 100 frames, a 40-frame hole, then 60 frames: only the first half survives
         frames = list(range(0, 100)) + list(range(140, 200))
         tracks = [make_track(frames=frames)]
-        labels = [make_labels(0, 99, "G"), make_labels(140, 199, "G")]
+        labels = [make_labels(0, 99, "G", 140, 199, "G")]
         scenes = extract_miniscenes(tracks, labels, AnalysisParams(), meta)
         assert [(s.start_frame, s.end_frame) for s in scenes] == [(0, 99)]
 
@@ -113,6 +113,12 @@ class TestExtractMiniscenes:
         with pytest.raises(ValueError, match=r"missing label coverage for track 't1' frames 0\.\.119"):
             extract_miniscenes(tracks, labels, AnalysisParams(), meta)
 
+    def test_two_streams_for_one_track_rejected(self, meta):
+        tracks = [make_track(frames=range(0, 90))]
+        labels = [make_labels(0, 89, "G"), make_labels(100, 109, "W")]
+        with pytest.raises(ValueError, match="track 't1' has more than one label stream"):
+            extract_miniscenes(tracks, labels, AnalysisParams(), meta)
+
     def test_labels_clipped_to_window(self, meta):
         tracks = [make_track(frames=range(10, 110))]
         labels = [make_labels(0, 49, "G", 50, 119, "W", fps=meta.fps)]
@@ -130,7 +136,7 @@ class TestExtractMiniscenes:
     def test_count_bounded_by_segments(self, meta):
         frames = list(range(0, 95)) + list(range(200, 300)) + list(range(400, 450))
         tracks = [make_track(frames=frames)]
-        labels = [make_labels(0, 94, "G"), make_labels(200, 299, "W"), make_labels(400, 449, "G")]
+        labels = [make_labels(0, 94, "G", 200, 299, "W", 400, 449, "G")]
         scenes = extract_miniscenes(tracks, labels, AnalysisParams(), meta)
         assert len(scenes) == 2  # the 50-frame tail segment is dropped
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
     BoundingBox,
     ObsInterval,
+    ParseError,
     Track,
     VideoMeta,
     dump_miniscene_manifest,
@@ -18,11 +20,11 @@ from ethokit import (
     map_labels,
 )
 from ethokit.core import coalesce, runs
-from ethokit.ingest import _label_runs
+from ethokit.ingest import import_cvat_video_xml
 from ethokit.miniscene import MiniScene, Window
 from ethokit.timeline import _visible_spans
-from conftest import make_labels, obs
-from scalar_labels import LabelStream, Segment, to_frames
+from conftest import T0, cvat_document, make_labels, obs
+from scalar_labels import LabelStream, Segment, joined, to_frames
 from scalar_runs import (
     box_at_scalar,
     covered_intervals_scalar,
@@ -38,6 +40,8 @@ from scalar_runs import (
 )
 
 CODES = ("G", "W", "R", "OOS")
+META_25 = VideoMeta("s", 1920, 1080, T0, 25.0)
+META_30 = VideoMeta("s", 1920, 1080, T0, 30.0)
 MAPPINGS = st.fixed_dictionaries({c: st.sampled_from(("G", "W", "OOS")) for c in CODES})
 
 
@@ -107,7 +111,7 @@ class TestRuns:
     @settings(max_examples=300, deadline=None)
     def test_from_frames_matches_loop(self, codes, start):
         # one run of per-frame codes, as a CVAT export holds them
-        got = _label_runs("t1", list(enumerate(codes, start)), 25.0)
+        _, got = import_cvat_video_xml(cvat_document(enumerate(codes, start)), META_25)
         assert got == ([to_frames(from_frames_scalar("t1", start, codes), 25.0)] if codes else [])
 
 
@@ -180,8 +184,14 @@ class TestLabelStreamRuns:
         for step, code in steps:
             frame += step
             labels.append((frame, code))
-        expected = [to_frames(s, 30.0) for s in label_runs_scalar("t1", labels)]
-        assert _label_runs("t1", labels, 30.0) == expected
+        document = cvat_document(labels)
+        if len({f for f, _ in labels}) < len(labels):
+            with pytest.raises(ParseError, match="repeats frame"):
+                import_cvat_video_xml(document, META_30)
+            return
+        # the runs of one track join into its one stream, gaps unlabeled
+        _, got = import_cvat_video_xml(document, META_30)
+        assert got == joined(label_runs_scalar("t1", labels), 30.0)
 
 
 class TestTrackAndManifestRuns:

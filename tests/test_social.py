@@ -311,6 +311,11 @@ class TestTagInteractions:
         (tagged,) = tag_interactions([event()], [])
         assert tagged.tag == ""
 
+    def test_two_streams_for_one_track_rejected(self):
+        labels = [make_labels(0, 4, "G", track_id="b"), make_labels(6, 9, "W", track_id="b")]
+        with pytest.raises(ValueError, match="track 'b' has more than one label stream"):
+            tag_interactions([event()], labels)
+
 
 class TestOverlapSummary:
     COMPOSITION = {"grevys_zebra": 11, "plains_zebra": 2, "giraffe": 3}
