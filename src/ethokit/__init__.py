@@ -20,7 +20,6 @@ from .core import (
     PLAINS_ZEBRA,
     ZEBRA_UNSPECIFIED,
     AnalysisParams,
-    BoundingBox,
     ObservationStream,
     ObsInterval,
     Rect,
@@ -100,7 +99,6 @@ from .social import (
     detect_interactions,
     dump_interaction_events,
     dump_overlap_matrix,
-    overlap_ratio,
     overlap_summary,
     tag_interactions,
 )

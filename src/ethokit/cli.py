@@ -58,7 +58,7 @@ from .social import (
     tag_interactions,
 )
 from .stats import dummy_code, nested_f_test, ols_fit, significance_stars
-from .simulator import OcclusionZone, demo_config, export_world, observe_focal, observe_scan, simulate
+from .simulator import SimConfig, demo_config, export_world, observe_focal, observe_scan, simulate
 from .svgplot import gantt_svg, transition_heatmap_svg
 from .timeline import (
     align_pair,
@@ -70,25 +70,7 @@ from .timeline import (
 )
 
 _PARAM_KEYS = {f.name for f in dataclasses.fields(AnalysisParams)}
-_SIM_KEYS = {
-    "n_individuals",
-    "codes",
-    "transition",
-    "speeds_mps",
-    "arena_w_m",
-    "arena_h_m",
-    "zones",
-    "fps",
-    "duration_s",
-    "scan_period_s",
-    "step_s",
-    "heading_sd_rad",
-    "initial_code",
-    "species",
-    "px_per_m",
-    "body_w_m",
-    "body_h_m",
-}
+_SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)} - {"seed"}  # the seed is --seed
 
 # JSON type of each --config section but clock_offset_s, which is a number
 _OBJECT, _LIST = (dict, "an object"), (list, "a list")
@@ -137,7 +119,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ParseError(f"config file not found: {p}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         raise ParseError(f"{p.name}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{p.name}: expected a JSON object")
@@ -149,11 +131,15 @@ def load_config(path: str | Path | None) -> RunConfig:
     bad = set(params_doc) - _PARAM_KEYS
     if bad:
         raise ParseError(f"{p.name}: unknown params keys {sorted(bad)}")
+    params = AnalysisParams()
     for key, value in params_doc.items():
         default = getattr(AnalysisParams, key)
         if not isinstance(default, str):
-            params_doc[key] = _config_number(f"{p.name}: params.{key}", value, type(default) is int)
-    params = dataclasses.replace(AnalysisParams(), **params_doc)
+            value = _config_number(f"{p.name}: params.{key}", value, type(default) is int)
+        try:
+            params = dataclasses.replace(params, **{key: value})
+        except ValueError as exc:
+            raise ParseError(f"{p.name}: params.{key}: {exc}") from None
     crop_doc = doc.get("crop", {})
     if set(crop_doc) - {"out_w", "out_h"}:
         raise ParseError(f"{p.name}: unknown crop keys {sorted(set(crop_doc) - {'out_w', 'out_h'})}")
@@ -166,8 +152,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         parts = key.split("|")
         if len(parts) != 2:
             raise ParseError(f"{p.name}: overlap_counts key {key!r} is not 'speciesA|speciesB'")
-        where = f"{p.name}: overlap_counts[{key!r}]"
-        counts[tuple(sorted(parts))] = _config_number(where, value, integer=True)
+        counts[tuple(sorted(parts))] = _config_count(f"{p.name}: overlap_counts[{key!r}]", value)
     crop = tuple(
         _config_number(f"{p.name}: crop.{k}", crop_doc.get(k, default), integer=True)
         for k, default in (("out_w", DEFAULT_OUT_W), ("out_h", DEFAULT_OUT_H))
@@ -179,7 +164,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         crop,
         float(_config_number(f"{p.name}: clock_offset_s", doc.get("clock_offset_s", 0.0))),
         {
-            str(k): _config_number(f"{p.name}: composition[{k!r}]", v, integer=True)
+            str(k): _config_count(f"{p.name}: composition[{k!r}]", v)
             for k, v in doc.get("composition", {}).items()
         },
         counts,
@@ -215,6 +200,14 @@ def _config_number(where: str, value, integer: bool = False):
         kind = "an integer" if integer else "a finite number"
         raise ParseError(f"{where} must be {kind}, got {value!r}")
     return int(value) if integer else value
+
+
+def _config_count(where: str, value) -> int:
+    """A whole, non-negative JSON number from --config."""
+    count = _config_number(where, value, integer=True)
+    if count < 0:
+        raise ParseError(f"{where} must not be negative, got {value!r}")
+    return count
 
 
 def _load_ethogram(config: RunConfig) -> Ethogram:
@@ -630,18 +623,18 @@ def cmd_regress(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    sim = config.simulation
     cfg = demo_config(args.seed)
-    if sim:
+    if config.simulation:
+        name = Path(args.config).name
         base = dataclasses.asdict(cfg)
-        base.update(sim)
-        base["seed"] = args.seed
-        if "zones" in base:
-            base["zones"] = tuple(OcclusionZone(*z) for z in base["zones"])
-        for key in ("codes", "speeds_mps"):
-            base[key] = tuple(base[key])
-        base["transition"] = tuple(tuple(row) for row in base["transition"])
-        cfg = type(cfg)(**base)
+        for key, value in config.simulation.items():
+            if type(base[key]) in (int, float):
+                value = _config_number(f"{name}: simulation.{key}", value, type(base[key]) is int)
+            base[key] = value
+        try:
+            cfg = SimConfig(**base)
+        except (TypeError, ValueError) as exc:  # a value SimConfig cannot read, or rejects
+            raise ParseError(f"{name}: simulation: {exc}") from None
     world = simulate(cfg)
     written = export_world(world, args.out)
     for path in written:

@@ -10,7 +10,7 @@ after construction and safe to share across concurrent workers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
@@ -68,13 +68,8 @@ class Rect(NamedTuple):
     h: float
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """One detection: frame index plus pixel rectangle (top-left origin).
-
-    Coordinates may exceed frame bounds; importers flag out-of-bounds
-    boxes and :func:`validate_session` reports degenerate ones.
-    """
+class BoundingBox(NamedTuple):
+    """One box of :attr:`Track.boxes`: frame index plus pixel rectangle (top-left origin)."""
 
     frame: int
     x: float
@@ -82,44 +77,46 @@ class BoundingBox:
     w: float
     h: float
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True)
 class Track:
     """An individual animal's bounding-box trajectory over video frames.
 
-    ``excluded`` marks tracks with evident identity switches; excluded
-    tracks are dropped from all analytics.
+    Boxes are held as columns, one entry per detection: ``frames``
+    strictly increases and ``x``, ``y``, ``w``, ``h`` give each box's
+    pixel rectangle (top-left origin). Coordinates may exceed frame
+    bounds; :func:`validate_session` reports out-of-bounds and
+    degenerate boxes. Construction rejects columns of unequal length and
+    frames that do not strictly increase. ``excluded`` marks tracks with
+    evident identity switches; excluded tracks are dropped from all
+    analytics.
     """
 
     track_id: str
     species: str
-    boxes: tuple[BoundingBox, ...]
+    frames: tuple[int, ...]
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    w: tuple[float, ...]
+    h: tuple[float, ...]
     excluded: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", tuple(self.boxes))
+        columns = ("frames", "x", "y", "w", "h")
+        for name in columns:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len({len(getattr(self, name)) for name in columns}) > 1:
+            raise ValueError(f"track {self.track_id!r}: box columns differ in length")
+        for prev, frame in zip(self.frames, self.frames[1:]):
+            if frame <= prev:
+                raise ValueError(
+                    f"track {self.track_id!r}: frames not strictly increasing ({prev} then {frame})"
+                )
 
     @property
-    def start_frame(self) -> int:
-        return self.boxes[0].frame
-
-    @property
-    def end_frame(self) -> int:
-        return self.boxes[-1].frame
-
-    def box_at(self, frame: int) -> BoundingBox | None:
-        i = bisect_left(self.boxes, frame, key=attrgetter("frame"))
-        if i < len(self.boxes) and self.boxes[i].frame == frame:
-            return self.boxes[i]
-        return None
+    def boxes(self) -> tuple[BoundingBox, ...]:
+        """The boxes as rows, in frame order."""
+        return tuple(map(BoundingBox, self.frames, self.x, self.y, self.w, self.h))
 
 
 class ObsInterval(NamedTuple):
@@ -342,19 +339,16 @@ def validate_session(tracks, streams, meta, ethogram) -> ValidationReport:
         seen_ids.add(track.track_id)
         if not track.species:
             report.add(loc, "empty species")
-        if not track.boxes:
+        if not track.frames:
             report.add(loc, "track has no boxes")
-        prev_frame = None
-        for i, box in enumerate(track.boxes):
+        boxes = zip(track.frames, track.x, track.y, track.w, track.h)
+        for i, (frame, x, y, w, h) in enumerate(boxes):
             bloc = f"{loc}.boxes[{i}]"
-            if box.frame < 0:
-                report.add(bloc, f"negative frame index {box.frame}")
-            if box.w <= 0 or box.h <= 0:
-                report.add(bloc, f"degenerate box {box.w}x{box.h}")
-            if prev_frame is not None and box.frame <= prev_frame:
-                report.add(bloc, f"non-monotonic frames ({prev_frame} then {box.frame})")
-            prev_frame = box.frame
-            cx, cy = box.center
+            if frame < 0:
+                report.add(bloc, f"negative frame index {frame}")
+            if w <= 0 or h <= 0:
+                report.add(bloc, f"degenerate box {w}x{h}")
+            cx, cy = x + w / 2.0, y + h / 2.0
             if not (0 <= cx <= meta.width_px and 0 <= cy <= meta.height_px):
                 report.add(bloc, f"box center ({cx:g}, {cy:g}) outside frame bounds")
 

@@ -143,17 +143,20 @@ class Ethogram:
 def parse_ethogram(text: str) -> Ethogram:
     """Parse ethogram CSV text (``code,name,species,technical``); ParseError if malformed."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != _ETHOGRAM_HEADER:
-        raise ParseError(f"unexpected ethogram header {header!r}")
-    classes = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"ethogram row has {len(row)} fields: {row!r}")
-        code, name, species, technical = row
-        classes.append(BehaviorClass(code, name, species, technical == "1"))
+    try:
+        header = next(reader, None)
+        if header != _ETHOGRAM_HEADER:
+            raise ParseError(f"unexpected ethogram header {header!r}")
+        classes = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(f"ethogram row has {len(row)} fields: {row!r}")
+            code, name, species, technical = row
+            classes.append(BehaviorClass(code, name, species, technical == "1"))
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ParseError(f"ethogram row {reader.line_num}: {exc}") from None
     try:
         return Ethogram(tuple(classes))
     except ValueError as exc:

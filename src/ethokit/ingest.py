@@ -5,7 +5,9 @@ byte-level schemas. Canonical CSVs are UTF-8 with LF line endings,
 decimal points and no thousands separators:
 
 * tracks:       ``session_id,track_id,species,frame,x,y,w,h,excluded``
-                (one row per box, sorted by track_id then frame)
+                (one row per box, sorted by track_id then frame; read
+                into one :class:`Track` per track_id, each box column
+                filled in as the rows go by)
 * labels:       ``session_id,track_id,start_frame,end_frame,code``
                 (inclusive, non-negative frame ranges; read as half-open
                 frame intervals, one stream per track, a gap between
@@ -51,7 +53,6 @@ from .core import (
     METHODS,
     PLAINS_ZEBRA,
     ZEBRA_UNSPECIFIED,
-    BoundingBox,
     ObservationStream,
     ObsInterval,
     ParseError,
@@ -122,22 +123,27 @@ class _Rows:
         self._pos = {col: i for i, col in enumerate(header)}
         # newline="" lets csv end a row at a lone \r too, as reading a file does
         self._reader = csv.reader(io.StringIO(text, newline=""))
-        got = next(self._reader, None)
-        if got != header:
-            raise ParseError(f"{name}: unexpected header {got!r}")
-        self.row_no = 1  # header row
+        self.row_no = 0
 
     def __iter__(self):
-        for row in self._reader:
-            self.row_no += 1
-            if not row:
-                continue
-            if len(row) != len(self.header):
-                raise ParseError(
-                    f"{self.name} row {self.row_no}: expected "
-                    f"{len(self.header)} fields, got {len(row)}"
-                )
-            yield row
+        """The data rows, after the header is checked."""
+        try:
+            got = next(self._reader, None)
+            if got != self.header:
+                raise ParseError(f"{self.name}: unexpected header {got!r}")
+            self.row_no = 1  # header row
+            for row in self._reader:
+                self.row_no += 1
+                if not row:
+                    continue
+                if len(row) != len(self.header):
+                    raise ParseError(
+                        f"{self.name} row {self.row_no}: expected "
+                        f"{len(self.header)} fields, got {len(row)}"
+                    )
+                yield row
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise ParseError(f"{self.name} row {self.row_no + 1}: {exc}") from None
 
     def fail(self, column: str, message: str) -> ParseError:
         return ParseError(f"{_at(self.name, self.row_no, column)}: {message}")
@@ -177,9 +183,10 @@ def _to_bool(rows: _Rows, row: list[str], col: str) -> bool:
 
 
 def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
+    """One track per run of rows with one track_id, its boxes read into columns."""
     rows = _Rows(text, TRACK_HEADER, name)
     session: str | None = None
-    groups: list[tuple[str, str, bool, list[BoundingBox]]] = []
+    groups: list[tuple[str, str, bool, tuple[list, ...]]] = []
     prev_key: tuple[str, int] | None = None
     for row in rows:
         sid = rows.get(row, "session_id")
@@ -190,13 +197,10 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
         track_id = rows.get(row, "track_id")
         species = rows.get(row, "species")
         frame = rows.to_int(row, "frame")
-        box = BoundingBox(
-            frame,
-            rows.to_float(row, "x"),
-            rows.to_float(row, "y"),
-            rows.to_float(row, "w"),
-            rows.to_float(row, "h"),
-        )
+        x = rows.to_float(row, "x")
+        y = rows.to_float(row, "y")
+        w = rows.to_float(row, "w")
+        h = rows.to_float(row, "h")
         excluded = _to_bool(rows, row, "excluded")
         key = (track_id, frame)
         if prev_key is not None and key <= prev_key:
@@ -209,12 +213,17 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
                 raise rows.fail("species", f"species changes within track {track_id!r}")
             if groups[-1][2] != excluded:
                 raise rows.fail("excluded", f"excluded flag changes within track {track_id!r}")
-            groups[-1][3].append(box)
         else:
-            groups.append((track_id, species, excluded, [box]))
+            frames, xs, ys, ws, hs = columns = ([], [], [], [], [])
+            groups.append((track_id, species, excluded, columns))
+        frames.append(frame)
+        xs.append(x)
+        ys.append(y)
+        ws.append(w)
+        hs.append(h)
     return [
-        Track(track_id, species, tuple(boxes), excluded)
-        for track_id, species, excluded, boxes in groups
+        Track(track_id, species, *columns, excluded)
+        for track_id, species, excluded, columns in groups
     ]
 
 
@@ -224,17 +233,17 @@ def dump_tracks(tracks: list[Track], session_id: str) -> str:
     writer.writerow(TRACK_HEADER)
     for track in sorted(tracks, key=lambda t: t.track_id):
         excluded = "1" if track.excluded else "0"
-        for box in sorted(track.boxes, key=lambda b: b.frame):
+        for frame, x, y, w, h in zip(track.frames, track.x, track.y, track.w, track.h):
             writer.writerow(
                 [
                     session_id,
                     track.track_id,
                     track.species,
-                    box.frame,
-                    _fmt(box.x),
-                    _fmt(box.y),
-                    _fmt(box.w),
-                    _fmt(box.h),
+                    frame,
+                    _fmt(x),
+                    _fmt(y),
+                    _fmt(w),
+                    _fmt(h),
                     excluded,
                 ]
             )
@@ -456,7 +465,7 @@ _META_KEYS = ("session_id", "width_px", "height_px", "start_time", "fps")
 def parse_video_meta(text: str, name: str = "meta") -> VideoMeta:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
         raise ParseError(f"{name}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{name}: expected a JSON object")
@@ -577,7 +586,7 @@ def import_cvat_video_xml(
         if track_id in track_ids:
             raise ParseError(f"track {track_id} appears twice")
         track_ids.add(track_id)
-        boxes: list[BoundingBox] = []
+        boxes: list[tuple[int, float, float, float, float]] = []  # (frame, x, y, w, h)
         labels: list[tuple[int, str]] = []  # (frame, code) for labeled visible boxes
         frames: set[int] = set()
         out_of_bounds = 0
@@ -617,7 +626,7 @@ def import_cvat_video_xml(
                 )
             if xtl < 0 or ytl < 0 or xbr > meta.width_px or ybr > meta.height_px:
                 out_of_bounds += 1
-            boxes.append(BoundingBox(frame, xtl, ytl, xbr - xtl, ybr - ytl))
+            boxes.append((frame, xtl, ytl, xbr - xtl, ybr - ytl))
             behavior = None
             for attr in child:
                 if attr.tag != "attribute":
@@ -652,9 +661,10 @@ def import_cvat_video_xml(
                 f"oob:{track_id}",
                 f"track {track_id}: {out_of_bounds} box(es) extend outside frame bounds",
             )
-        boxes.sort(key=lambda b: b.frame)
+        boxes.sort()  # frames are distinct, so this is frame order
         labels.sort(key=lambda fc: fc[0])
-        tracks.append(Track(str(track_id), _species_from_label(label), tuple(boxes)))
+        columns = tuple(zip(*boxes)) or ((),) * 5
+        tracks.append(Track(str(track_id), _species_from_label(label), *columns))
         if labels:
             intervals = tuple(coalesce(ObsInterval(f, f + 1, c) for f, c in labels))
             streams.append(ObservationStream(str(track_id), LABELS, intervals, fps=meta.fps))

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .core import (
     AnalysisParams,
-    BoundingBox,
     ObservationStream,
     Rect,
     Track,
@@ -71,12 +70,9 @@ class MiniScene:
     def n_frames(self) -> int:
         return self.end_frame - self.start_frame + 1
 
-    def window_rect(self, window: Window) -> Rect:
-        return Rect(window.cx - self.out_w / 2, window.cy - self.out_h / 2, self.out_w, self.out_h)
 
-
-def crop_window(box: BoundingBox, out_w: int, out_h: int, meta: VideoMeta) -> Rect:
-    """Fixed-size rect centered on the box, translated to fit the frame.
+def crop_window(cx: float, cy: float, out_w: int, out_h: int, meta: VideoMeta) -> Rect:
+    """Fixed-size rect centered on (cx, cy), translated to fit the frame.
 
     The window is never shrunk or rescaled; near frame edges it slides
     inward just enough to stay inside [0, width) x [0, height).
@@ -87,7 +83,6 @@ def crop_window(box: BoundingBox, out_w: int, out_h: int, meta: VideoMeta) -> Re
         )
     if out_w <= 0 or out_h <= 0:
         raise ValueError(f"crop size must be positive, got {out_w}x{out_h}")
-    cx, cy = box.center
     if not (0 <= cx <= meta.width_px and 0 <= cy <= meta.height_px):
         raise ValueError(
             f"center out of bounds: ({cx}, {cy}) outside {meta.width_px}x{meta.height_px}"
@@ -97,15 +92,11 @@ def crop_window(box: BoundingBox, out_w: int, out_h: int, meta: VideoMeta) -> Re
     return Rect(x, y, float(out_w), float(out_h))
 
 
-def _split_segments(track: Track, max_gap: int) -> list[tuple[BoundingBox, ...]]:
-    """Split a track's boxes wherever more than max_gap frames are missing."""
-    segments: list[list[BoundingBox]] = []
-    for box in track.boxes:
-        if segments and box.frame - segments[-1][-1].frame - 1 <= max_gap:
-            segments[-1].append(box)
-        else:
-            segments.append([box])
-    return [tuple(seg) for seg in segments]
+def _split_segments(frames: tuple[int, ...], max_gap: int) -> list[tuple[int, int]]:
+    """[a, b) index ranges of frames, split wherever more than max_gap frames are missing."""
+    edges = [k for k in range(1, len(frames)) if frames[k] - frames[k - 1] - 1 > max_gap]
+    edges = [0, *edges, len(frames)]
+    return list(zip(edges, edges[1:]))
 
 
 def _labels_for(
@@ -140,17 +131,18 @@ def extract_miniscenes(
     by_track = streams_by_track(labels)
     scenes: list[MiniScene] = []
     for track in tracks:
-        if track.excluded or not track.boxes:
+        if track.excluded or not track.frames:
             continue
-        for segment in _split_segments(track, params.max_track_gap_frames):
-            start, end = segment[0].frame, segment[-1].frame
+        frames, x, y, w, h = track.frames, track.x, track.y, track.w, track.h
+        for a, b in _split_segments(frames, params.max_track_gap_frames):
+            start, end = frames[a], frames[b - 1]
             if end - start + 1 < params.min_miniscene_frames:
                 continue
             stream = _labels_for(track.track_id, start, end, by_track.get(track.track_id))
             windows = []
-            for box in segment:
-                rect = crop_window(box, out_w, out_h, meta)
-                windows.append(Window(box.frame, rect.x + out_w / 2, rect.y + out_h / 2))
+            for k in range(a, b):
+                rect = crop_window(x[k] + w[k] / 2.0, y[k] + h[k] / 2.0, out_w, out_h, meta)
+                windows.append(Window(frames[k], rect.x + out_w / 2, rect.y + out_h / 2))
             scenes.append(
                 MiniScene(track.track_id, start, end, out_w, out_h, tuple(windows), stream)
             )

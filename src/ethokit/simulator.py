@@ -27,7 +27,6 @@ from .core import (
     GROUND_SCAN,
     LABELS,
     ML_AUTO,
-    BoundingBox,
     ObservationStream,
     ObsInterval,
     Track,
@@ -191,7 +190,7 @@ class SimWorld:
         out = []
         for i, subject in enumerate(self.subjects):
             pos = self.positions[i]
-            boxes = []
+            xs, ys = [], []
             for frame in range(cfg.n_frames):
                 t = frame / cfg.fps / cfg.step_s
                 k = min(int(t), len(pos) - 1)
@@ -199,8 +198,12 @@ class SimWorld:
                 nxt = pos[min(k + 1, len(pos) - 1)]
                 x = (pos[k][0] + (nxt[0] - pos[k][0]) * frac) * scale
                 y = (pos[k][1] + (nxt[1] - pos[k][1]) * frac) * scale
-                boxes.append(BoundingBox(frame, x - half_w, y - half_h, 2 * half_w, 2 * half_h))
-            out.append(Track(subject, cfg.species, tuple(boxes)))
+                xs.append(x - half_w)
+                ys.append(y - half_h)
+            n = cfg.n_frames
+            out.append(
+                Track(subject, cfg.species, range(n), xs, ys, (2 * half_w,) * n, (2 * half_h,) * n)
+            )
         return out
 
 

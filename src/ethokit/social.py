@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .core import AnalysisParams, BoundingBox, ObservationStream, Track, streams_by_track
+from .core import AnalysisParams, ObservationStream, Track, streams_by_track
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,41 +24,12 @@ __all__ = [
     "InteractionEvent",
     "OverlapEntry",
     "OverlapMatrix",
-    "overlap_ratio",
     "detect_interactions",
     "tag_interactions",
     "overlap_summary",
     "dump_interaction_events",
     "dump_overlap_matrix",
 ]
-
-
-def overlap_ratio(a: BoundingBox, b: BoundingBox, metric: str = "min_area") -> float:
-    """Fraction of box overlap on one frame.
-
-    min_area (default) divides the intersection by the smaller box, so
-    0.5 reads as "half of the smaller animal is covered" even when a
-    giraffe box dwarfs a zebra box; iou divides by the union.
-    """
-    if a.frame != b.frame:
-        raise ValueError(f"boxes are from different frames ({a.frame} vs {b.frame})")
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
-    inter = ix * iy
-    # a NaN or infinite coordinate overlaps nothing (min/max may drop a
-    # NaN, and min(1.0, nan) is 1.0), nor does an area no float can hold
-    if not (ix > 0 and iy > 0 and 0 < inter < math.inf and _finite(a) and _finite(b)):
-        return 0.0
-    # rounding in the extent math can push inter one ulp past the denominator
-    if metric == "min_area":
-        return min(1.0, inter / min(a.area, b.area))
-    if metric == "iou":
-        return min(1.0, inter / (a.area + b.area - inter))
-    raise ValueError(f"unknown overlap metric {metric!r}")
-
-
-def _finite(box: BoundingBox) -> bool:
-    return all(map(math.isfinite, (box.x, box.y, box.w, box.h)))
 
 
 @dataclass(frozen=True)
@@ -96,23 +66,26 @@ def detect_interactions(
     """Find runs of >threshold overlap lasting >= min_overlap_frames.
 
     Both cutoffs come from params; the ratio threshold is strict, so a
-    frame at exactly the threshold breaks a run. Each track pair costs a
-    few array operations over its shared frames, and every ratio is
-    computed with :func:`overlap_ratio`'s operations in its order, so
-    results match it bit for bit. Duplicate track ids, or a track whose
-    frames do not strictly increase, raise ValueError.
+    frame at exactly the threshold breaks a run. A frame's ratio is the
+    intersection over the smaller box (min_area) or over the union
+    (iou), capped at 1; a box with a NaN or infinite coordinate, or an
+    intersection area no float can hold, overlaps nothing. Each track
+    pair costs a few array operations over its shared frames, done in
+    the order a per-frame loop does them, so results match that loop
+    (``tests/scalar_social.py``) bit for bit. Duplicate track ids raise
+    ValueError.
     """
     import numpy as np
 
     if params is None:
         params = AnalysisParams()
-    active = sorted((t for t in tracks if not t.excluded and t.boxes), key=lambda t: t.track_id)
+    active = sorted((t for t in tracks if not t.excluded and t.frames), key=lambda t: t.track_id)
     for ta, tb in zip(active, active[1:]):
         if ta.track_id == tb.track_id:
             raise ValueError(f"duplicate track id {ta.track_id!r}")
     events: list[InteractionEvent] = []
     # an area beyond float range makes a ratio NaN, which never passes
-    # the threshold: overlap_ratio returns 0.0 there, so nothing to warn of
+    # the threshold (such a pair overlaps nothing), so nothing to warn of
     with np.errstate(over="ignore", invalid="ignore"):
         columns = [_BoxColumns.of(t) for t in active]
         for i, ta in enumerate(active):
@@ -129,7 +102,7 @@ def detect_interactions(
 
 
 class _BoxColumns(NamedTuple):
-    """One track's boxes as columns, right/bottom edges and areas precomputed."""
+    """One track's columns as arrays, right/bottom edges and areas precomputed."""
 
     frames: np.ndarray  # int64, strictly increasing
     x: np.ndarray
@@ -142,15 +115,12 @@ class _BoxColumns(NamedTuple):
     def of(cls, track: Track) -> _BoxColumns:
         import numpy as np
 
-        frames = np.fromiter((b.frame for b in track.boxes), dtype=np.int64, count=len(track.boxes))
-        if np.any(np.diff(frames) <= 0):
-            raise ValueError(f"track {track.track_id!r}: frames not strictly increasing")
-        xywh = np.array([(b.x, b.y, b.w, b.h) for b in track.boxes], dtype=float)
-        x, y, w, h = xywh.T
-        # as in overlap_ratio, a box with a NaN or infinite coordinate
-        # overlaps nothing: a NaN x makes every extent with it NaN
-        x = np.where(np.isfinite(xywh).all(axis=1), x, np.nan)
-        return cls(frames, x, y, x + w, y + h, w * h)
+        xywh = np.array((track.x, track.y, track.w, track.h), dtype=float)
+        x, y, w, h = xywh
+        # a box with a NaN or infinite coordinate overlaps nothing: a NaN
+        # x makes every extent with it NaN
+        x = np.where(np.isfinite(xywh).all(axis=0), x, np.nan)
+        return cls(np.asarray(track.frames, dtype=np.int64), x, y, x + w, y + h, w * h)
 
 
 def _overlap_runs(a: _BoxColumns, b: _BoxColumns, params: AnalysisParams):

@@ -8,7 +8,6 @@ import pytest
 
 from ethokit import (
     LABELS,
-    BoundingBox,
     ObservationStream,
     ObsInterval,
     Track,
@@ -40,8 +39,13 @@ def make_track(
     h: float = 40.0,
     excluded: bool = False,
 ) -> Track:
-    boxes = tuple(BoundingBox(f, x, y, w, h) for f in frames)
-    return Track(track_id, species, boxes, excluded=excluded)
+    return track_from_boxes(track_id, species, [(f, x, y, w, h) for f in frames], excluded)
+
+
+def track_from_boxes(track_id: str, species: str, boxes, excluded: bool = False) -> Track:
+    """A track built from its boxes given as (frame, x, y, w, h) rows."""
+    columns = tuple(zip(*boxes)) or ((),) * 5
+    return Track(track_id, species, *columns, excluded=excluded)
 
 
 def make_labels(*triples, track_id: str = "t1", fps: float = 30.0) -> ObservationStream:

@@ -1,4 +1,4 @@
-"""The single-pass observations.csv parser, kept as the oracle.
+"""The row-based parsers, kept as oracles for the library's parsers.
 
 ``parse_ground_observations`` once parsed and checked every row as it
 read it and built all streams at the end. The library now indexes the
@@ -6,14 +6,20 @@ rows by stream and builds each stream on request
 (:class:`ethokit.ingest.ObservationIndex`); this copy of the old parser
 checks that the two give the same streams, and the same error on a
 file with one fault.
+
+``parse_tracks`` once built a frozen box object per row and grouped the
+rows into tracks; the library now fills each track's columns directly.
+The old parser, kept below, checks that both give the same tracks and
+the same error on a file with one fault.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
 
-from ethokit.core import GROUND_SCAN, METHODS, ObservationStream, ObsInterval
-from ethokit.ingest import END_CODE, OBS_HEADER, ParseError, _Rows
+from ethokit.core import GROUND_SCAN, METHODS, BoundingBox, ObservationStream, ObsInterval, Track
+from ethokit.ingest import END_CODE, OBS_HEADER, TRACK_HEADER, ParseError, _Rows, _to_bool
+from conftest import track_from_boxes
 
 
 def _where(rows: _Rows, column: str) -> str:
@@ -89,3 +95,45 @@ def _events_to_stream(
             "not terminated (missing END row)"
         )
     return ObservationStream(subject, method, tuple(intervals), observer)
+
+
+def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
+    rows = _Rows(text, TRACK_HEADER, name)
+    session: str | None = None
+    groups: list[tuple[str, str, bool, list[BoundingBox]]] = []
+    prev_key: tuple[str, int] | None = None
+    for row in rows:
+        sid = rows.get(row, "session_id")
+        if session is None:
+            session = sid
+        elif sid != session:
+            raise rows.fail("session_id", f"mixed sessions ({session!r} and {sid!r})")
+        track_id = rows.get(row, "track_id")
+        species = rows.get(row, "species")
+        frame = rows.to_int(row, "frame")
+        box = BoundingBox(
+            frame,
+            rows.to_float(row, "x"),
+            rows.to_float(row, "y"),
+            rows.to_float(row, "w"),
+            rows.to_float(row, "h"),
+        )
+        excluded = _to_bool(rows, row, "excluded")
+        key = (track_id, frame)
+        if prev_key is not None and key <= prev_key:
+            if key == prev_key:
+                raise rows.fail("frame", f"duplicate frame {frame} in track {track_id!r}")
+            raise rows.fail("frame", "rows not sorted by (track_id, frame)")
+        prev_key = key
+        if groups and groups[-1][0] == track_id:
+            if groups[-1][1] != species:
+                raise rows.fail("species", f"species changes within track {track_id!r}")
+            if groups[-1][2] != excluded:
+                raise rows.fail("excluded", f"excluded flag changes within track {track_id!r}")
+            groups[-1][3].append(box)
+        else:
+            groups.append((track_id, species, excluded, [box]))
+    return [
+        track_from_boxes(track_id, species, boxes, excluded)
+        for track_id, species, excluded, boxes in groups
+    ]

@@ -30,7 +30,6 @@ from ethokit import (
 )
 from ethokit.core import LABELS, runs
 from ethokit.ethogram import TECHNICAL_CODES
-from ethokit.miniscene import _split_segments
 
 
 class Segment(NamedTuple):
@@ -241,6 +240,17 @@ def labels_for_scalar(track_id: str, start: int, end: int, streams: list[LabelSt
     raise ValueError(f"missing label coverage for track {track_id!r} frames {start}..{end}")
 
 
+def _split_segments(track, max_gap: int) -> list[tuple]:
+    """Split a track's box rows wherever more than max_gap frames are missing."""
+    segments: list[list] = []
+    for box in track.boxes:
+        if segments and box.frame - segments[-1][-1].frame - 1 <= max_gap:
+            segments[-1].append(box)
+        else:
+            segments.append([box])
+    return [tuple(seg) for seg in segments]
+
+
 def extract_miniscenes_scalar(tracks, labels: list[LabelStream], params, meta, out_w, out_h):
     """Scenes as before, with the label stream of each as an oracle LabelStream."""
     scenes = []
@@ -254,7 +264,8 @@ def extract_miniscenes_scalar(tracks, labels: list[LabelStream], params, meta, o
             stream = labels_for_scalar(track.track_id, start, end, labels)
             windows = []
             for box in segment:
-                rect = crop_window(box, out_w, out_h, meta)
+                cx, cy = box.x + box.w / 2.0, box.y + box.h / 2.0
+                rect = crop_window(cx, cy, out_w, out_h, meta)
                 windows.append(Window(box.frame, rect.x + out_w / 2, rect.y + out_h / 2))
             scenes.append(MiniScene(track.track_id, start, end, out_w, out_h, tuple(windows), stream))
     return scenes

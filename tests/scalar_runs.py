@@ -197,18 +197,3 @@ def label_code_at_scalar(stream: LabelStream, frame: int) -> str | None:
         else:
             return seg.code
     return None
-
-
-def box_at_scalar(track, frame: int):
-    boxes = track.boxes
-    lo, hi = 0, len(boxes) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        f = boxes[mid].frame
-        if f == frame:
-            return boxes[mid]
-        if f < frame:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None

@@ -2,15 +2,46 @@
 
 ``ethokit.social.detect_interactions`` computes the same events with a
 few NumPy operations per track pair. This loop walks every shared frame
-of every pair in Python, calling :func:`overlap_ratio` once per frame;
-the differential tests require both to give identical events.
+of every pair in Python, calling :func:`overlap_ratio` once per frame on
+the tracks' box rows; the differential tests require both to give
+identical events.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from ethokit import AnalysisParams, InteractionEvent, Track, overlap_ratio
+from ethokit import AnalysisParams, InteractionEvent, Track
+from ethokit.core import BoundingBox
+
+
+def overlap_ratio(a: BoundingBox, b: BoundingBox, metric: str = "min_area") -> float:
+    """Fraction of box overlap on one frame.
+
+    min_area (default) divides the intersection by the smaller box, so
+    0.5 reads as "half of the smaller animal is covered" even when a
+    giraffe box dwarfs a zebra box; iou divides by the union.
+    """
+    if a.frame != b.frame:
+        raise ValueError(f"boxes are from different frames ({a.frame} vs {b.frame})")
+    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
+    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+    inter = ix * iy
+    # a NaN or infinite coordinate overlaps nothing (min/max may drop a
+    # NaN, and min(1.0, nan) is 1.0), nor does an area no float can hold
+    if not (ix > 0 and iy > 0 and 0 < inter < math.inf and _finite(a) and _finite(b)):
+        return 0.0
+    # rounding in the extent math can push inter one ulp past the denominator
+    if metric == "min_area":
+        return min(1.0, inter / min(a.w * a.h, b.w * b.h))
+    if metric == "iou":
+        return min(1.0, inter / (a.w * a.h + b.w * b.h - inter))
+    raise ValueError(f"unknown overlap metric {metric!r}")
+
+
+def _finite(box: BoundingBox) -> bool:
+    return all(map(math.isfinite, (box.x, box.y, box.w, box.h)))
 
 
 def detect_interactions_scalar(
@@ -30,10 +61,11 @@ def detect_interactions_scalar(
         for tb in active[i + 1 :]:
             if tb.track_id == ta.track_id:
                 raise ValueError(f"duplicate track id {ta.track_id!r}")
-            shared = sorted(frames_a.keys() & {box.frame for box in tb.boxes})
+            frames_b = {box.frame: box for box in tb.boxes}
+            shared = sorted(frames_a.keys() & frames_b.keys())
             run: list[tuple[int, float]] = []
             for frame in shared:
-                ratio = overlap_ratio(frames_a[frame], tb.box_at(frame), params.overlap_metric)
+                ratio = overlap_ratio(frames_a[frame], frames_b[frame], params.overlap_metric)
                 contiguous = run and frame == run[-1][0] + 1
                 if ratio > params.overlap_ratio_threshold and (contiguous or not run):
                     run.append((frame, ratio))

@@ -24,7 +24,6 @@ from ethokit import (
     GROUND_FOCAL,
     DRONE_FOCAL,
     AnalysisParams,
-    BoundingBox,
     ConfusionMatrix,
     OverlapMatrix,
     SimConfig,
@@ -46,7 +45,7 @@ from ethokit import (
     two_sided_p,
 )
 from ethokit.cli import main
-from conftest import make_labels, make_track
+from conftest import make_labels, make_track, track_from_boxes
 
 
 @contextmanager
@@ -246,11 +245,12 @@ _LEVEL_OFFSET = {1.0: 0.0, 0.8: 2.0, 0.6: 4.0, 0.5: 5.0, 0.4: 6.0, 0.0: 12.0}
 
 
 def _offset_pair(offsets: list[float]) -> tuple[Track, Track]:
-    boxes_a = tuple(BoundingBox(f, 50.0, 50.0, 10.0, 10.0) for f in range(len(offsets)))
-    boxes_b = tuple(
-        BoundingBox(f, 50.0 + off, 50.0, 10.0, 10.0) for f, off in enumerate(offsets)
+    boxes_a = [(f, 50.0, 50.0, 10.0, 10.0) for f in range(len(offsets))]
+    boxes_b = [(f, 50.0 + off, 50.0, 10.0, 10.0) for f, off in enumerate(offsets)]
+    return (
+        track_from_boxes("a", "grevys_zebra", boxes_a),
+        track_from_boxes("b", "grevys_zebra", boxes_b),
     )
-    return Track("a", "grevys_zebra", boxes_a), Track("b", "grevys_zebra", boxes_b)
 
 
 def _total_frames(events) -> int:

@@ -16,7 +16,7 @@ import pytest
 import scipy.stats
 
 from ethokit import ParseError, dump_labels, dump_tracks, dump_video_meta
-from ethokit.cli import main
+from ethokit.cli import load_config, main
 from conftest import make_labels, make_track
 
 
@@ -54,6 +54,14 @@ class TestExitCodes:
         (broken / "tracks.csv").write_text("this,is,not,the,header\n1,2,3,4,5\n")
         assert main(["validate", str(broken)]) == 2
         assert "tracks.csv" in capsys.readouterr().err
+
+    def test_oversized_csv_field_is_a_parse_error(self, tmp_path, capsys):
+        session = tiny_session(tmp_path / "s")
+        labels = session / "labels.csv"
+        huge = "x" * 200_000  # over the csv module's 131 072-character field limit
+        labels.write_text(labels.read_text() + f"tiny,{huge},120,130,G\n")
+        assert main(["timebudget", str(session), "--out", str(tmp_path / "o")]) == 2
+        assert "labels.csv row 3: field larger than field limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "broken_file,argv,status",
@@ -309,6 +317,48 @@ class TestConfigNumbers:
         assert main(["interactions", "--config", str(cfg), "--out", str(out)]) == 0
         # two giraffes make one possible pair
         assert "giraffe,giraffe,4,1,4.00" in (out / "overlap_summary.csv").read_text()
+
+
+class TestConfigValues:
+    """A config value the run cannot use is a parse error naming its key (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "doc,argv,key",
+        [
+            ({"params": {"overlap_metric": 5}}, ["interactions", "{session}"],
+             "params.overlap_metric"),
+            ({"params": {"downsample_interval_s": -1}}, ["report", "{session}"],
+             "params.downsample_interval_s"),
+            ({"composition": {"grevys_zebra": -3}}, ["interactions", "{session}"],
+             "composition['grevys_zebra'] must not be negative"),
+            ({"composition": {"giraffe": 2}, "overlap_counts": {"giraffe|giraffe": -4}},
+             ["interactions"], "overlap_counts['giraffe|giraffe'] must not be negative"),
+            ({"simulation": {"fps": "x"}}, ["simulate", "--seed", "1"], "simulation.fps"),
+            ({"simulation": {"n_individuals": 1.5}}, ["simulate", "--seed", "1"],
+             "simulation.n_individuals"),
+            ({"simulation": {"duration_s": -60}}, ["simulate", "--seed", "1"],
+             "simulation: duration, step and fps must be positive"),
+            ({"simulation": {"codes": 5}}, ["simulate", "--seed", "1"], "simulation:"),
+            ({"simulation": {"zones": [[0, 0, 10]]}}, ["simulate", "--seed", "1"], "simulation:"),
+        ],
+    )
+    def test_unusable_value_is_a_parse_error(self, sim_session, tmp_path, capsys, doc, argv, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [a.format(session=sim_session) for a in argv]
+        rc = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"params": ' * 5_000, "1" * 5_000])
+    def test_unreadable_json_is_a_parse_error(self, tmp_path, capsys, text):
+        # nesting past the recursion limit, and an integer past int()'s digit limit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with pytest.raises(ParseError, match="cfg.json: invalid JSON"):
+            load_config(cfg)
+        assert main(["regress", "data.csv", "--response", "y", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
 
 
 class TestConfigSections:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ethokit import (
     AnalysisParams,
-    BoundingBox,
     ObservationStream,
     ObsInterval,
     Track,
@@ -19,6 +18,7 @@ from ethokit import (
     import_cvat_video_xml,
     validate_session,
 )
+from ethokit.core import BoundingBox
 from conftest import EPOCH0, T0, cvat_document, make_labels, make_track, obs
 from scalar_labels import LabelStream, Segment
 
@@ -34,20 +34,34 @@ class TestVideoMeta:
 
 
 class TestTrack:
-    def test_box_at_exact_frames(self):
-        track = make_track(frames=[3, 4, 7])
-        assert track.box_at(4).frame == 4
-        assert track.box_at(5) is None
-        assert track.box_at(2) is None
+    """A track holds its boxes as columns and enforces their shape and order."""
 
-    def test_frame_range(self):
-        track = make_track(frames=[3, 4, 7])
-        assert (track.start_frame, track.end_frame) == (3, 7)
+    def test_boxes_view_gives_rows_in_frame_order(self):
+        track = Track("t1", "giraffe", [3, 4, 7], [1.0, 2.0, 3.0], [5.0] * 3, [10.0] * 3, [8.0] * 3)
+        assert track.frames == (3, 4, 7) and track.x == (1.0, 2.0, 3.0)
+        assert track.boxes == (
+            BoundingBox(3, 1.0, 5.0, 10.0, 8.0),
+            BoundingBox(4, 2.0, 5.0, 10.0, 8.0),
+            BoundingBox(7, 3.0, 5.0, 10.0, 8.0),
+        )
 
-    def test_center_and_area(self):
-        box = BoundingBox(0, 10.0, 20.0, 60.0, 40.0)
-        assert box.center == (40.0, 40.0)
-        assert box.area == 2400.0
+    @given(st.lists(st.integers(-3, 12), max_size=8))
+    def test_rejects_frames_that_do_not_increase(self, frames):
+        columns = [[1.0] * len(frames)] * 4
+        if all(a < b for a, b in zip(frames, frames[1:])):
+            assert Track("t1", "giraffe", frames, *columns).frames == tuple(frames)
+        else:
+            with pytest.raises(ValueError, match="'t1': frames not strictly increasing"):
+                Track("t1", "giraffe", frames, *columns)
+
+    @given(st.lists(st.integers(0, 3), min_size=5, max_size=5))
+    def test_rejects_ragged_columns(self, lengths):
+        frames, *columns = (list(range(n)) for n in lengths)
+        if len(set(lengths)) == 1:
+            assert len(Track("t1", "giraffe", frames, *columns).boxes) == lengths[0]
+        else:
+            with pytest.raises(ValueError, match="'t1': box columns differ in length"):
+                Track("t1", "giraffe", frames, *columns)
 
 
 class TestLabelStream:
@@ -255,7 +269,7 @@ class TestValidateSession:
         assert any("duplicate" in issue.message for issue in report)
 
     def test_flags_center_out_of_bounds(self, meta, ethogram):
-        track = Track("t1", "grevys_zebra", (BoundingBox(0, 5000.0, 10.0, 20.0, 20.0),))
+        track = make_track(frames=[0], x=5000.0, y=10.0, w=20.0, h=20.0)
         report = validate_session([track], [], meta, ethogram)
         assert not report.ok
 

@@ -8,6 +8,7 @@ from ethokit import (
     TECHNICAL_CODES,
     BehaviorClass,
     Ethogram,
+    ParseError,
     default_ethogram,
     parse_ethogram,
 )
@@ -75,6 +76,12 @@ class TestValidation:
     def test_technical_must_be_canonical(self):
         with pytest.raises(ValueError):
             Ethogram((BehaviorClass("XX", "Strange", "both", True),))
+
+    def test_oversized_field_is_a_parse_error(self):
+        # over the csv module's 131 072-character field limit
+        text = "code,name,species,technical\nG," + "x" * 200_000 + ",zebra,0\n"
+        with pytest.raises(ParseError, match="^ethogram row 2: field larger than field limit"):
+            parse_ethogram(text)
 
     def test_default_is_cached(self):
         assert default_ethogram() is default_ethogram()

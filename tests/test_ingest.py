@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import warnings
 
@@ -10,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
-    BoundingBox,
     CvatImportWarning,
     ObservationStream,
     ObsInterval,
     ParseError,
-    Track,
     VideoMeta,
 )
+from ethokit.core import BoundingBox
 from ethokit.ingest import (
+    LABEL_HEADER,
+    OBS_HEADER,
+    TRACK_HEADER,
     dump_ground_observations,
     dump_labels,
     dump_tracks,
@@ -29,15 +33,16 @@ from ethokit.ingest import (
     parse_tracks,
     parse_video_meta,
 )
-from conftest import EPOCH0, T0, make_labels
+from conftest import EPOCH0, T0, make_labels, track_from_boxes
+from scalar_ingest import parse_tracks as oracle_parse_tracks
 
 
 class TestTracks:
     def test_round_trip(self):
         tracks = [
-            Track("a", "grevys_zebra", (BoundingBox(0, 1.5, 2.0, 10.0, 8.0),
-                                        BoundingBox(1, 2.5, 2.0, 10.0, 8.0))),
-            Track("b", "giraffe", (BoundingBox(5, 100.0, 50.0, 40.0, 90.0),), excluded=True),
+            track_from_boxes("a", "grevys_zebra", [(0, 1.5, 2.0, 10.0, 8.0),
+                                                   (1, 2.5, 2.0, 10.0, 8.0)]),
+            track_from_boxes("b", "giraffe", [(5, 100.0, 50.0, 40.0, 90.0)], excluded=True),
         ]
         text = dump_tracks(tracks, "sess01")
         assert parse_tracks(text) == tracks
@@ -119,9 +124,71 @@ class TestTracks:
     @settings(max_examples=50)
     def test_value_round_trip_property(self, rows):
         rows.sort()
-        boxes = tuple(BoundingBox(f, float(x), float(y), 10.0, 5.0) for f, x, y in rows)
-        tracks = [Track("t", "giraffe", boxes)]
+        boxes = [(f, float(x), float(y), 10.0, 5.0) for f, x, y in rows]
+        tracks = [track_from_boxes("t", "giraffe", boxes)]
         assert parse_tracks(dump_tracks(tracks, "s")) == tracks
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# cell values near the edges of what tracks.csv accepts
+BAD_CELLS = ("", "x", "1.5", "-1", "nan", "inf", "1e400", "2", "true", "other", "giraffe")
+
+
+@st.composite
+def track_lists(draw):
+    """1-4 tracks with distinct ids, 1-6 boxes each, any finite coordinates."""
+    ids = draw(st.lists(st.text(st.characters(exclude_categories=["C"]), max_size=4),
+                        min_size=1, max_size=4, unique=True))
+    tracks = []
+    for track_id in ids:
+        frames = sorted(draw(st.sets(st.integers(-3, 40), min_size=1, max_size=6)))
+        boxes = [(f, draw(FINITE), draw(FINITE), draw(FINITE), draw(FINITE)) for f in frames]
+        species = draw(st.sampled_from(["giraffe", "grevys_zebra", "zebra, plains"]))
+        tracks.append(track_from_boxes(track_id, species, boxes, draw(st.booleans())))
+    return tracks
+
+
+@st.composite
+def faulty_track_file(draw):
+    """A tracks.csv written from track_lists, with at most one fault in it."""
+    rows = list(csv.reader(io.StringIO(dump_tracks(draw(track_lists()), "s"), newline="")))
+    fault = draw(st.sampled_from(["none", "cell", "swap", "repeat", "fields"]))
+    k = draw(st.integers(1, len(rows) - 1))
+    if fault == "cell":
+        rows[k][draw(st.integers(0, len(TRACK_HEADER) - 1))] = draw(st.sampled_from(BAD_CELLS))
+    elif fault == "swap" and k + 1 < len(rows):
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    elif fault == "repeat":
+        rows.insert(k, list(rows[k]))
+    elif fault == "fields":
+        rows[k].append("extra")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestTracksMatchRowOracle:
+    """The columnar parser against the row-based one it replaced."""
+
+    @given(faulty_track_file())
+    @settings(max_examples=300, deadline=None)
+    def test_same_tracks_or_same_error(self, text):
+        assert _parse_outcome(parse_tracks, text) == _parse_outcome(oracle_parse_tracks, text)
+
+    @given(track_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_dump_then_parse_round_trips(self, tracks):
+        text = dump_tracks(tracks[::-1], "s")
+        parsed = parse_tracks(text)
+        assert parsed == sorted(tracks, key=lambda t: t.track_id)
+        assert dump_tracks(parsed, "s") == text  # -0.0 keeps its sign
 
 
 class TestLabels:
@@ -342,6 +409,39 @@ class TestVideoMeta:
         with pytest.raises(ParseError, match=key):
             parse_video_meta(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"fps": ' * 5_000, "1" * 5_000])
+    def test_unreadable_json_is_a_parse_error(self, text):
+        # nesting past the recursion limit, and an integer past int()'s digit limit
+        with pytest.raises(ParseError, match="^meta: invalid JSON"):
+            parse_video_meta(text)
+
+
+BIG = "x" * 200_000  # over the csv module's 131 072-character field limit
+
+
+class TestOversizedField:
+    """A field the csv module refuses is a ParseError naming the file and row."""
+
+    @pytest.mark.parametrize(
+        "parse,header,good,bad",
+        [
+            (parse_tracks, TRACK_HEADER, "s,a,giraffe,0,0,0,1,1,0", f"s,{BIG},giraffe,0,0,0,1,1,0"),
+            (lambda text, name: parse_labels(text, 30.0, name), LABEL_HEADER, "s,a,0,1,G",
+             f"s,{BIG},2,3,G"),
+            (parse_ground_observations, OBS_HEADER, "o,a,ground_scan,2023-06-01T08:30:00Z,G",
+             f"o,a,ground_scan,2023-06-01T08:30:01Z,{BIG}"),
+        ],
+        ids=["tracks", "labels", "observations"],
+    )
+    def test_in_a_row(self, parse, header, good, bad):
+        text = "\n".join([",".join(header), good, bad]) + "\n"
+        with pytest.raises(ParseError, match=r"^f row 3: field larger than field limit"):
+            parse(text, "f")
+
+    def test_in_the_header(self):
+        with pytest.raises(ParseError, match=r"^f row 1: field larger than field limit"):
+            parse_tracks(BIG + "\n", "f")
+
 
 CVAT_SAMPLE = """<?xml version="1.0" encoding="utf-8"?>
 <annotations>
@@ -375,7 +475,7 @@ class TestCvatImport:
         assert tracks[0].species == "grevys_zebra"
         assert tracks[1].species == "giraffe"
         # outside box at frame 2 is dropped from geometry
-        assert [b.frame for b in tracks[0].boxes] == [0, 1, 3]
+        assert tracks[0].frames == (0, 1, 3)
         assert tracks[0].boxes[0] == BoundingBox(0, 100.0, 200.0, 120.0, 80.0)
         # one stream per track; the outside frame is unlabeled time inside it
         assert [(s.subject_id, s.intervals) for s in labels] == [
@@ -463,7 +563,7 @@ class TestCvatImport:
         )
         with pytest.warns(CvatImportWarning, match="outside frame bounds"):
             tracks, _ = import_cvat_video_xml(doc, meta)
-        assert len(tracks[0].boxes) == 1
+        assert len(tracks[0].frames) == 1
 
     def test_unspecified_zebra_species(self, meta):
         doc = (

@@ -8,44 +8,36 @@ from hypothesis import strategies as st
 
 from ethokit import (
     AnalysisParams,
-    BoundingBox,
     Rect,
-    Track,
     VideoMeta,
     crop_window,
     dump_miniscene_manifest,
     extract_miniscenes,
 )
-from conftest import T0, make_labels, make_track
+from conftest import T0, make_labels, make_track, track_from_boxes
 
 
 class TestCropWindow:
     def test_symmetric_center(self, meta):
-        box = BoundingBox(0, 930.0, 520.0, 60.0, 40.0)  # center (960, 540)
-        assert crop_window(box, 400, 300, meta) == Rect(760.0, 390.0, 400, 300)
+        assert crop_window(960.0, 540.0, 400, 300, meta) == Rect(760.0, 390.0, 400, 300)
 
     def test_clamped_to_origin(self, meta):
-        box = BoundingBox(0, 0.0, 0.0, 20.0, 20.0)  # center (10, 10)
-        assert crop_window(box, 400, 300, meta) == Rect(0.0, 0.0, 400, 300)
+        assert crop_window(10.0, 10.0, 400, 300, meta) == Rect(0.0, 0.0, 400, 300)
 
     def test_clamped_to_far_edge(self, meta):
-        box = BoundingBox(0, 1880.0, 1050.0, 30.0, 20.0)  # center (1895, 1060)
-        assert crop_window(box, 400, 300, meta) == Rect(1520.0, 780.0, 400, 300)
+        assert crop_window(1895.0, 1060.0, 400, 300, meta) == Rect(1520.0, 780.0, 400, 300)
 
     def test_center_out_of_bounds(self, meta):
-        box = BoundingBox(0, 1900.0, 500.0, 60.0, 40.0)  # center x = 1930
         with pytest.raises(ValueError, match="center out of bounds"):
-            crop_window(box, 400, 300, meta)
+            crop_window(1930.0, 520.0, 400, 300, meta)
 
     def test_output_larger_than_frame(self, meta):
-        box = BoundingBox(0, 930.0, 520.0, 60.0, 40.0)
         with pytest.raises(ValueError):
-            crop_window(box, 2000, 300, meta)
+            crop_window(960.0, 540.0, 2000, 300, meta)
 
     def test_non_positive_output(self, meta):
-        box = BoundingBox(0, 930.0, 520.0, 60.0, 40.0)
         with pytest.raises(ValueError):
-            crop_window(box, 0, 300, meta)
+            crop_window(960.0, 540.0, 0, 300, meta)
 
     @given(
         cx=st.floats(0, 1920, allow_nan=False),
@@ -56,8 +48,7 @@ class TestCropWindow:
     @settings(max_examples=200)
     def test_window_inside_frame_and_contains_center(self, cx, cy, out_w, out_h):
         meta = VideoMeta("hyp", 1920, 1080, T0, fps=30.0)
-        box = BoundingBox(0, cx - 5.0, cy - 5.0, 10.0, 10.0)
-        rect = crop_window(box, out_w, out_h, meta)
+        rect = crop_window(cx, cy, out_w, out_h, meta)
         assert rect.w == out_w and rect.h == out_h
         assert 0 <= rect.x and rect.x + rect.w <= meta.width_px
         assert 0 <= rect.y and rect.y + rect.h <= meta.height_px
@@ -152,11 +143,8 @@ class TestManifest:
         assert len(lines) == 2  # one maximal run: center never moves
 
     def test_moving_center_splits_rows(self, meta):
-        boxes = tuple(
-            BoundingBox(f, 500.0 + (10.0 if f >= 45 else 0.0), 400.0, 60.0, 40.0)
-            for f in range(0, 90)
-        )
-        tracks = [Track("t1", "grevys_zebra", boxes)]
+        boxes = [(f, 500.0 + (10.0 if f >= 45 else 0.0), 400.0, 60.0, 40.0) for f in range(0, 90)]
+        tracks = [track_from_boxes("t1", "grevys_zebra", boxes)]
         labels = [make_labels(0, 89, "G")]
         scenes = extract_miniscenes(tracks, labels, AnalysisParams(), meta)
         lines = dump_miniscene_manifest(scenes).strip().split("\n")

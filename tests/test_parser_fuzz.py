@@ -3,18 +3,23 @@
 Each parser gets plain arbitrary text and text shaped like its format
 (the right header, then rows or elements built from tokens near the
 edges of what it accepts), so the draws reach past the header check.
+``load_config`` gets arbitrary JSON documents, documents shaped like a
+config, and text that no JSON reader can take.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 from xml.sax.saxutils import quoteattr
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ethokit import ParseError, VideoMeta, parse_ethogram
+from ethokit import AnalysisParams, ParseError, VideoMeta, parse_ethogram
+from ethokit.cli import RunConfig, load_config
 from ethokit.ingest import (
     LABEL_HEADER,
     OBS_HEADER,
@@ -82,6 +87,43 @@ def cvat_like() -> st.SearchStrategy[str]:
     )
 
 
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TOKENS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(TOKENS, inner, max_size=4)),
+    max_leaves=12,
+)
+# nesting past the recursion limit, and an integer past int()'s digit limit
+UNREADABLE = st.sampled_from(["[" * 100_000, '{"params": ' * 5_000, "1" * 5_000])
+
+
+def sometimes_any(shaped: st.SearchStrategy) -> st.SearchStrategy:
+    """Mostly the shaped value, sometimes any JSON value in its place."""
+    return st.one_of(shaped, shaped, shaped, shaped, JSON)
+
+
+def section(keys) -> st.SearchStrategy:
+    """An object over the section's own keys, each holding a number or any JSON value."""
+    values = st.one_of(st.integers(-3, 500), st.floats(-10.0, 1e3), JSON)
+    return sometimes_any(st.dictionaries(st.sampled_from(keys), values, max_size=3))
+
+
+def config_like() -> st.SearchStrategy[str]:
+    sections = {
+        "ethogram": sometimes_any(st.one_of(st.none(), TOKENS)),
+        "params": section([f.name for f in dataclasses.fields(AnalysisParams)]),
+        "label_map": sometimes_any(st.dictionaries(TOKENS, TOKENS, max_size=2)),
+        "crop": section(["out_w", "out_h"]),
+        "clock_offset_s": sometimes_any(st.floats()),
+        "composition": section(["giraffe", "grevys_zebra"]),
+        "overlap_counts": section(["giraffe|giraffe", "giraffe|grevys_zebra", "giraffe"]),
+        "simulation": section(["fps", "codes", "seed"]),
+        "references": section(["habitat"]),
+        "factors": sometimes_any(st.lists(TOKENS, max_size=3)),
+        "interactions": sometimes_any(st.lists(st.lists(TOKENS, min_size=2, max_size=2))),
+    }
+    return st.fixed_dictionaries({}, optional=sections).map(json.dumps)
+
+
 def value_or_parse_error(parse, text: str) -> None:
     try:
         with warnings.catch_warnings():
@@ -125,3 +167,18 @@ def test_parse_ethogram(text):
 @given(st.one_of(st.text(), cvat_like()))
 def test_import_cvat_video_xml(text):
     value_or_parse_error(lambda t: import_cvat_video_xml(t, META), text)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "cfg.json"
+
+
+@FUZZ
+@given(text=st.one_of(JSON.map(json.dumps), config_like(), UNREADABLE))
+def test_load_config(config_path, text):
+    config_path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(load_config(config_path), RunConfig)
+    except ParseError:
+        pass

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
-    BoundingBox,
     ObsInterval,
     ParseError,
-    Track,
     VideoMeta,
     dump_miniscene_manifest,
     gantt_segments,
@@ -26,7 +24,6 @@ from ethokit.timeline import _visible_spans
 from conftest import T0, cvat_document, make_labels, obs
 from scalar_labels import LabelStream, Segment, joined, to_frames
 from scalar_runs import (
-    box_at_scalar,
     covered_intervals_scalar,
     dump_miniscene_manifest_scalar,
     from_frames_scalar,
@@ -195,13 +192,6 @@ class TestLabelStreamRuns:
 
 
 class TestTrackAndManifestRuns:
-    @given(st.sets(st.integers(0, 60), max_size=20), st.integers(-2, 63))
-    @settings(max_examples=300, deadline=None)
-    def test_box_at(self, frames, frame):
-        boxes = tuple(BoundingBox(f, 0.0, 0.0, 1.0, 1.0) for f in sorted(frames))
-        track = Track("t1", "giraffe", boxes)
-        assert track.box_at(frame) == box_at_scalar(track, frame)
-
     @given(
         st.lists(
             st.lists(

@@ -11,21 +11,19 @@ from hypothesis import strategies as st
 
 from ethokit import (
     AnalysisParams,
-    BoundingBox,
     InteractionEvent,
     OverlapMatrix,
-    Track,
     demo_config,
     detect_interactions,
     dump_interaction_events,
     dump_overlap_matrix,
-    overlap_ratio,
     overlap_summary,
     simulate,
     tag_interactions,
 )
-from conftest import make_labels
-from scalar_social import detect_interactions_scalar
+from ethokit.core import BoundingBox
+from conftest import make_labels, track_from_boxes
+from scalar_social import detect_interactions_scalar, overlap_ratio
 
 
 def offset_pair(offsets, species_b="grevys_zebra"):
@@ -33,10 +31,10 @@ def offset_pair(offsets, species_b="grevys_zebra"):
 
     min-area ratio on frame f is 1 - offsets[f]/10 for offsets in [0, 10].
     """
-    a = Track("a", "grevys_zebra", tuple(BoundingBox(f, 50.0, 50.0, 10.0, 10.0)
-                                         for f in range(len(offsets))))
-    b = Track("b", species_b, tuple(BoundingBox(f, 50.0 + off, 50.0, 10.0, 10.0)
-                                    for f, off in enumerate(offsets)))
+    a = track_from_boxes("a", "grevys_zebra", [(f, 50.0, 50.0, 10.0, 10.0)
+                                               for f in range(len(offsets))])
+    b = track_from_boxes("b", species_b, [(f, 50.0 + off, 50.0, 10.0, 10.0)
+                                          for f, off in enumerate(offsets)])
     return [a, b]
 
 
@@ -45,6 +43,8 @@ def event(a="a", b="b", sa="grevys_zebra", sb="grevys_zebra", start=0, end=9, ra
 
 
 class TestOverlapRatio:
+    """The scalar per-frame ratio the NumPy kernel is checked against."""
+
     def test_identical_boxes(self):
         box = BoundingBox(0, 0.0, 0.0, 10.0, 10.0)
         assert overlap_ratio(box, box) == 1.0
@@ -112,7 +112,9 @@ class TestOverlapRatio:
             params = AnalysisParams(
                 overlap_ratio_threshold=0.01, min_overlap_frames=1, overlap_metric=metric
             )
-            pair = [Track("a", "giraffe", (bad,)), Track("b", "giraffe", (box,))]
+            pair = [
+                track_from_boxes("a", "giraffe", [bad]), track_from_boxes("b", "giraffe", [box])
+            ]
             assert detect_interactions(pair, params) == []
 
     def test_area_beyond_float_range_overlaps_nothing(self):
@@ -146,10 +148,10 @@ class TestDetectInteractions:
         assert [(e.start_frame, e.end_frame) for e in events] == [(0, 4), (6, 10)]
 
     def test_missing_frames_break_contiguity(self):
-        a = Track("a", "grevys_zebra",
-                  tuple(BoundingBox(f, 0.0, 0.0, 10.0, 10.0) for f in range(12) if f != 5))
-        b = Track("b", "grevys_zebra",
-                  tuple(BoundingBox(f, 1.0, 0.0, 10.0, 10.0) for f in range(12) if f != 5))
+        a = track_from_boxes("a", "grevys_zebra",
+                             [(f, 0.0, 0.0, 10.0, 10.0) for f in range(12) if f != 5])
+        b = track_from_boxes("b", "grevys_zebra",
+                             [(f, 1.0, 0.0, 10.0, 10.0) for f in range(12) if f != 5])
         events = detect_interactions([a, b])
         assert [(e.start_frame, e.end_frame) for e in events] == [(0, 4), (6, 11)]
 
@@ -159,7 +161,7 @@ class TestDetectInteractions:
 
     def test_excluded_tracks_ignored(self):
         a, b = offset_pair([0.0] * 10)
-        a = Track(a.track_id, a.species, a.boxes, excluded=True)
+        a = dataclasses.replace(a, excluded=True)
         assert detect_interactions([a, b]) == []
 
     def test_mean_ratio_averages_run(self):
@@ -186,16 +188,17 @@ class TestDetectInteractions:
     def test_duplicate_track_ids_rejected(self):
         a, b = offset_pair([0.0] * 10)
         with pytest.raises(ValueError, match="duplicate track id 'a'"):
-            detect_interactions([a, Track("a", b.species, b.boxes)])
+            detect_interactions([a, dataclasses.replace(b, track_id="a")])
 
     def test_repeated_frame_rejected(self):
-        a, b = offset_pair([0.0] * 6)
-        boxes = a.boxes[:3] + (BoundingBox(2, 80.0, 50.0, 10.0, 10.0),) + a.boxes[3:]
+        # such a track cannot be built, so it never reaches the detector
+        a, _ = offset_pair([0.0] * 6)
+        boxes = a.boxes[:3] + ((2, 80.0, 50.0, 10.0, 10.0),) + a.boxes[3:]
         with pytest.raises(ValueError, match="'a': frames not strictly increasing"):
-            detect_interactions([Track("a", a.species, boxes), b])
+            track_from_boxes("a", a.species, boxes)
 
     def test_empty_tracks_skipped(self):
-        tracks = offset_pair([0.0] * 10) + [Track("c", "giraffe", ())]
+        tracks = offset_pair([0.0] * 10) + [track_from_boxes("c", "giraffe", [])]
         assert detect_interactions(tracks) == detect_interactions(tracks[:2])
 
 
@@ -223,9 +226,9 @@ def box_tracks(draw):
         missing = draw(st.sets(st.integers(0, 24), max_size=12))
         frames = [f for f in range(draw(st.integers(0, 8)), 25) if f not in missing]
         x, y, w, h = draw(COORD), draw(COORD), draw(SIZE), draw(SIZE)
-        boxes = tuple(BoundingBox(f, x + draw(JITTER), y + draw(JITTER), w, h) for f in frames)
+        boxes = [(f, x + draw(JITTER), y + draw(JITTER), w, h) for f in frames]
         excluded = draw(st.integers(0, 5)) == 0
-        tracks.append(Track(track_id, draw(st.sampled_from(SPECIES)), boxes, excluded))
+        tracks.append(track_from_boxes(track_id, draw(st.sampled_from(SPECIES)), boxes, excluded))
     return tracks
 
 
@@ -264,8 +267,10 @@ class TestDetectInteractionsMatchesScalarOracle:
         for k, field, value in edits:
             if slots:
                 i, j = slots[k % len(slots)]
-                boxes[i][j] = dataclasses.replace(boxes[i][j], **{field: value})
-        tracks = [dataclasses.replace(t, boxes=tuple(b)) for t, b in zip(tracks, boxes)]
+                boxes[i][j] = boxes[i][j]._replace(**{field: value})
+        tracks = [
+            track_from_boxes(t.track_id, t.species, b, t.excluded) for t, b in zip(tracks, boxes)
+        ]
         params = AnalysisParams(
             overlap_ratio_threshold=threshold, min_overlap_frames=1, overlap_metric=metric
         )
