@@ -22,7 +22,6 @@ from .core import (
     AnalysisParams,
     ObservationStream,
     ObsInterval,
-    Rect,
     Track,
     ValidationIssue,
     ValidationReport,
@@ -38,10 +37,8 @@ from .ethogram import (
     BehaviorClass,
     Ethogram,
     default_ethogram,
-    dump_ethogram,
     parse_ethogram,
     read_ethogram,
-    write_ethogram,
 )
 from .ingest import (
     END_CODE,
@@ -72,15 +69,13 @@ from .metrics import (
     AgreementStats,
     ClassMetrics,
     ClassScore,
-    ConfusionMatrix,
     CostEstimate,
+    CountMatrix,
     TimeBudget,
-    TransitionMatrix,
     annotation_cost,
     class_metrics,
     cohens_kappa,
     confusion,
-    gantt_segments,
     out_of_sight_fraction,
     time_budget,
     transition_matrix,
@@ -106,11 +101,9 @@ from .stats import (
     DesignMatrix,
     FTestResult,
     RegressionResult,
-    TTestResult,
     dummy_code,
     nested_f_test,
     ols_fit,
-    paired_ttest,
     significance_stars,
     two_sided_p,
 )
@@ -125,7 +118,6 @@ from .simulator import (
     simulate,
 )
 from .svgplot import (
-    confusion_heatmap_svg,
     gantt_svg,
     heatmap_svg,
     transition_heatmap_svg,

@@ -10,8 +10,10 @@ randomized command is `simulate`, which demands an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -28,6 +30,7 @@ from .core import (
     ObservationStream,
     Track,
     VideoMeta,
+    csv_text,
     streams_by_track,
     validate_session,
 )
@@ -333,6 +336,9 @@ def cmd_miniscenes(args) -> int:
     return 0
 
 
+_BUDGET_HEADER = ["source", "subject", "code", "seconds", "proportion"]
+
+
 def _budget_rows(session: Session, ethogram: Ethogram) -> list[tuple[str, str, str, float, float]]:
     technical = ethogram.technical_codes()
     # scans are instantaneous and a fully occluded track or focal record
@@ -367,9 +373,7 @@ def cmd_timebudget(args) -> int:
         ]
         path = _emit(out, "timebudget.json", _json_text(doc))
     else:
-        lines = ["source,subject,code,seconds,proportion"]
-        lines += [f"{s},{subj},{c},{sec!r},{prop!r}" for s, subj, c, sec, prop in rows]
-        path = _emit(out, "timebudget.csv", "\n".join(lines) + "\n")
+        path = _emit(out, "timebudget.csv", csv_text(_BUDGET_HEADER, rows))
     print(f"time budget -> {path}")
     return 0
 
@@ -388,10 +392,7 @@ def _transition_inputs(session: Session, ethogram: Ethogram):
 
 
 def _matrix_csv(codes, rows) -> str:
-    lines = ["code," + ",".join(codes)]
-    for code, row in zip(codes, rows):
-        lines.append(code + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(["code", *codes], ([code, *map(float, row)] for code, row in zip(codes, rows)))
 
 
 def cmd_transitions(args) -> int:
@@ -516,36 +517,26 @@ def cmd_compare(args) -> int:
             }
         ),
     )
-    lines = ["code,precision,recall,f1"]
-    for s in scores.per_class:
-        lines.append(
-            ",".join(
-                [s.code]
-                + ["" if v is None else repr(v) for v in (s.precision, s.recall, s.f1)]
-            )
-        )
-    lines.append(
-        ",".join(
-            ["macro"]
-            + [
-                "" if v is None else repr(v)
-                for v in (scores.macro_precision, scores.macro_recall, scores.macro_f1)
-            ]
-        )
+    macro = ("macro", scores.macro_precision, scores.macro_recall, scores.macro_f1)
+    _emit(
+        out,
+        "class_metrics.csv",
+        csv_text(["code", "precision", "recall", "f1"], [*scores.per_class, macro]),
     )
-    _emit(out, "class_metrics.csv", "\n".join(lines) + "\n")
     print(f"kappa = {agreement.kappa:.4f} over {len(pairs)} samples -> {out}")
     return 0
 
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    import csv as _csv
-
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ParseError(f"missing file: {path}") from None
-    rows = list(_csv.reader(text.splitlines()))
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ParseError(f"{path.name} row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ParseError(f"{path.name}: empty file")
     header, body = rows[0], rows[1:]
@@ -589,15 +580,11 @@ def cmd_regress(args) -> int:
     design = dummy_code(observations, references, config.interactions)
     result = ols_fit(design, y)
 
-    lines = ["term,beta,se,t,p,ci_low,ci_high,stars"]
-    for j, term in enumerate(result.columns):
-        lines.append(
-            f"{term},{result.beta[j]!r},{result.se[j]!r},{result.t_stats[j]!r},"
-            f"{result.p_values[j]!r},{result.ci_low[j]!r},{result.ci_high[j]!r},"
-            f"{significance_stars(result.p_values[j])}"
-        )
+    header = ["term", "beta", "se", "t", "p", "ci_low", "ci_high", "stars"]
+    columns = (result.columns, result.beta, result.se, result.t_stats, result.p_values)
+    rows = zip(*columns, result.ci_low, result.ci_high, map(significance_stars, result.p_values))
     out = Path(args.out)
-    path = _emit(out, "regression.csv", "\n".join(lines) + "\n")
+    path = _emit(out, "regression.csv", csv_text(header, rows))
     model = {
         "n_obs": result.n_obs,
         "r_squared": result.r_squared,
@@ -649,10 +636,7 @@ def cmd_report(args) -> int:
     if not session.labels and not session.observations:
         raise ValueError("session has neither labels.csv nor observations.csv")
     out = Path(args.out)
-    rows = _budget_rows(session, ethogram)
-    lines = ["source,subject,code,seconds,proportion"]
-    lines += [f"{s},{subj},{c},{sec!r},{prop!r}" for s, subj, c, sec, prop in rows]
-    _emit(out, "timebudget.csv", "\n".join(lines) + "\n")
+    _emit(out, "timebudget.csv", csv_text(_BUDGET_HEADER, _budget_rows(session, ethogram)))
 
     streams, codes = _transition_inputs(session, ethogram)
     matrix = transition_matrix(streams, config.params.downsample_interval_s, codes, ethogram)

@@ -9,6 +9,8 @@ after construction and safe to share across concurrent workers.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -38,6 +40,19 @@ class ParseError(ValueError):
     """A file violated its schema; message names file position."""
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text with LF line endings: the header row, then rows.
+
+    Fields holding a comma, a quote or a line break are quoted; a float
+    is written as its repr and None as an empty field.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 @dataclass(frozen=True)
 class VideoMeta:
     """Recording session metadata and the frame/seconds/wall-clock bridge."""
@@ -57,15 +72,6 @@ class VideoMeta:
     def frame_to_epoch(self, frame: float) -> float:
         """Wall-clock time (epoch seconds) at which a frame starts."""
         return self.start_time.timestamp() + frame / self.fps
-
-
-class Rect(NamedTuple):
-    """Axis-aligned pixel rectangle, top-left origin."""
-
-    x: float
-    y: float
-    w: float
-    h: float
 
 
 class BoundingBox(NamedTuple):

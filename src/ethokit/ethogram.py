@@ -106,21 +106,8 @@ class Ethogram:
     def codes(self) -> list[str]:
         return [c.code for c in self.classes]
 
-    def behavioral_codes(self) -> list[str]:
-        return [c.code for c in self.classes if not c.technical]
-
     def technical_codes(self) -> frozenset[str]:
         return frozenset(c.code for c in self.classes if c.technical)
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._by_code
-
-    def class_for(self, code: str) -> BehaviorClass:
-        return self._by_code[code]
-
-    def is_technical(self, code: str) -> bool:
-        cls = self._by_code.get(code)
-        return cls is not None and cls.technical
 
     def resolve(self, label: str) -> str | None:
         """Map a free-text behavior label to an ethogram code.
@@ -163,21 +150,8 @@ def parse_ethogram(text: str) -> Ethogram:
         raise ParseError(f"ethogram: {exc}") from None
 
 
-def dump_ethogram(ethogram: Ethogram) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_ETHOGRAM_HEADER)
-    for cls in ethogram.classes:
-        writer.writerow([cls.code, cls.name, cls.species, "1" if cls.technical else "0"])
-    return out.getvalue()
-
-
 def read_ethogram(path: str | Path) -> Ethogram:
     return parse_ethogram(Path(path).read_text(encoding="utf-8"))
-
-
-def write_ethogram(ethogram: Ethogram, path: str | Path) -> None:
-    Path(path).write_text(dump_ethogram(ethogram), encoding="utf-8")
 
 
 @lru_cache(maxsize=1)

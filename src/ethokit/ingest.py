@@ -59,8 +59,9 @@ from .core import (
     Track,
     VideoMeta,
     coalesce,
+    csv_text,
 )
-from .ethogram import Ethogram, default_ethogram, read_ethogram, write_ethogram
+from .ethogram import Ethogram, default_ethogram, read_ethogram
 
 __all__ = [
     "ParseError",
@@ -77,7 +78,6 @@ __all__ = [
     "read_video_meta",
     "write_video_meta",
     "read_ethogram",
-    "write_ethogram",
     "END_CODE",
 ]
 
@@ -228,26 +228,14 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
 
 
 def dump_tracks(tracks: list[Track], session_id: str) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACK_HEADER)
-    for track in sorted(tracks, key=lambda t: t.track_id):
-        excluded = "1" if track.excluded else "0"
-        for frame, x, y, w, h in zip(track.frames, track.x, track.y, track.w, track.h):
-            writer.writerow(
-                [
-                    session_id,
-                    track.track_id,
-                    track.species,
-                    frame,
-                    _fmt(x),
-                    _fmt(y),
-                    _fmt(w),
-                    _fmt(h),
-                    excluded,
-                ]
-            )
-    return out.getvalue()
+    def rows():
+        for t in sorted(tracks, key=lambda t: t.track_id):
+            excluded = "1" if t.excluded else "0"
+            for frame, x, y, w, h in zip(t.frames, t.x, t.y, t.w, t.h):
+                yield [session_id, t.track_id, t.species, frame,
+                       _fmt(x), _fmt(y), _fmt(w), _fmt(h), excluded]
+
+    return csv_text(TRACK_HEADER, rows())
 
 
 def read_tracks(path: str | Path) -> list[Track]:
@@ -297,13 +285,14 @@ def parse_labels(text: str, fps: float, name: str = "labels") -> list[Observatio
 
 
 def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LABEL_HEADER)
-    for stream in sorted(streams, key=lambda s: s.subject_id):
-        for start, end, code in stream.intervals:
-            writer.writerow([session_id, stream.subject_id, start, end - 1, code])
-    return out.getvalue()
+    return csv_text(
+        LABEL_HEADER,
+        (
+            [session_id, stream.subject_id, start, end - 1, code]
+            for stream in sorted(streams, key=lambda s: s.subject_id)
+            for start, end, code in stream.intervals
+        ),
+    )
 
 
 def read_labels(path: str | Path, fps: float) -> list[ObservationStream]:
@@ -421,22 +410,19 @@ def _events_to_stream(
 
 
 def dump_ground_observations(streams: list[ObservationStream], observer_id: str = "field") -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(OBS_HEADER)
     keyed = sorted(streams, key=lambda s: (s.observer_id or observer_id, s.subject_id, s.method))
-    for stream in keyed:
-        observer = stream.observer_id or observer_id
-        if stream.method == GROUND_SCAN and stream.is_instantaneous():
-            for iv in stream.intervals:
-                writer.writerow([observer, stream.subject_id, stream.method, _iso(iv.start), iv.code])
-            continue
-        for i, iv in enumerate(stream.intervals):
-            writer.writerow([observer, stream.subject_id, stream.method, _iso(iv.start), iv.code])
-            nxt = stream.intervals[i + 1] if i + 1 < len(stream.intervals) else None
-            if nxt is None or nxt.start != iv.end:
-                writer.writerow([observer, stream.subject_id, stream.method, _iso(iv.end), END_CODE])
-    return out.getvalue()
+
+    def rows():
+        for stream in keyed:
+            key = [stream.observer_id or observer_id, stream.subject_id, stream.method]
+            events = stream.method == GROUND_SCAN and stream.is_instantaneous()
+            for i, iv in enumerate(stream.intervals):
+                yield [*key, _iso(iv.start), iv.code]
+                nxt = stream.intervals[i + 1] if i + 1 < len(stream.intervals) else None
+                if not events and (nxt is None or nxt.start != iv.end):
+                    yield [*key, _iso(iv.end), END_CODE]
+
+    return csv_text(OBS_HEADER, rows())
 
 
 def read_ground_observations(path: str | Path) -> list[ObservationStream]:
@@ -558,8 +544,8 @@ def import_cvat_video_xml(
     stream per labeled track at ``meta.fps``, frames without a label
     being unlabeled time inside it. A repeated track id, a negative or
     repeated frame and a non-finite coordinate are each a
-    :class:`ParseError`; anything else unsupported is skipped with a
-    :class:`CvatImportWarning`.
+    :class:`ParseError`; a track with no visible box, and anything else
+    unsupported, is skipped with a :class:`CvatImportWarning`.
     """
     if ethogram is None:
         ethogram = default_ethogram()
@@ -661,10 +647,12 @@ def import_cvat_video_xml(
                 f"oob:{track_id}",
                 f"track {track_id}: {out_of_bounds} box(es) extend outside frame bounds",
             )
+        if not boxes:  # tracks.csv has no row for it, so it would not round-trip
+            _warn(warned, f"empty:{track_id}", f"skipping track {track_id}: no visible box")
+            continue
         boxes.sort()  # frames are distinct, so this is frame order
         labels.sort(key=lambda fc: fc[0])
-        columns = tuple(zip(*boxes)) or ((),) * 5
-        tracks.append(Track(str(track_id), _species_from_label(label), *columns))
+        tracks.append(Track(str(track_id), _species_from_label(label), *zip(*boxes)))
         if labels:
             intervals = tuple(coalesce(ObsInterval(f, f + 1, c) for f, c in labels))
             streams.append(ObservationStream(str(track_id), LABELS, intervals, fps=meta.fps))

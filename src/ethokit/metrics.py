@@ -8,17 +8,16 @@ seconds streams go through the same code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import coalesce
 from .ethogram import TECHNICAL_CODES
 
 __all__ = [
     "TimeBudget",
-    "TransitionMatrix",
-    "ConfusionMatrix",
+    "CountMatrix",
     "AgreementStats",
     "ClassScore",
     "ClassMetrics",
@@ -29,7 +28,6 @@ __all__ = [
     "confusion",
     "cohens_kappa",
     "class_metrics",
-    "gantt_segments",
     "annotation_cost",
     "OTHER_CODE",
 ]
@@ -52,10 +50,6 @@ class TimeBudget:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seconds", MappingProxyType(dict(self.seconds)))
-
-    @property
-    def proportions(self) -> dict[str, float]:
-        return {code: t / self.t_visible for code, t in self.seconds.items()}
 
     def proportion(self, code: str) -> float:
         return self.seconds.get(code, 0.0) / self.t_visible
@@ -87,8 +81,13 @@ def out_of_sight_fraction(stream, ethogram=None) -> float:
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Pairwise transition counts n_ij and row-stochastic P(j|i)."""
+class CountMatrix:
+    """Square counts over codes, with row-normalized probabilities.
+
+    A transition matrix counts n_ij, from code i to code j; a confusion
+    matrix counts c_ab, the reference method on rows, the other on
+    columns.
+    """
 
     codes: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
@@ -100,20 +99,16 @@ class TransitionMatrix:
         if len(self.counts) != k or any(len(row) != k for row in self.counts):
             raise ValueError("counts must be square over codes")
         if any(c < 0 for row in self.counts for c in row):
-            raise ValueError("negative transition count")
+            raise ValueError("negative count")
 
     @property
     def probabilities(self) -> tuple[tuple[float, ...], ...]:
+        """Each row divided by its total; a row with no counts is all zeros."""
         rows = []
         for row in self.counts:
             total = sum(row)
             rows.append(tuple(c / total for c in row) if total else tuple(0.0 for _ in row))
         return tuple(rows)
-
-    def probability(self, from_code: str, to_code: str) -> float:
-        i = self.codes.index(from_code)
-        j = self.codes.index(to_code)
-        return self.probabilities[i][j]
 
     @property
     def total(self) -> int:
@@ -147,7 +142,7 @@ def transition_matrix(
     delta_s: float,
     codes: Sequence[str],
     ethogram=None,
-) -> TransitionMatrix:
+) -> CountMatrix:
     """Pool downsampled transition counts across streams.
 
     Each stream is sampled every delta_s seconds starting from its first
@@ -155,8 +150,8 @@ def transition_matrix(
     count, and pairs touching a technical code or coverage gap are
     skipped, never bridged.
     """
-    if delta_s <= 0:
-        raise ValueError(f"sampling interval must be positive, got {delta_s}")
+    if not 0 < delta_s < math.inf:
+        raise ValueError(f"sampling interval must be positive and finite, got {delta_s}")
     technical = ethogram.technical_codes() if ethogram is not None else TECHNICAL_CODES
     codes = tuple(codes)
     index = {code: i for i, code in enumerate(codes)}
@@ -170,38 +165,10 @@ def transition_matrix(
                 pairs += 1
     if pairs == 0:
         raise ValueError("no countable transition pairs")
-    return TransitionMatrix(codes, tuple(tuple(row) for row in counts))
+    return CountMatrix(codes, counts)
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts c_ab; rows are the reference method, columns the other."""
-
-    codes: tuple[str, ...]
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", tuple(self.codes))
-        object.__setattr__(self, "counts", tuple(tuple(row) for row in self.counts))
-        k = len(self.codes)
-        if len(self.counts) != k or any(len(row) != k for row in self.counts):
-            raise ValueError("counts must be square over codes")
-        if any(c < 0 for row in self.counts for c in row):
-            raise ValueError("negative count")
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def row_normalized(self) -> tuple[tuple[float, ...], ...]:
-        rows = []
-        for row in self.counts:
-            total = sum(row)
-            rows.append(tuple(c / total for c in row) if total else tuple(0.0 for _ in row))
-        return tuple(rows)
-
-
-def confusion(pairs, codes: Sequence[str]) -> ConfusionMatrix:
+def confusion(pairs, codes: Sequence[str]) -> CountMatrix:
     """Cross-tabulate a PairedSeries; stray codes land in "other"."""
     base = tuple(codes)
     if len(pairs) == 0:
@@ -215,7 +182,7 @@ def confusion(pairs, codes: Sequence[str]) -> ConfusionMatrix:
         i = index.get(ca, other)
         j = index.get(cb, other)
         counts[i][j] += 1
-    return ConfusionMatrix(full, tuple(tuple(row) for row in counts))
+    return CountMatrix(full, counts)
 
 
 class AgreementStats(NamedTuple):
@@ -226,7 +193,7 @@ class AgreementStats(NamedTuple):
     kappa: float
 
 
-def cohens_kappa(m: ConfusionMatrix) -> AgreementStats:
+def cohens_kappa(m: CountMatrix) -> AgreementStats:
     """Chance-corrected agreement with marginal-product expectation."""
     total = m.total
     if total == 0:
@@ -263,14 +230,8 @@ class ClassMetrics:
     macro_recall: float | None
     macro_f1: float | None
 
-    def score(self, code: str) -> ClassScore:
-        for item in self.per_class:
-            if item.code == code:
-                return item
-        raise KeyError(code)
 
-
-def class_metrics(m: ConfusionMatrix) -> ClassMetrics:
+def class_metrics(m: CountMatrix) -> ClassMetrics:
     """Reference on rows, prediction on columns."""
     k = len(m.codes)
     row_totals = [sum(m.counts[i]) for i in range(k)]
@@ -298,14 +259,6 @@ def class_metrics(m: ConfusionMatrix) -> ClassMetrics:
         macro([s.recall for s in scores]),
         macro([s.f1 for s in scores]),
     )
-
-
-def gantt_segments(stream):
-    """Maximal constant-code runs in time order, in the stream's unit, for plotting.
-
-    Touching equal-code intervals merge.
-    """
-    return coalesce(stream.intervals)
 
 
 @dataclass(frozen=True)

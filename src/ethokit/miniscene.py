@@ -7,18 +7,16 @@ geometry and applies the duration filter; it never touches pixels.
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
     AnalysisParams,
     ObservationStream,
-    Rect,
     Track,
     VideoMeta,
     coalesce,
+    csv_text,
     streams_by_track,
 )
 
@@ -71,8 +69,10 @@ class MiniScene:
         return self.end_frame - self.start_frame + 1
 
 
-def crop_window(cx: float, cy: float, out_w: int, out_h: int, meta: VideoMeta) -> Rect:
-    """Fixed-size rect centered on (cx, cy), translated to fit the frame.
+def crop_window(
+    cx: float, cy: float, out_w: int, out_h: int, meta: VideoMeta
+) -> tuple[float, float]:
+    """Centre of the fixed-size window on (cx, cy), translated to fit the frame.
 
     The window is never shrunk or rescaled; near frame edges it slides
     inward just enough to stay inside [0, width) x [0, height).
@@ -89,7 +89,7 @@ def crop_window(cx: float, cy: float, out_w: int, out_h: int, meta: VideoMeta) -
         )
     x = min(max(cx - out_w / 2, 0.0), meta.width_px - out_w)
     y = min(max(cy - out_h / 2, 0.0), meta.height_px - out_h)
-    return Rect(x, y, float(out_w), float(out_h))
+    return x + out_w / 2, y + out_h / 2
 
 
 def _split_segments(frames: tuple[int, ...], max_gap: int) -> list[tuple[int, int]]:
@@ -141,8 +141,8 @@ def extract_miniscenes(
             stream = _labels_for(track.track_id, start, end, by_track.get(track.track_id))
             windows = []
             for k in range(a, b):
-                rect = crop_window(x[k] + w[k] / 2.0, y[k] + h[k] / 2.0, out_w, out_h, meta)
-                windows.append(Window(frames[k], rect.x + out_w / 2, rect.y + out_h / 2))
+                cx, cy = crop_window(x[k] + w[k] / 2.0, y[k] + h[k] / 2.0, out_w, out_h, meta)
+                windows.append(Window(frames[k], cx, cy))
             scenes.append(
                 MiniScene(track.track_id, start, end, out_w, out_h, tuple(windows), stream)
             )
@@ -155,13 +155,9 @@ def dump_miniscene_manifest(scenes: list[MiniScene]) -> str:
     Per-frame geometry is recovered exactly by expanding each row over
     its inclusive frame range; a stationary window costs one row.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["track_id", "start_frame", "end_frame", "cx", "cy", "out_w", "out_h"])
+    rows = []
     for scene in scenes:
         cells = ((w.frame, w.frame + 1, (w.cx, w.cy)) for w in scene.windows)
         for start, end, (cx, cy) in coalesce(cells):
-            writer.writerow(
-                [scene.track_id, start, end - 1, repr(cx), repr(cy), scene.out_w, scene.out_h]
-            )
-    return out.getvalue()
+            rows.append([scene.track_id, start, end - 1, cx, cy, scene.out_w, scene.out_h])
+    return csv_text(["track_id", "start_frame", "end_frame", "cx", "cy", "out_w", "out_h"], rows)

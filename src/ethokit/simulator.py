@@ -26,7 +26,6 @@ from .core import (
     GROUND_FOCAL,
     GROUND_SCAN,
     LABELS,
-    ML_AUTO,
     ObservationStream,
     ObsInterval,
     Track,
@@ -165,17 +164,6 @@ class SimWorld:
             if fb > fa:
                 intervals.append(ObsInterval(fa, fb, cfg.codes[k]))
         return ObservationStream(subject, LABELS, tuple(intervals), fps=self.meta.fps)
-
-    def truth_observation(self, subject: str) -> ObservationStream:
-        """Ground truth on the wall clock, tagged as the automated method."""
-        i = self._index(subject)
-        t0 = self.meta.start_time.timestamp()
-        step, codes = self.config.step_s, self.config.codes
-        intervals = [
-            ObsInterval(t0 + a * step, t0 + b * step, codes[k])
-            for a, b, k in runs(self.code_steps[i])
-        ]
-        return ObservationStream(subject, ML_AUTO, tuple(intervals), _OBSERVER)
 
     def tracks(self) -> list[Track]:
         """Bounding-box tracks through the synthetic camera.

@@ -10,12 +10,10 @@ loads it.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .core import AnalysisParams, ObservationStream, Track, streams_by_track
+from .core import AnalysisParams, ObservationStream, Track, csv_text, streams_by_track
 
 if TYPE_CHECKING:
     import numpy as np
@@ -264,22 +262,20 @@ def overlap_summary(
 
 
 def dump_interaction_events(events: Sequence[InteractionEvent]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["a", "b", "start_frame", "end_frame", "frames", "mean_ratio", "tag"])
-    for e in events:
-        writer.writerow(
-            [e.track_a, e.track_b, e.start_frame, e.end_frame, e.frame_count, repr(e.mean_ratio), e.tag]
-        )
-    return out.getvalue()
+    return csv_text(
+        ["a", "b", "start_frame", "end_frame", "frames", "mean_ratio", "tag"],
+        (
+            [e.track_a, e.track_b, e.start_frame, e.end_frame, e.frame_count, e.mean_ratio, e.tag]
+            for e in events
+        ),
+    )
 
 
 def dump_overlap_matrix(matrix: OverlapMatrix) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["species_a", "species_b", "overlap_count", "possible_pairs", "normalized"])
-    for e in matrix.entries:
-        writer.writerow(
+    return csv_text(
+        ["species_a", "species_b", "overlap_count", "possible_pairs", "normalized"],
+        (
             [e.species_a, e.species_b, e.overlap_count, e.possible_pairs, f"{e.normalized:.2f}"]
-        )
-    return out.getvalue()
+            for e in matrix.entries
+        ),
+    )

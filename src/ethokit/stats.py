@@ -27,11 +27,9 @@ if TYPE_CHECKING:
 __all__ = [
     "DesignMatrix",
     "RegressionResult",
-    "TTestResult",
     "FTestResult",
     "dummy_code",
     "ols_fit",
-    "paired_ttest",
     "nested_f_test",
     "two_sided_p",
     "significance_stars",
@@ -77,14 +75,12 @@ def dummy_code(
     observations: Sequence[Mapping[str, str]],
     references: Mapping[str, str],
     interactions: Sequence[tuple[str, str]] = (),
-    levels: Mapping[str, Sequence[str]] | None = None,
 ) -> DesignMatrix:
     """0/1 design matrix against reference levels, intercept first.
 
     Factor order follows `references`; level columns are sorted within a
-    factor. Interaction columns are elementwise products of the two
-    factors' dummy columns. Pass `levels` to pin the level universe;
-    otherwise it is taken from the data.
+    factor, the levels being those in the data. Interaction columns are
+    elementwise products of the two factors' dummy columns.
     """
     factors = list(references)
     seen: dict[str, set[str]] = {f: {references[f]} for f in factors}
@@ -93,15 +89,6 @@ def dummy_code(
             if f not in obs:
                 raise ValueError(f"observation {i} missing factor {f!r}")
             seen[f].add(obs[f])
-    if levels is not None:
-        for f in factors:
-            known = set(levels[f])
-            if references[f] not in known:
-                raise ValueError(f"reference {references[f]!r} not a level of {f!r}")
-            unknown = seen[f] - known
-            if unknown:
-                raise ValueError(f"unknown level(s) for {f!r}: {sorted(unknown)}")
-            seen[f] = known
     for f1, f2 in interactions:
         if f1 not in references or f2 not in references:
             raise ValueError(f"interaction names unknown factor: {(f1, f2)}")
@@ -249,7 +236,10 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
         if not idx:
             continue
         keep = [j for j in range(p) if j not in set(idx)]
-        r2_red = _r_squared(x[:, keep], yv, tss)
+        x_red = x[:, keep]
+        beta_red, _ = _qr_solve(x_red, yv, [names[j] for j in keep])
+        resid_red = yv - x_red @ beta_red
+        r2_red = 1.0 - float(resid_red @ resid_red) / tss
         block_f2.append((name, (r2 - r2_red) / (1.0 - r2) if r2 < 1.0 else math.inf))
 
     return RegressionResult(
@@ -268,41 +258,6 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
         f2,
         tuple(block_f2),
     )
-
-
-def _r_squared(x: np.ndarray, y: np.ndarray, tss: float) -> float:
-    import numpy as np
-
-    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta
-    return 1.0 - float(resid @ resid) / tss
-
-
-class TTestResult(NamedTuple):
-    t: float
-    df: int
-    p: float
-    mean_diff: float
-
-
-def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
-    """Two-sided paired t-test on the elementwise differences."""
-    import numpy as np
-
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ValueError("paired samples must be equal-length vectors")
-    n = av.size
-    if n < 2:
-        raise ValueError(f"need at least 2 pairs, got {n}")
-    d = av - bv
-    sd = float(d.std(ddof=1))
-    if sd == 0:
-        raise ValueError("differences have zero variance")
-    mean = float(d.mean())
-    t = mean / (sd / math.sqrt(n))
-    return TTestResult(t, n - 1, two_sided_p(t, n - 1), mean)
 
 
 class FTestResult(NamedTuple):

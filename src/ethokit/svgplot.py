@@ -10,14 +10,13 @@ from __future__ import annotations
 import html
 from typing import Sequence
 
-from .core import ObservationStream
-from .metrics import ConfusionMatrix, TransitionMatrix, gantt_segments
+from .core import ObservationStream, coalesce
+from .metrics import CountMatrix
 
 __all__ = [
     "gantt_svg",
     "heatmap_svg",
     "transition_heatmap_svg",
-    "confusion_heatmap_svg",
 ]
 
 # Qualitative palette; codes are assigned in sorted order, cycling.
@@ -58,8 +57,9 @@ def gantt_svg(
 
     rows pairs a lane label with a stream. All lanes share one axis in
     the streams' unit, spanning the earliest to the latest interval edge.
+    Touching intervals with one code are drawn as one bar.
     """
-    lanes = [(label, gantt_segments(stream)) for label, stream in rows]
+    lanes = [(label, coalesce(stream.intervals)) for label, stream in rows]
     all_edges = [t for _, segs in lanes for s, e, _ in segs for t in (s, e)]
     if not all_edges:
         raise ValueError("nothing to plot")
@@ -176,9 +176,5 @@ def heatmap_svg(
     return "\n".join(parts) + "\n"
 
 
-def transition_heatmap_svg(matrix: TransitionMatrix, title: str = "") -> str:
+def transition_heatmap_svg(matrix: CountMatrix, title: str = "") -> str:
     return heatmap_svg(matrix.codes, matrix.codes, matrix.probabilities, title)
-
-
-def confusion_heatmap_svg(matrix: ConfusionMatrix, title: str = "") -> str:
-    return heatmap_svg(matrix.codes, matrix.codes, matrix.row_normalized(), title)

@@ -10,8 +10,6 @@ to the session start timestamp (plus any per-session clock offset).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -23,6 +21,7 @@ from .core import (
     ObservationStream,
     VideoMeta,
     coalesce,
+    csv_text,
 )
 from .ethogram import TECHNICAL_CODES
 
@@ -192,8 +191,8 @@ def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> Pa
     Each stream contributes the code occupying the majority of the bin;
     ties go to the code active at bin start.
     """
-    if delta_s <= 0:
-        raise ValueError(f"sampling interval must be positive, got {delta_s}")
+    if not 0 < delta_s < math.inf:
+        raise ValueError(f"sampling interval must be positive and finite, got {delta_s}")
     pieces = _intersect(a.covered_intervals(), b.covered_intervals())
     total = sum(e - s for s, e in pieces)
     if total == 0:
@@ -266,9 +265,4 @@ def label_stream_to_observation(
 
 
 def dump_paired_series(pairs: PairedSeries) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "code_a", "code_b"])
-    for t, ca, cb in pairs:
-        writer.writerow([repr(t), ca, cb])
-    return out.getvalue()
+    return csv_text(["t", "code_a", "code_b"], pairs)

@@ -19,11 +19,11 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from ethokit import (
+    CountMatrix,
     InteractionEvent,
     MiniScene,
     ObservationStream,
     TimeBudget,
-    TransitionMatrix,
     VideoMeta,
     Window,
     crop_window,
@@ -174,7 +174,7 @@ def sample_codes_scalar(stream: LabelStream, delta_s: float, meta: VideoMeta, te
 
 def transition_matrix_scalar(
     streams: list[LabelStream], delta_s: float, codes, meta: VideoMeta, ethogram=None
-) -> TransitionMatrix:
+) -> CountMatrix:
     technical = _technical(ethogram)
     codes = tuple(codes)
     index = {code: i for i, code in enumerate(codes)}
@@ -188,7 +188,7 @@ def transition_matrix_scalar(
                 pairs += 1
     if pairs == 0:
         raise ValueError("no countable transition pairs")
-    return TransitionMatrix(codes, tuple(tuple(row) for row in counts))
+    return CountMatrix(codes, tuple(tuple(row) for row in counts))
 
 
 def gantt_lane_scalar(stream: LabelStream) -> list[tuple[float, float, str]]:
@@ -265,7 +265,6 @@ def extract_miniscenes_scalar(tracks, labels: list[LabelStream], params, meta, o
             windows = []
             for box in segment:
                 cx, cy = box.x + box.w / 2.0, box.y + box.h / 2.0
-                rect = crop_window(cx, cy, out_w, out_h, meta)
-                windows.append(Window(box.frame, rect.x + out_w / 2, rect.y + out_h / 2))
+                windows.append(Window(box.frame, *crop_window(cx, cy, out_w, out_h, meta)))
             scenes.append(MiniScene(track.track_id, start, end, out_w, out_h, tuple(windows), stream))
     return scenes

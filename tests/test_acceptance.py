@@ -24,7 +24,7 @@ from ethokit import (
     GROUND_FOCAL,
     DRONE_FOCAL,
     AnalysisParams,
-    ConfusionMatrix,
+    CountMatrix,
     OverlapMatrix,
     SimConfig,
     Track,
@@ -232,11 +232,11 @@ def test_ols_oracle_equivalence_and_coverage(capsys):
 
 def test_kappa_hand_values(capsys):
     with checklist("Cohen's kappa on hand-computed matrices: 1.0, 0.0, 0.4", capsys):
-        perfect = ConfusionMatrix(("a", "b"), ((5, 0), (0, 5)))
+        perfect = CountMatrix(("a", "b"), ((5, 0), (0, 5)))
         assert cohens_kappa(perfect).kappa == pytest.approx(1.0, abs=1e-12)
-        chance = ConfusionMatrix(("a", "b"), ((25, 25), (25, 25)))
+        chance = CountMatrix(("a", "b"), ((25, 25), (25, 25)))
         assert cohens_kappa(chance).kappa == pytest.approx(0.0, abs=1e-12)
-        partial = ConfusionMatrix(("a", "b"), ((20, 5), (10, 15)))
+        partial = CountMatrix(("a", "b"), ((20, 5), (10, 15)))
         assert cohens_kappa(partial).kappa == pytest.approx(0.4, abs=1e-12)
 
 

@@ -15,9 +15,16 @@ from pathlib import Path
 import pytest
 import scipy.stats
 
-from ethokit import ParseError, dump_labels, dump_tracks, dump_video_meta
+from ethokit import (
+    ParseError,
+    VideoMeta,
+    dump_ground_observations,
+    dump_labels,
+    dump_tracks,
+    dump_video_meta,
+)
 from ethokit.cli import load_config, main
-from conftest import make_labels, make_track
+from conftest import T0, make_labels, make_track, obs
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +146,30 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, without",
+        [
+            (["transitions"], "labels.csv"),  # samples the focal observation streams
+            (["transitions"], None),
+            (["compare", "--subject", "ind000", "--method-a", "ground_focal",
+              "--method-b", "drone_focal"], None),
+        ],
+    )
+    def test_non_finite_interval_exit_one(self, sim_session, tmp_path, argv, without, interval):
+        session = tmp_path / "s"
+        shutil.copytree(sim_session, session)
+        if without:
+            (session / without).unlink()
+        argv = [argv[0], str(session), *argv[1:], "--interval", interval,
+                "--out", str(tmp_path / "o")]
+        # in a subprocess, so that a sampling loop that never ends fails the test
+        proc = run_python(
+            f"import sys\nfrom ethokit.cli import main\nsys.exit(main({argv!r}))", timeout=60
+        )
+        assert proc.returncode == 1
+        assert f"sampling interval must be positive and finite, got {interval}" in proc.stderr
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -630,6 +661,15 @@ class TestRegress:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_oversized_field_is_a_parse_error(self, tmp_path, capsys):
+        data = small_regress_table(tmp_path / "data.csv")
+        lines = data.read_text().splitlines()
+        lines[3] = "x" * 200_000 + lines[3][lines[3].index(","):]
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["regress", str(data), "--response", "prop", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "data.csv row 4: field larger than field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_response_is_a_parse_error(self, tmp_path, capsys, value):
         data = small_regress_table(tmp_path / "data.csv")
@@ -641,6 +681,68 @@ class TestRegress:
         err = capsys.readouterr().err
         assert "row 4 column 'prop'" in err
         assert "not a finite number" in err
+
+
+# an id and a code holding the CSV delimiter and quote
+SUBJECT, CODE = 'ind,"0"', 'G,"x"'
+
+
+@pytest.fixture
+def quoted_session(tmp_path) -> Path:
+    """Ground and drone focal records of SUBJECT, coded CODE and W."""
+    session = tmp_path / "quoted"
+    session.mkdir()
+    (session / "meta.json").write_text(dump_video_meta(VideoMeta("q", 1920, 1080, T0, fps=30.0)))
+    ground = obs(SUBJECT, "ground_focal", (0, 30, CODE), (30, 60, "W"), (60, 100, CODE))
+    drone = obs(SUBJECT, "drone_focal", (0, 35, CODE), (35, 60, "W"), (60, 100, CODE))
+    (session / "observations.csv").write_text(dump_ground_observations([ground, drone]))
+    return session
+
+
+def csv_rows(path: Path) -> list[list[str]]:
+    """The rows of a CSV output, each as wide as its header."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    return rows
+
+
+class TestCsvQuoting:
+    """Every CSV output quotes a field holding a comma or a quote, and parses back."""
+
+    def test_timebudget(self, quoted_session, tmp_path):
+        out = tmp_path / "o"
+        assert main(["timebudget", str(quoted_session), "--out", str(out)]) == 0
+        rows = csv_rows(out / "timebudget.csv")
+        assert {(row[1], row[2]) for row in rows[1:]} == {(SUBJECT, CODE), (SUBJECT, "W")}
+
+    def test_transitions(self, quoted_session, tmp_path):
+        out = tmp_path / "o"
+        assert main(["transitions", str(quoted_session), "--interval", "10",
+                     "--out", str(out)]) == 0
+        for name in ("transitions.csv", "transition_counts.csv"):
+            rows = csv_rows(out / name)
+            assert rows[0] == ["code", CODE, "W"]
+            assert [row[0] for row in rows[1:]] == [CODE, "W"]
+
+    def test_compare(self, quoted_session, tmp_path):
+        out = tmp_path / "o"
+        assert main(["compare", str(quoted_session), "--subject", SUBJECT,
+                     "--method-a", "ground_focal", "--method-b", "drone_focal",
+                     "--interval", "5", "--out", str(out)]) == 0
+        rows = csv_rows(out / "confusion.csv")
+        assert rows[0] == ["code", CODE, "W"]
+        assert [row[0] for row in rows[1:]] == [CODE, "W"]
+        rows = csv_rows(out / "class_metrics.csv")
+        assert [row[0] for row in rows[1:]] == [CODE, "W", "macro"]
+
+    def test_regression(self, tmp_path):
+        data = small_regress_table(tmp_path / "data.csv")
+        data.write_text(data.read_text().replace("open", '"open,wet"'))
+        out = tmp_path / "o"
+        assert main(["regress", str(data), "--response", "prop", "--out", str(out)]) == 0
+        rows = csv_rows(out / "regression.csv")
+        assert [row[0] for row in rows[1:]] == ["intercept", "habitat[open,wet]", "herd[small]"]
 
 
 class TestReport:
@@ -706,13 +808,13 @@ class TestEthogramEnv:
         assert "G" in capsys.readouterr().out
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
+def run_python(code: str, timeout: float = 120) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports ethokit from this tree."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from ethokit import (
@@ -12,26 +14,27 @@ from ethokit import (
     default_ethogram,
     parse_ethogram,
 )
-from ethokit.ethogram import dump_ethogram
+from ethokit.core import csv_text
 
 
 class TestDefaultEthogram:
     def test_has_both_kinds(self, ethogram):
-        assert len(ethogram.behavioral_codes()) == 18
+        assert len(ethogram.codes()) - len(ethogram.technical_codes()) == 18
         assert ethogram.technical_codes() == TECHNICAL_CODES
 
     def test_core_codes_present(self, ethogram):
         for code in ("G", "W", "HU", "AG", "MG", "B", "OOS", "OCL"):
-            assert code in ethogram
+            assert code in ethogram.codes()
 
     def test_species_restrictions(self, ethogram):
-        assert ethogram.class_for("B").species == "giraffe"
-        assert ethogram.class_for("G").species == "zebra"
-        assert ethogram.class_for("W").species == "both"
+        species = {cls.code: cls.species for cls in ethogram.classes}
+        assert species["B"] == "giraffe"
+        assert species["G"] == "zebra"
+        assert species["W"] == "both"
 
     def test_is_technical(self, ethogram):
-        assert ethogram.is_technical("OOS")
-        assert not ethogram.is_technical("G")
+        assert "OOS" in ethogram.technical_codes()
+        assert "G" not in ethogram.technical_codes()
 
 
 class TestResolve:
@@ -54,10 +57,11 @@ class TestResolve:
 
 class TestRoundTrip:
     def test_dump_parse_identity(self, ethogram):
-        text = dump_ethogram(ethogram)
-        again = parse_ethogram(text)
-        assert again == ethogram
-        assert dump_ethogram(again) == text
+        # parsing keeps every field: written back, the classes give the shipped file
+        shipped = resources.files("ethokit.data").joinpath("ethogram_v1.csv").read_text("utf-8")
+        rows = [(c.code, c.name, c.species, "1" if c.technical else "0") for c in ethogram.classes]
+        assert csv_text(["code", "name", "species", "technical"], rows) == shipped
+        assert parse_ethogram(shipped) == ethogram
 
 
 class TestValidation:

@@ -534,6 +534,19 @@ class TestCvatImport:
         with pytest.raises(ParseError, match="track 1 appears twice"):
             import_cvat_video_xml(f"<annotations>{track}{track}</annotations>", meta)
 
+    def test_track_without_visible_box_is_skipped(self, meta):
+        box = '<box frame="0" xtl="10" ytl="10" xbr="60" ybr="40" outside="{}"/>'
+        doc = (
+            f'<annotations><track id="1" label="Zebra">{box.format(0)}</track>'
+            f'<track id="2" label="Zebra">{box.format(1)}</track></annotations>'
+        )
+        with pytest.warns(CvatImportWarning, match="skipping track 2: no visible box"):
+            tracks, labels = import_cvat_video_xml(doc, meta)
+        assert [t.track_id for t in tracks] == ["1"]
+        assert labels == []
+        # every imported track has a row in tracks.csv, so the import round-trips
+        assert parse_tracks(dump_tracks(tracks, "s")) == tracks
+
     def test_unknown_behavior_kept_with_warning(self, meta):
         doc = (
             '<annotations><track id="1" label="Zebra"><box frame="0" xtl="10" ytl="10" '

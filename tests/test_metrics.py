@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
-    ConfusionMatrix,
+    CountMatrix,
     PairedSeries,
     annotation_cost,
     class_metrics,
     cohens_kappa,
     confusion,
-    gantt_segments,
     out_of_sight_fraction,
     time_budget,
     transition_matrix,
 )
+from ethokit.core import coalesce
 from conftest import EPOCH0, make_labels, obs
 
 
@@ -33,7 +33,7 @@ class TestTimeBudget:
     def test_single_code(self):
         budget = time_budget(obs("z1", "ground_focal", (0, 60, "G")))
         assert budget.t_visible == 60.0
-        assert budget.proportions == {"G": 1.0}
+        assert budget.proportion("G") == 1.0
 
     def test_technical_codes_excluded(self):
         stream = obs("z1", "ground_focal", (0, 60, "G"), (60, 90, "W"), (90, 100, "OOS"))
@@ -59,8 +59,8 @@ class TestTimeBudget:
             return
         stream = obs("z1", "ground_focal", *((i, i + 1, c) for i, c in enumerate(codes)))
         budget = time_budget(stream)
-        assert math.isclose(sum(budget.proportions.values()), 1.0, abs_tol=1e-9)
-        assert "OOS" not in budget.proportions
+        assert math.isclose(sum(map(budget.proportion, budget.seconds)), 1.0, abs_tol=1e-9)
+        assert "OOS" not in budget.seconds
 
 
 class TestOutOfSightFraction:
@@ -84,15 +84,14 @@ class TestTransitionMatrix:
         stream = obs("z1", "ground_focal", (0, 100, "G"))
         tm = transition_matrix([stream], 10.0, ["G", "W"])
         assert tm.counts[0][0] == 9
-        assert tm.probability("G", "G") == 1.0
+        assert tm.probabilities[0][0] == 1.0
 
     def test_hand_counted_pairs(self):
         # samples at 0,10,20,30,40 read G,G,W,W,G
         stream = obs("z1", "ground_focal", (0, 20, "G"), (20, 40, "W"), (40, 50, "G"))
         tm = transition_matrix([stream], 10.0, ["G", "W"])
         assert tm.counts == ((1, 1), (1, 1))
-        assert tm.probability("G", "W") == 0.5
-        assert tm.probability("W", "G") == 0.5
+        assert tm.probabilities == ((0.5, 0.5), (0.5, 0.5))
 
     def test_technical_pairs_skipped(self):
         stream = obs(
@@ -181,34 +180,34 @@ class TestConfusion:
 
     def test_row_normalized(self):
         m = confusion(paired("GGGW", "GWGW"), ["G", "W"])
-        rows = m.row_normalized()
+        rows = m.probabilities
         assert rows[0] == pytest.approx((2 / 3, 1 / 3))
         assert rows[1] == pytest.approx((0.0, 1.0))
 
 
 class TestCohensKappa:
     def test_perfect_agreement(self):
-        stats = cohens_kappa(ConfusionMatrix(("a", "b"), ((5, 0), (0, 5))))
+        stats = cohens_kappa(CountMatrix(("a", "b"), ((5, 0), (0, 5))))
         assert stats.kappa == 1.0
         assert stats.p_observed == 1.0
 
     def test_chance_level(self):
-        stats = cohens_kappa(ConfusionMatrix(("a", "b"), ((25, 25), (25, 25))))
+        stats = cohens_kappa(CountMatrix(("a", "b"), ((25, 25), (25, 25))))
         assert stats.kappa == 0.0
 
     def test_hand_arithmetic(self):
-        stats = cohens_kappa(ConfusionMatrix(("a", "b"), ((20, 5), (10, 15))))
+        stats = cohens_kappa(CountMatrix(("a", "b"), ((20, 5), (10, 15))))
         assert stats.p_observed == pytest.approx(0.7, abs=1e-12)
         assert stats.p_expected == pytest.approx(0.5, abs=1e-12)
         assert stats.kappa == pytest.approx(0.4, abs=1e-12)
 
     def test_degenerate_marginals_rejected(self):
         with pytest.raises(ValueError, match="degenerate marginals"):
-            cohens_kappa(ConfusionMatrix(("a", "b"), ((10, 0), (0, 0))))
+            cohens_kappa(CountMatrix(("a", "b"), ((10, 0), (0, 0))))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cohens_kappa(ConfusionMatrix(("a", "b"), ((0, 0), (0, 0))))
+            cohens_kappa(CountMatrix(("a", "b"), ((0, 0), (0, 0))))
 
     @given(st.lists(st.lists(st.integers(0, 20), min_size=3, max_size=3), min_size=3, max_size=3))
     @settings(max_examples=80)
@@ -216,9 +215,9 @@ class TestCohensKappa:
         total = sum(map(sum, rows))
         if total == 0:
             return
-        m = ConfusionMatrix(("a", "b", "c"), tuple(tuple(r) for r in rows))
+        m = CountMatrix(("a", "b", "c"), tuple(tuple(r) for r in rows))
         perm = (2, 0, 1)
-        permuted = ConfusionMatrix(
+        permuted = CountMatrix(
             ("c", "a", "b"),
             tuple(tuple(rows[i][j] for j in perm) for i in perm),
         )
@@ -234,7 +233,7 @@ class TestCohensKappa:
 
 class TestClassMetrics:
     def test_perfect_diagonal(self):
-        cm = class_metrics(ConfusionMatrix(("a", "b"), ((5, 0), (0, 7))))
+        cm = class_metrics(CountMatrix(("a", "b"), ((5, 0), (0, 7))))
         for score in cm.per_class:
             assert score.precision == 1.0
             assert score.recall == 1.0
@@ -242,7 +241,7 @@ class TestClassMetrics:
         assert cm.macro_f1 == 1.0
 
     def test_hand_arithmetic(self):
-        cm = class_metrics(ConfusionMatrix(("a", "b"), ((8, 2), (4, 6))))
+        cm = class_metrics(CountMatrix(("a", "b"), ((8, 2), (4, 6))))
         a = cm.per_class[0]
         assert a.precision == pytest.approx(8 / 12)
         assert a.recall == pytest.approx(0.8)
@@ -250,17 +249,17 @@ class TestClassMetrics:
 
     def test_empty_predicted_class_excluded_from_macro(self):
         # nothing ever predicted as "b": its precision is undefined
-        cm = class_metrics(ConfusionMatrix(("a", "b"), ((5, 0), (3, 0))))
+        cm = class_metrics(CountMatrix(("a", "b"), ((5, 0), (3, 0))))
         assert cm.per_class[1].precision is None
         assert cm.per_class[1].recall == 0.0
         assert cm.macro_precision == pytest.approx(5 / 8)
 
     def test_permutation_equivariance(self):
         rows = ((8, 2, 1), (4, 6, 0), (2, 2, 9))
-        base = class_metrics(ConfusionMatrix(("a", "b", "c"), rows))
+        base = class_metrics(CountMatrix(("a", "b", "c"), rows))
         perm = (2, 0, 1)
         permuted = class_metrics(
-            ConfusionMatrix(
+            CountMatrix(
                 ("c", "a", "b"),
                 tuple(tuple(rows[i][j] for j in perm) for i in perm),
             )
@@ -272,17 +271,17 @@ class TestClassMetrics:
 
 class TestGanttSegments:
     def test_single_interval(self):
-        segs = gantt_segments(obs("z1", "ground_focal", (0, 60, "G")))
+        segs = coalesce(obs("z1", "ground_focal", (0, 60, "G")).intervals)
         assert len(segs) == 1
 
     def test_per_frame_codes_merge(self):
         stream = make_labels(0, 0, "G", 1, 1, "G", 2, 2, "W", 3, 3, "G")
-        segs = gantt_segments(stream)
+        segs = coalesce(stream.intervals)
         assert segs == [(0, 2, "G"), (2, 3, "W"), (3, 4, "G")]
 
     def test_adjacent_equal_intervals_merge(self):
         stream = obs("z1", "ground_focal", (0, 10, "G"), (10, 20, "G"), (20, 30, "W"))
-        segs = gantt_segments(stream)
+        segs = coalesce(stream.intervals)
         assert [(i.start - EPOCH0, i.end - EPOCH0, i.code) for i in segs] == [
             (0.0, 20.0, "G"),
             (20.0, 30.0, "W"),
@@ -292,7 +291,7 @@ class TestGanttSegments:
     @settings(max_examples=60)
     def test_no_overlap_and_full_cover(self, codes):
         stream = obs("z1", "ground_focal", *((i, i + 1, c) for i, c in enumerate(codes)))
-        segs = gantt_segments(stream)
+        segs = coalesce(stream.intervals)
         assert segs[0].start == EPOCH0
         assert segs[-1].end == EPOCH0 + len(codes)
         for prev, cur in zip(segs, segs[1:]):

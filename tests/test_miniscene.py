@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ethokit import (
     AnalysisParams,
-    Rect,
     VideoMeta,
     crop_window,
     dump_miniscene_manifest,
@@ -19,13 +18,13 @@ from conftest import T0, make_labels, make_track, track_from_boxes
 
 class TestCropWindow:
     def test_symmetric_center(self, meta):
-        assert crop_window(960.0, 540.0, 400, 300, meta) == Rect(760.0, 390.0, 400, 300)
+        assert crop_window(960.0, 540.0, 400, 300, meta) == (960.0, 540.0)
 
     def test_clamped_to_origin(self, meta):
-        assert crop_window(10.0, 10.0, 400, 300, meta) == Rect(0.0, 0.0, 400, 300)
+        assert crop_window(10.0, 10.0, 400, 300, meta) == (200.0, 150.0)
 
     def test_clamped_to_far_edge(self, meta):
-        assert crop_window(1895.0, 1060.0, 400, 300, meta) == Rect(1520.0, 780.0, 400, 300)
+        assert crop_window(1895.0, 1060.0, 400, 300, meta) == (1720.0, 930.0)
 
     def test_center_out_of_bounds(self, meta):
         with pytest.raises(ValueError, match="center out of bounds"):
@@ -48,12 +47,12 @@ class TestCropWindow:
     @settings(max_examples=200)
     def test_window_inside_frame_and_contains_center(self, cx, cy, out_w, out_h):
         meta = VideoMeta("hyp", 1920, 1080, T0, fps=30.0)
-        rect = crop_window(cx, cy, out_w, out_h, meta)
-        assert rect.w == out_w and rect.h == out_h
-        assert 0 <= rect.x and rect.x + rect.w <= meta.width_px
-        assert 0 <= rect.y and rect.y + rect.h <= meta.height_px
-        assert rect.x <= cx <= rect.x + rect.w
-        assert rect.y <= cy <= rect.y + rect.h
+        wx, wy = crop_window(cx, cy, out_w, out_h, meta)
+        x, y = wx - out_w / 2, wy - out_h / 2  # the window's top-left corner
+        assert 0 <= x and x + out_w <= meta.width_px
+        assert 0 <= y and y + out_h <= meta.height_px
+        assert x <= cx <= x + out_w
+        assert y <= cy <= y + out_h
 
 
 class TestExtractMiniscenes:

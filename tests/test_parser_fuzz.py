@@ -4,7 +4,8 @@ Each parser gets plain arbitrary text and text shaped like its format
 (the right header, then rows or elements built from tokens near the
 edges of what it accepts), so the draws reach past the header check.
 ``load_config`` gets arbitrary JSON documents, documents shaped like a
-config, and text that no JSON reader can take.
+config, and text that no JSON reader can take. The ``regress`` table
+reader also gets a field past the csv module's size limit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import AnalysisParams, ParseError, VideoMeta, parse_ethogram
-from ethokit.cli import RunConfig, load_config
+from ethokit.cli import RunConfig, _read_table, load_config
 from ethokit.ingest import (
     LABEL_HEADER,
     OBS_HEADER,
@@ -182,3 +183,23 @@ def test_load_config(config_path, text):
         assert isinstance(load_config(config_path), RunConfig)
     except ParseError:
         pass
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "data.csv"
+
+
+# a field past the csv module's 131 072-character limit, in row 2
+OVERSIZED = st.integers(131_073, 140_000).map(lambda n: "a,b\n" + "x" * n + ",1\n")
+
+
+@FUZZ
+@given(text=st.one_of(st.text(), csv_like(["habitat", "herd", "y"]), OVERSIZED))
+def test_read_table(table_path, text):
+    table_path.write_text(text, encoding="utf-8")
+    try:
+        header, body = _read_table(table_path)
+    except ParseError:
+        return
+    assert all(len(row) == len(header) for row in body)

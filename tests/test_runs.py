@@ -13,7 +13,6 @@ from ethokit import (
     ParseError,
     VideoMeta,
     dump_miniscene_manifest,
-    gantt_segments,
     label_stream_to_observation,
     map_labels,
 )
@@ -133,7 +132,7 @@ class TestObservationStreamRuns:
     @given(obs_streams())
     @settings(max_examples=300, deadline=None)
     def test_gantt_segments(self, stream):
-        assert gantt_segments(stream) == gantt_segments_scalar(stream)
+        assert coalesce(stream.intervals) == gantt_segments_scalar(stream)
 
 
 class TestLabelStreamRuns:
@@ -148,7 +147,7 @@ class TestLabelStreamRuns:
     @given(label_streams())
     @settings(max_examples=300, deadline=None)
     def test_gantt_segments(self, stream):
-        got = gantt_segments(to_frames(stream, 30.0))
+        got = coalesce(to_frames(stream, 30.0).intervals)
         assert got == [(s, e + 1, code) for s, e, code in gantt_segments_scalar(stream)]
 
     @given(

@@ -7,6 +7,9 @@ import math
 import pytest
 
 from ethokit import (
+    ML_AUTO,
+    ObservationStream,
+    ObsInterval,
     OcclusionZone,
     SimConfig,
     cohens_kappa,
@@ -22,8 +25,17 @@ from ethokit import (
     transition_matrix,
     visibility_filter,
 )
+from ethokit.core import runs
 from ethokit.ingest import parse_ground_observations, parse_labels, parse_tracks
 from ethokit.simulator import export_world
+
+
+def truth_observation(world, subject: str) -> ObservationStream:
+    """Ground truth on the wall clock, one interval per run of equal steps."""
+    steps = world.code_steps[world.subjects.index(subject)]
+    t0, step, codes = world.meta.start_time.timestamp(), world.config.step_s, world.config.codes
+    intervals = [ObsInterval(t0 + a * step, t0 + b * step, codes[k]) for a, b, k in runs(steps)]
+    return ObservationStream(subject, ML_AUTO, tuple(intervals), "sim")
 
 
 def two_code_config(seed=1, q=((0.9, 0.1), (0.5, 0.5)), duration=2000.0, n=1, **kw):
@@ -131,7 +143,7 @@ class TestObserveScan:
 
     def test_events_match_truth_at_instants(self):
         world = simulate(two_code_config(duration=600.0))
-        truth = world.truth_observation(world.subjects[0])
+        truth = truth_observation(world, world.subjects[0])
         _, truth_end = truth.span
         (stream,) = observe_scan(world)
         for iv in stream.intervals:
@@ -144,7 +156,7 @@ class TestObserveScan:
 class TestObserveFocal:
     def test_no_zones_equals_truth(self):
         world = simulate(two_code_config(duration=400.0))
-        truth = world.truth_observation(world.subjects[0])
+        truth = truth_observation(world, world.subjects[0])
         for method in ("ground_focal", "drone_focal"):
             focal = observe_focal(world, world.subjects[0], method)
             assert focal.intervals == truth.intervals
@@ -156,7 +168,7 @@ class TestObserveFocal:
         ground = observe_focal(world, subject, "ground_focal")
         drone = observe_focal(world, subject, "drone_focal")
         assert [iv.code for iv in ground.intervals] == ["OOS"]
-        assert drone.intervals == world.truth_observation(subject).intervals
+        assert drone.intervals == truth_observation(world, subject).intervals
 
     def test_bad_method_rejected(self):
         world = simulate(two_code_config(duration=60.0))
@@ -195,7 +207,7 @@ class TestObserveFocal:
 class TestTruthRecovery:
     def test_truth_vs_truth_kappa_is_one(self):
         world = simulate(demo_config(9, duration_s=600.0))
-        truth = world.truth_observation(world.subjects[0])
+        truth = truth_observation(world, world.subjects[0])
         series = align_pair(truth, truth, 10.0)
         stats = cohens_kappa(confusion(series, sorted(set(series.codes_a))))
         assert stats.p_observed == 1.0
@@ -204,18 +216,18 @@ class TestTruthRecovery:
     def test_transition_matrix_recovers_q_roughly(self):
         q = ((0.9, 0.1), (0.5, 0.5))
         world = simulate(two_code_config(seed=29, q=q, duration=50_000.0))
-        truth = world.truth_observation(world.subjects[0])
+        truth = truth_observation(world, world.subjects[0])
         tm = transition_matrix([truth], 1.0, ["G", "W"])
-        for i, code_i in enumerate(("G", "W")):
-            for j, code_j in enumerate(("G", "W")):
-                assert tm.probability(code_i, code_j) == pytest.approx(q[i][j], abs=0.02)
+        for i in range(2):
+            for j in range(2):
+                assert tm.probabilities[i][j] == pytest.approx(q[i][j], abs=0.02)
 
     def test_time_budget_approaches_stationary(self):
         # stationary vector of [[0.9,0.1],[0.5,0.5]] is (5/6, 1/6)
         world = simulate(two_code_config(seed=31, duration=50_000.0))
-        budget = time_budget(world.truth_observation(world.subjects[0]))
-        assert budget.proportions["G"] == pytest.approx(5 / 6, abs=0.02)
-        assert budget.proportions["W"] == pytest.approx(1 / 6, abs=0.02)
+        budget = time_budget(truth_observation(world, world.subjects[0]))
+        assert budget.proportion("G") == pytest.approx(5 / 6, abs=0.02)
+        assert budget.proportion("W") == pytest.approx(1 / 6, abs=0.02)
 
 
 class TestExport:

@@ -25,7 +25,6 @@ from ethokit import (
     dummy_code,
     nested_f_test,
     ols_fit,
-    paired_ttest,
     significance_stars,
     two_sided_p,
 )
@@ -77,39 +76,33 @@ def t_cdf_quadrature(t, df, panels=8192):
 
 class TestDummyCode:
     REFS = {"habitat": "closed", "herd": "large"}
-    LEVELS = {"habitat": ["closed", "open"], "herd": ["large", "small"]}
 
     def test_non_reference_observation(self):
-        dm = dummy_code([{"habitat": "open", "herd": "small"}], self.REFS, levels=self.LEVELS)
+        dm = dummy_code([{"habitat": "open", "herd": "small"}], self.REFS)
         assert dm.columns == ("intercept", "habitat[open]", "herd[small]")
         assert dm.rows == ((1.0, 1.0, 1.0),)
 
     def test_reference_observation(self):
-        dm = dummy_code([{"habitat": "closed", "herd": "large"}], self.REFS, levels=self.LEVELS)
-        assert dm.rows == ((1.0, 0.0, 0.0),)
+        obs = [{"habitat": "closed", "herd": "large"}, {"habitat": "open", "herd": "small"}]
+        dm = dummy_code(obs, self.REFS)
+        assert dm.rows[0] == (1.0, 0.0, 0.0)
 
     def test_interaction_product_column(self):
         dm = dummy_code(
             [{"habitat": "open", "herd": "small"}],
             self.REFS,
             interactions=[("habitat", "herd")],
-            levels=self.LEVELS,
         )
         assert dm.columns[-1] == "habitat[open]:herd[small]"
         assert dm.rows == ((1.0, 1.0, 1.0, 1.0),)
 
     def test_interaction_zero_when_either_reference(self):
         dm = dummy_code(
-            [{"habitat": "open", "herd": "large"}],
+            [{"habitat": "open", "herd": "large"}, {"habitat": "closed", "herd": "small"}],
             self.REFS,
             interactions=[("habitat", "herd")],
-            levels=self.LEVELS,
         )
-        assert dm.rows == ((1.0, 1.0, 0.0, 0.0),)
-
-    def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError, match="unknown level"):
-            dummy_code([{"habitat": "swamp", "herd": "large"}], self.REFS, levels=self.LEVELS)
+        assert dm.rows == ((1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, 0.0))
 
     def test_missing_factor_rejected(self):
         with pytest.raises(ValueError, match="missing factor"):
@@ -120,7 +113,6 @@ class TestDummyCode:
             [{"habitat": "open", "herd": "small"}],
             self.REFS,
             interactions=[("habitat", "herd")],
-            levels=self.LEVELS,
         )
         assert dict(dm.blocks) == {"habitat": (1,), "herd": (2,), "habitat:herd": (3,)}
 
@@ -228,29 +220,6 @@ class TestOlsFit:
         assert fit.p_values[1] == pytest.approx(0.0, abs=1e-12)
         assert fit.se[1] == pytest.approx(0.0, abs=1e-12)
         assert fit.ci_high[1] - fit.ci_low[1] == pytest.approx(0.0, abs=1e-10)
-
-
-class TestPairedTTest:
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            paired_ttest([1.0, 2.0, 3.0], [0.0, 1.0, 2.0])
-
-    def test_hand_arithmetic(self):
-        d = [1.0, 1.0, 1.0, 1.0, -1.0, 1.0]
-        result = paired_ttest(d, [0.0] * 6)
-        assert result.t == pytest.approx(2.0, abs=1e-12)
-        assert result.df == 5
-        assert result.mean_diff == pytest.approx(2 / 3)
-        assert result.p == pytest.approx(2 * (1 - t_cdf_quadrature(2.0, 5)), abs=1e-10)
-
-    def test_direction_sign(self):
-        result = paired_ttest([0.0, 1.0, 2.0], [2.0, 4.0, 3.0])
-        assert result.t < 0
-        assert result.mean_diff == pytest.approx(-2.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            paired_ttest([1.0, 2.0], [1.0])
 
 
 class TestNestedFTest:

@@ -10,14 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ethokit import (
-    ConfusionMatrix,
-    TransitionMatrix,
-    confusion_heatmap_svg,
-    gantt_segments,
+    CountMatrix,
     gantt_svg,
     heatmap_svg,
     transition_heatmap_svg,
 )
+from ethokit.core import coalesce
 from ethokit.svgplot import _escape
 from conftest import make_labels, obs
 
@@ -44,7 +42,7 @@ class TestGantt:
         stream = obs("z1", "ground_focal", (0, 30, "G"), (30, 45, "W"), (45, 60, "G"))
         text = gantt_svg([("ground", stream)])
         root = svg_root(text)
-        assert len(lane_rects(root)) == len(gantt_segments(stream))
+        assert len(lane_rects(root)) == len(coalesce(stream.intervals))
 
     def test_multiple_lanes(self):
         a = make_labels(0, 89, "G")
@@ -89,14 +87,14 @@ class TestHeatmap:
             heatmap_svg(["G", "W"], ["G"], [[0.5]])
 
     def test_transition_wrapper(self):
-        tm = TransitionMatrix(("G", "W"), ((9, 1), (2, 2)))
+        tm = CountMatrix(("G", "W"), ((9, 1), (2, 2)))
         text = transition_heatmap_svg(tm, title="transitions")
         svg_root(text)
         assert ">0.90<" in text
 
     def test_confusion_wrapper(self):
-        cm = ConfusionMatrix(("G", "W"), ((8, 2), (0, 10)))
-        text = confusion_heatmap_svg(cm)
+        cm = CountMatrix(("G", "W"), ((8, 2), (0, 10)))
+        text = heatmap_svg(cm.codes, cm.codes, cm.probabilities)
         svg_root(text)
         assert ">0.80<" in text and ">1.00<" in text
 
