@@ -31,6 +31,7 @@ from .core import (
     Track,
     VideoMeta,
     csv_text,
+    read_text,
     streams_by_track,
     validate_session,
 )
@@ -119,7 +120,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         return _default_config()
     p = Path(path)
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(p))
     except FileNotFoundError:
         raise ParseError(f"config file not found: {p}") from None
     except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
@@ -529,7 +530,7 @@ def cmd_compare(args) -> int:
 
 def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except FileNotFoundError:
         raise ParseError(f"missing file: {path}") from None
     rows: list[list[str]] = []

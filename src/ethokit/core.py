@@ -16,6 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 # Canonical species identifiers. Any other non-empty string is accepted
@@ -38,6 +39,32 @@ LABELS = "labels"
 
 class ParseError(ValueError):
     """A file violated its schema; message names file position."""
+
+
+def read_text(path: Path) -> str:
+    """A file's UTF-8 text; ParseError naming the file and the byte
+    offset of the first byte that is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name}: not UTF-8 at byte {exc.start}") from None
+
+
+# The most sample points or bins one resampling of a stream may make: a
+# tiny sampling interval is refused before anything is allocated.
+MAX_SAMPLES = 10_000_000
+
+
+def sample_count(span_s: float, delta_s: float) -> int:
+    """floor(span_s / delta_s), the number of delta_s steps in span_s;
+    ValueError naming the count when it exceeds MAX_SAMPLES."""
+    steps = span_s / delta_s
+    if steps > MAX_SAMPLES:
+        raise ValueError(
+            f"interval {delta_s} s cuts {span_s} s into {steps:.0f} samples,"
+            f" more than the {MAX_SAMPLES} allowed"
+        )
+    return math.floor(steps)
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import ParseError
+from .core import ParseError, read_text
 
 OCCLUDED = "OCL"
 OUT_OF_FOCUS = "OOC"
@@ -151,7 +151,7 @@ def parse_ethogram(text: str) -> Ethogram:
 
 
 def read_ethogram(path: str | Path) -> Ethogram:
-    return parse_ethogram(Path(path).read_text(encoding="utf-8"))
+    return parse_ethogram(read_text(Path(path)))
 
 
 @lru_cache(maxsize=1)

@@ -60,6 +60,7 @@ from .core import (
     VideoMeta,
     coalesce,
     csv_text,
+    read_text,
 )
 from .ethogram import Ethogram, default_ethogram, read_ethogram
 
@@ -240,7 +241,7 @@ def dump_tracks(tracks: list[Track], session_id: str) -> str:
 
 def read_tracks(path: str | Path) -> list[Track]:
     p = Path(path)
-    return parse_tracks(p.read_text(encoding="utf-8"), name=p.name)
+    return parse_tracks(read_text(p), name=p.name)
 
 
 def write_tracks(tracks: list[Track], path: str | Path, session_id: str) -> None:
@@ -297,7 +298,7 @@ def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
 
 def read_labels(path: str | Path, fps: float) -> list[ObservationStream]:
     p = Path(path)
-    return parse_labels(p.read_text(encoding="utf-8"), fps, name=p.name)
+    return parse_labels(read_text(p), fps, name=p.name)
 
 
 def write_labels(streams: list[ObservationStream], path: str | Path, session_id: str) -> None:
@@ -427,12 +428,12 @@ def dump_ground_observations(streams: list[ObservationStream], observer_id: str 
 
 def read_ground_observations(path: str | Path) -> list[ObservationStream]:
     p = Path(path)
-    return parse_ground_observations(p.read_text(encoding="utf-8"), name=p.name)
+    return parse_ground_observations(read_text(p), name=p.name)
 
 
 def read_observation_index(path: str | Path) -> ObservationIndex:
     p = Path(path)
-    return ObservationIndex(p.read_text(encoding="utf-8"), name=p.name)
+    return ObservationIndex(read_text(p), name=p.name)
 
 
 def write_ground_observations(
@@ -494,7 +495,7 @@ def dump_video_meta(meta: VideoMeta) -> str:
 
 def read_video_meta(path: str | Path) -> VideoMeta:
     p = Path(path)
-    return parse_video_meta(p.read_text(encoding="utf-8"), name=p.name)
+    return parse_video_meta(read_text(p), name=p.name)
 
 
 def write_video_meta(meta: VideoMeta, path: str | Path) -> None:

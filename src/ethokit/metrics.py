@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
+from .core import sample_count
 from .ethogram import TECHNICAL_CODES
 
 __all__ = [
@@ -125,6 +126,7 @@ def _sample_codes(stream, delta_s: float, technical) -> list[str | None]:
     if t0 is None:
         return []
     t0, span_end = stream.to_seconds(t0), stream.to_seconds(stream.span[1])
+    sample_count(span_end - t0, delta_s)  # refuses a count that would not fit in memory
     samples: list[str | None] = []
     k = 0
     while True:

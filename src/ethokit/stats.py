@@ -3,16 +3,18 @@
 The working model is ordinary least squares on dummy-coded categorical
 predictors (reference levels absorbed by the intercept), with effect
 sizes reported as Cohen's f2 at the model level and incrementally per
-predictor block. Solving uses QR, never an explicit inverse.
+predictor block. Solving uses a Householder QR with column pivoting,
+never an explicit inverse.
 
-Distribution tails come from ``scipy.special`` (``stdtr``, ``stdtrit``,
-``fdtrc``): these are the functions scipy's own ``stats`` t and F
-distributions evaluate, so the values are the same to the bit,
-but the ``stats`` subpackage (which also loads ``scipy.optimize`` and
-``scipy.spatial``) is never loaded. NumPy and scipy are imported on
-first use, inside the functions that call them, so importing this
-module (and every command that never fits a model) does not pay for
-loading either.
+The t and F tails are the regularized incomplete beta function
+``I_x(a, b)``, evaluated by its continued fraction (modified Lentz), one
+of the methods of DiDonato & Morris, ACM TOMS Algorithm 708 (1992). Against mpmath at
+50 digits they are within a relative 1e-10 (two subnormal ulps below
+about 2.2e-308) for degrees of freedom up to 1e4, where they were
+checked; ``1 - cdf`` is never formed, so p-values far below 1e-16 keep
+their digits. The package needs no scipy. NumPy is imported on first
+use, inside the functions that call it, so importing this module (and
+every command that never fits a model) does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ __all__ = [
 ]
 
 INTERCEPT = "intercept"
+_EPS = 2.0**-52
+_TINY = 1e-300  # keeps Lentz's denominators off zero
+_MAX_ITERATIONS = 10_000
+_Z_975 = 1.959963984540054  # the standard normal's 0.975 quantile
 
 
 @dataclass(frozen=True)
@@ -160,26 +166,48 @@ class RegressionResult:
 
 
 def _qr_solve(x: np.ndarray, y: np.ndarray, names: Sequence[str]):
-    """Least squares via pivoted QR; names rank-deficient columns."""
+    """Least squares via Householder QR with column pivoting; names
+    rank-deficient columns.
+
+    Each step moves the column of largest remaining norm to the front,
+    as LAPACK's ``geqp3`` does, so the rank ends at the first step whose
+    norm is at most ``max(n, p) * eps * |r_00|``. Returns beta and
+    (X'X)^-1.
+    """
     import numpy as np
-    import scipy.linalg
 
     n, p = x.shape
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(n, p) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < p:
-        dependent = sorted(names[j] for j in piv[rank:])
-        raise ValueError(f"design matrix is rank deficient; dependent columns: {dependent}")
-    beta_piv = scipy.linalg.solve_triangular(r, q.T @ y)
+    a = np.array(x, dtype=float)  # reduced in place to R
+    qty = np.array(y, dtype=float)
+    piv = np.arange(p)
+    tol = 0.0
+    for k in range(p):
+        rest = a[k:, k:]
+        j = k + int(np.argmax(np.einsum("ij,ij->j", rest, rest)))
+        a[:, [k, j]] = a[:, [j, k]]
+        piv[[k, j]] = piv[[j, k]]
+        v = a[k:, k].copy()
+        norm = float(np.linalg.norm(v))
+        if k == 0:
+            tol = max(n, p) * _EPS * norm
+        if norm <= tol:
+            dependent = sorted(names[i] for i in piv[k:])
+            raise ValueError(f"design matrix is rank deficient; dependent columns: {dependent}")
+        v[0] += math.copysign(norm, v[0])  # reflects the column onto -sign(v0) * norm * e_0
+        scale = 2.0 / float(v @ v)
+        a[k:, k:] -= np.outer(v, scale * (v @ a[k:, k:]))
+        qty[k:] -= v * (scale * float(v @ qty[k:]))
+    r = np.triu(a[:p])
+    # back-substitution for R b = Q'y and R R^-1 = I at once
+    sol = np.column_stack([qty[:p], np.eye(p)])
+    for i in range(p - 1, -1, -1):
+        sol[i] = (sol[i] - r[i, i + 1:] @ sol[i + 1:]) / r[i, i]
     beta = np.empty(p)
-    beta[piv] = beta_piv
+    beta[piv] = sol[:, 0]
     # (X'X)^-1 = P R^-1 R^-T P' for the pivoted factorization
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
-    xtx_inv_piv = r_inv @ r_inv.T
+    r_inv = sol[:, 1:]
     xtx_inv = np.empty((p, p))
-    xtx_inv[np.ix_(piv, piv)] = xtx_inv_piv
+    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
     return beta, xtx_inv
 
 
@@ -205,6 +233,8 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
         raise ValueError(f"response length {yv.shape} does not match {n} rows")
     if n <= p:
         raise ValueError(f"need more observations ({n}) than parameters ({p})")
+    if not (np.isfinite(x).all() and np.isfinite(yv).all()):
+        raise ValueError("design and response must be finite")
 
     beta, xtx_inv = _qr_solve(x, yv, names)
     resid = yv - x @ beta
@@ -221,10 +251,8 @@ def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> Regression
             t_stats[j] = beta[j] / se[j]
         else:  # exact fit: zero residual variance
             t_stats[j] = 0.0 if beta[j] == 0 else math.copysign(math.inf, beta[j])
-    p_values = np.array([two_sided_p(t, df) if math.isfinite(t) else 0.0 for t in t_stats])
-    from scipy import special
-
-    t_crit = float(special.stdtrit(df, 0.975))
+    p_values = np.array([two_sided_p(t, df) for t in t_stats])
+    t_crit = _t_critical_95(df)
     ci_low = beta - t_crit * se
     ci_high = beta + t_crit * se
     r2 = 1.0 - rss / tss
@@ -280,20 +308,123 @@ def nested_f_test(full: RegressionResult, reduced: RegressionResult) -> FTestRes
     # an exact fit leaves only rounding noise in rss; judge it against tss
     if full.rss <= 1e-12 * full.tss:
         raise ValueError("full model fits exactly; F statistic undefined")
-    from scipy import special
-
     f = max(0.0, (reduced.rss - full.rss) / df1) / (full.rss / df2)
-    return FTestResult(f, df1, df2, float(special.fdtrc(df1, df2, f)))
+    return FTestResult(f, df1, df2, _f_sf(f, df1, df2))
 
 
 def two_sided_p(t: float, df: float) -> float:
-    """2 P(T > |t|) from the survival function, which keeps its digits
-    where ``1 - cdf`` rounds to 0 (p below about 1e-16)."""
+    """2 P(T > |t|) for Student's t with df degrees of freedom: the
+    incomplete beta ``I_x(df/2, 1/2)`` at ``x = df / (df + t^2)``, which
+    keeps its digits where ``1 - cdf`` rounds to 0 (p below about 1e-16)."""
     if not df > 0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    from scipy import special
+    if math.isinf(t):
+        return 0.0
+    tt = t * t
+    return _betainc(0.5 * df, 0.5, df / (df + tt), tt / (df + tt))
 
-    return 2.0 * float(special.stdtr(df, -abs(t)))
+
+def _f_sf(f: float, df1: float, df2: float) -> float:
+    """P(F > f) for Snedecor's F: ``I_x(df2/2, df1/2)`` at ``x = df2 / (df2 + df1 f)``."""
+    if math.isinf(f):
+        return 0.0
+    u = df1 * f
+    return _betainc(0.5 * df2, 0.5 * df1, df2 / (df2 + u), u / (df2 + u))
+
+
+def _t_critical_95(df: float) -> float:
+    """The t > 0 with two_sided_p(t, df) = 0.05, by Newton's method.
+
+    The tail is convex and falling for t > 0, so Newton steps from a
+    start left of the root rise to it without overshooting; the normal
+    quantile is such a start, because every t tail is heavier. It stops
+    at a step below 1e-12 of t, which includes a negative step: only the
+    tail's rounding makes one.
+    """
+    log_norm = -0.5 * math.log(df) - _log_beta(0.5 * df, 0.5)
+    t = _Z_975
+    for _ in range(_MAX_ITERATIONS):
+        density = math.exp(log_norm - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+        step = (two_sided_p(t, df) - 0.05) / (2.0 * density)
+        t += step
+        if step <= 1e-12 * t:
+            return t
+    raise ArithmeticError(f"t quantile did not converge for df={df}")
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta ``I_x(a, b)``, given ``y = 1 - x`` as
+    computed exactly by the caller (``x`` itself may round to 1).
+
+    The continued fraction converges fast for ``x < (a+1)/(a+b+2)``;
+    above that point ``I_x(a, b) = 1 - I_y(b, a)``, which is then at
+    least about 0.08, so the subtraction costs no relative precision.
+    """
+    if math.isnan(x + y):  # a NaN statistic has no tail
+        return math.nan
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if x < (a + 1.0) / (a + b + 2.0):
+        return _betainc_cf(a, b, x, y)
+    return 1.0 - _betainc_cf(b, a, y, x)
+
+
+def _betainc_cf(a: float, b: float, x: float, y: float) -> float:
+    """``x^a y^b / (a B(a, b))`` times the continued fraction, by
+    modified Lentz; the prefactor is summed in log space so a result
+    below the smallest normal double is rounded once."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+
+    def clamp(v: float) -> float:
+        return v if abs(v) > _TINY else _TINY
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _MAX_ITERATIONS):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / clamp(1.0 + aa * d)
+        c = clamp(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / clamp(1.0 + aa * d)
+        c = clamp(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= 2.0 * _EPS:
+            break
+    else:
+        raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    return math.exp(a * log_x + b * log_y - _log_beta(a, b) + math.log(h / a))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0.
+
+    Once the larger argument reaches 10, ``lgamma(a) - lgamma(a + b)``
+    comes from Stirling's series with its large terms cancelled by hand,
+    as cephes ``lbeta`` does for a large argument: differencing two
+    ``lgamma`` values of several thousand loses digits to their rounding.
+    """
+    if a < b:
+        a, b = b, a
+    if a < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    s = a + b
+    head = -(a - 0.5) * math.log1p(b / a) - b * math.log(s) + b
+    return math.lgamma(b) + head + _stirling_tail(a) - _stirling_tail(s)
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2) for z >= 10, by
+    five terms of Stirling's series (the sixth is below 2e-14 there)."""
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
 
 
 def significance_stars(p: float) -> str:

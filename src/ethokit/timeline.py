@@ -22,6 +22,7 @@ from .core import (
     VideoMeta,
     coalesce,
     csv_text,
+    sample_count,
 )
 from .ethogram import TECHNICAL_CODES
 
@@ -197,7 +198,7 @@ def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> Pa
     total = sum(e - s for s, e in pieces)
     if total == 0:
         raise ValueError("streams share no covered time")
-    n = int(total / delta_s)
+    n = sample_count(total, delta_s)
     if n == 0:
         raise ValueError(f"interval {delta_s} s exceeds common span {total} s")
 

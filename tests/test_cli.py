@@ -10,11 +10,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import scipy.stats
 
+import ethokit
 from ethokit import (
     ParseError,
     VideoMeta,
@@ -170,6 +172,22 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert f"sampling interval must be positive and finite, got {interval}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transitions"],
+            ["compare", "--subject", "ind000", "--method-a", "ground_focal",
+             "--method-b", "drone_focal"],
+        ],
+        ids=["transitions", "compare"],
+    )
+    def test_tiny_interval_exit_one(self, tmp_path, capsys, argv):
+        argv = [argv[0], str(GOLDEN), *argv[1:], "--interval", "1e-6", "--out", str(tmp_path / "o")]
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "samples, more than the 10000000 allowed" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -794,6 +812,36 @@ def test_malformed_ethogram_is_a_parse_error(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+def _with_bad_byte(path: Path) -> int:
+    """Put byte 0xfb, which no UTF-8 text holds, in the middle of an ASCII file."""
+    data = path.read_bytes()
+    at = len(data) // 2
+    path.write_bytes(data[:at] + b"\xfb" + data[at:])
+    return at
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["meta.json", "tracks.csv", "labels.csv", "observations.csv", "cfg.json", "ethogram.csv",
+     "table.csv"],
+)
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, name):
+    session = tmp_path / "session"
+    shutil.copytree(GOLDEN, session)
+    ethogram = tmp_path / "ethogram.csv"
+    ethogram.write_bytes((Path(ethokit.__file__).parent / "data" / "ethogram_v1.csv").read_bytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ethogram": str(ethogram)}))
+    table = small_regress_table(tmp_path / "table.csv")
+    at = _with_bad_byte(session / name if (session / name).exists() else tmp_path / name)
+    if name == "table.csv":
+        argv = ["regress", str(table), "--response", "prop", "--out", str(tmp_path / "o")]
+    else:
+        argv = ["validate", str(session), "--config", str(cfg)]
+    assert main(argv) == 2
+    assert f"{name}: not UTF-8 at byte {at}" in capsys.readouterr().err
+
+
 class TestEthogramEnv:
     def test_env_var_overrides_default(self, tmp_path, monkeypatch, capsys):
         custom = tmp_path / "tiny_ethogram.csv"
@@ -876,20 +924,26 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert "numpy" in done.stdout.splitlines()[-1]
 
-    def test_regress_does_not_load_scipy_stats(self, tmp_path):
+    @staticmethod
+    def _regress_argv(tmp_path: Path, out: str) -> list[str]:
         data = small_regress_table(tmp_path / "data.csv")
         (tmp_path / "cfg.json").write_text('{"interactions": [["habitat", "herd"]]}')
-        argv = ["regress", str(data), "--response", "prop",
-                "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
-        code = (
-            "import sys\n"
-            "from ethokit.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
-        )
-        done = run_python(code)
+        return ["regress", str(data), "--response", "prop",
+                "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / out)]
+
+    def test_regress_does_not_load_scipy(self, tmp_path):
+        done = run_python(_main_then_modules(self._regress_argv(tmp_path, "o"), "scipy"))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
         model = json.loads((tmp_path / "o" / "model.json").read_text())
         assert "interaction_test" in model
+
+    def test_regress_runs_with_scipy_blocked(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail
+        for out, prelude in (("free", ""), ("blocked", "import sys\nsys.modules['scipy'] = None\n")):
+            argv = self._regress_argv(tmp_path, out)
+            done = run_python(prelude + f"from ethokit.cli import main\nassert main({argv!r}) == 0\n")
+            assert done.returncode == 0, done.stderr
+        for name in ("regression.csv", "model.json"):
+            assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+        assert "interaction_test" in json.loads((tmp_path / "blocked" / "model.json").read_text())

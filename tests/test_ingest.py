@@ -32,6 +32,7 @@ from ethokit.ingest import (
     parse_labels,
     parse_tracks,
     parse_video_meta,
+    read_ground_observations,
 )
 from conftest import EPOCH0, T0, make_labels, track_from_boxes
 from scalar_ingest import parse_tracks as oracle_parse_tracks
@@ -585,3 +586,12 @@ class TestCvatImport:
         )
         tracks, _ = import_cvat_video_xml(doc, meta)
         assert tracks[0].species == "zebra_unspecified"
+
+
+def test_read_ground_observations_rejects_non_utf8(tmp_path):
+    # the other readers are covered through the CLI in test_cli.py
+    header = (",".join(OBS_HEADER) + "\n").encode()
+    path = tmp_path / "observations.csv"
+    path.write_bytes(header + b"\xfb\n")
+    with pytest.raises(ParseError, match=f"observations.csv: not UTF-8 at byte {len(header)}"):
+        read_ground_observations(path)

@@ -2,8 +2,10 @@
 
 The least-squares oracle here is deliberately different plumbing from
 the implementation: plain Gaussian elimination on the normal equations
-and quadrature for distribution tails. The tails are also compared, to
-the bit, with ``scipy.stats`` (see ``scipy_stats_oracle``).
+and quadrature for distribution tails. The tails are also compared with
+mpmath's regularized incomplete beta at 50 digits, to a relative 1e-10
+(see ``assert_tail``), and with ``scipy.stats`` (see
+``scipy_stats_oracle``) to a relative 1e-12 where scipy is that exact.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -169,6 +172,15 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="constant"):
             ols_fit(x, [3.0] * 5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.array([[1.0, float(v)] for v in range(5)])
+        with pytest.raises(ValueError, match="finite"):
+            ols_fit(x, [1.0, 2.0, bad, 3.0, 5.0])
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ols_fit(x, [1.0, 2.0, 4.0, 3.0, 5.0])
+
     def test_r_squared_affine_invariant(self):
         rng = random.Random(3)
         x = np.array([[1.0, rng.gauss(0, 1)] for _ in range(25)])
@@ -315,6 +327,9 @@ class TestDistributionTails:
         assert expected < 1e-16
         assert two_sided_p(t, df) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    def test_nan_statistic_has_nan_tail(self):
+        assert math.isnan(two_sided_p(math.nan, 5))
+
     def test_invalid_df_rejected(self):
         with pytest.raises(ValueError):
             two_sided_p(1.0, 0)
@@ -351,13 +366,38 @@ def _fit_summary(n_columns: int, n_obs: int, rss: float) -> RegressionResult:
     )
 
 
-class TestTailsMatchScipyStats:
-    """The scipy.special tails equal the scipy.stats ones exactly."""
+def mp_two_sided_p(t: float, df: float) -> float:
+    """2 P(T > |t|) as mpmath's incomplete beta at 50 digits, from exact t and df."""
+    if math.isinf(t):
+        return 0.0
+    with mpmath.workdps(50):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        return float(mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True))
+
+
+def mp_f_sf(f: float, df1: int, df2: int) -> float:
+    """P(F > f) as mpmath's incomplete beta at 50 digits, from exact f."""
+    if math.isinf(f):
+        return 0.0
+    with mpmath.workdps(50):
+        f = mpmath.mpf(f)
+        return float(mpmath.betainc(mpmath.mpf(df2) / 2, mpmath.mpf(df1) / 2, 0,
+                                    df2 / (df2 + df1 * f), regularized=True))
+
+
+def assert_tail(got: float, want: float) -> None:
+    """Relative 1e-10, plus two subnormal ulps: below about 2.2e-308 a
+    double cannot hold a relative 1e-10."""
+    assert abs(got - want) <= 1e-10 * want + 1e-323, (got, want)
+
+
+class TestTailTolerance:
+    """The tails are within a relative 1e-10 of the exact incomplete beta."""
 
     @given(t=T_VALUES, df=DFS)
     @settings(max_examples=500, deadline=None)
     def test_two_sided_p(self, t, df):
-        assert two_sided_p(t, df) == oracle.two_sided_p(t, df)
+        assert_tail(two_sided_p(t, df), mp_two_sided_p(t, df))
 
     @given(f=F_VALUES, df1=st.integers(1, 20), df2=st.integers(1, 10_000))
     @settings(max_examples=300, deadline=None)
@@ -366,7 +406,17 @@ class TestTailsMatchScipyStats:
         reduced = _fit_summary(1, 1 + df1 + df2, df2 + f * df1)
         result = nested_f_test(full, reduced)
         assert (result.df1, result.df2) == (df1, df2)
-        assert result.p == oracle.f_sf(result.f, df1, df2)
+        assert_tail(result.p, mp_f_sf(result.f, df1, df2))
+
+    def test_f_tail_near_the_smallest_normal(self):
+        # scipy's fdtrc returns 1.0495e-306 here, 32 % below the true tail
+        df1, df2 = 19, 2937
+        full = _fit_summary(1 + df1, 1 + df1 + df2, float(df2))
+        reduced = _fit_summary(1, 1 + df1 + df2, df2 + 102.46175995124452 * df1)
+        result = nested_f_test(full, reduced)
+        assert result.f == pytest.approx(102.46175995124452, rel=1e-14)
+        assert result.p == pytest.approx(1.38604e-306, rel=1e-5)
+        assert_tail(result.p, mp_f_sf(result.f, df1, df2))
 
     @given(df=st.integers(1, 10_000), p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -376,10 +426,13 @@ class TestTailsMatchScipyStats:
         x = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
         result = ols_fit(x, rng.normal(size=n))
         crit = oracle.t_ppf(0.975, df)
-        beta, se = np.array(result.beta), np.array(result.se)
-        assert result.ci_low == tuple((beta - crit * se).tolist())
-        assert result.ci_high == tuple((beta + crit * se).tolist())
-        assert result.p_values == tuple(oracle.two_sided_p(t, df) for t in result.t_stats)
+        # a bound is a difference, so its error is judged against its terms
+        for b, s, lo, hi in zip(result.beta, result.se, result.ci_low, result.ci_high):
+            scale = abs(b) + crit * s
+            assert abs(lo - (b - crit * s)) <= 1e-10 * scale + 1e-323
+            assert abs(hi - (b + crit * s)) <= 1e-10 * scale + 1e-323
+        for got, t in zip(result.p_values, result.t_stats):
+            assert_tail(got, mp_two_sided_p(t, df))
 
 
 class TestSignificanceStars:

@@ -246,6 +246,30 @@ class TestAlignPair:
             return
         assert len(align_pair(a, b, delta)) == int(common / delta)
 
+    @given(
+        a=st.deferred(lambda: half_second_streams("ground_focal")),
+        b=st.deferred(lambda: half_second_streams("drone_focal")),
+        delta=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+    )
+    @settings(max_examples=100)
+    def test_count_is_floor_of_common_time(self, a, b, delta):
+        # streams with holes: the common time is the summed pairwise overlap
+        common = sum(
+            max(0.0, min(x.end, y.end) - max(x.start, y.start))
+            for x in a.intervals for y in b.intervals
+        )
+        if common < delta:
+            with pytest.raises(ValueError):
+                align_pair(a, b, delta)
+            return
+        assert len(align_pair(a, b, delta)) == math.floor(common / delta)
+
+    def test_tiny_interval_refused_before_sampling(self):
+        a = obs("z1", "ground_focal", (0, 40, "G"))
+        b = obs("z1", "drone_focal", (0, 40, "W"))
+        with pytest.raises(ValueError, match="into 40000000 samples, more than the 10000000"):
+            align_pair(a, b, 1e-6)
+
 
 class TestLabelStreamToObservation:
     def test_frame_to_epoch_conversion(self, meta):
