@@ -541,6 +541,8 @@ def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         raise ParseError(f"{path.name}: empty file")
     header, body = rows[0], rows[1:]
+    if not body:
+        raise ParseError(f"{path.name}: no data rows")
     for i, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise ParseError(f"{path.name} row {i}: expected {len(header)} fields")
@@ -621,6 +623,7 @@ def cmd_simulate(args) -> int:
             base[key] = value
         try:
             cfg = SimConfig(**base)
+            cfg.bound_frames()  # the export films every frame
         except (TypeError, ValueError) as exc:  # a value SimConfig cannot read, or rejects
             raise ParseError(f"{name}: simulation: {exc}") from None
     world = simulate(cfg)

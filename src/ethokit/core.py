@@ -15,7 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from operator import attrgetter
+from itertools import compress, islice, repeat
+from operator import attrgetter, itemgetter, le, lt, ne
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -60,8 +61,9 @@ def sample_count(span_s: float, delta_s: float) -> int:
     ValueError naming the count when it exceeds MAX_SAMPLES."""
     steps = span_s / delta_s
     if steps > MAX_SAMPLES:
+        count = f"{steps:.0f}" if steps < 1e15 else f"{steps:.3g}"
         raise ValueError(
-            f"interval {delta_s} s cuts {span_s} s into {steps:.0f} samples,"
+            f"interval {delta_s} s cuts {span_s} s into {count} samples,"
             f" more than the {MAX_SAMPLES} allowed"
         )
     return math.floor(steps)
@@ -160,6 +162,11 @@ class ObsInterval(NamedTuple):
     code: str
 
 
+def obs_intervals(rows: Iterable[tuple[float, float, str]]) -> tuple[ObsInterval, ...]:
+    """``tuple(ObsInterval(*row) for row in rows)``, with no Python call per row."""
+    return tuple(map(tuple.__new__, repeat(ObsInterval), rows))
+
+
 T = TypeVar("T")
 
 
@@ -181,10 +188,18 @@ def coalesce(intervals: Iterable[tuple]) -> list[tuple]:
     return out
 
 
+def run_edges(values: Sequence) -> list[int]:
+    """Where each maximal run of equal consecutive values starts, then len(values).
+
+    Run i is ``values[edges[i]:edges[i + 1]]``; no values give no edges.
+    """
+    starts = compress(range(1, len(values)), map(ne, values, islice(values, 1, None)))
+    return [0, *starts, len(values)] if values else []
+
+
 def runs(values: Sequence[T]) -> list[tuple[int, int, T]]:
     """Maximal runs of equal consecutive values as (a, b, value), [a, b) indices."""
-    edges = [k for k in range(1, len(values)) if values[k] != values[k - 1]]
-    edges = [0, *edges, len(values)] if values else []
+    edges = run_edges(values)
     return [(a, b, values[a]) for a, b in zip(edges, edges[1:])]
 
 
@@ -213,9 +228,31 @@ class ObservationStream:
     fps: float | None = None
 
     def __post_init__(self) -> None:
-        intervals = tuple(
-            iv if isinstance(iv, ObsInterval) else ObsInterval(*iv) for iv in self.intervals
-        )
+        intervals = tuple(self.intervals)
+        if not all(map(isinstance, intervals, repeat(ObsInterval))):
+            intervals = tuple(
+                iv if isinstance(iv, ObsInterval) else ObsInterval(*iv) for iv in intervals
+            )
+        object.__setattr__(self, "intervals", intervals)
+        # Check whole columns at C speed; only a stream that fails walks
+        # its intervals one by one, to name the first fault.
+        starts = list(map(itemgetter(0), intervals))
+        ends = list(map(itemgetter(1), intervals))
+        try:
+            valid = (
+                all(map(math.isfinite, starts))
+                and all(map(math.isfinite, ends))
+                and all(map(le, starts, ends))
+                and (self.fps is None or all(map(lt, starts, ends)))
+                and all(map(le, ends, islice(starts, 1, None)))
+            )
+        except TypeError:  # a bound that is not a number
+            valid = False
+        if not valid:
+            self._reject(intervals)
+
+    def _reject(self, intervals: tuple[ObsInterval, ...]) -> None:
+        """Raise on the first interval that breaks the stream's invariants."""
         prev_end = -math.inf
         for iv in intervals:
             if not (math.isfinite(iv.start) and math.isfinite(iv.end)):
@@ -229,7 +266,6 @@ class ObservationStream:
                     f"interval {tuple(iv)} starts before the previous one ends at {prev_end!r}"
                 )
             prev_end = iv.end
-        object.__setattr__(self, "intervals", intervals)
 
     @property
     def span(self) -> tuple[float, float]:

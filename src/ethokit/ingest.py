@@ -36,12 +36,15 @@ as ISO 8601 UTC at microsecond precision.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import warnings
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
+from itertools import chain, repeat
+from operator import itemgetter, sub
 from pathlib import Path
 
 from .core import (
@@ -92,11 +95,6 @@ END_CODE = "END"
 
 class CvatImportWarning(UserWarning):
     """Raised once per kind of skipped or suspicious CVAT element."""
-
-
-def _fmt(value: float) -> str:
-    """Shortest decimal string that round-trips the float."""
-    return repr(float(value))
 
 
 def _iso(epoch_s: float) -> str:
@@ -229,14 +227,17 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
 
 
 def dump_tracks(tracks: list[Track], session_id: str) -> str:
-    def rows():
-        for t in sorted(tracks, key=lambda t: t.track_id):
-            excluded = "1" if t.excluded else "0"
-            for frame, x, y, w, h in zip(t.frames, t.x, t.y, t.w, t.h):
-                yield [session_id, t.track_id, t.species, frame,
-                       _fmt(x), _fmt(y), _fmt(w), _fmt(h), excluded]
-
-    return csv_text(TRACK_HEADER, rows())
+    # csv writes a float as its repr; map(float, ...) makes an integer
+    # or NumPy coordinate print as a Python float would.
+    rows = (
+        zip(
+            repeat(session_id), repeat(t.track_id), repeat(t.species), t.frames,
+            map(float, t.x), map(float, t.y), map(float, t.w), map(float, t.h),
+            repeat("1" if t.excluded else "0"),
+        )
+        for t in sorted(tracks, key=lambda t: t.track_id)
+    )
+    return csv_text(TRACK_HEADER, chain.from_iterable(rows))
 
 
 def read_tracks(path: str | Path) -> list[Track]:
@@ -286,14 +287,16 @@ def parse_labels(text: str, fps: float, name: str = "labels") -> list[Observatio
 
 
 def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
-    return csv_text(
-        LABEL_HEADER,
-        (
-            [session_id, stream.subject_id, start, end - 1, code]
-            for stream in sorted(streams, key=lambda s: s.subject_id)
-            for start, end, code in stream.intervals
-        ),
+    rows = (
+        zip(
+            repeat(session_id), repeat(stream.subject_id),
+            map(itemgetter(0), stream.intervals),
+            map(sub, map(itemgetter(1), stream.intervals), repeat(1)),  # inclusive end
+            map(itemgetter(2), stream.intervals),
+        )
+        for stream in sorted(streams, key=lambda s: s.subject_id)
     )
+    return csv_text(LABEL_HEADER, chain.from_iterable(rows))
 
 
 def read_labels(path: str | Path, fps: float) -> list[ObservationStream]:
@@ -331,6 +334,10 @@ class ObservationIndex:
                 group = groups[key] = []
             group.append((rows.row_no, stamp, code))
         self._groups = groups
+        # Streams of one session share most instants, so each timestamp
+        # text is parsed once. A bad one raises and is not cached: it
+        # fails again, at its own row, in every stream that holds it.
+        self._parse_iso = functools.cache(_parse_iso)
 
     def keys(self) -> list[tuple[str, str, str]]:
         """Every stream's (observer_id, subject_id, method), sorted."""
@@ -351,11 +358,12 @@ class ObservationIndex:
         group = self._groups[key]
         if method not in METHODS:
             raise self._fail(group[0][0], "method", f"unknown method {method!r}")
+        parse_iso = self._parse_iso
         events: list[tuple[float, str, int]] = []
         prev = -math.inf
         for row_no, stamp, code in group:
             try:
-                t = _parse_iso(stamp)
+                t = parse_iso(stamp)
             except ValueError as exc:
                 raise self._fail(row_no, "timestamp_iso8601", f"bad timestamp {stamp!r}") from exc
             if not code:
@@ -412,16 +420,22 @@ def _events_to_stream(
 
 def dump_ground_observations(streams: list[ObservationStream], observer_id: str = "field") -> str:
     keyed = sorted(streams, key=lambda s: (s.observer_id or observer_id, s.subject_id, s.method))
+    iso = functools.cache(_iso)  # streams of one session share most instants
 
     def rows():
         for stream in keyed:
-            key = [stream.observer_id or observer_id, stream.subject_id, stream.method]
-            events = stream.method == GROUND_SCAN and stream.is_instantaneous()
-            for i, iv in enumerate(stream.intervals):
-                yield [*key, _iso(iv.start), iv.code]
-                nxt = stream.intervals[i + 1] if i + 1 < len(stream.intervals) else None
-                if not events and (nxt is None or nxt.start != iv.end):
-                    yield [*key, _iso(iv.end), END_CODE]
+            key = (stream.observer_id or observer_id, stream.subject_id, stream.method)
+            intervals = stream.intervals
+            if stream.method == GROUND_SCAN and stream.is_instantaneous():
+                for start, _, code in intervals:
+                    yield (*key, iso(start), code)
+                continue
+            next_starts = [iv.start for iv in intervals[1:]]
+            next_starts.append(None)
+            for (start, end, code), next_start in zip(intervals, next_starts):
+                yield (*key, iso(start), code)
+                if next_start != end:
+                    yield (*key, iso(end), END_CODE)
 
     return csv_text(OBS_HEADER, rows())
 

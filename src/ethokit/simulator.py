@@ -9,6 +9,17 @@ independently. Everything is a pure function of the config: randomness
 is Philox keyed (seed, individual), with each individual's draws laid
 out as fixed-size blocks, so equal configs give bit-identical worlds.
 NumPy, which supplies the generator, is imported by :func:`simulate`.
+
+The draws are converted to Python floats once, and each individual runs
+three tight loops: the chain, the walk, then the occlusion flags. The
+arithmetic is the original per-step loop's, operation for operation, so
+worlds stay bit-identical to it (``tests/scalar_simulator.py`` keeps that
+loop as the oracle). Steps, frames and scan instants are each made one
+by one, so each count is refused past ``core.MAX_SAMPLES`` before its
+loop starts: steps and scan instants by :class:`SimConfig`, a
+``period_s`` by :func:`observe_scan`, and frames by
+:meth:`SimWorld.tracks` (a long chain that is never filmed may have
+more).
 """
 
 from __future__ import annotations
@@ -17,6 +28,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress
+from math import cos, pi, sin
+from operator import lt
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -30,7 +44,9 @@ from .core import (
     ObsInterval,
     Track,
     VideoMeta,
-    runs,
+    obs_intervals,
+    run_edges,
+    sample_count,
 )
 from .ethogram import OUT_OF_SIGHT
 from .ingest import (
@@ -56,6 +72,9 @@ _EPOCH_START = datetime(2023, 1, 1, 6, 0, 0, tzinfo=timezone.utc)
 
 _OBSERVER = "sim"
 
+# A scan instant this close past the session end still counts.
+_SCAN_SLACK_S = 1e-9
+
 
 class OcclusionZone(NamedTuple):
     """Arena rectangle where an observer may lose sight, per method."""
@@ -69,6 +88,14 @@ class OcclusionZone(NamedTuple):
 
     def contains(self, px: float, py: float) -> bool:
         return self.x <= px < self.x + self.w and self.y <= py < self.y + self.h
+
+
+def _bound(name: str, span: float, delta: float) -> None:
+    """sample_count's refusal of more than MAX_SAMPLES steps, naming what is counted."""
+    try:
+        sample_count(span, delta)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -113,10 +140,10 @@ class SimConfig:
             raise ValueError("speeds must be non-negative")
         if self.n_individuals < 1:
             raise ValueError("need at least one individual")
-        if self.duration_s <= 0 or self.step_s <= 0 or self.fps <= 0:
-            raise ValueError("duration, step and fps must be positive")
-        if self.scan_period_s <= 0:
-            raise ValueError("scan period must be positive")
+        if not all(0 < v < math.inf for v in (self.duration_s, self.step_s, self.fps)):
+            raise ValueError("duration, step and fps must be positive and finite")
+        if not 0 < self.scan_period_s < math.inf:
+            raise ValueError("scan period must be positive and finite")
         if self.arena_w_m <= 0 or self.arena_h_m <= 0 or self.px_per_m <= 0:
             raise ValueError("arena and camera scale must be positive")
         for zone in self.zones:
@@ -124,6 +151,22 @@ class SimConfig:
                 raise ValueError("zone loss probabilities must lie in [0, 1]")
         if self.initial_code is not None and self.initial_code not in self.codes:
             raise ValueError(f"initial code {self.initial_code!r} not among codes")
+        # Every world makes each step and scan instant one by one, so
+        # both counts are bounded before anything is allocated.
+        _bound("steps (duration_s / step_s)", self.duration_s, self.step_s)
+        _bound(
+            "scan instants (duration_s / scan_period_s)",
+            self.duration_s + _SCAN_SLACK_S,
+            self.scan_period_s,
+        )
+
+    def bound_frames(self) -> None:
+        """ValueError if the camera would make more than MAX_SAMPLES frames a track.
+
+        Only :meth:`SimWorld.tracks` makes every frame, so a long chain
+        that is never filmed may have more.
+        """
+        _bound("frames (duration_s * fps)", self.duration_s, 1 / self.fps)
 
     @property
     def n_steps(self) -> int:
@@ -154,41 +197,47 @@ class SimWorld:
 
     def truth_label_stream(self, subject: str) -> ObservationStream:
         """Ground-truth behavior as a frame stream, no technical codes."""
-        i = self._index(subject)
+        steps = self.code_steps[self._index(subject)]
         cfg = self.config
         frames_per_step = cfg.step_s * cfg.fps
-        intervals = []
-        for a, b, k in runs(self.code_steps[i]):
-            fa = int(round(a * frames_per_step))
-            fb = min(int(round(b * frames_per_step)), cfg.n_frames)
-            if fb > fa:
-                intervals.append(ObsInterval(fa, fb, cfg.codes[k]))
-        return ObservationStream(subject, LABELS, tuple(intervals), fps=self.meta.fps)
+        n_frames = cfg.n_frames
+        edges = run_edges(steps)
+        # One run ends on the frame where the next begins; a run that
+        # rounds to no frame, or starts past the last one, is dropped.
+        bounds = [min(round(e * frames_per_step), n_frames) for e in edges]
+        codes = [cfg.codes[steps[e]] for e in edges[:-1]]
+        runs = zip(bounds, bounds[1:], codes)
+        intervals = obs_intervals(compress(runs, map(lt, bounds, bounds[1:])))
+        return ObservationStream(subject, LABELS, intervals, fps=self.meta.fps)
 
     def tracks(self) -> list[Track]:
         """Bounding-box tracks through the synthetic camera.
 
         Built on demand: positions are linearly interpolated between
-        steps and projected with the fixed px_per_m scale.
+        steps and projected with the fixed px_per_m scale. More than
+        ``core.MAX_SAMPLES`` frames a track is refused before any is made.
         """
         cfg = self.config
+        cfg.bound_frames()
+        fps, step_s = cfg.fps, cfg.step_s
         scale = cfg.px_per_m
         half_w = cfg.body_w_m * scale / 2
         half_h = cfg.body_h_m * scale / 2
+        n = cfg.n_frames
         out = []
-        for i, subject in enumerate(self.subjects):
-            pos = self.positions[i]
+        for subject, pos in zip(self.subjects, self.positions):
+            last = len(pos) - 1
             xs, ys = [], []
-            for frame in range(cfg.n_frames):
-                t = frame / cfg.fps / cfg.step_s
-                k = min(int(t), len(pos) - 1)
+            for frame in range(n):
+                t = frame / fps / step_s
+                k = int(t)
+                if k > last:
+                    k = last
                 frac = t - k
-                nxt = pos[min(k + 1, len(pos) - 1)]
-                x = (pos[k][0] + (nxt[0] - pos[k][0]) * frac) * scale
-                y = (pos[k][1] + (nxt[1] - pos[k][1]) * frac) * scale
-                xs.append(x - half_w)
-                ys.append(y - half_h)
-            n = cfg.n_frames
+                x0, y0 = pos[k]
+                x1, y1 = pos[k + 1] if k < last else pos[last]
+                xs.append((x0 + (x1 - x0) * frac) * scale - half_w)
+                ys.append((y0 + (y1 - y0) * frac) * scale - half_h)
             out.append(
                 Track(subject, cfg.species, range(n), xs, ys, (2 * half_w,) * n, (2 * half_h,) * n)
             )
@@ -200,8 +249,12 @@ def simulate(config: SimConfig) -> SimWorld:
     import numpy as np
 
     cfg = config
-    k_codes = len(cfg.codes)
-    cum_rows = [list(np.cumsum(row)) for row in cfg.transition]
+    last_code = len(cfg.codes) - 1
+    cum_rows = [np.cumsum(row).tolist() for row in cfg.transition]
+    dists = [speed * cfg.step_s for speed in cfg.speeds_mps]
+    w, h = cfg.arena_w_m, cfg.arena_h_m
+    period_w, period_h = 2 * w, 2 * h
+    zones = [(z.x, z.x + z.w, z.y, z.y + z.h, z.p_ground, z.p_drone) for z in cfg.zones]
     n_steps = cfg.n_steps
 
     subjects = tuple(f"ind{i:03d}" for i in range(cfg.n_individuals))
@@ -214,43 +267,56 @@ def simulate(config: SimConfig) -> SimWorld:
         # Fixed draw layout per individual: position, heading, initial
         # code, then per-step blocks. Occlusion draws are unconditional
         # so the layout never depends on the trajectory.
-        x = float(gen.random()) * cfg.arena_w_m
-        y = float(gen.random()) * cfg.arena_h_m
+        x = float(gen.random()) * w
+        y = float(gen.random()) * h
         heading = float(gen.random()) * 2 * math.pi
         if cfg.initial_code is not None:
             code = cfg.codes.index(cfg.initial_code)
         else:
-            code = int(gen.integers(k_codes))
-        noise = gen.normal(0.0, cfg.heading_sd_rad, n_steps)
-        u_trans = gen.random(n_steps)
-        u_ground = gen.random(n_steps)
-        u_drone = gen.random(n_steps)
+            code = int(gen.integers(last_code + 1))
+        noise = gen.normal(0.0, cfg.heading_sd_rad, n_steps).tolist()
+        u_trans = gen.random(n_steps).tolist()
+        u_ground = gen.random(n_steps).tolist()
+        u_drone = gen.random(n_steps).tolist()
 
+        # The chain: the code at each step, then the draw that leaves it.
         codes = []
+        for u in u_trans:
+            codes.append(code)
+            code = bisect_right(cum_rows[code], u)
+            if code > last_code:
+                code = last_code
+
+        # The walk: turn, move at the code's speed, mirror-fold into the
+        # arena, and reverse the heading's component along a fold.
         pos = []
+        for dist, turn in zip(map(dists.__getitem__, codes), noise):
+            pos.append((x, y))
+            heading += turn
+            x += cos(heading) * dist
+            y += sin(heading) * dist
+            x %= period_w
+            if x > w:
+                x = period_w - x
+                heading = pi - heading
+            y %= period_h
+            if y > h:
+                y = period_h - y
+                heading = -heading
+
+        # Sight loss: the first zone holding the position decides
+        # (the test of OcclusionZone.contains, on bounds summed once).
         occl_g = []
         occl_d = []
-        for k in range(n_steps):
-            codes.append(code)
-            pos.append((x, y))
-            zone = next((z for z in cfg.zones if z.contains(x, y)), None)
-            occl_g.append(zone is not None and u_ground[k] < zone.p_ground)
-            occl_d.append(zone is not None and u_drone[k] < zone.p_drone)
-
-            heading += float(noise[k])
-            dist = cfg.speeds_mps[code] * cfg.step_s
-            nx = x + math.cos(heading) * dist
-            ny = y + math.sin(heading) * dist
-            nx, flip_x = _fold(nx, cfg.arena_w_m)
-            ny, flip_y = _fold(ny, cfg.arena_h_m)
-            if flip_x:
-                heading = math.pi - heading
-            if flip_y:
-                heading = -heading
-            x, y = nx, ny
-
-            nxt = bisect_right(cum_rows[code], float(u_trans[k]))
-            code = min(nxt, k_codes - 1)
+        for (px, py), ug, ud in zip(pos, u_ground, u_drone):
+            for x0, x1, y0, y1, p_ground, p_drone in zones:
+                if x0 <= px < x1 and y0 <= py < y1:
+                    occl_g.append(ug < p_ground)
+                    occl_d.append(ud < p_drone)
+                    break
+            else:
+                occl_g.append(False)
+                occl_d.append(False)
 
         all_codes.append(tuple(codes))
         all_pos.append(tuple(pos))
@@ -275,15 +341,6 @@ def simulate(config: SimConfig) -> SimWorld:
     )
 
 
-def _fold(v: float, hi: float) -> tuple[float, bool]:
-    """Mirror-fold v into [0, hi]; True when the net direction flipped."""
-    period = 2 * hi
-    m = v % period
-    if m > hi:
-        return period - m, True
-    return m, False
-
-
 def observe_scan(world: SimWorld, period_s: float | None = None) -> list[ObservationStream]:
     """Instantaneous whole-group snapshots every period_s seconds.
 
@@ -293,23 +350,28 @@ def observe_scan(world: SimWorld, period_s: float | None = None) -> list[Observa
     """
     cfg = world.config
     period = cfg.scan_period_s if period_s is None else period_s
-    if period <= 0:
-        raise ValueError("scan period must be positive")
+    if not 0 < period < math.inf:
+        raise ValueError("scan period must be positive and finite")
+    end = cfg.duration_s + _SCAN_SLACK_S
+    _bound("scan instants (duration_s / period_s)", end, period)
     t0 = world.meta.start_time.timestamp()
     instants = []
     k = 0
-    while k * period <= cfg.duration_s + 1e-9:
+    while k * period <= end:
         instants.append(k * period)
         k += 1
+    last_step = cfg.n_steps - 1
+    steps = [min(int(t / cfg.step_s), last_step) for t in instants]
+    codes = cfg.codes
     streams = []
-    for i, subject in enumerate(world.subjects):
-        events = []
-        for t in instants:
-            step = min(int(t / cfg.step_s), cfg.n_steps - 1)
-            if world.occluded_ground[i][step]:
-                continue
-            code = cfg.codes[world.code_steps[i][step]]
-            events.append(ObsInterval(t0 + t, t0 + t, code))
+    for subject, code_steps, occluded in zip(
+        world.subjects, world.code_steps, world.occluded_ground
+    ):
+        events = [
+            ObsInterval(t0 + t, t0 + t, codes[code_steps[step]])
+            for t, step in zip(instants, steps)
+            if not occluded[step]
+        ]
         streams.append(ObservationStream(subject, GROUND_SCAN, tuple(events), _OBSERVER))
     return streams
 
@@ -321,14 +383,17 @@ def observe_focal(world: SimWorld, subject: str, method: str) -> ObservationStre
     i = world._index(subject)
     cfg = world.config
     occl = world.occluded_ground[i] if method == GROUND_FOCAL else world.occluded_drone[i]
+    codes = cfg.codes
     observed = [
-        OUT_OF_SIGHT if occl[k] else cfg.codes[world.code_steps[i][k]]
-        for k in range(cfg.n_steps)
+        OUT_OF_SIGHT if hidden else codes[k] for hidden, k in zip(occl, world.code_steps[i])
     ]
     t0 = world.meta.start_time.timestamp()
     step = cfg.step_s
-    intervals = [ObsInterval(t0 + a * step, t0 + b * step, code) for a, b, code in runs(observed)]
-    return ObservationStream(subject, method, tuple(intervals), _OBSERVER)
+    edges = run_edges(observed)
+    times = [t0 + e * step for e in edges]
+    run_codes = [observed[e] for e in edges[:-1]]
+    intervals = obs_intervals(zip(times, times[1:], run_codes))
+    return ObservationStream(subject, method, intervals, _OBSERVER)
 
 
 def export_world(world: SimWorld, out_dir: str | Path) -> list[Path]:

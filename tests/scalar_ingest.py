@@ -11,14 +11,36 @@ file with one fault.
 rows into tracks; the library now fills each track's columns directly.
 The old parser, kept below, checks that both give the same tracks and
 the same error on a file with one fault.
+
+``dump_ground_observations``, ``dump_tracks`` and ``dump_labels`` once
+built and formatted every row in Python, one ``isoformat`` or ``repr``
+per value; the library now formats each distinct instant once and lets
+the csv module write columns zipped in C. The old writers, kept below,
+check that both give the same text.
 """
 
 from __future__ import annotations
 
 from datetime import datetime, timezone
 
-from ethokit.core import GROUND_SCAN, METHODS, BoundingBox, ObservationStream, ObsInterval, Track
-from ethokit.ingest import END_CODE, OBS_HEADER, TRACK_HEADER, ParseError, _Rows, _to_bool
+from ethokit.core import (
+    GROUND_SCAN,
+    METHODS,
+    BoundingBox,
+    ObservationStream,
+    ObsInterval,
+    Track,
+    csv_text,
+)
+from ethokit.ingest import (
+    END_CODE,
+    LABEL_HEADER,
+    OBS_HEADER,
+    TRACK_HEADER,
+    ParseError,
+    _Rows,
+    _to_bool,
+)
 from conftest import track_from_boxes
 
 
@@ -137,3 +159,50 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
         track_from_boxes(track_id, species, boxes, excluded)
         for track_id, species, excluded, boxes in groups
     ]
+
+
+def _fmt(value: float) -> str:
+    """Shortest decimal string that round-trips the float."""
+    return repr(float(value))
+
+
+def _iso(epoch_s: float) -> str:
+    return datetime.fromtimestamp(epoch_s, timezone.utc).isoformat()
+
+
+def dump_tracks(tracks: list[Track], session_id: str) -> str:
+    def rows():
+        for t in sorted(tracks, key=lambda t: t.track_id):
+            excluded = "1" if t.excluded else "0"
+            for frame, x, y, w, h in zip(t.frames, t.x, t.y, t.w, t.h):
+                yield [session_id, t.track_id, t.species, frame,
+                       _fmt(x), _fmt(y), _fmt(w), _fmt(h), excluded]
+
+    return csv_text(TRACK_HEADER, rows())
+
+
+def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
+    return csv_text(
+        LABEL_HEADER,
+        (
+            [session_id, stream.subject_id, start, end - 1, code]
+            for stream in sorted(streams, key=lambda s: s.subject_id)
+            for start, end, code in stream.intervals
+        ),
+    )
+
+
+def dump_ground_observations(streams: list[ObservationStream], observer_id: str = "field") -> str:
+    keyed = sorted(streams, key=lambda s: (s.observer_id or observer_id, s.subject_id, s.method))
+
+    def rows():
+        for stream in keyed:
+            key = [stream.observer_id or observer_id, stream.subject_id, stream.method]
+            events = stream.method == GROUND_SCAN and stream.is_instantaneous()
+            for i, iv in enumerate(stream.intervals):
+                yield [*key, _iso(iv.start), iv.code]
+                nxt = stream.intervals[i + 1] if i + 1 < len(stream.intervals) else None
+                if not events and (nxt is None or nxt.start != iv.end):
+                    yield [*key, _iso(iv.end), END_CODE]
+
+    return csv_text(OBS_HEADER, rows())

@@ -399,6 +399,29 @@ class TestConfigValues:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value,count",
+        [
+            ("scan_period_s", 1e-300, "scan instants (duration_s / scan_period_s)"),
+            ("fps", 1e300, "frames (duration_s * fps)"),
+            ("duration_s", 1e308, "steps (duration_s / step_s)"),
+            ("step_s", 1e-300, "steps (duration_s / step_s)"),
+        ],
+    )
+    def test_oversized_simulation_is_a_parse_error(self, tmp_path, key, value, count):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"simulation": {key: value}}))
+        argv = ["simulate", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        # in a subprocess, so that a loop over steps, frames or instants
+        # that never ends fails the test
+        proc = run_python(
+            f"import sys\nfrom ethokit.cli import main\nsys.exit(main({argv!r}))", timeout=60
+        )
+        assert proc.returncode == 2
+        assert f"cfg.json: simulation: {count}: interval" in proc.stderr
+        assert "samples, more than the 10000000 allowed" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", ["[" * 100_000, '{"params": ' * 5_000, "1" * 5_000])
     def test_unreadable_json_is_a_parse_error(self, tmp_path, capsys, text):
         # nesting past the recursion limit, and an integer past int()'s digit limit
@@ -678,6 +701,13 @@ class TestRegress:
         rc = main(["regress", str(data), "--response", "nope",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_header_only_table_is_a_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        data.write_text("habitat,y\n")
+        rc = main(["regress", str(data), "--response", "y", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "t.csv: no data rows" in capsys.readouterr().err
 
     def test_oversized_field_is_a_parse_error(self, tmp_path, capsys):
         data = small_regress_table(tmp_path / "data.csv")

@@ -210,6 +210,44 @@ class TestObservationStream:
             with pytest.raises(ValueError):
                 obs("z1", "ground_scan", *triples)
 
+    @given(
+        bounds=st.lists(
+            st.tuples(
+                st.integers(-2, 6) | st.sampled_from([math.nan, math.inf, -math.inf, 2.5, -0.0]),
+                st.integers(-2, 6) | st.sampled_from([math.nan, math.inf, 2.5, "x"]),
+            ),
+            max_size=6,
+        ),
+        fps=st.none() | st.just(30.0),
+    )
+    def test_same_verdict_as_the_interval_loop(self, bounds, fps):
+        intervals = tuple(ObsInterval(a, b, "G") for a, b in bounds)
+        try:
+            _interval_loop(intervals, fps)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as err:
+                ObservationStream("z", "ground_focal", intervals, fps=fps)
+            assert str(err.value) == str(exc)
+        else:
+            assert ObservationStream("z", "ground_focal", intervals, fps=fps).intervals == intervals
+
+
+def _interval_loop(intervals, fps) -> None:
+    """The check ObservationStream once ran on every interval of every stream."""
+    prev_end = -math.inf
+    for iv in intervals:
+        if not (math.isfinite(iv.start) and math.isfinite(iv.end)):
+            raise ValueError(f"interval bounds must be finite: {tuple(iv)}")
+        if iv.end < iv.start:
+            raise ValueError(f"interval ends before it starts: {tuple(iv)}")
+        if iv.end == iv.start and fps is not None:
+            raise ValueError(f"frame interval holds no frame: {tuple(iv)}")
+        if iv.start < prev_end:
+            raise ValueError(
+                f"interval {tuple(iv)} starts before the previous one ends at {prev_end!r}"
+            )
+        prev_end = iv.end
+
 
 class TestAnalysisParams:
     def test_defaults(self):

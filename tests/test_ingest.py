@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
+    METHODS,
     CvatImportWarning,
     ObservationStream,
     ObsInterval,
     ParseError,
+    Track,
     VideoMeta,
 )
 from ethokit.core import BoundingBox
@@ -36,6 +38,8 @@ from ethokit.ingest import (
 )
 from conftest import EPOCH0, T0, make_labels, track_from_boxes
 from scalar_ingest import parse_tracks as oracle_parse_tracks
+import numpy as np
+import scalar_ingest as oracle
 
 
 class TestTracks:
@@ -369,6 +373,84 @@ class TestGroundObservations:
             t += dur
         stream = ObservationStream("z1", "ground_focal", tuple(intervals), "o")
         assert parse_ground_observations(dump_ground_observations([stream])) == [stream]
+
+
+# ids and codes that the csv module must quote
+QUOTED_TEXT = st.text(st.sampled_from('ab,"\n '), min_size=1, max_size=4)
+# coordinates as a track may hold them: any float, an integer, a NumPy float
+COORDINATES = st.one_of(
+    st.floats(), st.integers(-100, 100), st.floats(width=32).map(np.float64)
+)
+
+
+@st.composite
+def observation_streams(draw):
+    """0-5 streams over one pool of instants, as a session's streams share them."""
+    pool = sorted(draw(st.sets(
+        st.sampled_from([0.0, -0.0, EPOCH0, EPOCH0 + 0.5, EPOCH0 + 1e-6])
+        | st.tuples(st.floats(-1e6, 4e9), st.integers(0, 7)).map(lambda p: round(*p)),
+        min_size=2, max_size=10,
+    )))
+    streams = []
+    for _ in range(draw(st.integers(0, 5))):
+        method = draw(st.sampled_from(METHODS))
+        times = sorted(draw(st.sets(st.sampled_from(pool), min_size=2)))
+        code = st.sampled_from(["G", "W"]) | QUOTED_TEXT
+        if method == "ground_scan" and draw(st.booleans()):
+            intervals = [(t, t, draw(code)) for t in times]
+        else:  # consecutive instants bound an interval, or leave a gap
+            spans = zip(times, times[1:])
+            intervals = [(a, b, draw(code)) for a, b in spans if draw(st.booleans())]
+        observer = draw(st.sampled_from(["", "sim", 'o,"1"']))
+        subject = draw(QUOTED_TEXT)
+        streams.append(ObservationStream(subject, method, tuple(intervals), observer))
+    return streams
+
+
+class TestWritersMatchRowOracle:
+    """The column writers give the text of the row-at-a-time ones they replaced."""
+
+    @given(observation_streams(), st.sampled_from(["field", 'f,"x"']))
+    @settings(max_examples=300, deadline=None)
+    def test_ground_observations(self, streams, observer):
+        want = oracle.dump_ground_observations(streams, observer)
+        assert dump_ground_observations(streams, observer) == want
+
+    @given(st.lists(
+        st.tuples(QUOTED_TEXT, st.sets(st.integers(-3, 40), min_size=1, max_size=6),
+                  st.data(), st.booleans()),
+        max_size=4, unique_by=lambda t: t[0],
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_tracks(self, specs):
+        tracks = []
+        for track_id, frames, data, excluded in specs:
+            n = len(frames)
+            x, y, w, h = (data.draw(st.lists(COORDINATES, min_size=n, max_size=n)) for _ in "xywh")
+            tracks.append(Track(track_id, 'zebra, "plains"', sorted(frames), x, y, w, h, excluded))
+        assert dump_tracks(tracks, 's,"1"') == oracle.dump_tracks(tracks, 's,"1"')
+
+    def test_integer_coordinates_print_as_floats(self):
+        track = Track("a", "giraffe", (0,), (32,), (np.float64(1.5),), (-0.0,), (2,))
+        assert dump_tracks([track], "s").splitlines()[1] == "s,a,giraffe,0,32.0,1.5,-0.0,2.0,0"
+
+    @given(st.lists(
+        st.tuples(QUOTED_TEXT, st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3),
+                                                  st.sampled_from(["G", 'W,"x"'])),
+                                        max_size=5)),
+        max_size=4, unique_by=lambda t: t[0],
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_labels(self, specs):
+        streams = []
+        for track_id, runs in specs:
+            intervals, frame = [], 0
+            for length, gap, code in runs:
+                frame += gap
+                intervals.append((frame, frame + length, code))
+                frame += length
+            streams.append(ObservationStream(track_id, "labels", tuple(intervals), fps=30.0))
+        assert dump_labels(streams, "s") == oracle.dump_labels(streams, "s")
 
 
 class TestVideoMeta:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import METHODS, ObservationIndex, ParseError, parse_ground_observations
+from ethokit import ingest
 from ethokit.ingest import OBS_HEADER
 from conftest import EPOCH0
 from scalar_ingest import parse_ground_observations as oracle_parse
@@ -214,3 +215,46 @@ def test_full_parse_reports_the_first_faulty_stream_in_key_order():
 def test_structure_is_checked_on_every_row_when_indexing(text, message):
     with pytest.raises(ParseError, match=message):
         ObservationIndex(text)
+
+
+def test_each_distinct_stamp_is_parsed_once(monkeypatch):
+    # six rows in three streams share two stamp texts; a third is written
+    # another way (Z) and so parsed on its own
+    text = (
+        "observer_id,subject_id,method,timestamp_iso8601,code\n"
+        "o,z1,ground_focal,2023-06-01T08:00:00+00:00,G\n"
+        "o,z2,ground_focal,2023-06-01T08:00:00+00:00,W\n"
+        "o,z1,ground_focal,2023-06-01T08:01:00+00:00,END\n"
+        "o,z2,ground_focal,2023-06-01T08:01:00+00:00,END\n"
+        "o,z1,ground_scan,2023-06-01T08:00:00+00:00,G\n"
+        "o,z2,ground_scan,2023-06-01T08:00:00Z,G\n"
+    )
+    parsed = []
+    parse_iso = ingest._parse_iso
+    monkeypatch.setattr(ingest, "_parse_iso", lambda s: parsed.append(s) or parse_iso(s))
+    index = ObservationIndex(text)
+    streams = index.streams()
+    assert sorted(parsed) == [
+        "2023-06-01T08:00:00+00:00", "2023-06-01T08:00:00Z", "2023-06-01T08:01:00+00:00",
+    ]
+    monkeypatch.setattr(ingest, "_parse_iso", parse_iso)
+    assert streams == oracle_parse(text)
+
+
+def test_a_bad_stamp_fails_at_its_own_row_in_every_stream():
+    text = (
+        "observer_id,subject_id,method,timestamp_iso8601,code\n"
+        "o,z1,ground_scan,2023-06-01T08:00:00+00:00,G\n"
+        "o,z1,ground_scan,not-a-time,G\n"
+        "o,z2,ground_scan,2023-06-01T08:00:00+00:00,W\n"
+        "o,z2,ground_scan,not-a-time,W\n"
+    )
+    index = ObservationIndex(text, "observations.csv")
+    for _ in range(2):  # a failure is not remembered as a time
+        for subject, row in (("z1", 3), ("z2", 5), ("z1", 3)):
+            with pytest.raises(ParseError) as err:
+                index.streams(subject)
+            assert str(err.value) == (
+                f"observations.csv row {row} column 'timestamp_iso8601': "
+                "bad timestamp 'not-a-time'"
+            )

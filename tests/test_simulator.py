@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ethokit import (
     ML_AUTO,
@@ -28,6 +34,7 @@ from ethokit import (
 from ethokit.core import runs
 from ethokit.ingest import parse_ground_observations, parse_labels, parse_tracks
 from ethokit.simulator import export_world
+import scalar_simulator as oracle
 
 
 def truth_observation(world, subject: str) -> ObservationStream:
@@ -253,3 +260,152 @@ class TestExport:
         b = export_world(world, tmp_path / "b")
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def assert_identical(new, old) -> None:
+    """Leaf for leaf the same type and repr: floats bit for bit, no NumPy scalars."""
+    a, b = list(_leaves(new)), list(_leaves(old))
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (type(x), repr(x)) == (type(y), repr(y))
+
+
+def assert_same_streams(new, old) -> None:
+    assert new == old
+    for s, o in zip(new, old):
+        assert_identical(s.intervals, o.intervals)
+
+
+@st.composite
+def sim_configs(draw) -> SimConfig:
+    """Small worlds that reflect off the walls often, with 0-3 overlapping zones."""
+    k = draw(st.integers(1, 4))
+    codes = ("G", "W", "TR", "R")[:k]
+    weights = st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)
+    rows = draw(st.lists(weights, min_size=k, max_size=k))
+    transition = [[w / sum(row) for w in row] for row in rows]
+    w, h = draw(st.floats(0.5, 20.0)), draw(st.floats(0.5, 20.0))
+    odds = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    zones = draw(st.lists(
+        st.builds(OcclusionZone, st.floats(0.0, w), st.floats(0.0, h), st.floats(0.1, w),
+                  st.floats(0.1, h), odds, odds),
+        max_size=3,
+    ))
+    return SimConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_individuals=draw(st.integers(1, 3)),
+        codes=codes,
+        transition=transition,
+        speeds_mps=draw(st.lists(st.floats(0.0, 8.0), min_size=k, max_size=k)),
+        arena_w_m=w,
+        arena_h_m=h,
+        zones=zones,
+        fps=draw(st.sampled_from([29.97, 12.5, 7.3, 1.0, 0.4]) | st.floats(0.2, 40.0)),
+        duration_s=draw(st.floats(0.5, 60.0)),
+        scan_period_s=draw(st.floats(0.3, 30.0)),
+        step_s=draw(st.sampled_from([0.25, 0.5, 1.5, 2.0]) | st.floats(0.1, 3.0)),
+        heading_sd_rad=draw(st.floats(0.0, 3.0)),
+        initial_code=draw(st.none() | st.sampled_from(codes)),
+        px_per_m=draw(st.floats(1.0, 20.0)),
+    )
+
+
+class TestMatchesScalarOracle:
+    """The world and every observer equal the per-step originals, float for float."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=sim_configs(), period=st.none() | st.floats(0.3, 30.0))
+    def test_world_and_streams(self, cfg, period):
+        world, old = simulate(cfg), oracle.simulate(cfg)
+        assert_identical(world.code_steps, old.code_steps)
+        assert_identical(world.positions, old.positions)
+        for flags, old_flags in ((world.occluded_ground, old.occluded_ground),
+                                 (world.occluded_drone, old.occluded_drone)):
+            assert flags == old_flags
+            assert all(type(f) is bool for row in flags for f in row)
+        assert (world.config, world.meta, world.subjects) == (old.config, old.meta, old.subjects)
+
+        assert_same_streams(observe_scan(world, period), oracle.observe_scan(old, period))
+        for subject in world.subjects:
+            assert_same_streams(
+                [world.truth_label_stream(subject)], [oracle.truth_label_stream(old, subject)]
+            )
+            for method in ("ground_focal", "drone_focal"):
+                assert_same_streams(
+                    [observe_focal(world, subject, method)],
+                    [oracle.observe_focal(old, subject, method)],
+                )
+        tracks, old_tracks = world.tracks(), oracle.tracks(old)
+        assert tracks == old_tracks
+        for t, o in zip(tracks, old_tracks):
+            assert_identical((t.frames, t.x, t.y, t.w, t.h), (o.frames, o.x, o.y, o.w, o.h))
+
+    def test_walls_and_zones_are_exercised(self):
+        # the strategy's kind of world: a 2 m arena at up to 6 m/s folds
+        # most steps, and a zone with loss odds 1 hides every step in it
+        cfg = dataclasses.replace(
+            demo_config(5, 2, 60.0, zones=(OcclusionZone(0.0, 0.0, 1.0, 2.0, 1.0, 0.0),)),
+            arena_w_m=2.0, arena_h_m=2.0, step_s=0.5, fps=12.5,
+        )
+        world, old = simulate(cfg), oracle.simulate(cfg)
+        assert_identical(world.positions, old.positions)
+        assert world.occluded_ground == old.occluded_ground
+        assert 0 < sum(world.occluded_ground[0]) < cfg.n_steps
+
+
+class TestSizeBound:
+    """A config or scan period whose loops would run past MAX_SAMPLES is refused."""
+
+    @pytest.mark.parametrize(
+        "changes,count",
+        [
+            ({"scan_period_s": 1e-300}, "scan instants"),
+            ({"duration_s": 1e308}, "steps"),
+            ({"step_s": 1e-300}, "steps"),
+        ],
+    )
+    def test_config_refused(self, changes, count):
+        with pytest.raises(ValueError, match=f"^{count} .*more than the 10000000 allowed"):
+            dataclasses.replace(demo_config(1), **changes)
+
+    def test_frames_refused_where_filmed(self):
+        world = simulate(dataclasses.replace(demo_config(1, 1, 60.0), fps=1e300))
+        assert len(world.truth_label_stream("ind000").intervals) >= 1
+        with pytest.raises(ValueError, match="^frames .*more than the 10000000 allowed"):
+            world.tracks()
+
+    def test_field_day_is_far_below_the_bound(self):
+        cfg = demo_config(1, 1, 4 * 3600.0, zones=())
+        cfg.bound_frames()
+        assert (cfg.n_steps, cfg.n_frames) == (14_400, 432_000)
+        (scan,) = observe_scan(simulate(cfg))
+        assert len(scan.intervals) == 121
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_timing_refused(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dataclasses.replace(demo_config(1), fps=value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            dataclasses.replace(demo_config(1), scan_period_s=value)
+
+    def test_scan_period_refused(self):
+        # in a subprocess, so that a scan loop that never ends fails the test
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from ethokit import demo_config, observe_scan, simulate\n"
+            "observe_scan(simulate(demo_config(1, 1, 60.0)), period_s=1e-300)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1
+        assert "samples, more than the 10000000 allowed" in proc.stderr
