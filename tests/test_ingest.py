@@ -7,6 +7,7 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,6 @@ from ethokit.ingest import (
 )
 from conftest import EPOCH0, T0, make_labels, track_from_boxes
 from scalar_ingest import parse_tracks as oracle_parse_tracks
-import numpy as np
 import scalar_ingest as oracle
 
 
