@@ -10,16 +10,13 @@ randomized command is `simulate`, which demands an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .core import (
     DRONE_FOCAL,
@@ -28,9 +25,12 @@ from .core import (
     ML_AUTO,
     AnalysisParams,
     ObservationStream,
+    Rows,
     Track,
-    VideoMeta,
+    check_keys,
     csv_text,
+    json_number,
+    json_object,
     read_text,
     streams_by_track,
     validate_session,
@@ -119,38 +119,23 @@ def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return _default_config()
     p = Path(path)
-    try:
-        doc = json.loads(read_text(p))
-    except FileNotFoundError:
-        raise ParseError(f"config file not found: {p}") from None
-    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
-        raise ParseError(f"{p.name}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{p.name}: expected a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ParseError(f"{p.name}: unknown config keys {sorted(unknown)}")
+    doc = json_object(read_text(p), p.name, _CONFIG_KEYS)
     _check_sections(p.name, doc)
     params_doc = doc.get("params", {})
-    bad = set(params_doc) - _PARAM_KEYS
-    if bad:
-        raise ParseError(f"{p.name}: unknown params keys {sorted(bad)}")
+    check_keys(f"{p.name}: params", params_doc, _PARAM_KEYS)
     params = AnalysisParams()
     for key, value in params_doc.items():
         default = getattr(AnalysisParams, key)
         if not isinstance(default, str):
-            value = _config_number(f"{p.name}: params.{key}", value, type(default) is int)
+            value = json_number(f"{p.name}: params.{key}", value, type(default) is int)
         try:
             params = dataclasses.replace(params, **{key: value})
         except ValueError as exc:
             raise ParseError(f"{p.name}: params.{key}: {exc}") from None
     crop_doc = doc.get("crop", {})
-    if set(crop_doc) - {"out_w", "out_h"}:
-        raise ParseError(f"{p.name}: unknown crop keys {sorted(set(crop_doc) - {'out_w', 'out_h'})}")
+    check_keys(f"{p.name}: crop", crop_doc, ("out_w", "out_h"))
     sim_doc = doc.get("simulation", {})
-    bad = set(sim_doc) - _SIM_KEYS
-    if bad:
-        raise ParseError(f"{p.name}: unknown simulation keys {sorted(bad)}")
+    check_keys(f"{p.name}: simulation", sim_doc, _SIM_KEYS)
     counts = {}
     for key, value in doc.get("overlap_counts", {}).items():
         parts = key.split("|")
@@ -158,7 +143,7 @@ def load_config(path: str | Path | None) -> RunConfig:
             raise ParseError(f"{p.name}: overlap_counts key {key!r} is not 'speciesA|speciesB'")
         counts[tuple(sorted(parts))] = _config_count(f"{p.name}: overlap_counts[{key!r}]", value)
     crop = tuple(
-        _config_number(f"{p.name}: crop.{k}", crop_doc.get(k, default), integer=True)
+        json_number(f"{p.name}: crop.{k}", crop_doc.get(k, default), integer=True)
         for k, default in (("out_w", DEFAULT_OUT_W), ("out_h", DEFAULT_OUT_H))
     )
     return RunConfig(
@@ -166,7 +151,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         params,
         dict(doc.get("label_map", {})),
         crop,
-        float(_config_number(f"{p.name}: clock_offset_s", doc.get("clock_offset_s", 0.0))),
+        float(json_number(f"{p.name}: clock_offset_s", doc.get("clock_offset_s", 0.0))),
         {
             str(k): _config_count(f"{p.name}: composition[{k!r}]", v)
             for k, v in doc.get("composition", {}).items()
@@ -197,30 +182,17 @@ def _check_sections(name: str, doc: dict) -> None:
             )
 
 
-def _config_number(where: str, value, integer: bool = False):
-    """A finite JSON number from --config; with integer, a whole one, returned as int."""
-    finite = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    if isinstance(value, bool) or not finite or (integer and value != int(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise ParseError(f"{where} must be {kind}, got {value!r}")
-    return int(value) if integer else value
-
-
 def _config_count(where: str, value) -> int:
     """A whole, non-negative JSON number from --config."""
-    count = _config_number(where, value, integer=True)
+    count = json_number(where, value, integer=True)
     if count < 0:
         raise ParseError(f"{where} must not be negative, got {value!r}")
     return count
 
 
 def _load_ethogram(config: RunConfig) -> Ethogram:
-    if config.ethogram_path:
-        return read_ethogram(config.ethogram_path)
-    env = os.environ.get("ETHOKIT_ETHOGRAM")
-    if env:
-        return read_ethogram(env)
-    return default_ethogram()
+    path = config.ethogram_path or os.environ.get("ETHOKIT_ETHOGRAM")
+    return read_ethogram(path) if path else default_ethogram()
 
 
 class Session:
@@ -238,17 +210,15 @@ class Session:
     faults inside the streams it compares.
     """
 
-    def __init__(self, root: Path, meta: VideoMeta, need: tuple[str, ...]):
-        self.root = root
-        self.meta = meta
+    def __init__(self, directory: str | Path, need: tuple[str, ...] = ()):
+        self.root = Path(directory)
+        self.meta = read_video_meta(self.root / "meta.json")
         self.need = need
 
     def _read(self, name: str, reader):
         path = self.root / name
-        if path.exists():
+        if name in self.need or path.exists():
             return reader(path)
-        if name in self.need:
-            raise ParseError(f"missing file: {path}")
         return []
 
     # the readers are looked up in this module at call time, so a wrapper
@@ -278,16 +248,6 @@ class Session:
         return index.streams(subject, method) if index else []
 
 
-def _load_session(directory: str | Path, *, need: tuple[str, ...] = ()) -> Session:
-    root = Path(directory)
-    if not root.is_dir():
-        raise ParseError(f"session directory not found: {root}")
-    meta_path = root / "meta.json"
-    if not meta_path.exists():
-        raise ParseError(f"missing file: {meta_path}")
-    return Session(root, read_video_meta(meta_path), need)
-
-
 def _emit(out_dir: Path, name: str, text: str) -> Path:
     """Atomic write: the final path never holds a partial file."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,7 +268,7 @@ def _json_text(obj) -> str:
 
 def cmd_validate(args) -> int:
     config = load_config(args.config)
-    session = _load_session(args.session)
+    session = Session(args.session)
     report = validate_session(
         session.tracks,
         session.labels + session.observations,
@@ -327,7 +287,7 @@ def cmd_miniscenes(args) -> int:
     params = config.params
     if args.min_frames is not None:
         params = dataclasses.replace(params, min_miniscene_frames=args.min_frames)
-    session = _load_session(args.session, need=("tracks.csv", "labels.csv"))
+    session = Session(args.session, need=("tracks.csv", "labels.csv"))
     out_w, out_h = config.crop
     scenes = extract_miniscenes(
         session.tracks, session.labels, params, session.meta, out_w, out_h
@@ -362,7 +322,7 @@ def _budget_rows(session: Session, ethogram: Ethogram) -> list[tuple[str, str, s
 
 def cmd_timebudget(args) -> int:
     config = load_config(args.config)
-    session = _load_session(args.session)
+    session = Session(args.session)
     if not session.labels and not session.observations:
         raise ValueError("session has neither labels.csv nor observations.csv")
     rows = _budget_rows(session, _load_ethogram(config))
@@ -399,7 +359,7 @@ def _matrix_csv(codes, rows) -> str:
 def cmd_transitions(args) -> int:
     config = load_config(args.config)
     ethogram = _load_ethogram(config)
-    session = _load_session(args.session)
+    session = Session(args.session)
     streams, codes = _transition_inputs(session, ethogram)
     delta = args.interval if args.interval is not None else config.params.downsample_interval_s
     matrix = transition_matrix(streams, delta, codes, ethogram)
@@ -439,7 +399,7 @@ def cmd_interactions(args) -> int:
         return 0
     if args.session is None:
         raise ParseError("interactions needs a session directory or overlap_counts in --config")
-    session = _load_session(args.session, need=("tracks.csv",))
+    session = Session(args.session, need=("tracks.csv",))
     events = detect_interactions(session.tracks, params)
     if session.labels:
         events = tag_interactions(events, session.labels)
@@ -483,7 +443,7 @@ def _apply_map(stream: ObservationStream, config: RunConfig, ethogram: Ethogram)
 def cmd_compare(args) -> int:
     config = load_config(args.config)
     ethogram = _load_ethogram(config)
-    session = _load_session(args.session, need=("observations.csv",))
+    session = Session(args.session, need=("observations.csv",))
     a = _pick_stream(session, config, args.subject, args.method_a)
     b = _pick_stream(session, config, args.subject, args.method_b)
     if a.method == GROUND_SCAN:
@@ -528,53 +488,35 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _read_table(path: Path) -> tuple[list[str], list[list[str]]]:
-    try:
-        text = read_text(path)
-    except FileNotFoundError:
-        raise ParseError(f"missing file: {path}") from None
-    rows: list[list[str]] = []
-    try:
-        rows.extend(csv.reader(io.StringIO(text, newline="")))
-    except csv.Error as exc:  # a field over the csv module's size limit
-        raise ParseError(f"{path.name} row {len(rows) + 1}: {exc}") from None
-    if not rows:
-        raise ParseError(f"{path.name}: empty file")
-    header, body = rows[0], rows[1:]
+def _read_table(path: Path, numbers: Sequence[str] = ()) -> tuple[list[str], list[list]]:
+    """A CSV table's header, its own first row, and its data rows, blank lines
+    skipped; each column named in ``numbers`` must exist and holds finite floats."""
+    rows = Rows(read_text(path), None, path.name)
+    for col in numbers:
+        if col not in rows.header:
+            raise ParseError(f"{path}: no column {col!r}")
+    body = []
+    for row in rows:
+        for col in numbers:
+            row[rows.header.index(col)] = rows.to_float(row, col)
+        body.append(row)
     if not body:
         raise ParseError(f"{path.name}: no data rows")
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ParseError(f"{path.name} row {i}: expected {len(header)} fields")
-    return header, body
+    return rows.header, body
 
 
 def cmd_regress(args) -> int:
     config = load_config(args.config)
-    header, body = _read_table(Path(args.data))
-    if args.response not in header:
-        raise ParseError(f"{args.data}: no column {args.response!r}")
+    path = Path(args.data)
+    header, body = _read_table(path, [args.response])
     factors = config.factors or [c for c in header if c != args.response]
     for f in factors:
         if f not in header:
-            raise ParseError(f"{args.data}: no column {f!r}")
+            raise ParseError(f"{path}: no column {f!r}")
     y_idx = header.index(args.response)
     f_idx = [(f, header.index(f)) for f in factors]
-    observations = []
-    y = []
-    for i, row in enumerate(body, start=2):
-        raw = row[y_idx]
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ParseError(f"{args.data} row {i}: response {raw!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ParseError(
-                f"{args.data} row {i} column {args.response!r}: "
-                f"response {raw!r} is not a finite number"
-            )
-        y.append(value)
-        observations.append({f: row[j] for f, j in f_idx})
+    y = [row[y_idx] for row in body]
+    observations = [{f: row[j] for f, j in f_idx} for row in body]
     references = dict(config.references)
     for f in factors:
         references.setdefault(f, min(obs[f] for obs in observations))
@@ -619,7 +561,7 @@ def cmd_simulate(args) -> int:
         base = dataclasses.asdict(cfg)
         for key, value in config.simulation.items():
             if type(base[key]) in (int, float):
-                value = _config_number(f"{name}: simulation.{key}", value, type(base[key]) is int)
+                value = json_number(f"{name}: simulation.{key}", value, type(base[key]) is int)
             base[key] = value
         try:
             cfg = SimConfig(**base)
@@ -636,7 +578,7 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     config = load_config(args.config)
     ethogram = _load_ethogram(config)
-    session = _load_session(args.session)
+    session = Session(args.session)
     if not session.labels and not session.observations:
         raise ValueError("session has neither labels.csv nor observations.csv")
     out = Path(args.out)

@@ -5,12 +5,17 @@ seconds for ground observations. One stream type holds both: an
 :class:`ObservationStream` keeps its bounds in its own unit and carries
 the frame rate that turns them into seconds. All types are immutable
 after construction and safe to share across concurrent workers.
+
+Every input file is read through this module: :func:`read_text`, then
+:class:`Rows`, the one CSV row reader, or :func:`json_object`, the one
+JSON-object reader, whose numbers :func:`json_number` checks.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -43,10 +48,12 @@ class ParseError(ValueError):
 
 
 def read_text(path: Path) -> str:
-    """A file's UTF-8 text; ParseError naming the file and the byte
-    offset of the first byte that is not UTF-8."""
+    """A file's UTF-8 text; ParseError naming the path of a missing file,
+    or the file and the byte offset of the first byte that is not UTF-8."""
     try:
         return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ParseError(f"missing file: {path}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path.name}: not UTF-8 at byte {exc.start}") from None
 
@@ -82,6 +89,112 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return out.getvalue()
 
 
+def row_error(name: str, row_no: int, column: str, message: str) -> ParseError:
+    return ParseError(f"{name} row {row_no} column {column!r}: {message}")
+
+
+class Rows:
+    """The data rows of CSV text, blank lines skipped, under its first row,
+    which must equal ``header`` or, with ``header`` None, is the header. A
+    malformed row is a ParseError naming the file (``name``) and the row.
+    """
+
+    def __init__(self, text: str, header: list[str] | None, name: str):
+        self.name = name
+        self.row_no = 0  # rows read so far, the header and blank lines included
+        # newline="" lets csv end a row at a lone \r too, as reading a file does
+        self._rows = self._read(csv.reader(io.StringIO(text, newline="")), header)
+        self.header: list[str] = next(self._rows)  # checks the header row
+        # a repeated column name reads its first column
+        self._pos = {col: self.header.index(col) for col in self.header}
+
+    def __iter__(self) -> Iterator[list[str]]:
+        return self._rows
+
+    def _read(self, reader, header: list[str] | None) -> Iterator[list[str]]:
+        """The header, then each data row."""
+        try:
+            got = next(reader, None)
+            if header is None:
+                if got is None:
+                    raise ParseError(f"{self.name}: empty file")
+                header = got
+            elif got != header:
+                raise ParseError(f"{self.name}: unexpected header {got!r}")
+            self.row_no = 1
+            yield header
+            width = len(header)
+            for row in reader:
+                self.row_no += 1
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ParseError(
+                        f"{self.name} row {self.row_no}: expected {width} fields, got {len(row)}"
+                    )
+                yield row
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise ParseError(f"{self.name} row {self.row_no + 1}: {exc}") from None
+
+    def fail(self, column: str, message: str) -> ParseError:
+        return row_error(self.name, self.row_no, column, message)
+
+    def to_int(self, row: list[str], col: str) -> int:
+        raw = row[self._pos[col]]
+        try:
+            return int(raw)
+        except ValueError:
+            raise self.fail(col, f"not an integer: {raw!r}") from None
+
+    def to_float(self, row: list[str], col: str) -> float:
+        raw = row[self._pos[col]]
+        try:
+            value = float(raw)
+        except ValueError:
+            raise self.fail(col, f"not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise self.fail(col, f"not a finite number: {raw!r}")
+        return value
+
+    def get(self, row: list[str], col: str) -> str:
+        return row[self._pos[col]]
+
+
+def json_object(text: str, name: str, keys: Iterable[str]) -> dict:
+    """The JSON object in ``text``; ParseError naming ``name`` if the text is
+    not JSON, holds no object, or holds a key outside ``keys``."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
+        raise ParseError(f"{name}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{name}: expected a JSON object")
+    check_keys(name, obj, keys)
+    return obj
+
+
+def check_keys(where: str, obj: dict, keys: Iterable[str]) -> None:
+    """ParseError naming ``where`` and every key of obj outside ``keys``."""
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def json_number(where: str, value, integer: bool = False, positive: bool = False):
+    """A finite JSON number, not a bool: with ``integer`` a whole one, returned
+    as an int, and with ``positive`` one above 0; ParseError naming ``where``
+    otherwise."""
+    try:
+        valid = not isinstance(value, bool) and math.isfinite(value)
+        valid = valid and (value == int(value) or not integer) and (value > 0 or not positive)
+    except (TypeError, OverflowError):  # not a number, or an integer past float range
+        valid = False
+    if not valid:
+        kinds = ("a finite number", "an integer", "positive and finite", "a positive integer")
+        raise ParseError(f"{where} must be {kinds[integer + 2 * positive]}, got {value!r}")
+    return int(value) if integer else value
+
+
 @dataclass(frozen=True)
 class VideoMeta:
     """Recording session metadata and the frame/seconds/wall-clock bridge."""
@@ -97,6 +210,10 @@ class VideoMeta:
             object.__setattr__(
                 self, "start_time", self.start_time.replace(tzinfo=timezone.utc)
             )
+        if not 0 < self.fps < math.inf:  # NaN fails every comparison
+            raise ValueError(f"fps must be positive and finite, got {self.fps!r}")
+        if not (self.width_px > 0 and self.height_px > 0):
+            raise ValueError(f"frame size must be positive, got {self.width_px}x{self.height_px}")
 
     def frame_to_epoch(self, frame: float) -> float:
         """Wall-clock time (epoch seconds) at which a frame starts."""
@@ -392,13 +509,6 @@ def validate_session(tracks, streams, meta, ethogram) -> ValidationReport:
     ``streams`` may mix frame label streams and seconds streams.
     """
     report = ValidationReport()
-
-    if meta.fps <= 0:
-        report.add("meta", f"fps must be positive, got {meta.fps}")
-    if meta.width_px <= 0 or meta.height_px <= 0:
-        report.add(
-            "meta", f"frame size must be positive, got {meta.width_px}x{meta.height_px}"
-        )
 
     seen_ids: set[str] = set()
     for track in tracks:

@@ -9,14 +9,12 @@ not absence of data, so visibility filtering stays explicit.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import ParseError, read_text
+from .core import ParseError, Rows, read_text
 
 OCCLUDED = "OCL"
 OUT_OF_FOCUS = "OOC"
@@ -127,35 +125,27 @@ class Ethogram:
         return _NAME_ALIASES.get(norm)
 
 
-def parse_ethogram(text: str) -> Ethogram:
-    """Parse ethogram CSV text (``code,name,species,technical``); ParseError if malformed."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader, None)
-        if header != _ETHOGRAM_HEADER:
-            raise ParseError(f"unexpected ethogram header {header!r}")
-        classes = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"ethogram row has {len(row)} fields: {row!r}")
-            code, name, species, technical = row
-            classes.append(BehaviorClass(code, name, species, technical == "1"))
-    except csv.Error as exc:  # a field over the csv module's size limit
-        raise ParseError(f"ethogram row {reader.line_num}: {exc}") from None
+def parse_ethogram(text: str, name: str = "ethogram") -> Ethogram:
+    """Parse ethogram CSV text (``code,name,species,technical``); ParseError
+    naming the file (``name``) and row if malformed."""
+    rows = Rows(text, _ETHOGRAM_HEADER, name)
+    classes = [
+        BehaviorClass(code, label, species, technical == "1")
+        for code, label, species, technical in rows
+    ]
     try:
         return Ethogram(tuple(classes))
     except ValueError as exc:
-        raise ParseError(f"ethogram: {exc}") from None
+        raise ParseError(f"{name}: {exc}") from None
 
 
 def read_ethogram(path: str | Path) -> Ethogram:
-    return parse_ethogram(read_text(Path(path)))
+    p = Path(path)
+    return parse_ethogram(read_text(p), p.name)
 
 
 @lru_cache(maxsize=1)
 def default_ethogram() -> Ethogram:
     """The combined zebra/giraffe ethogram shipped with the package."""
     text = resources.files("ethokit.data").joinpath("ethogram_v1.csv").read_text("utf-8")
-    return parse_ethogram(text)
+    return parse_ethogram(text, "ethogram_v1.csv")

@@ -21,6 +21,10 @@ reserved ``END`` row closes the final interval (or an interior run,
 when the record has gaps). The AnimalBehaviourPro export schema is not
 public, so this event layout is a documented stand-in.
 
+Each file is read with :mod:`ethokit.core`'s one reader of its format:
+:class:`~ethokit.core.Rows` for CSV, :func:`~ethokit.core.json_object`
+for meta.json.
+
 observations.csv is read in two steps. :class:`ObservationIndex` makes
 one pass that checks the header and every row's field count and groups
 the raw rows by stream; each stream is then parsed and checked when it
@@ -35,9 +39,7 @@ as ISO 8601 UTC at microsecond precision.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import warnings
@@ -59,13 +61,17 @@ from .core import (
     ObservationStream,
     ObsInterval,
     ParseError,
+    Rows as _Rows,
     Track,
     VideoMeta,
     coalesce,
     csv_text,
+    json_number,
+    json_object,
     read_text,
+    row_error,
 )
-from .ethogram import Ethogram, default_ethogram, read_ethogram
+from .ethogram import Ethogram, default_ethogram
 
 __all__ = [
     "ParseError",
@@ -81,7 +87,6 @@ __all__ = [
     "write_ground_observations",
     "read_video_meta",
     "write_video_meta",
-    "read_ethogram",
     "END_CODE",
 ]
 
@@ -107,65 +112,6 @@ def _parse_iso(text: str) -> float:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
-
-
-def _at(name: str, row_no: int, column: str) -> str:
-    return f"{name} row {row_no} column {column!r}"
-
-
-class _Rows:
-    """CSV row iterator that enforces a header and reports positions."""
-
-    def __init__(self, text: str, header: list[str], name: str):
-        self.name = name
-        self.header = header
-        self._pos = {col: i for i, col in enumerate(header)}
-        # newline="" lets csv end a row at a lone \r too, as reading a file does
-        self._reader = csv.reader(io.StringIO(text, newline=""))
-        self.row_no = 0
-
-    def __iter__(self):
-        """The data rows, after the header is checked."""
-        try:
-            got = next(self._reader, None)
-            if got != self.header:
-                raise ParseError(f"{self.name}: unexpected header {got!r}")
-            self.row_no = 1  # header row
-            for row in self._reader:
-                self.row_no += 1
-                if not row:
-                    continue
-                if len(row) != len(self.header):
-                    raise ParseError(
-                        f"{self.name} row {self.row_no}: expected "
-                        f"{len(self.header)} fields, got {len(row)}"
-                    )
-                yield row
-        except csv.Error as exc:  # a field over the csv module's size limit
-            raise ParseError(f"{self.name} row {self.row_no + 1}: {exc}") from None
-
-    def fail(self, column: str, message: str) -> ParseError:
-        return ParseError(f"{_at(self.name, self.row_no, column)}: {message}")
-
-    def to_int(self, row: list[str], col: str) -> int:
-        raw = row[self._pos[col]]
-        try:
-            return int(raw)
-        except ValueError:
-            raise self.fail(col, f"not an integer: {raw!r}") from None
-
-    def to_float(self, row: list[str], col: str) -> float:
-        raw = row[self._pos[col]]
-        try:
-            value = float(raw)
-        except ValueError:
-            raise self.fail(col, f"not a number: {raw!r}") from None
-        if not math.isfinite(value):
-            raise self.fail(col, f"not a finite number: {raw!r}")
-        return value
-
-    def get(self, row: list[str], col: str) -> str:
-        return row[self._pos[col]]
 
 
 def _to_bool(rows: _Rows, row: list[str], col: str) -> bool:
@@ -357,7 +303,7 @@ class ObservationIndex:
         observer, subject, method = key
         group = self._groups[key]
         if method not in METHODS:
-            raise self._fail(group[0][0], "method", f"unknown method {method!r}")
+            raise row_error(self.name, group[0][0], "method", f"unknown method {method!r}")
         parse_iso = self._parse_iso
         events: list[tuple[float, str, int]] = []
         prev = -math.inf
@@ -365,18 +311,16 @@ class ObservationIndex:
             try:
                 t = parse_iso(stamp)
             except ValueError as exc:
-                raise self._fail(row_no, "timestamp_iso8601", f"bad timestamp {stamp!r}") from exc
+                bad = f"bad timestamp {stamp!r}"
+                raise row_error(self.name, row_no, "timestamp_iso8601", bad) from exc
             if not code:
-                raise self._fail(row_no, "code", "empty behavior code")
+                raise row_error(self.name, row_no, "code", "empty behavior code")
             if t < prev:
                 message = "timestamps decrease within a stream"
-                raise self._fail(row_no, "timestamp_iso8601", message)
+                raise row_error(self.name, row_no, "timestamp_iso8601", message)
             prev = t
             events.append((t, code, row_no))
         return _events_to_stream(events, subject, method, observer, self.name)
-
-    def _fail(self, row_no: int, column: str, message: str) -> ParseError:
-        return ParseError(f"{_at(self.name, row_no, column)}: {message}")
 
 
 def parse_ground_observations(text: str, name: str = "observations") -> list[ObservationStream]:
@@ -464,15 +408,7 @@ _META_KEYS = ("session_id", "width_px", "height_px", "start_time", "fps")
 
 
 def parse_video_meta(text: str, name: str = "meta") -> VideoMeta:
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an over-long integer, deep nesting
-        raise ParseError(f"{name}: invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{name}: expected a JSON object")
-    unknown = set(obj) - set(_META_KEYS)
-    if unknown:
-        raise ParseError(f"{name}: unknown keys {sorted(unknown)}")
+    obj = json_object(text, name, _META_KEYS)
     missing = set(_META_KEYS) - set(obj)
     if missing:
         raise ParseError(f"{name}: missing keys {sorted(missing)}")
@@ -480,20 +416,13 @@ def parse_video_meta(text: str, name: str = "meta") -> VideoMeta:
         start = datetime.fromisoformat(str(obj["start_time"]).replace("Z", "+00:00"))
     except ValueError:
         raise ParseError(f"{name}: start_time is not ISO 8601: {obj['start_time']!r}") from None
-    if start.tzinfo is None:
-        start = start.replace(tzinfo=timezone.utc)
-    fields = {}
-    for key, kind in (("width_px", int), ("height_px", int), ("fps", float)):
-        try:
-            fields[key] = kind(obj[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(f"{name}: {key} is not a number: {obj[key]!r}") from None
-    meta = VideoMeta(session_id=str(obj["session_id"]), start_time=start, **fields)
-    if not (math.isfinite(meta.fps) and meta.fps > 0):
-        raise ParseError(f"{name}: fps must be positive and finite, got {meta.fps!r}")
-    if meta.width_px <= 0 or meta.height_px <= 0:
-        raise ParseError(f"{name}: frame size must be positive")
-    return meta
+    return VideoMeta(
+        session_id=str(obj["session_id"]),
+        width_px=json_number(f"{name}: width_px", obj["width_px"], integer=True, positive=True),
+        height_px=json_number(f"{name}: height_px", obj["height_px"], integer=True, positive=True),
+        start_time=start,
+        fps=float(json_number(f"{name}: fps", obj["fps"], positive=True)),
+    )
 
 
 def dump_video_meta(meta: VideoMeta) -> str:

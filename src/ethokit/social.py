@@ -10,7 +10,7 @@ loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .core import AnalysisParams, ObservationStream, Track, csv_text, streams_by_track
@@ -174,18 +174,7 @@ def tag_interactions(
             tag = f"{pair[0]}|{pair[1]}"
         else:
             tag = ""
-        tagged.append(
-            InteractionEvent(
-                event.track_a,
-                event.track_b,
-                event.species_a,
-                event.species_b,
-                event.start_frame,
-                event.end_frame,
-                event.mean_ratio,
-                tag,
-            )
-        )
+        tagged.append(replace(event, tag=tag))
     return tagged
 
 

@@ -718,6 +718,27 @@ class TestRegress:
         assert rc == 2
         assert "data.csv row 4: field larger than field limit" in capsys.readouterr().err
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        plain = small_regress_table(tmp_path / "plain.csv")
+        lines = plain.read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join([*lines[:4], "", *lines[4:], ""]) + "\n")
+        for table in (plain, blank):
+            argv = ["regress", str(table), "--response", "prop", "--out", str(tmp_path / table.stem)]
+            assert main(argv) == 0
+        for name in ("regression.csv", "model.json"):
+            assert (tmp_path / "blank" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_bad_response_after_a_blank_line_names_its_own_row(self, tmp_path, capsys):
+        data = small_regress_table(tmp_path / "data.csv")
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",x"
+        data.write_text("\n".join([*lines[:2], "", *lines[2:]]) + "\n")
+        rc = main(["regress", str(data), "--response", "prop", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        # the blank line is row 3 of the file, so the bad value is in row 5
+        assert "data.csv row 5 column 'prop': not a number: 'x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_response_is_a_parse_error(self, tmp_path, capsys, value):
         data = small_regress_table(tmp_path / "data.csv")
@@ -823,8 +844,8 @@ class TestMiniscenes:
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("bogus\nW,Walk,both,0\n", "unexpected ethogram header ['bogus']"),
-        ("code,name,species,technical\nW,Walk,both\n", "ethogram row has 3 fields"),
+        ("bogus\nW,Walk,both,0\n", "ethogram.csv: unexpected header ['bogus']"),
+        ("code,name,species,technical\nW,Walk,both\n", "ethogram.csv row 2: expected 4 fields, got 3"),
         ("code,name,species,technical\nW,Walk,both,0\nW,Wade,both,0\n",
          "duplicate ethogram code 'W'"),
         ("code,name,species,technical\nW,Walk,fish,0\n", "species must be one of"),
@@ -870,6 +891,36 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys, name):
         argv = ["validate", str(session), "--config", str(cfg)]
     assert main(argv) == 2
     assert f"{name}: not UTF-8 at byte {at}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "missing",
+    ["meta.json", "tracks.csv", "observations.csv", "table", "config", "config-ethogram",
+     "env-ethogram"],
+)
+def test_missing_input_is_a_parse_error(tmp_path, monkeypatch, capsys, missing):
+    session = tmp_path / "session"
+    shutil.copytree(GOLDEN, session)
+    absent = tmp_path / "absent"
+    out = ["--out", str(tmp_path / "o")]
+    if missing in ("meta.json", "tracks.csv", "observations.csv"):
+        absent = session / missing
+        absent.unlink()
+    argv = {
+        "tracks.csv": ["interactions", str(session), *out],
+        "observations.csv": ["compare", str(session), "--subject", "ind000", "--method-a",
+                             "ground_focal", "--method-b", "drone_focal", *out],
+        "table": ["regress", str(absent), "--response", "prop", *out],
+        "config": ["validate", str(session), "--config", str(absent)],
+    }.get(missing, ["validate", str(session)])
+    if missing == "config-ethogram":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ethogram": str(absent)}))
+        argv += ["--config", str(cfg)]
+    if missing == "env-ethogram":
+        monkeypatch.setenv("ETHOKIT_ETHOGRAM", str(absent))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: missing file: {absent}\n"
 
 
 class TestEthogramEnv:

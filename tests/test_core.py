@@ -32,6 +32,16 @@ class TestVideoMeta:
         m = VideoMeta("s", 100, 100, datetime(2023, 1, 1, 12, 0, 0))
         assert m.start_time.tzinfo is timezone.utc
 
+    @pytest.mark.parametrize("fps", [0.0, -30.0, math.nan, math.inf])
+    def test_fps_must_be_positive_and_finite(self, fps):
+        with pytest.raises(ValueError, match="fps must be positive and finite"):
+            VideoMeta("s", 100, 100, T0, fps)
+
+    @pytest.mark.parametrize("width,height", [(0, 100), (100, -1)])
+    def test_frame_size_must_be_positive(self, width, height):
+        with pytest.raises(ValueError, match=f"frame size must be positive, got {width}x{height}"):
+            VideoMeta("s", width, height, T0)
+
 
 class TestTrack:
     """A track holds its boxes as columns and enforces their shape and order."""

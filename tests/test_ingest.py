@@ -499,6 +499,32 @@ class TestVideoMeta:
             parse_video_meta(text)
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("width_px", 432.9, "meta: width_px must be a positive integer, got 432.9"),
+        ("height_px", "324", "meta: height_px must be a positive integer, got '324'"),
+        ("fps", True, "meta: fps must be positive and finite, got True"),
+        ("width_px", 0, "meta: width_px must be a positive integer, got 0"),
+        ("fps", 10**400, "meta: fps must be positive and finite, got 1000"),
+    ],
+    ids=["float-width", "string-height", "bool-fps", "zero-width", "huge-fps"],
+)
+def test_meta_numbers_are_not_coerced(meta, key, value, message):
+    doc = json.loads(dump_video_meta(meta))
+    doc[key] = value
+    with pytest.raises(ParseError) as err:
+        parse_video_meta(json.dumps(doc))
+    assert str(err.value).startswith(message)
+
+
+def test_meta_whole_float_frame_size_reads_as_int(meta):
+    doc = json.loads(dump_video_meta(meta))
+    doc["width_px"] = 1920.0
+    got = parse_video_meta(json.dumps(doc))
+    assert got == meta and type(got.width_px) is int
+
+
 BIG = "x" * 200_000  # over the csv module's 131 072-character field limit
 
 
