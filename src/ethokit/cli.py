@@ -25,6 +25,7 @@ from .core import (
     ML_AUTO,
     AnalysisParams,
     ObservationStream,
+    ParseError,
     Rows,
     Track,
     check_keys,
@@ -34,11 +35,11 @@ from .core import (
     read_text,
     streams_by_track,
     validate_session,
+    write_text,
 )
 from .ethogram import Ethogram, default_ethogram, read_ethogram
 from .ingest import (
     ObservationIndex,
-    ParseError,
     read_ground_observations,  # noqa: F401  (benchmarks/tracing.py wraps it here)
     read_labels,
     read_observation_index,
@@ -248,16 +249,6 @@ class Session:
         return index.streams(subject, method) if index else []
 
 
-def _emit(out_dir: Path, name: str, text: str) -> Path:
-    """Atomic write: the final path never holds a partial file."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-    return path
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -292,7 +283,7 @@ def cmd_miniscenes(args) -> int:
     scenes = extract_miniscenes(
         session.tracks, session.labels, params, session.meta, out_w, out_h
     )
-    path = _emit(Path(args.out), "miniscenes.csv", dump_miniscene_manifest(scenes))
+    path = write_text(Path(args.out) / "miniscenes.csv", dump_miniscene_manifest(scenes))
     print(f"{len(scenes)} mini-scene(s) -> {path}")
     return 0
 
@@ -332,9 +323,9 @@ def cmd_timebudget(args) -> int:
             {"source": s, "subject": subj, "code": c, "seconds": sec, "proportion": prop}
             for s, subj, c, sec, prop in rows
         ]
-        path = _emit(out, "timebudget.json", _json_text(doc))
+        path = write_text(out / "timebudget.json", _json_text(doc))
     else:
-        path = _emit(out, "timebudget.csv", csv_text(_BUDGET_HEADER, rows))
+        path = write_text(out / "timebudget.csv", csv_text(_BUDGET_HEADER, rows))
     print(f"time budget -> {path}")
     return 0
 
@@ -370,14 +361,10 @@ def cmd_transitions(args) -> int:
             "counts": [list(r) for r in matrix.counts],
             "probabilities": [list(r) for r in matrix.probabilities],
         }
-        path = _emit(out, "transitions.json", _json_text(doc))
+        path = write_text(out / "transitions.json", _json_text(doc))
     else:
-        path = _emit(out, "transitions.csv", _matrix_csv(matrix.codes, matrix.probabilities))
-        _emit(
-            out,
-            "transition_counts.csv",
-            _matrix_csv(matrix.codes, matrix.counts),
-        )
+        path = write_text(out / "transitions.csv", _matrix_csv(matrix.codes, matrix.probabilities))
+        write_text(out / "transition_counts.csv", _matrix_csv(matrix.codes, matrix.counts))
     print(f"{matrix.total} transition pair(s) -> {path}")
     return 0
 
@@ -394,7 +381,7 @@ def cmd_interactions(args) -> int:
         if not config.composition:
             raise ValueError("overlap_counts given without composition")
         matrix = OverlapMatrix.from_counts(config.composition, config.overlap_counts)
-        path = _emit(out, "overlap_summary.csv", dump_overlap_matrix(matrix))
+        path = write_text(out / "overlap_summary.csv", dump_overlap_matrix(matrix))
         print(f"overlap summary (published counts) -> {path}")
         return 0
     if args.session is None:
@@ -403,11 +390,11 @@ def cmd_interactions(args) -> int:
     events = detect_interactions(session.tracks, params)
     if session.labels:
         events = tag_interactions(events, session.labels)
-    path = _emit(out, "interactions.csv", dump_interaction_events(events))
+    path = write_text(out / "interactions.csv", dump_interaction_events(events))
     print(f"{len(events)} interaction(s) -> {path}")
     if config.composition:
         summary = overlap_summary(events, config.composition)
-        _emit(out, "overlap_summary.csv", dump_overlap_matrix(summary))
+        write_text(out / "overlap_summary.csv", dump_overlap_matrix(summary))
     return 0
 
 
@@ -461,11 +448,10 @@ def cmd_compare(args) -> int:
     scores = class_metrics(matrix)
 
     out = Path(args.out)
-    _emit(out, "paired.csv", dump_paired_series(pairs))
-    _emit(out, "confusion.csv", _matrix_csv(matrix.codes, matrix.counts))
-    _emit(
-        out,
-        "agreement.json",
+    write_text(out / "paired.csv", dump_paired_series(pairs))
+    write_text(out / "confusion.csv", _matrix_csv(matrix.codes, matrix.counts))
+    write_text(
+        out / "agreement.json",
         _json_text(
             {
                 "subject": pairs.subject_id,
@@ -479,9 +465,8 @@ def cmd_compare(args) -> int:
         ),
     )
     macro = ("macro", scores.macro_precision, scores.macro_recall, scores.macro_f1)
-    _emit(
-        out,
-        "class_metrics.csv",
+    write_text(
+        out / "class_metrics.csv",
         csv_text(["code", "precision", "recall", "f1"], [*scores.per_class, macro]),
     )
     print(f"kappa = {agreement.kappa:.4f} over {len(pairs)} samples -> {out}")
@@ -529,7 +514,7 @@ def cmd_regress(args) -> int:
     columns = (result.columns, result.beta, result.se, result.t_stats, result.p_values)
     rows = zip(*columns, result.ci_low, result.ci_high, map(significance_stars, result.p_values))
     out = Path(args.out)
-    path = _emit(out, "regression.csv", csv_text(header, rows))
+    path = write_text(out / "regression.csv", csv_text(header, rows))
     model = {
         "n_obs": result.n_obs,
         "r_squared": result.r_squared,
@@ -548,7 +533,7 @@ def cmd_regress(args) -> int:
             "df2": ftest.df2,
             "p": ftest.p,
         }
-    _emit(out, "model.json", _json_text(model))
+    write_text(out / "model.json", _json_text(model))
     print(f"R^2 = {result.r_squared:.4f} -> {path}")
     return 0
 
@@ -582,12 +567,12 @@ def cmd_report(args) -> int:
     if not session.labels and not session.observations:
         raise ValueError("session has neither labels.csv nor observations.csv")
     out = Path(args.out)
-    _emit(out, "timebudget.csv", csv_text(_BUDGET_HEADER, _budget_rows(session, ethogram)))
+    write_text(out / "timebudget.csv", csv_text(_BUDGET_HEADER, _budget_rows(session, ethogram)))
 
     streams, codes = _transition_inputs(session, ethogram)
     matrix = transition_matrix(streams, config.params.downsample_interval_s, codes, ethogram)
-    _emit(out, "transitions.csv", _matrix_csv(matrix.codes, matrix.probabilities))
-    _emit(out, "transitions.svg", transition_heatmap_svg(matrix, "Transition probabilities"))
+    write_text(out / "transitions.csv", _matrix_csv(matrix.codes, matrix.probabilities))
+    write_text(out / "transitions.svg", transition_heatmap_svg(matrix, "Transition probabilities"))
 
     if session.labels:
         lanes = [(s.subject_id, s) for s in sorted(session.labels, key=lambda s: s.subject_id)]
@@ -597,7 +582,7 @@ def cmd_report(args) -> int:
             for s in sorted(session.observations, key=lambda s: (s.subject_id, s.method))
             if not s.is_instantaneous()
         ]
-    _emit(out, "gantt.svg", gantt_svg(lanes, title="Behavior timeline"))
+    write_text(out / "gantt.svg", gantt_svg(lanes, title="Behavior timeline"))
     print(f"report -> {out}")
     return 0
 
@@ -613,10 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
+    def common(sp):
         sp.add_argument("--config", help="JSON run-config file")
-        if out_required:
-            sp.add_argument("--out", required=True, help="output directory")
+        sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("validate", help="check a session directory against the data contracts")
     sp.add_argument("session")
@@ -681,10 +665,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

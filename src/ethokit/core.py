@@ -8,7 +8,9 @@ after construction and safe to share across concurrent workers.
 
 Every input file is read through this module: :func:`read_text`, then
 :class:`Rows`, the one CSV row reader, or :func:`json_object`, the one
-JSON-object reader, whose numbers :func:`json_number` checks.
+JSON-object reader, whose numbers :func:`json_number` checks. Every file
+the package writes goes through :func:`write_text`, which replaces the
+file whole or leaves it as it was.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -24,6 +27,29 @@ from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter, le, lt, ne
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+
+__all__ = [
+    "GREVYS_ZEBRA",
+    "PLAINS_ZEBRA",
+    "GIRAFFE",
+    "ZEBRA_UNSPECIFIED",
+    "KNOWN_SPECIES",
+    "GROUND_FOCAL",
+    "GROUND_SCAN",
+    "DRONE_FOCAL",
+    "ML_AUTO",
+    "METHODS",
+    "LABELS",
+    "ParseError",
+    "VideoMeta",
+    "Track",
+    "ObsInterval",
+    "ObservationStream",
+    "AnalysisParams",
+    "ValidationIssue",
+    "ValidationReport",
+    "validate_session",
+]
 
 # Canonical species identifiers. Any other non-empty string is accepted
 # and treated as an "other" species.
@@ -56,6 +82,18 @@ def read_text(path: Path) -> str:
         raise ParseError(f"missing file: {path}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path.name}: not UTF-8 at byte {exc.start}") from None
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write ``text`` as UTF-8 to ``path``, making its directory, and return
+    the path. The text goes to ``<name>.tmp`` first, which then replaces the
+    file, so the path never holds a partial file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+    return path
 
 
 # The most sample points or bins one resampling of a stream may make: a
@@ -155,6 +193,14 @@ class Rows:
         if not math.isfinite(value):
             raise self.fail(col, f"not a finite number: {raw!r}")
         return value
+
+    def to_bool(self, row: list[str], col: str) -> bool:
+        raw = row[self._pos[col]]
+        if raw in ("0", "false"):
+            return False
+        if raw in ("1", "true"):
+            return True
+        raise self.fail(col, f"not a boolean (0/1): {raw!r}")
 
     def get(self, row: list[str], col: str) -> str:
         return row[self._pos[col]]

@@ -16,6 +16,19 @@ from pathlib import Path
 
 from .core import ParseError, Rows, read_text
 
+__all__ = [
+    "OCCLUDED",
+    "OUT_OF_FOCUS",
+    "OUT_OF_FRAME",
+    "OUT_OF_SIGHT",
+    "TECHNICAL_CODES",
+    "BehaviorClass",
+    "Ethogram",
+    "parse_ethogram",
+    "read_ethogram",
+    "default_ethogram",
+]
+
 OCCLUDED = "OCL"
 OUT_OF_FOCUS = "OOC"
 OUT_OF_FRAME = "OOF"
@@ -126,13 +139,11 @@ class Ethogram:
 
 
 def parse_ethogram(text: str, name: str = "ethogram") -> Ethogram:
-    """Parse ethogram CSV text (``code,name,species,technical``); ParseError
-    naming the file (``name``) and row if malformed."""
+    """Parse ethogram CSV text (``code,name,species,technical``, technical
+    being 0, 1, false or true); ParseError naming the file (``name``) and
+    row if malformed."""
     rows = Rows(text, _ETHOGRAM_HEADER, name)
-    classes = [
-        BehaviorClass(code, label, species, technical == "1")
-        for code, label, species, technical in rows
-    ]
+    classes = [BehaviorClass(*row[:3], rows.to_bool(row, "technical")) for row in rows]
     try:
         return Ethogram(tuple(classes))
     except ValueError as exc:

@@ -23,7 +23,8 @@ public, so this event layout is a documented stand-in.
 
 Each file is read with :mod:`ethokit.core`'s one reader of its format:
 :class:`~ethokit.core.Rows` for CSV, :func:`~ethokit.core.json_object`
-for meta.json.
+for meta.json. Each ``write_*`` function writes its file through
+:func:`~ethokit.core.write_text`, so the file appears whole or not at all.
 
 observations.csv is read in two steps. :class:`ObservationIndex` makes
 one pass that checks the header and every row's field count and groups
@@ -70,21 +71,29 @@ from .core import (
     json_object,
     read_text,
     row_error,
+    write_text,
 )
 from .ethogram import Ethogram, default_ethogram
 
 __all__ = [
-    "ParseError",
     "CvatImportWarning",
     "import_cvat_video_xml",
+    "parse_tracks",
+    "dump_tracks",
     "read_tracks",
     "write_tracks",
+    "parse_labels",
+    "dump_labels",
     "read_labels",
     "write_labels",
     "ObservationIndex",
+    "parse_ground_observations",
+    "dump_ground_observations",
     "read_ground_observations",
     "read_observation_index",
     "write_ground_observations",
+    "parse_video_meta",
+    "dump_video_meta",
     "read_video_meta",
     "write_video_meta",
     "END_CODE",
@@ -114,13 +123,12 @@ def _parse_iso(text: str) -> float:
     return dt.timestamp()
 
 
-def _to_bool(rows: _Rows, row: list[str], col: str) -> bool:
-    raw = rows.get(row, col)
-    if raw in ("0", "false"):
-        return False
-    if raw in ("1", "true"):
-        return True
-    raise rows.fail(col, f"not a boolean (0/1): {raw!r}")
+def _session_of(rows: _Rows, row: list[str], session: str | None) -> str:
+    """The row's session_id, which must equal ``session`` once that is known."""
+    sid = rows.get(row, "session_id")
+    if session is not None and sid != session:
+        raise rows.fail("session_id", f"mixed sessions ({session!r} and {sid!r})")
+    return sid
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +142,7 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
     groups: list[tuple[str, str, bool, tuple[list, ...]]] = []
     prev_key: tuple[str, int] | None = None
     for row in rows:
-        sid = rows.get(row, "session_id")
-        if session is None:
-            session = sid
-        elif sid != session:
-            raise rows.fail("session_id", f"mixed sessions ({session!r} and {sid!r})")
+        session = _session_of(rows, row, session)
         track_id = rows.get(row, "track_id")
         species = rows.get(row, "species")
         frame = rows.to_int(row, "frame")
@@ -146,7 +150,7 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
         y = rows.to_float(row, "y")
         w = rows.to_float(row, "w")
         h = rows.to_float(row, "h")
-        excluded = _to_bool(rows, row, "excluded")
+        excluded = rows.to_bool(row, "excluded")
         key = (track_id, frame)
         if prev_key is not None and key <= prev_key:
             if key == prev_key:
@@ -192,7 +196,7 @@ def read_tracks(path: str | Path) -> list[Track]:
 
 
 def write_tracks(tracks: list[Track], path: str | Path, session_id: str) -> None:
-    Path(path).write_text(dump_tracks(tracks, session_id), encoding="utf-8")
+    write_text(path, dump_tracks(tracks, session_id))
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +209,7 @@ def parse_labels(text: str, fps: float, name: str = "labels") -> list[Observatio
     session: str | None = None
     groups: list[tuple[str, list[ObsInterval]]] = []
     for row in rows:
-        sid = rows.get(row, "session_id")
-        if session is None:
-            session = sid
-        elif sid != session:
-            raise rows.fail("session_id", f"mixed sessions ({session!r} and {sid!r})")
+        session = _session_of(rows, row, session)
         track_id = rows.get(row, "track_id")
         start = rows.to_int(row, "start_frame")
         end = rows.to_int(row, "end_frame")
@@ -251,7 +251,7 @@ def read_labels(path: str | Path, fps: float) -> list[ObservationStream]:
 
 
 def write_labels(streams: list[ObservationStream], path: str | Path, session_id: str) -> None:
-    Path(path).write_text(dump_labels(streams, session_id), encoding="utf-8")
+    write_text(path, dump_labels(streams, session_id))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def read_observation_index(path: str | Path) -> ObservationIndex:
 def write_ground_observations(
     streams: list[ObservationStream], path: str | Path, observer_id: str = "field"
 ) -> None:
-    Path(path).write_text(dump_ground_observations(streams, observer_id), encoding="utf-8")
+    write_text(path, dump_ground_observations(streams, observer_id))
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +412,15 @@ def parse_video_meta(text: str, name: str = "meta") -> VideoMeta:
     missing = set(_META_KEYS) - set(obj)
     if missing:
         raise ParseError(f"{name}: missing keys {sorted(missing)}")
+    for key in ("session_id", "start_time"):
+        if not isinstance(obj[key], str):
+            raise ParseError(f"{name}: {key} must be a string, got {obj[key]!r}")
     try:
-        start = datetime.fromisoformat(str(obj["start_time"]).replace("Z", "+00:00"))
+        start = datetime.fromisoformat(obj["start_time"].replace("Z", "+00:00"))
     except ValueError:
         raise ParseError(f"{name}: start_time is not ISO 8601: {obj['start_time']!r}") from None
     return VideoMeta(
-        session_id=str(obj["session_id"]),
+        session_id=obj["session_id"],
         width_px=json_number(f"{name}: width_px", obj["width_px"], integer=True, positive=True),
         height_px=json_number(f"{name}: height_px", obj["height_px"], integer=True, positive=True),
         start_time=start,
@@ -442,7 +445,7 @@ def read_video_meta(path: str | Path) -> VideoMeta:
 
 
 def write_video_meta(meta: VideoMeta, path: str | Path) -> None:
-    Path(path).write_text(dump_video_meta(meta), encoding="utf-8")
+    write_text(path, dump_video_meta(meta))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -103,17 +104,26 @@ class CountMatrix:
             raise ValueError("negative count")
 
     @property
+    def row_totals(self) -> tuple[int, ...]:
+        """Each row's sum, in code order."""
+        return tuple(map(sum, self.counts))
+
+    @property
+    def col_totals(self) -> tuple[int, ...]:
+        """Each column's sum, in code order."""
+        return tuple(map(sum, zip(*self.counts)))
+
+    @property
     def probabilities(self) -> tuple[tuple[float, ...], ...]:
         """Each row divided by its total; a row with no counts is all zeros."""
-        rows = []
-        for row in self.counts:
-            total = sum(row)
-            rows.append(tuple(c / total for c in row) if total else tuple(0.0 for _ in row))
-        return tuple(rows)
+        return tuple(
+            tuple(c / total for c in row) if total else (0.0,) * len(row)
+            for row, total in zip(self.counts, self.row_totals)
+        )
 
     @property
     def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
+        return sum(self.row_totals)
 
 
 def _sample_codes(stream, delta_s: float, technical) -> list[str | None]:
@@ -200,11 +210,8 @@ def cohens_kappa(m: CountMatrix) -> AgreementStats:
     total = m.total
     if total == 0:
         raise ValueError("empty confusion matrix")
-    k = len(m.codes)
-    row_totals = [sum(m.counts[i]) for i in range(k)]
-    col_totals = [sum(m.counts[i][j] for i in range(k)) for j in range(k)]
-    p_o = sum(m.counts[i][i] for i in range(k)) / total
-    p_e = sum(row_totals[i] * col_totals[i] for i in range(k)) / (total * total)
+    p_o = sum(row[i] for i, row in enumerate(m.counts)) / total
+    p_e = sum(map(mul, m.row_totals, m.col_totals)) / (total * total)
     if p_e >= 1.0:
         raise ValueError("degenerate marginals: expected agreement is 1")
     return AgreementStats(p_o, p_e, (p_o - p_e) / (1.0 - p_e))
@@ -235,14 +242,11 @@ class ClassMetrics:
 
 def class_metrics(m: CountMatrix) -> ClassMetrics:
     """Reference on rows, prediction on columns."""
-    k = len(m.codes)
-    row_totals = [sum(m.counts[i]) for i in range(k)]
-    col_totals = [sum(m.counts[i][j] for i in range(k)) for j in range(k)]
     scores = []
-    for i, code in enumerate(m.codes):
+    for i, (code, row_total, col_total) in enumerate(zip(m.codes, m.row_totals, m.col_totals)):
         tp = m.counts[i][i]
-        precision = tp / col_totals[i] if col_totals[i] else None
-        recall = tp / row_totals[i] if row_totals[i] else None
+        precision = tp / col_total if col_total else None
+        recall = tp / row_total if row_total else None
         if precision is None or recall is None:
             f1 = None
         elif precision + recall > 0:

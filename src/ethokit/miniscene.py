@@ -26,8 +26,6 @@ __all__ = [
     "crop_window",
     "extract_miniscenes",
     "dump_miniscene_manifest",
-    "DEFAULT_OUT_W",
-    "DEFAULT_OUT_H",
 ]
 
 # Crop size is a free choice; 400x300 comfortably frames one zebra at

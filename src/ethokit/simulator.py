@@ -47,6 +47,7 @@ from .core import (
     obs_intervals,
     run_edges,
     sample_count,
+    write_text,
 )
 from .ethogram import OUT_OF_SIGHT
 from .ingest import (
@@ -401,10 +402,10 @@ def export_world(world: SimWorld, out_dir: str | Path) -> list[Path]:
 
     Emits meta.json, tracks.csv, labels.csv (ground truth) and
     observations.csv (scan plus both focal methods per individual), so
-    the full analytics pipeline runs unchanged on synthetic data.
+    the full analytics pipeline runs unchanged on synthetic data. Each
+    file is written whole or not at all, the directory made if need be.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     session = world.meta.session_id
     streams: list[ObservationStream] = list(observe_scan(world))
     for subject in world.subjects:
@@ -417,12 +418,7 @@ def export_world(world: SimWorld, out_dir: str | Path) -> list[Path]:
         "labels.csv": dump_labels(labels, session),
         "observations.csv": dump_ground_observations(streams, _OBSERVER),
     }
-    written = []
-    for name, text in files.items():
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+    return [write_text(out / name, text) for name, text in files.items()]
 
 
 def demo_config(

@@ -48,6 +48,23 @@ def _num(v: float) -> str:
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
+def _svg(width: int, height: int, title: str, title_y: int, body: list[str]) -> str:
+    """An SVG document: a white background, the title (if any) centred at
+    ``title_y``, then the elements in ``body``."""
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{width / 2:.1f}" y="{title_y}" text-anchor="middle" {_FONT} '
+            f'font-size="14">{_escape(title)}</text>'
+        )
+    return "\n".join([*parts, *body, "</svg>"]) + "\n"
+
+
 def gantt_svg(
     rows: Sequence[tuple[str, ObservationStream]],
     width: int = 900,
@@ -78,17 +95,7 @@ def gantt_svg(
     def sx(t: float) -> float:
         return margin_left + (t - t0) / (t1 - t0) * plot_w
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" {_FONT} '
-            f'font-size="14">{_escape(title)}</text>'
-        )
+    parts = []
     for i, (label, segments) in enumerate(lanes):
         y = margin_top + i * row_h
         parts.append(
@@ -109,8 +116,7 @@ def gantt_svg(
             f'<text x="{x + 16}" y="{legend_y + 10}" {_FONT} font-size="11">{_escape(code)}</text>'
         )
         x += 24 + 8 * len(code)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, title, 20, parts)
 
 
 def _cell_color(v: float) -> str:
@@ -136,17 +142,7 @@ def heatmap_svg(
     margin_left, margin_top = 110, 70 if title else 50
     width = margin_left + n_cols * cell + 16
     height = margin_top + n_rows * cell + 16
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" {_FONT} '
-            f'font-size="14">{_escape(title)}</text>'
-        )
+    parts = []
     for j, label in enumerate(col_labels):
         x = margin_left + j * cell + cell / 2
         parts.append(
@@ -172,8 +168,7 @@ def heatmap_svg(
                 f'<text x="{x + cell / 2:.1f}" y="{yc + cell / 2 + 4:.1f}" text-anchor="middle" '
                 f'{_FONT} font-size="11" fill="{text_fill}">{v:.2f}</text>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, title, 22, parts)
 
 
 def transition_heatmap_svg(matrix: CountMatrix, title: str = "") -> str:

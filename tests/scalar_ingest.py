@@ -39,7 +39,6 @@ from ethokit.ingest import (
     TRACK_HEADER,
     ParseError,
     _Rows,
-    _to_bool,
 )
 from conftest import track_from_boxes
 
@@ -140,7 +139,7 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
             rows.to_float(row, "w"),
             rows.to_float(row, "h"),
         )
-        excluded = _to_bool(rows, row, "excluded")
+        excluded = rows.to_bool(row, "excluded")
         key = (track_id, frame)
         if prev_key is not None and key <= prev_key:
             if key == prev_key:

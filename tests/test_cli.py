@@ -513,6 +513,21 @@ class TestSimulate:
         tracks = (out / "tracks.csv").read_text()
         assert "ind001" in tracks and "ind002" not in tracks
 
+    def test_each_file_is_written_whole_into_a_new_directory(self, tmp_path, monkeypatch):
+        renamed = []
+        replace = os.replace
+
+        def record(src, dst):
+            renamed.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", record)
+        out = tmp_path / "new" / "session"
+        assert main(["simulate", "--seed", "1", "--out", str(out)]) == 0
+        names = ["labels.csv", "meta.json", "observations.csv", "tracks.csv"]
+        assert sorted(renamed) == names
+        assert sorted(path.name for path in out.iterdir()) == names  # no .tmp file left
+
 
 class TestTimebudget:
     def test_csv_output(self, sim_session, tmp_path):
@@ -849,8 +864,10 @@ class TestMiniscenes:
         ("code,name,species,technical\nW,Walk,both,0\nW,Wade,both,0\n",
          "duplicate ethogram code 'W'"),
         ("code,name,species,technical\nW,Walk,fish,0\n", "species must be one of"),
+        ("code,name,species,technical\nW,Walk,both,yes\n",
+         "ethogram.csv row 2 column 'technical': not a boolean (0/1): 'yes'"),
     ],
-    ids=["header", "fields", "duplicate", "species"],
+    ids=["header", "fields", "duplicate", "species", "boolean"],
 )
 def test_malformed_ethogram_is_a_parse_error(tmp_path, capsys, text, message):
     ethogram = tmp_path / "ethogram.csv"

@@ -18,6 +18,7 @@ from ethokit import (
     import_cvat_video_xml,
     validate_session,
 )
+from ethokit import core
 from ethokit.core import BoundingBox
 from conftest import EPOCH0, T0, cvat_document, make_labels, make_track, obs
 from scalar_labels import LabelStream, Segment
@@ -327,3 +328,23 @@ class TestValidateSession:
         )
         report = validate_session([], [stream], meta, ethogram)
         assert not report.ok
+
+
+class TestWriteText:
+    def test_makes_the_directory_and_returns_the_path(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.csv"
+        assert core.write_text(path, "x\n") == path
+        assert path.read_text() == "x\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.csv"]
+
+    def test_keeps_the_old_file_when_the_rename_fails(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(core.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            core.write_text(path, "new\n")
+        assert path.read_text() == "old\n"

@@ -89,3 +89,7 @@ class TestValidation:
 
     def test_default_is_cached(self):
         assert default_ethogram() is default_ethogram()
+
+    def test_technical_reads_true_and_false(self):
+        text = "code,name,species,technical\nW,Walk,both,false\nOOS,Out of Sight,both,true\n"
+        assert parse_ethogram(text).technical_codes() == {"OOS"}

@@ -507,8 +507,14 @@ class TestVideoMeta:
         ("fps", True, "meta: fps must be positive and finite, got True"),
         ("width_px", 0, "meta: width_px must be a positive integer, got 0"),
         ("fps", 10**400, "meta: fps must be positive and finite, got 1000"),
+        ("session_id", None, "meta: session_id must be a string, got None"),
+        ("session_id", 7, "meta: session_id must be a string, got 7"),
+        ("start_time", [1, 2], "meta: start_time must be a string, got [1, 2]"),
     ],
-    ids=["float-width", "string-height", "bool-fps", "zero-width", "huge-fps"],
+    ids=[
+        "float-width", "string-height", "bool-fps", "zero-width", "huge-fps",
+        "null-session-id", "number-session-id", "list-start-time",
+    ],
 )
 def test_meta_numbers_are_not_coerced(meta, key, value, message):
     doc = json.loads(dump_video_meta(meta))

@@ -8,6 +8,10 @@ to the name (``benchmarks/tracing.py`` wraps CLI functions by name).
 Imports, definitions and what they hold, ``__all__`` lists, comments and
 docstrings do not count, so a name that is only exported, or only
 documented, fails.
+
+Each public name is listed once, in its own module's ``__all__``:
+``ethokit/__init__.py`` only star-imports the modules, and no name is
+listed by two of them.
 """
 
 from __future__ import annotations
@@ -87,3 +91,24 @@ def test_sources_are_found():
 @pytest.mark.parametrize("name", PUBLIC)
 def test_public_name_is_used(name):
     assert USES[name] > 0, f"ethokit.{name} is exported but nothing reads it"
+
+
+MODULES = [
+    getattr(ethokit, name) for name in ethokit.__all__ if inspect.ismodule(getattr(ethokit, name))
+]
+
+
+def test_package_only_star_imports():
+    tree = ast.parse((ROOT / "src" / "ethokit" / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert len(imports) == len(MODULES) > 5
+    for node in imports:
+        assert isinstance(node, ast.ImportFrom) and node.level == 1, ast.unparse(node)
+        assert [alias.name for alias in node.names] == ["*"], ast.unparse(node)
+
+
+def test_each_public_name_is_listed_once():
+    listed = Counter(name for module in MODULES for name in module.__all__)
+    assert [name for name, n in listed.items() if n > 1] == []
+    assert sorted(listed) == PUBLIC
+    assert not {"read_text", "write_text"} & set(PUBLIC)

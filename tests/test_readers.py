@@ -1,11 +1,14 @@
-"""Each input format is read in one place in the package.
+"""Each input format is read in one place in the package, and every file
+is written in one.
 
 A CSV is parsed only by ``core.Rows``, a JSON document only by
 ``core.json_object``, and a missing file is reported only by
 ``core.read_text``. The syntax tree of every module in ``src/ethokit``
 is searched for calls that parse CSV or JSON and for the name
 ``FileNotFoundError``; each must sit in its one function, so a second
-hand-written reader fails here.
+hand-written reader fails here. Likewise a file is written only by
+``core.write_text``: no other function calls ``.write_text``,
+``.write_bytes``, ``open`` or ``os.replace``.
 """
 
 from __future__ import annotations
@@ -76,3 +79,31 @@ def test_one_parser_per_format(calls, site):
 
 def test_one_missing_file_error():
     assert sites(name="FileNotFoundError") == ["core.read_text"]
+
+
+class _Writes(_Sites):
+    """The enclosing function of each call that writes a file."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Name):
+            writes = func.id == "open"
+        elif isinstance(func, ast.Attribute):
+            os_replace = isinstance(func.value, ast.Name) and func.value.id == "os"
+            writes = func.attr in ("write_text", "write_bytes", "open") or (
+                func.attr == "replace" and os_replace
+            )
+        else:
+            writes = False
+        if writes:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_file_writer():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _Writes(path.stem, set(), None)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert found == ["core.write_text", "core.write_text"]  # the .tmp write, then os.replace
