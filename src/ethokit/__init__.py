@@ -7,7 +7,8 @@ interaction detection -> regression, with a deterministic herd
 simulator providing ground truth for end-to-end verification.
 
 Each module lists its public names in its own ``__all__``; the package
-re-exports every one of them.
+re-exports every one of them, and its own ``__all__`` is those names
+alone, so ``from ethokit import *`` binds no submodule.
 """
 
 from .core import *
@@ -23,4 +24,9 @@ from .timeline import *
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing the submodules binds each here as well; they are not exported
+__all__ = [
+    name
+    for name, value in sorted(globals().items())
+    if not name.startswith("_") and not isinstance(value, type(core))
+]

@@ -21,6 +21,7 @@ import json
 import math
 import os
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress, islice, repeat
@@ -86,13 +87,20 @@ def read_text(path: Path) -> str:
 
 def write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` as UTF-8 to ``path``, making its directory, and return
-    the path. The text goes to ``<name>.tmp`` first, which then replaces the
-    file, so the path never holds a partial file."""
+    the path. The text goes to ``<name>.<pid>.tmp`` first, which then
+    replaces the file, so the path never holds a partial file and two
+    processes writing one path never share a temporary file. If the write
+    or the replace fails, the temporary file is removed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
     return path
 
 

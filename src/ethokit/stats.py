@@ -6,22 +6,34 @@ sizes reported as Cohen's f2 at the model level and incrementally per
 predictor block. Solving uses a Householder QR with column pivoting,
 never an explicit inverse.
 
+The fit is plain Python on float columns: every inner product (column
+norms, reflections, back-substitution, residuals, sums of squares) is
+``math.fsum`` of the products, so each is correctly rounded, and a
+reflection is applied to a column by ``map``. A fit without blocks
+takes about 1.4 ms at 120 x 6, 12 ms at 969 x 8 (the paper's sequence
+count), 26 ms at 1000 x 12, 0.15 s at 5000 x 15 and 0.26 s at
+5000 x 20 (one core of a 2-core Linux container). NumPy's LAPACK takes
+7.5 ms at 5000 x 15 but costs about 0.16 s to import, so the pure fit
+is slower only past about 5000 rows by 15 columns, far above a table of
+one row per sequence or subject with a handful of dummy columns.
+
 The t and F tails are the regularized incomplete beta function
 ``I_x(a, b)``, evaluated by its continued fraction (modified Lentz), one
 of the methods of DiDonato & Morris, ACM TOMS Algorithm 708 (1992). Against mpmath at
 50 digits they are within a relative 1e-10 (two subnormal ulps below
 about 2.2e-308) for degrees of freedom up to 1e4, where they were
 checked; ``1 - cdf`` is never formed, so p-values far below 1e-16 keep
-their digits. The package needs no scipy. NumPy is imported on first
-use, inside the functions that call it, so importing this module (and
-every command that never fits a model) does not pay for loading it.
+their digits. The module needs neither scipy nor NumPy: only
+``DesignMatrix.matrix`` imports NumPy, to hand tests an array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from itertools import chain, repeat
+from operator import mul, sub
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,9 +74,9 @@ class DesignMatrix:
         object.__setattr__(
             self, "blocks", tuple((name, tuple(idx)) for name, idx in self.blocks)
         )
-        for row in self.rows:
+        for i, row in enumerate(self.rows):
             if len(row) != len(self.columns):
-                raise ValueError("row width does not match column count")
+                raise ValueError(f"design row {i} has width {len(row)}, not {len(self.columns)}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -165,120 +177,140 @@ class RegressionResult:
         return self.beta[self.columns.index(column)]
 
 
-def _qr_solve(x: np.ndarray, y: np.ndarray, names: Sequence[str]):
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """The inner product of a and b, correctly rounded."""
+    return math.fsum(map(mul, a, b))
+
+
+def _qr_solve(
+    columns: Sequence[Sequence[float]], y: Sequence[float], names: Sequence[str]
+) -> tuple[list[float], list[float]]:
     """Least squares via Householder QR with column pivoting; names
     rank-deficient columns.
 
-    Each step moves the column of largest remaining norm to the front,
-    as LAPACK's ``geqp3`` does, so the rank ends at the first step whose
-    norm is at most ``max(n, p) * eps * |r_00|``. Returns beta and
+    Each step moves the column of largest remaining norm to the front
+    (the first one on a tie), as LAPACK's ``geqp3`` does, so the rank
+    ends at the first step whose norm is at most
+    ``max(n, p) * eps * |r_00|``. Returns beta and the diagonal of
     (X'X)^-1.
     """
-    import numpy as np
-
-    n, p = x.shape
-    a = np.array(x, dtype=float)  # reduced in place to R
-    qty = np.array(y, dtype=float)
-    piv = np.arange(p)
+    n, p = len(y), len(columns)
+    a = [list(c) for c in columns]  # reduced in place to R, column by column
+    qty = list(y)
+    piv = list(range(p))
     tol = 0.0
     for k in range(p):
-        rest = a[k:, k:]
-        j = k + int(np.argmax(np.einsum("ij,ij->j", rest, rest)))
-        a[:, [k, j]] = a[:, [j, k]]
-        piv[[k, j]] = piv[[j, k]]
-        v = a[k:, k].copy()
-        norm = float(np.linalg.norm(v))
+        squares = [_dot(c[k:], c[k:]) for c in a[k:]]
+        j = k + squares.index(max(squares))
+        a[k], a[j] = a[j], a[k]
+        piv[k], piv[j] = piv[j], piv[k]
+        v = a[k][k:]
+        norm = math.sqrt(squares[j - k])
         if k == 0:
             tol = max(n, p) * _EPS * norm
         if norm <= tol:
             dependent = sorted(names[i] for i in piv[k:])
             raise ValueError(f"design matrix is rank deficient; dependent columns: {dependent}")
-        v[0] += math.copysign(norm, v[0])  # reflects the column onto -sign(v0) * norm * e_0
-        scale = 2.0 / float(v @ v)
-        a[k:, k:] -= np.outer(v, scale * (v @ a[k:, k:]))
-        qty[k:] -= v * (scale * float(v @ qty[k:]))
-    r = np.triu(a[:p])
+        # reflects the column onto -sign(v0) * norm * e_0
+        a[k][k] = -math.copysign(norm, v[0])
+        v[0] += math.copysign(norm, v[0])
+        scale = 2.0 / _dot(v, v)
+        for c in (*a[k + 1:], qty):
+            tail = c[k:]
+            c[k:] = map(sub, tail, map(mul, v, repeat(scale * _dot(v, tail))))
     # back-substitution for R b = Q'y and R R^-1 = I at once
-    sol = np.column_stack([qty[:p], np.eye(p)])
-    for i in range(p - 1, -1, -1):
-        sol[i] = (sol[i] - r[i, i + 1:] @ sol[i + 1:]) / r[i, i]
-    beta = np.empty(p)
-    beta[piv] = sol[:, 0]
+    upper = [[a[j][i] for j in range(i + 1, p)] for i in range(p)]
+    solutions = []
+    for rhs in (qty[:p], *([float(i == m) for i in range(p)] for m in range(p))):
+        x = [0.0] * p
+        for i in range(p - 1, -1, -1):
+            x[i] = (rhs[i] - _dot(upper[i], x[i + 1:])) / a[i][i]
+        solutions.append(x)
     # (X'X)^-1 = P R^-1 R^-T P' for the pivoted factorization
-    r_inv = sol[:, 1:]
-    xtx_inv = np.empty((p, p))
-    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
-    return beta, xtx_inv
+    beta = [0.0] * p
+    xtx_inv_diag = [0.0] * p
+    for i, r_inv_row in enumerate(zip(*solutions[1:])):
+        beta[piv[i]] = solutions[0][i]
+        xtx_inv_diag[piv[i]] = _dot(r_inv_row, r_inv_row)
+    return beta, xtx_inv_diag
 
 
-def ols_fit(design: DesignMatrix | np.ndarray, y: Sequence[float]) -> RegressionResult:
+def _residuals(
+    rows: Iterable[Sequence[float]], y: Sequence[float], beta: Sequence[float]
+) -> list[float]:
+    """y - X beta, each row's inner product correctly rounded."""
+    return [yi - _dot(row, beta) for yi, row in zip(y, rows)]
+
+
+def ols_fit(
+    design: DesignMatrix | Sequence[Sequence[float]], y: Sequence[float]
+) -> RegressionResult:
     """Ordinary least squares with t-based inference at 95%.
 
-    Requires more observations than parameters and a full-rank design;
-    a rank-deficient design fails with the dependent columns named.
+    The design is a DesignMatrix or a sequence of rows (a NumPy array
+    among them), whose columns are then named x0, x1, ... Requires more
+    observations than parameters and a full-rank design; a
+    rank-deficient design fails with the dependent columns named.
     """
-    import numpy as np
-
-    if isinstance(design, DesignMatrix):
-        x = design.matrix
-        names: Sequence[str] = design.columns
-        blocks = design.blocks
-    else:
-        x = np.asarray(design, dtype=float)
-        names = tuple(f"x{j}" for j in range(x.shape[1]))
-        blocks = ()
-    yv = np.asarray(y, dtype=float)
-    n, p = x.shape
-    if yv.shape != (n,):
-        raise ValueError(f"response length {yv.shape} does not match {n} rows")
+    if not isinstance(design, DesignMatrix):
+        rows = list(design)
+        design = DesignMatrix(tuple(f"x{j}" for j in range(len(rows[0]) if rows else 0)), rows)
+    rows, names = design.rows, design.columns
+    yv = list(map(float, y))
+    n, p = len(rows), len(names)
+    if n == 0:
+        raise ValueError("design has no rows")
+    if p == 0:
+        raise ValueError("design has no columns")
+    if len(yv) != n:
+        raise ValueError(f"response length {len(yv)} does not match {n} rows")
     if n <= p:
         raise ValueError(f"need more observations ({n}) than parameters ({p})")
-    if not (np.isfinite(x).all() and np.isfinite(yv).all()):
+    if not all(map(math.isfinite, chain(yv, chain.from_iterable(rows)))):
         raise ValueError("design and response must be finite")
 
-    beta, xtx_inv = _qr_solve(x, yv, names)
-    resid = yv - x @ beta
-    rss = float(resid @ resid)
-    tss = float(np.sum((yv - yv.mean()) ** 2))
+    columns = list(zip(*rows))
+    beta, xtx_inv_diag = _qr_solve(columns, yv, names)
+    resid = _residuals(rows, yv, beta)
+    rss = _dot(resid, resid)
+    deviations = list(map(sub, yv, repeat(math.fsum(yv) / n)))
+    tss = _dot(deviations, deviations)
     if tss == 0:
         raise ValueError("response is constant; R-squared undefined")
     df = n - p
     sigma2 = rss / df
-    se = np.sqrt(np.clip(sigma2 * np.diag(xtx_inv), 0.0, None))
-    t_stats = np.empty(p)
-    for j in range(p):
-        if se[j] > 0:
-            t_stats[j] = beta[j] / se[j]
+    se = [math.sqrt(max(sigma2 * v, 0.0)) for v in xtx_inv_diag]
+    t_stats = []
+    for b, s in zip(beta, se):
+        if s > 0:
+            t_stats.append(b / s)
         else:  # exact fit: zero residual variance
-            t_stats[j] = 0.0 if beta[j] == 0 else math.copysign(math.inf, beta[j])
-    p_values = np.array([two_sided_p(t, df) for t in t_stats])
+            t_stats.append(0.0 if b == 0 else math.copysign(math.inf, b))
     t_crit = _t_critical_95(df)
-    ci_low = beta - t_crit * se
-    ci_high = beta + t_crit * se
     r2 = 1.0 - rss / tss
     adj = 1.0 - (1.0 - r2) * (n - 1) / df
     f2 = r2 / (1.0 - r2) if r2 < 1.0 else math.inf
 
     block_f2: list[tuple[str, float]] = []
-    for name, idx in blocks:
+    for name, idx in design.blocks:
         if not idx:
             continue
         keep = [j for j in range(p) if j not in set(idx)]
-        x_red = x[:, keep]
-        beta_red, _ = _qr_solve(x_red, yv, [names[j] for j in keep])
-        resid_red = yv - x_red @ beta_red
-        r2_red = 1.0 - float(resid_red @ resid_red) / tss
+        kept = [columns[j] for j in keep]
+        beta_red, _ = _qr_solve(kept, yv, [names[j] for j in keep])
+        resid_red = _residuals(zip(*kept), yv, beta_red)
+        r2_red = 1.0 - _dot(resid_red, resid_red) / tss
         block_f2.append((name, (r2 - r2_red) / (1.0 - r2) if r2 < 1.0 else math.inf))
 
     return RegressionResult(
-        tuple(names),
-        tuple(beta.tolist()),
-        tuple(se.tolist()),
-        tuple(float(t) for t in t_stats),
-        tuple(float(v) for v in p_values),
-        tuple(ci_low.tolist()),
-        tuple(ci_high.tolist()),
-        tuple(resid.tolist()),
+        names,
+        tuple(beta),
+        tuple(se),
+        tuple(t_stats),
+        tuple(two_sided_p(t, df) for t in t_stats),
+        tuple(b - t_crit * s for b, s in zip(beta, se)),
+        tuple(b + t_crit * s for b, s in zip(beta, se)),
+        tuple(resid),
         rss,
         tss,
         r2,

@@ -1006,12 +1006,14 @@ class TestImports:
             ["timebudget", "{session}", "--out", "{out}"],
             ["transitions", "{session}", "--interval", "1", "--out", "{out}"],
             ["miniscenes", "{session}", "--out", "{out}"],
+            ["regress", "{table}", "--response", "prop", "--out", "{out}"],
         ],
         ids=["validate", "compare-focal", "compare-scan", "report", "timebudget", "transitions",
-             "miniscenes"],
+             "miniscenes", "regress"],
     )
     def test_commands_without_array_math_do_not_load_numpy(self, tmp_path, argv):
-        argv = [a.format(session=GOLDEN, out=tmp_path / "o") for a in argv]
+        table = small_regress_table(tmp_path / "data.csv")
+        argv = [a.format(session=GOLDEN, out=tmp_path / "o", table=table) for a in argv]
         done = run_python(_main_then_modules(argv, "numpy"))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
@@ -1037,11 +1039,20 @@ class TestImports:
         assert "interaction_test" in model
 
     def test_regress_runs_with_scipy_blocked(self, tmp_path):
-        # a None entry in sys.modules makes every import of scipy fail
-        for out, prelude in (("free", ""), ("blocked", "import sys\nsys.modules['scipy'] = None\n")):
+        # a None entry in sys.modules makes every import of scipy (or numpy) fail
+        runs = (
+            ("free", ""),
+            ("blocked", "import sys\nsys.modules['scipy'] = None\n"),
+            ("numpy-blocked", "import sys\nsys.modules['numpy'] = None\n"),
+        )
+        for out, prelude in runs:
             argv = self._regress_argv(tmp_path, out)
             done = run_python(prelude + f"from ethokit.cli import main\nassert main({argv!r}) == 0\n")
             assert done.returncode == 0, done.stderr
         for name in ("regression.csv", "model.json"):
             assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+            assert (
+                (tmp_path / "numpy-blocked" / name).read_bytes()
+                == (tmp_path / "free" / name).read_bytes()
+            )
         assert "interaction_test" in json.loads((tmp_path / "blocked" / "model.json").read_text())

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -341,10 +343,23 @@ class TestWriteText:
         path = tmp_path / "out.csv"
         path.write_text("old\n")
 
+        sources = []
+
         def fail(src, dst):
+            sources.append(Path(src).name)
             raise OSError("disk full")
 
         monkeypatch.setattr(core.os, "replace", fail)
         with pytest.raises(OSError, match="disk full"):
             core.write_text(path, "new\n")
         assert path.read_text() == "old\n"
+        assert sources == [f"out.csv.{os.getpid()}.tmp"]
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no temporary file left
+
+    def test_leaves_no_temporary_file_when_the_write_fails(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            core.write_text(path, "a lone surrogate \ud800 cannot be encoded\n")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

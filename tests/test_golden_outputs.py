@@ -1,13 +1,16 @@
-"""Byte-identity gate: every CLI output on a committed session keeps its digest.
+"""Byte-identity gate: every CLI output on committed inputs keeps its digest.
 
 ``tests/data/golden`` was written once by
 ``ethokit simulate --seed 7 --config tests/data/golden_sim.json``. Each
-command below runs on it, and the sha256 of every file it writes (and of
-its standard output, with the output directory masked) must equal the
+command below runs on it, except ``regress``, which fits the committed
+table ``tests/data/golden_regress.csv`` (habitat by herd size, with their
+interaction). The sha256 of every file a command writes (and of its
+standard output, with the output directory masked) must equal the
 recorded digest. A change meant to keep outputs byte-identical passes
 unchanged; one that alters an output byte fails here and must record the
-new digests on purpose. ``regress`` is left out: its last bits depend on
-the LAPACK build. ``validate-faulty`` runs on a copy of the session with
+new digests on purpose. ``regress`` fits in plain Python floats, so its
+digests do not hang on a BLAS or LAPACK build.
+``validate-faulty`` runs on a copy of the session with
 one unknown code in ``labels.csv``, one in ``observations.csv`` and a
 label row for an unknown track, so its report pins the text of each
 issue location.
@@ -27,6 +30,8 @@ from ethokit.cli import main
 DATA = Path(__file__).parent / "data"
 SESSION = DATA / "golden"
 SIM_CONFIG = DATA / "golden_sim.json"
+REGRESS_TABLE = DATA / "golden_regress.csv"
+REGRESS_CONFIG = DATA / "golden_regress.json"
 # Maps TR onto W, so runs merge under map_labels, and samples every 2 s
 # so the 40-s session yields transitions in `report`.
 RUN_CONFIG = {"label_map": {"TR": "W"}, "params": {"downsample_interval_s": 2.0}}
@@ -51,6 +56,10 @@ COMMANDS = {
     ],
     "interactions": ["interactions", "{session}", "--out", "{out}"],
     "miniscenes": ["miniscenes", "{session}", "--out", "{out}"],
+    "regress": [
+        "regress", "{table}", "--response", "vigilance", "--config", "{table_config}",
+        "--out", "{out}",
+    ],
 }
 
 DIGESTS = {
@@ -73,6 +82,9 @@ DIGESTS = {
     "report/timebudget.csv": "8571ea3a43bd4caeda69db8a7102855e9d0739be8ab837680a24094fdb613687",
     "report/transitions.csv": "1832c07f21f3ff5d16ee6d0332de18be96ed1c1b39ebdb0129bb9568a21ec09d",
     "report/transitions.svg": "5809697f64b978857237f7d2cd8c41cccef12674efa1bcad7c40016ece22eefe",
+    "regress/model.json": "e76f37dc3e0e91d054ccb22d030d81291234ab6e4273ed58df0ffd6c489cc0dc",
+    "regress/regression.csv": "adce2a51dc40c81ab2888d8f2b759422d448e6fec059951d2ac4a25064cea8e9",
+    "regress/stdout": "a80a8763bd5c15e9c0039f62f49ce0c0b81604e8a51f7c2956f3bed33e96ecb6",
     "timebudget-csv/stdout": "c737ab4ab6b21acf5f872c600b1799a41c5c3673b3f42990cb573e0967ec08a2",
     "timebudget-csv/timebudget.csv": "8571ea3a43bd4caeda69db8a7102855e9d0739be8ab837680a24094fdb613687",
     "timebudget-json/stdout": "4a1be2f655efb422eb5b72ad7f97137e9c2260895c7294480792c62d3740c8cd",
@@ -119,7 +131,8 @@ def run_digests(name: str, tmp_path: Path, capsys) -> dict[str, str]:
     if "{faulty}" in COMMANDS[name]:
         write_faulty_session(faulty)
     argv = [
-        a.format(session=SESSION, faulty=faulty, out=out, config=config)
+        a.format(session=SESSION, faulty=faulty, out=out, config=config,
+                 table=REGRESS_TABLE, table_config=REGRESS_CONFIG)
         for a in COMMANDS[name]
     ]
     capsys.readouterr()

@@ -11,7 +11,8 @@ documented, fails.
 
 Each public name is listed once, in its own module's ``__all__``:
 ``ethokit/__init__.py`` only star-imports the modules, and no name is
-listed by two of them.
+listed by two of them. The submodules themselves are not exported, so
+``from ethokit import *`` rebinds no name such as ``stats``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _uses(path: Path) -> Counter:
 
 
 USES = sum(map(_uses, SOURCES), Counter())
-# the package's submodules are in __all__ too, as attributes of the package
+# a submodule is never a public name (see test_no_module_is_exported)
 PUBLIC = sorted(
     name for name in ethokit.__all__ if not inspect.ismodule(getattr(ethokit, name))
 )
@@ -93,8 +94,12 @@ def test_public_name_is_used(name):
     assert USES[name] > 0, f"ethokit.{name} is exported but nothing reads it"
 
 
+# the submodules the package imports; ethokit.cli is bound here only once
+# something imports it, and the package itself never does
 MODULES = [
-    getattr(ethokit, name) for name in ethokit.__all__ if inspect.ismodule(getattr(ethokit, name))
+    value
+    for name, value in sorted(vars(ethokit).items())
+    if inspect.ismodule(value) and name != "cli"
 ]
 
 
@@ -105,6 +110,13 @@ def test_package_only_star_imports():
     for node in imports:
         assert isinstance(node, ast.ImportFrom) and node.level == 1, ast.unparse(node)
         assert [alias.name for alias in node.names] == ["*"], ast.unparse(node)
+
+
+def test_no_module_is_exported():
+    assert [name for name in ethokit.__all__ if inspect.ismodule(getattr(ethokit, name))] == []
+    namespace: dict = {}
+    exec("from ethokit import *", namespace)
+    assert not any(map(inspect.ismodule, namespace.values()))
 
 
 def test_each_public_name_is_listed_once():

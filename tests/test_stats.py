@@ -2,7 +2,9 @@
 
 The least-squares oracle here is deliberately different plumbing from
 the implementation: plain Gaussian elimination on the normal equations
-and quadrature for distribution tails. The tails are also compared with
+and quadrature for distribution tails. Fits of dummy-coded designs are
+also held to a 50-digit mpmath solution of the normal equations (see
+``mp_ols``), to 1e-13 of the largest coefficient or standard error. The tails are also compared with
 mpmath's regularized incomplete beta at 50 digits, to a relative 1e-10
 (see ``assert_tail``), and with ``scipy.stats`` (see
 ``scipy_stats_oracle``) to a relative 1e-12 where scipy is that exact.
@@ -11,6 +13,7 @@ mpmath's regularized incomplete beta at 50 digits, to a relative 1e-10
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -167,6 +170,23 @@ class TestOlsFit:
         with pytest.raises(ValueError, match="more observations"):
             ols_fit(x, [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "design,y,message",
+        [
+            ([], [], "design has no rows"),
+            (DesignMatrix(("intercept",), ()), [], "design has no rows"),
+            ([[], [], []], [1.0, 2.0, 3.0], "design has no columns"),
+            ([[1.0, 0.0], [1.0, 1.0, 2.0], [1.0, 2.0]], [0.0, 1.0, 2.0],
+             "design row 1 has width 3, not 2"),
+            ([[1.0, 0.0], [1.0, 1.0], [1.0]], [0.0, 1.0, 2.0],
+             "design row 2 has width 1, not 2"),
+        ],
+        ids=["empty", "empty-design-matrix", "no-columns", "long-row", "short-row"],
+    )
+    def test_malformed_design_rejected(self, design, y, message):
+        with pytest.raises(ValueError, match=message):
+            ols_fit(design, y)
+
     def test_constant_response_rejected(self):
         x = np.array([[1.0, float(v)] for v in range(5)])
         with pytest.raises(ValueError, match="constant"):
@@ -232,6 +252,60 @@ class TestOlsFit:
         assert fit.p_values[1] == pytest.approx(0.0, abs=1e-12)
         assert fit.se[1] == pytest.approx(0.0, abs=1e-12)
         assert fit.ci_high[1] - fit.ci_low[1] == pytest.approx(0.0, abs=1e-10)
+
+
+def mp_ols(rows, y):
+    """beta and se from the normal equations, solved at 50 digits from the exact inputs."""
+    n, p = len(rows), len(rows[0])
+    with mpmath.workdps(50):
+        x = mpmath.matrix(rows)
+        xtx_inv = mpmath.inverse(x.T * x)
+        beta = xtx_inv * (x.T * mpmath.matrix(y))
+        resid = mpmath.matrix(y) - x * beta
+        sigma2 = mpmath.fsum(r * r for r in resid) / (n - p)
+        se = [mpmath.sqrt(sigma2 * xtx_inv[j, j]) for j in range(p)]
+        return [float(b) for b in beta], [float(s) for s in se]
+
+
+@st.composite
+def dummy_coded_fits(draw):
+    """A full-rank dummy-coded design of 2-3 factors and 20-300 rows, and a
+    response whose scale spans 1e-8 to 1e8: every cell of the factorial
+    appears, the rest of the rows fall in random cells."""
+    levels = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    cells = list(itertools.product(*(range(k) for k in levels)))
+    n = draw(st.integers(max(20, len(cells)), 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    chosen = cells + [rng.choice(cells) for _ in range(n - len(cells))]
+    rng.shuffle(chosen)
+    observations = [{f"f{i}": f"l{level}" for i, level in enumerate(cell)} for cell in chosen]
+    references = {f"f{i}": "l0" for i in range(len(levels))}
+    interactions = [("f0", "f1")] if draw(st.booleans()) else []
+    design = dummy_code(observations, references, interactions)
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    effect = {cell: rng.gauss(0, 1) for cell in cells}
+    y = [scale * (effect[cell] + rng.gauss(0, 1)) for cell in chosen]
+    return design, y
+
+
+class TestOlsAccuracy:
+    @given(dummy_coded_fits())
+    @settings(max_examples=40, deadline=None)
+    def test_dummy_coded_fit_matches_50_digit_solution(self, case):
+        design, y = case
+        fit = ols_fit(design, y)
+        beta, se = mp_ols(design.rows, y)
+        for got, want in ((fit.beta, beta), (fit.se, se)):
+            bound = 1e-13 * max(map(abs, want))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= bound
+        # the same rows as a list fit to the same bits; only the names and blocks differ
+        as_rows = ols_fit([list(row) for row in design.rows], y)
+        assert as_rows.columns == tuple(f"x{j}" for j in range(len(design.columns)))
+        assert as_rows.block_f_squared == ()
+        named = dataclasses.replace(
+            as_rows, columns=fit.columns, block_f_squared=fit.block_f_squared
+        )
+        assert named == fit
 
 
 class TestNestedFTest:
