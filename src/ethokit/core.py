@@ -139,6 +139,11 @@ def row_error(name: str, row_no: int, column: str, message: str) -> ParseError:
     return ParseError(f"{name} row {row_no} column {column!r}: {message}")
 
 
+BOOL_CELLS = {"0": False, "false": False, "1": True, "true": True}  # what Rows.to_bool reads
+# Lines Rows.columns splits at once: the work is C-level, a block's fields a few MB.
+_BLOCK_LINES = 4096
+
+
 class Rows:
     """The data rows of CSV text, blank lines skipped, under its first row,
     which must equal ``header`` or, with ``header`` None, is the header. A
@@ -156,6 +161,32 @@ class Rows:
 
     def __iter__(self) -> Iterator[list[str]]:
         return self._rows
+
+    @staticmethod
+    def columns(text: str, header: list[str]) -> Iterator[list[list[str]]] | None:
+        """The data rows of ``text`` as columns, a block of lines at a time;
+        None if the text has a quote, a carriage return or a blank line, ends
+        without a line feed, or has a first line other than ``header``, a line
+        with another field count or one over the csv field-size limit. Rows
+        reads such a text, and names its first fault."""
+        if not text.endswith("\n") or '"' in text or "\r" in text or "\n\n" in text:
+            return None
+        lines = text.split("\n")
+        del lines[-1]  # the empty text after the last line feed
+        width = len(header)
+        if (
+            lines[0] != ",".join(header)
+            or max(map(len, lines)) > csv.field_size_limit()
+            or list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines)
+        ):
+            return None
+
+        def blocks() -> Iterator[list[list[str]]]:
+            for start in range(1, len(lines), _BLOCK_LINES):
+                fields = ",".join(lines[start : start + _BLOCK_LINES]).split(",")
+                yield [fields[k::width] for k in range(width)]
+
+        return blocks()
 
     def _read(self, reader, header: list[str] | None) -> Iterator[list[str]]:
         """The header, then each data row."""
@@ -204,11 +235,10 @@ class Rows:
 
     def to_bool(self, row: list[str], col: str) -> bool:
         raw = row[self._pos[col]]
-        if raw in ("0", "false"):
-            return False
-        if raw in ("1", "true"):
-            return True
-        raise self.fail(col, f"not a boolean (0/1): {raw!r}")
+        try:
+            return BOOL_CELLS[raw]
+        except KeyError:
+            raise self.fail(col, f"not a boolean (0/1): {raw!r}") from None
 
     def get(self, row: list[str], col: str) -> str:
         return row[self._pos[col]]
@@ -313,11 +343,13 @@ class Track:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if len({len(getattr(self, name)) for name in columns}) > 1:
             raise ValueError(f"track {self.track_id!r}: box columns differ in length")
-        for prev, frame in zip(self.frames, self.frames[1:]):
-            if frame <= prev:
-                raise ValueError(
-                    f"track {self.track_id!r}: frames not strictly increasing ({prev} then {frame})"
-                )
+        if not all(map(lt, self.frames, islice(self.frames, 1, None))):
+            for prev, frame in zip(self.frames, self.frames[1:]):
+                if frame <= prev:
+                    raise ValueError(
+                        f"track {self.track_id!r}: frames not strictly increasing"
+                        f" ({prev} then {frame})"
+                    )
 
     @property
     def boxes(self) -> tuple[BoundingBox, ...]:

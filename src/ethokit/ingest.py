@@ -51,6 +51,7 @@ from operator import itemgetter, sub
 from pathlib import Path
 
 from .core import (
+    BOOL_CELLS,
     GIRAFFE,
     GREVYS_ZEBRA,
     GROUND_SCAN,
@@ -71,6 +72,7 @@ from .core import (
     json_object,
     read_text,
     row_error,
+    run_edges,
     write_text,
 )
 from .ethogram import Ethogram, default_ethogram
@@ -136,44 +138,71 @@ def _session_of(rows: _Rows, row: list[str], session: str | None) -> str:
 
 
 def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
-    """One track per run of rows with one track_id, its boxes read into columns."""
+    """One track per run of rows with one track_id, its boxes read into columns.
+
+    A text that ``Rows.columns`` splits is checked a column at a time; any
+    other, and one failing a check, is read row by row to name the fault.
+    """
+    blocks = _Rows.columns(text, TRACK_HEADER)
+    if blocks is not None:
+        try:
+            return _tracks_from_blocks(blocks)
+        except ValueError:  # a failed check: the row loop says where
+            pass
+    return _tracks_from_blocks(_checked_track_rows(text, name))
+
+
+def _tracks_from_blocks(blocks) -> list[Track]:
+    """Tracks from blocks of tracks.csv columns; ValueError on any fault (Track checks frames)."""
+    session: str | None = None
+    groups: list[tuple] = []  # ((track_id, species, excluded), frames, x, y, w, h)
+    for sids, ids, species, frames, x, y, w, h, excluded in blocks:
+        session = sids[0] if session is None else session
+        flags = list(map(BOOL_CELLS.get, excluded))
+        numbers = [list(map(int, frames)), *(list(map(float, c)) for c in (x, y, w, h))]
+        finite = all(map(math.isfinite, chain.from_iterable(numbers[1:])))
+        if sids.count(session) != len(sids) or None in flags or not finite:
+            raise ValueError("a cell fails its check")
+        edges = run_edges(ids)
+        for a, b in zip(edges, edges[1:]):
+            key = (ids[a], species[a], flags[a])
+            if species[a:b].count(key[1]) != b - a or flags[a:b].count(key[2]) != b - a:
+                raise ValueError("species or excluded flag changes within a track")
+            if not groups or groups[-1][0] != key:
+                if groups and not groups[-1][0][0] < key[0]:
+                    raise ValueError("track ids not increasing")
+                groups.append((key, [], [], [], [], []))
+            for column, values in zip(groups[-1][1:], numbers):
+                column += values[a:b]
+    return [Track(track_id, sp, *columns, ex) for (track_id, sp, ex), *columns in groups]
+
+
+def _checked_track_rows(text: str, name: str) -> list[list[tuple[str, ...]]]:
+    """The rows checked one at a time, as a block of columns; ParseError at the first fault."""
     rows = _Rows(text, TRACK_HEADER, name)
     session: str | None = None
-    groups: list[tuple[str, str, bool, tuple[list, ...]]] = []
-    prev_key: tuple[str, int] | None = None
+    prev: tuple | None = None  # (track_id, frame, species, excluded) of the row before
+    checked = []
     for row in rows:
         session = _session_of(rows, row, session)
         track_id = rows.get(row, "track_id")
         species = rows.get(row, "species")
         frame = rows.to_int(row, "frame")
-        x = rows.to_float(row, "x")
-        y = rows.to_float(row, "y")
-        w = rows.to_float(row, "w")
-        h = rows.to_float(row, "h")
+        for column in ("x", "y", "w", "h"):
+            rows.to_float(row, column)
         excluded = rows.to_bool(row, "excluded")
-        key = (track_id, frame)
-        if prev_key is not None and key <= prev_key:
-            if key == prev_key:
+        if prev is not None and (track_id, frame) <= prev[:2]:
+            if (track_id, frame) == prev[:2]:
                 raise rows.fail("frame", f"duplicate frame {frame} in track {track_id!r}")
             raise rows.fail("frame", "rows not sorted by (track_id, frame)")
-        prev_key = key
-        if groups and groups[-1][0] == track_id:
-            if groups[-1][1] != species:
+        if prev is not None and prev[0] == track_id:
+            if prev[2] != species:
                 raise rows.fail("species", f"species changes within track {track_id!r}")
-            if groups[-1][2] != excluded:
+            if prev[3] != excluded:
                 raise rows.fail("excluded", f"excluded flag changes within track {track_id!r}")
-        else:
-            frames, xs, ys, ws, hs = columns = ([], [], [], [], [])
-            groups.append((track_id, species, excluded, columns))
-        frames.append(frame)
-        xs.append(x)
-        ys.append(y)
-        ws.append(w)
-        hs.append(h)
-    return [
-        Track(track_id, species, *columns, excluded)
-        for track_id, species, excluded, columns in groups
-    ]
+        prev = (track_id, frame, species, excluded)
+        checked.append(row)
+    return [list(zip(*checked))] if checked else []
 
 
 def dump_tracks(tracks: list[Track], session_id: str) -> str:

@@ -3,20 +3,20 @@
 An interaction is a sustained stretch of frames where two animals'
 bounding boxes overlap by more than a threshold fraction. Counts are
 normalized by the number of possible pairs per species combination so
-groups of different sizes are comparable. NumPy is imported inside the
-functions that use it, so only a command that detects interactions
-loads it.
+groups of different sizes are comparable. Detection is plain Python: a
+windowed sweep and prune (Cohen, Lin, Manocha & Ponamgi 1995, I-COLLIDE)
+finds the pairs whose boxes may meet, and only those are compared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from itertools import chain, compress
+from operator import add, itemgetter, mul, sub
+from typing import Mapping, NamedTuple, Sequence
 
-from .core import AnalysisParams, ObservationStream, Track, csv_text, streams_by_track
-
-if TYPE_CHECKING:
-    import numpy as np
+from .core import AnalysisParams, ObservationStream, Track, csv_text, run_edges, streams_by_track
 
 __all__ = [
     "InteractionEvent",
@@ -58,6 +58,11 @@ class InteractionEvent:
         return tuple(sorted((self.species_a, self.species_b)))
 
 
+# Frames per window of the broad phase: short windows bound each track's
+# boxes tightly, long ones need fewer sweeps.
+_WINDOW = 32
+
+
 def detect_interactions(
     tracks: Sequence[Track], params: AnalysisParams | None = None
 ) -> list[InteractionEvent]:
@@ -67,86 +72,90 @@ def detect_interactions(
     frame at exactly the threshold breaks a run. A frame's ratio is the
     intersection over the smaller box (min_area) or over the union
     (iou), capped at 1; a box with a NaN or infinite coordinate, or an
-    intersection area no float can hold, overlaps nothing. Each track
-    pair costs a few array operations over its shared frames, done in
-    the order a per-frame loop does them, so results match that loop
-    (``tests/scalar_social.py``) bit for bit. Duplicate track ids raise
-    ValueError.
-    """
-    import numpy as np
+    intersection area no float can hold, overlaps nothing.
 
+    A broad phase bounds each track's finite boxes in each window of
+    frames by one box and sweeps those sorted by left edge for pairs that
+    meet. Only those pairs' shared frames in the window get a ratio, by
+    the operations of a per-frame loop in its order, so results match
+    that loop (``tests/scalar_social.py``) bit for bit. The work grows
+    with boxes and overlapping pair-frames, not pairs times frames.
+    Duplicate track ids raise ValueError.
+    """
     if params is None:
         params = AnalysisParams()
     active = sorted((t for t in tracks if not t.excluded and t.frames), key=lambda t: t.track_id)
     for ta, tb in zip(active, active[1:]):
         if ta.track_id == tb.track_id:
             raise ValueError(f"duplicate track id {ta.track_id!r}")
+    boxes = [_box_columns(t) for t in active]
+    # window -> (left, right, top, bottom, track index, first box, end box) per track
+    windows: dict[int, list[tuple]] = {}
+    for i, (frames, x, y, right, bottom, _) in enumerate(boxes):
+        edges = run_edges([f // _WINDOW for f in frames])
+        for s, e in zip(edges, edges[1:]):
+            bounds = (min(x[s:e]), max(right[s:e]), min(y[s:e]), max(bottom[s:e]))
+            windows.setdefault(frames[s] // _WINDOW, []).append((*bounds, i, s, e))
+    hits: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
+    for window in sorted(windows):
+        swept: list[tuple] = []  # boxes whose right edge passes the sweep line
+        for box in sorted(windows[window]):
+            left, right, top, bottom = box[:4]
+            swept = [other for other in swept if other[1] > left]
+            for other in swept:
+                if right > other[0] and other[3] > top and bottom > other[2]:
+                    a, b = sorted((other, box), key=itemgetter(4))
+                    hit = hits.setdefault((a[4], b[4]), ([], []))
+                    _ratios(boxes[a[4]], a[5:], boxes[b[4]], b[5:], params, *hit)
+            swept.append(box)
     events: list[InteractionEvent] = []
-    # an area beyond float range makes a ratio NaN, which never passes
-    # the threshold (such a pair overlaps nothing), so nothing to warn of
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = [_BoxColumns.of(t) for t in active]
-        for i, ta in enumerate(active):
-            for j in range(i + 1, len(active)):
-                tb = active[j]
-                for start, end, mean in _overlap_runs(columns[i], columns[j], params):
-                    events.append(
-                        InteractionEvent(
-                            ta.track_id, tb.track_id, ta.species, tb.species, start, end, mean
-                        )
-                    )
+    for (i, j), (frames, ratios) in hits.items():
+        pair = (active[i].track_id, active[j].track_id, active[i].species, active[j].species)
+        edges = run_edges(list(map(sub, frames, range(len(frames)))))  # consecutive frames
+        for s, e in zip(edges, edges[1:]):
+            if e - s >= params.min_overlap_frames:
+                mean = sum(ratios[s:e]) / (e - s)  # builtin sum in frame order, as the loop adds
+                events.append(InteractionEvent(*pair, frames[s], frames[e - 1], mean))
     events.sort(key=lambda e: (e.track_a, e.track_b, e.start_frame))
     return events
 
 
-class _BoxColumns(NamedTuple):
-    """One track's columns as arrays, right/bottom edges and areas precomputed."""
-
-    frames: np.ndarray  # int64, strictly increasing
-    x: np.ndarray
-    y: np.ndarray
-    right: np.ndarray  # x + w
-    bottom: np.ndarray  # y + h
-    area: np.ndarray  # w * h
-
-    @classmethod
-    def of(cls, track: Track) -> _BoxColumns:
-        import numpy as np
-
-        xywh = np.array((track.x, track.y, track.w, track.h), dtype=float)
-        x, y, w, h = xywh
-        # a box with a NaN or infinite coordinate overlaps nothing: a NaN
-        # x makes every extent with it NaN
-        x = np.where(np.isfinite(xywh).all(axis=0), x, np.nan)
-        return cls(np.asarray(track.frames, dtype=np.int64), x, y, x + w, y + h, w * h)
+def _box_columns(track: Track) -> tuple[tuple, ...]:
+    """frames, x, y, right (x + w), bottom (y + h) and area (w * h) of the track's
+    boxes with finite coordinates; a box with a NaN or infinity overlaps nothing."""
+    columns = (track.frames, track.x, track.y, track.w, track.h)
+    if not all(map(math.isfinite, chain(*columns[1:]))):
+        keep = [all(map(math.isfinite, box)) for box in zip(*columns[1:])]
+        columns = [tuple(compress(c, keep)) for c in columns]
+    frames, x, y, w, h = columns
+    return frames, x, y, tuple(map(add, x, w)), tuple(map(add, y, h)), tuple(map(mul, w, h))
 
 
-def _overlap_runs(a: _BoxColumns, b: _BoxColumns, params: AnalysisParams):
-    """(start_frame, end_frame, mean_ratio) of each qualifying run of one pair."""
-    import numpy as np
-
-    shared, ia, ib = np.intersect1d(a.frames, b.frames, assume_unique=True, return_indices=True)
-    if shared.size < params.min_overlap_frames:
-        return
-    ix = np.minimum(a.right[ia], b.right[ib]) - np.maximum(a.x[ia], b.x[ib])
-    iy = np.minimum(a.bottom[ia], b.bottom[ib]) - np.maximum(a.y[ia], b.y[ib])
-    # frames without a positive intersection have ratio 0, never above
-    # the threshold, so only the rest are divided
-    hit = np.flatnonzero((ix > 0) & (iy > 0))
-    inter = ix[hit] * iy[hit]
-    if params.overlap_metric == "min_area":
-        denom = np.minimum(a.area[ia[hit]], b.area[ib[hit]])
-    else:
-        denom = a.area[ia[hit]] + b.area[ib[hit]] - inter
-    ratio = np.minimum(1.0, inter / denom)
-    over = ratio > params.overlap_ratio_threshold
-    frames = shared[hit][over]
-    ratio = ratio[over]
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(frames) != 1) + 1, [frames.size]))
-    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        if e - s >= params.min_overlap_frames:
-            # builtin sum, in frame order, as the per-frame loop adds them
-            yield int(frames[s]), int(frames[e - 1]), sum(ratio[s:e].tolist()) / (e - s)
+def _ratios(a: tuple, span_a, b: tuple, span_b, params, frames, ratios) -> None:
+    """Append to frames and ratios each frame that a holds in span_a and b in
+    span_b (each a [start, end) range of _box_columns indices) and whose ratio
+    passes the threshold, and that ratio."""
+    cols_a = [column[slice(*span_a)] for column in a]
+    cols_b = [column[slice(*span_b)] for column in b]
+    if cols_a[0] != cols_b[0]:  # keep the frames both tracks hold
+        shared = set(cols_a[0]).intersection(cols_b[0])
+        for cols in (cols_a, cols_b):
+            keep = list(map(shared.__contains__, cols[0]))
+            cols[:] = [list(compress(column, keep)) for column in cols]
+    threshold, iou = params.overlap_ratio_threshold, params.overlap_metric == "iou"
+    for f, xa, ya, ra, ba, aa, xb, yb, rb, bb, ab in zip(*cols_a, *cols_b[1:]):
+        # tests/scalar_social.py's overlap_ratio, operation for operation;
+        # min(p, q) is (q if q < p else p) and max(p, q) is (q if q > p else p)
+        ix = (rb if rb < ra else ra) - (xb if xb > xa else xa)
+        if ix > 0:
+            iy = (bb if bb < ba else ba) - (yb if yb > ya else ya)
+            inter = ix * iy
+            if iy > 0 and 0 < inter < math.inf:
+                denom = (aa + ab - inter) if iou else min(aa, ab)
+                ratio = min(1.0, inter / denom) if denom else 1.0  # an area may underflow
+                if ratio > threshold:
+                    frames.append(f)
+                    ratios.append(ratio)
 
 
 def tag_interactions(

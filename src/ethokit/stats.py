@@ -23,8 +23,7 @@ of the methods of DiDonato & Morris, ACM TOMS Algorithm 708 (1992). Against mpma
 50 digits they are within a relative 1e-10 (two subnormal ulps below
 about 2.2e-308) for degrees of freedom up to 1e4, where they were
 checked; ``1 - cdf`` is never formed, so p-values far below 1e-16 keep
-their digits. The module needs neither scipy nor NumPy: only
-``DesignMatrix.matrix`` imports NumPy, to hand tests an array.
+their digits. The module imports neither scipy nor NumPy.
 """
 
 from __future__ import annotations
@@ -33,10 +32,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "DesignMatrix",
@@ -77,12 +73,6 @@ class DesignMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != len(self.columns):
                 raise ValueError(f"design row {i} has width {len(row)}, not {len(self.columns)}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.rows, dtype=float)
 
     @property
     def n_obs(self) -> int:

@@ -8,9 +8,10 @@ checks that the two give the same streams, and the same error on a
 file with one fault.
 
 ``parse_tracks`` once built a frozen box object per row and grouped the
-rows into tracks; the library now fills each track's columns directly.
-The old parser, kept below, checks that both give the same tracks and
-the same error on a file with one fault.
+rows into tracks; the library now splits a plain file into columns and
+checks each column whole, and reads any other file row by row. The old
+parser, kept below, checks that both give the same tracks and the same
+error on a file with one fault.
 
 ``dump_ground_observations``, ``dump_tracks`` and ``dump_labels`` once
 built and formatted every row in Python, one ``isoformat`` or ``repr``

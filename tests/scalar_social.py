@@ -1,10 +1,10 @@
 """Reference oracle: the per-frame scalar interaction detector.
 
-``ethokit.social.detect_interactions`` computes the same events with a
-few NumPy operations per track pair. This loop walks every shared frame
-of every pair in Python, calling :func:`overlap_ratio` once per frame on
-the tracks' box rows; the differential tests require both to give
-identical events.
+``ethokit.social.detect_interactions`` computes the same events, comparing
+frame by frame only the pairs whose boxes a windowed sweep finds close.
+This loop walks every shared frame of every pair, calling
+:func:`overlap_ratio` once per frame on the tracks' box rows; the
+differential tests require both to give identical events.
 """
 
 from __future__ import annotations
@@ -32,12 +32,15 @@ def overlap_ratio(a: BoundingBox, b: BoundingBox, metric: str = "min_area") -> f
     # NaN, and min(1.0, nan) is 1.0), nor does an area no float can hold
     if not (ix > 0 and iy > 0 and 0 < inter < math.inf and _finite(a) and _finite(b)):
         return 0.0
-    # rounding in the extent math can push inter one ulp past the denominator
+    # rounding in the extent math can push inter one ulp past the denominator,
+    # and past a denominator that underflows to 0: the ratio is then capped at 1
     if metric == "min_area":
-        return min(1.0, inter / min(a.w * a.h, b.w * b.h))
-    if metric == "iou":
-        return min(1.0, inter / (a.w * a.h + b.w * b.h - inter))
-    raise ValueError(f"unknown overlap metric {metric!r}")
+        denom = min(a.w * a.h, b.w * b.h)
+    elif metric == "iou":
+        denom = a.w * a.h + b.w * b.h - inter
+    else:
+        raise ValueError(f"unknown overlap metric {metric!r}")
+    return min(1.0, inter / denom) if denom else 1.0
 
 
 def _finite(box: BoundingBox) -> bool:

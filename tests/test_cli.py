@@ -1007,9 +1007,10 @@ class TestImports:
             ["transitions", "{session}", "--interval", "1", "--out", "{out}"],
             ["miniscenes", "{session}", "--out", "{out}"],
             ["regress", "{table}", "--response", "prop", "--out", "{out}"],
+            ["interactions", "{session}", "--out", "{out}"],
         ],
         ids=["validate", "compare-focal", "compare-scan", "report", "timebudget", "transitions",
-             "miniscenes", "regress"],
+             "miniscenes", "regress", "interactions"],
     )
     def test_commands_without_array_math_do_not_load_numpy(self, tmp_path, argv):
         table = small_regress_table(tmp_path / "data.csv")
@@ -1017,12 +1018,6 @@ class TestImports:
         done = run_python(_main_then_modules(argv, "numpy"))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
-
-    def test_interactions_loads_numpy(self, tmp_path):
-        argv = ["interactions", str(GOLDEN), "--out", str(tmp_path / "o")]
-        done = run_python(_main_then_modules(argv, "numpy"))
-        assert done.returncode == 0, done.stderr
-        assert "numpy" in done.stdout.splitlines()[-1]
 
     @staticmethod
     def _regress_argv(tmp_path: Path, out: str) -> list[str]:

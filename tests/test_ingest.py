@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from ethokit import (
     Track,
     VideoMeta,
 )
+from ethokit import core
 from ethokit.core import BoundingBox
 from ethokit.ingest import (
     LABEL_HEADER,
     OBS_HEADER,
     TRACK_HEADER,
+    _Rows,
     dump_ground_observations,
     dump_labels,
     dump_tracks,
@@ -194,6 +197,72 @@ class TestTracksMatchRowOracle:
         parsed = parse_tracks(text)
         assert parsed == sorted(tracks, key=lambda t: t.track_id)
         assert dump_tracks(parsed, "s") == text  # -0.0 keeps its sign
+
+
+TRACK_LINE = ",".join(TRACK_HEADER)
+FIELD_LIMIT = csv.field_size_limit()
+PLAIN_ROWS = ["s,a,giraffe,0,1.5,2.0,10.0,8.0,0", "s,a,giraffe,1,2.5,2.0,10.0,8.0,0",
+              "s,b,grevys_zebra,5,100.0,50.0,40.0,90.0,1"]
+
+
+def _tracks_text(rows, end="\n"):
+    return end.join([TRACK_LINE, *rows]) + end
+
+
+class TestTracksOnBothPaths:
+    """Texts the block reader hands to the row loop, and plain texts that fail
+    a bulk check, against the row-based oracle."""
+
+    HALF = "x" * (FIELD_LIMIT // 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _tracks_text([PLAIN_ROWS[0], "", *PLAIN_ROWS[1:]]),
+            _tracks_text(PLAIN_ROWS, end="\r\n"),
+            _tracks_text(PLAIN_ROWS)[:-1],
+            _tracks_text([*PLAIN_ROWS[:2], 's,c,"zebra, plains",0,1.0,1.0,1.0,1.0,0']),
+            _tracks_text([*PLAIN_ROWS[:2], f"s,{'x' * (FIELD_LIMIT + 1)},giraffe,0,1,1,1,1,0"]),
+            _tracks_text([*PLAIN_ROWS[:2], f"s,{HALF}a,{HALF},0,1.0,1.0,1.0,1.0,0"]),
+            _tracks_text(["s,a,giraffe,0,1.5,2.0,10.0,8.0,0,extra",
+                          "s,a,giraffe,1,2.5,2.0,10.0,8.0", PLAIN_ROWS[2]]),
+        ],
+        ids=["blank-line", "crlf", "no-final-newline", "quoted-species", "oversized-field",
+             "line-over-field-limit", "balancing-field-counts"],
+    )
+    def test_handed_to_row_loop(self, text):
+        assert _Rows.columns(text, TRACK_HEADER) is None
+        assert _parse_outcome(parse_tracks, text) == _parse_outcome(oracle_parse_tracks, text)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "s,b,grevys_zebra,1.0,100.0,50.0,40.0,90.0,1",
+            "s,b,grevys_zebra,6,100.0,50.0,40.0,90.0,yes",
+            "s,b,grevys_zebra,6,nan,50.0,40.0,90.0,1",
+            "s,a,giraffe,2,2.5,2.0,10.0,8.0,0",
+            "s,b,giraffe,6,100.0,50.0,40.0,90.0,1",
+            "s,b,grevys_zebra,6,100.0,50.0,40.0,90.0,0",
+            "s,b,grevys_zebra,5,100.0,50.0,40.0,90.0,1",
+            "t,b,grevys_zebra,6,100.0,50.0,40.0,90.0,1",
+        ],
+        ids=["fractional-frame", "excluded-yes", "nan-x", "track-id-backwards", "species-change",
+             "excluded-change", "repeated-frame", "mixed-session"],
+    )
+    def test_fails_a_bulk_check(self, row):
+        text = _tracks_text([*PLAIN_ROWS, row])
+        assert _Rows.columns(text, TRACK_HEADER) is not None
+        outcome = _parse_outcome(parse_tracks, text)
+        assert outcome.startswith("ParseError: tracks row 5 column ")
+        assert outcome == _parse_outcome(oracle_parse_tracks, text)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 5])
+    @given(text=faulty_track_file())
+    @settings(max_examples=100, deadline=None)
+    def test_small_blocks(self, block_lines, text):
+        # a track, and a fault, may straddle the edge between two blocks
+        with patch.object(core, "_BLOCK_LINES", block_lines):
+            assert _parse_outcome(parse_tracks, text) == _parse_outcome(oracle_parse_tracks, text)
 
 
 class TestLabels:

@@ -6,7 +6,9 @@ A CSV is parsed only by ``core.Rows``, a JSON document only by
 ``core.read_text``. The syntax tree of every module in ``src/ethokit``
 is searched for calls that parse CSV or JSON and for the name
 ``FileNotFoundError``; each must sit in its one function, so a second
-hand-written reader fails here. Likewise a file is written only by
+hand-written reader fails here. CSV text is split at commas only inside
+``core.Rows``, whose block reader hands any text that csv syntax could
+read otherwise to its row reader. Likewise a file is written only by
 ``core.write_text``: no other function calls ``.write_text``,
 ``.write_bytes``, ``open`` or ``os.replace``.
 """
@@ -79,6 +81,26 @@ def test_one_parser_per_format(calls, site):
 
 def test_one_missing_file_error():
     assert sites(name="FileNotFoundError") == ["core.read_text"]
+
+
+class _CommaSplits(_Sites):
+    """The enclosing function of each ``.split(",")`` call."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("split", "rsplit"):
+            if any(isinstance(arg, ast.Constant) and arg.value == "," for arg in node.args):
+                self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_csv_text_is_split_at_commas_only_in_rows():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        visitor = _CommaSplits(path.stem, set(), None)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert found and all(site.startswith("core.Rows.") for site in found), found
 
 
 class _Writes(_Sites):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from ethokit import (
     simulate,
     tag_interactions,
 )
+from ethokit import social
 from ethokit.core import BoundingBox
 from conftest import make_labels, track_from_boxes
 from scalar_social import detect_interactions_scalar, overlap_ratio
@@ -43,7 +45,7 @@ def event(a="a", b="b", sa="grevys_zebra", sb="grevys_zebra", start=0, end=9, ra
 
 
 class TestOverlapRatio:
-    """The scalar per-frame ratio the NumPy kernel is checked against."""
+    """The scalar per-frame ratio the detector is checked against."""
 
     def test_identical_boxes(self):
         box = BoundingBox(0, 0.0, 0.0, 10.0, 10.0)
@@ -120,6 +122,21 @@ class TestOverlapRatio:
     def test_area_beyond_float_range_overlaps_nothing(self):
         huge = BoundingBox(0, 0.0, 0.0, 1e200, 1e200)
         assert overlap_ratio(huge, huge) == 0.0
+
+    @pytest.mark.parametrize("metric", ["min_area", "iou"])
+    def test_area_that_underflows_caps_the_ratio(self, metric):
+        # x + w rounds up to x plus one ulp, so the intersection (one ulp
+        # squared, the least subnormal) exceeds the area, which rounds to 0
+        x, w = 2.0**-485, 0.6 * 2.0**-537
+        tiny, big = BoundingBox(0, x, x, w, w), BoundingBox(0, x, x, 1.0, 1.0)
+        assert tiny.w * tiny.h == 0.0
+        expected = 1.0 if metric == "min_area" else 2.0**-1074  # inter over the union, 1.0
+        assert overlap_ratio(tiny, big, metric) == overlap_ratio(big, tiny, metric) == expected
+        params = AnalysisParams(min_overlap_frames=1, overlap_metric=metric)
+        pair = [track_from_boxes("a", "giraffe", [tiny]), track_from_boxes("b", "giraffe", [big])]
+        got = detect_interactions(pair, params)
+        assert got == detect_interactions_scalar(pair, params)
+        assert [e.mean_ratio for e in got] == ([1.0] if metric == "min_area" else [])
 
 
 class TestDetectInteractions:
@@ -291,6 +308,59 @@ class TestDetectInteractionsMatchesScalarOracle:
         assert dump_interaction_events(detect_interactions(tracks, params)) == (
             dump_interaction_events(expected)
         )
+
+
+# home positions close enough that most pairs overlap
+NEAR = st.one_of(st.sampled_from([0.0, 2.5, 5.0]), st.floats(0, 6))
+# frames on either side of a window edge, for windows of 7 and of 32 frames
+WINDOW_EDGES = sorted({m * k + d for m in (7, 32) for k in range(-6, 11) for d in (-1, 0)})
+
+
+@st.composite
+def windowed_tracks(draw):
+    """2-4 tracks over frames -40 to 69, several windows long, with gaps that
+    often sit at a window edge and some boxes set to WILD values."""
+    ids = draw(st.permutations(["a", "b", "c", "d"]))[: draw(st.integers(2, 4))]
+    tracks = []
+    for track_id in ids:
+        first = draw(st.integers(-40, 20))
+        last = draw(st.integers(max(first, 0), 69))
+        gap = st.one_of(st.integers(first, last), st.sampled_from(WINDOW_EDGES))
+        missing = draw(st.sets(gap, max_size=15))
+        x, y, w, h = draw(NEAR), draw(NEAR), draw(SIZE), draw(SIZE)
+        jitter = draw(st.lists(JITTER, min_size=1, max_size=9))
+        boxes = [
+            [f, x + jitter[f % len(jitter)], y + jitter[-f % len(jitter)], w, h]
+            for f in range(first, last + 1) if f not in missing
+        ]
+        for k, column, value in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 4),
+                                                        WILD), max_size=3)):
+            if boxes:
+                boxes[k % len(boxes)][column] = value
+        excluded = draw(st.integers(0, 7)) == 0
+        tracks.append(track_from_boxes(track_id, draw(st.sampled_from(SPECIES)), boxes, excluded))
+    return tracks
+
+
+class TestDetectionWindows:
+    """Runs that cross the broad phase's window edges, for several window widths."""
+
+    @pytest.mark.parametrize("window", sorted({1, 2, 7, social._WINDOW, 10**9}))
+    @given(
+        tracks=windowed_tracks(),
+        metric=st.sampled_from(["min_area", "iou"]),
+        threshold=st.sampled_from([0.01, 0.25, 0.5, 0.75]),
+        min_frames=st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_oracle(self, window, tracks, metric, threshold, min_frames):
+        params = AnalysisParams(
+            overlap_ratio_threshold=threshold, min_overlap_frames=min_frames, overlap_metric=metric
+        )
+        expected = detect_interactions_scalar(tracks, params)
+        with patch.object(social, "_WINDOW", window):
+            got = detect_interactions(tracks, params)
+        assert dump_interaction_events(got) == dump_interaction_events(expected)
 
 
 class TestTagInteractions:

@@ -239,7 +239,7 @@ class TestOlsFit:
         ]
         fit = ols_fit(dm, y)
         reduced_cols = [0, 2]  # drop the habitat block
-        reduced = ols_fit(dm.matrix[:, reduced_cols], y)
+        reduced = ols_fit(np.asarray(dm.rows, dtype=float)[:, reduced_cols], y)
         expected = (fit.r_squared - reduced.r_squared) / (1 - fit.r_squared)
         assert dict(fit.block_f_squared)["habitat"] == pytest.approx(expected, abs=1e-10)
 
