@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import os
 import sys
@@ -38,44 +39,75 @@ from .core import (
     write_text,
 )
 from .ethogram import Ethogram, default_ethogram, read_ethogram
-from .ingest import (
-    ObservationIndex,
-    read_ground_observations,  # noqa: F401  (benchmarks/tracing.py wraps it here)
-    read_labels,
-    read_observation_index,
-    read_tracks,
-    read_video_meta,
-)
-from .metrics import (
-    cohens_kappa,
-    class_metrics,
-    confusion,
-    time_budget,
-    transition_matrix,
-)
+# every command reads the crop defaults, so miniscene is always loaded
 from .miniscene import DEFAULT_OUT_H, DEFAULT_OUT_W, dump_miniscene_manifest, extract_miniscenes
-from .social import (
-    OverlapMatrix,
-    detect_interactions,
-    dump_interaction_events,
-    dump_overlap_matrix,
-    overlap_summary,
-    tag_interactions,
-)
-from .stats import dummy_code, nested_f_test, ols_fit, significance_stars
-from .simulator import SimConfig, demo_config, export_world, observe_focal, observe_scan, simulate
-from .svgplot import gantt_svg, transition_heatmap_svg
-from .timeline import (
-    align_pair,
-    dump_paired_series,
-    label_stream_to_observation,
-    map_labels,
-    propagate_scan,
-    visibility_filter,
-)
+
+# The names this module reads from each module that not every command
+# runs, and the modules each command runs. main() imports a command's
+# modules before it runs it; __getattr__ imports one when one of its names
+# is first read from outside. Neither rebinds a name that is already here,
+# so a wrapper put on one (as benchmarks/tracing.py does) stays in effect.
+_IMPORTS = {
+    "ingest": (
+        "ObservationIndex",
+        "read_ground_observations",  # benchmarks/tracing.py wraps it here
+        "read_labels",
+        "read_observation_index",
+        "read_tracks",
+        "read_video_meta",
+    ),
+    "metrics": ("class_metrics", "cohens_kappa", "confusion", "time_budget", "transition_matrix"),
+    "social": (
+        "OverlapMatrix",
+        "detect_interactions",
+        "dump_interaction_events",
+        "dump_overlap_matrix",
+        "overlap_summary",
+        "tag_interactions",
+    ),
+    "stats": ("dummy_code", "nested_f_test", "ols_fit", "significance_stars"),
+    "simulator": ("SimConfig", "demo_config", "export_world", "simulate"),
+    "svgplot": ("gantt_svg", "transition_heatmap_svg"),
+    "timeline": (
+        "align_pair",
+        "dump_paired_series",
+        "label_stream_to_observation",
+        "map_labels",
+        "propagate_scan",
+        "visibility_filter",
+    ),
+}
+_RUNS = {
+    "validate": ("ingest",),
+    "miniscenes": ("ingest",),
+    "timebudget": ("ingest", "metrics"),
+    "transitions": ("ingest", "metrics"),
+    "interactions": ("ingest", "social"),
+    "compare": ("ingest", "timeline", "metrics"),
+    "regress": ("stats",),
+    "simulate": ("simulator",),
+    "report": ("ingest", "metrics", "svgplot"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind the names read from each module that are not bound here yet."""
+    namespace = globals()
+    for module in modules:
+        found = importlib.import_module(f".{module}", __package__)
+        for name in _IMPORTS[module]:
+            namespace.setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    module = next((m for m, names in _IMPORTS.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(module)
+    return globals()[name]
+
 
 _PARAM_KEYS = {f.name for f in dataclasses.fields(AnalysisParams)}
-_SIM_KEYS = {f.name for f in dataclasses.fields(SimConfig)} - {"seed"}  # the seed is --seed
 
 # JSON type of each --config section but clock_offset_s, which is a number
 _OBJECT, _LIST = (dict, "an object"), (list, "a list")
@@ -136,7 +168,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     crop_doc = doc.get("crop", {})
     check_keys(f"{p.name}: crop", crop_doc, ("out_w", "out_h"))
     sim_doc = doc.get("simulation", {})
-    check_keys(f"{p.name}: simulation", sim_doc, _SIM_KEYS)
+    if sim_doc:
+        _load("simulator")
+        sim_keys = {f.name for f in dataclasses.fields(SimConfig)} - {"seed"}  # the seed is --seed
+        check_keys(f"{p.name}: simulation", sim_doc, sim_keys)
     counts = {}
     for key, value in doc.get("overlap_counts", {}).items():
         parts = key.split("|")
@@ -663,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _load(*_RUNS[args.command])
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

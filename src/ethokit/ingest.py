@@ -44,7 +44,6 @@ import functools
 import json
 import math
 import warnings
-import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import itemgetter, sub
@@ -523,6 +522,8 @@ def import_cvat_video_xml(
     :class:`ParseError`; a track with no visible box, and anything else
     unsupported, is skipped with a :class:`CvatImportWarning`.
     """
+    import xml.etree.ElementTree as ET  # only this importer reads XML
+
     if ethogram is None:
         ethogram = default_ethogram()
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import filecmp
 import json
@@ -974,6 +975,42 @@ def _main_then_modules(argv: list[str], package: str) -> str:
     )
 
 
+# the ethokit modules `from ethokit.cli import main` loads before any command runs
+CLI_MODULES = ("cli", "core", "ethogram", "miniscene")
+# each command, and the further ethokit modules it loads
+COMMAND_RUNS = {
+    "validate": (["validate", "{session}"], ("ingest",)),
+    "compare-focal": (
+        ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
+         "--method-b", "drone_focal", "--interval", "2", "--out", "{out}"],
+        ("ingest", "metrics", "timeline"),
+    ),
+    "compare-scan": (
+        ["compare", "{session}", "--subject", "ind002", "--method-a", "ground_scan",
+         "--method-b", "ml_auto", "--interval", "2", "--out", "{out}"],
+        ("ingest", "metrics", "timeline"),
+    ),
+    "report": (["report", "{session}", "--out", "{out}"], ("ingest", "metrics", "svgplot")),
+    "timebudget": (["timebudget", "{session}", "--out", "{out}"], ("ingest", "metrics")),
+    "transitions": (
+        ["transitions", "{session}", "--interval", "1", "--out", "{out}"], ("ingest", "metrics")
+    ),
+    "miniscenes": (["miniscenes", "{session}", "--out", "{out}"], ("ingest",)),
+    "regress": (["regress", "{table}", "--response", "prop", "--out", "{out}"], ("stats",)),
+    "interactions": (["interactions", "{session}", "--out", "{out}"], ("ingest", "social")),
+    # the simulator writes its session through ingest
+    "simulate": (["simulate", "--seed", "3", "--out", "{out}"], ("ingest", "simulator")),
+}
+
+
+def _command_argv(command: str, tmp_path: Path) -> list[str]:
+    table = small_regress_table(tmp_path / "data.csv")
+    return [
+        a.format(session=GOLDEN, out=tmp_path / "o", table=table)
+        for a in COMMAND_RUNS[command][0]
+    ]
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
         code = (
@@ -994,30 +1031,36 @@ class TestImports:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["validate", "{session}"],
-            ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
-             "--method-b", "drone_focal", "--interval", "2", "--out", "{out}"],
-            ["compare", "{session}", "--subject", "ind002", "--method-a", "ground_scan",
-             "--method-b", "ml_auto", "--interval", "2", "--out", "{out}"],
-            ["report", "{session}", "--out", "{out}"],
-            ["timebudget", "{session}", "--out", "{out}"],
-            ["transitions", "{session}", "--interval", "1", "--out", "{out}"],
-            ["miniscenes", "{session}", "--out", "{out}"],
-            ["regress", "{table}", "--response", "prop", "--out", "{out}"],
-            ["interactions", "{session}", "--out", "{out}"],
-        ],
-        ids=["validate", "compare-focal", "compare-scan", "report", "timebudget", "transitions",
-             "miniscenes", "regress", "interactions"],
-    )
-    def test_commands_without_array_math_do_not_load_numpy(self, tmp_path, argv):
-        table = small_regress_table(tmp_path / "data.csv")
-        argv = [a.format(session=GOLDEN, out=tmp_path / "o", table=table) for a in argv]
-        done = run_python(_main_then_modules(argv, "numpy"))
+    @pytest.mark.parametrize("command", [c for c in COMMAND_RUNS if c != "simulate"])
+    def test_commands_without_array_math_do_not_load_numpy(self, tmp_path, command):
+        done = run_python(_main_then_modules(_command_argv(command, tmp_path), "numpy"))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("command", COMMAND_RUNS)
+    def test_command_loads_only_its_modules(self, tmp_path, command):
+        done = run_python(_main_then_modules(_command_argv(command, tmp_path), "ethokit"))
+        assert done.returncode == 0, done.stderr
+        # ethokit.data holds the default ethogram's CSV, not code
+        loaded = set(ast.literal_eval(done.stdout.splitlines()[-1])) - {"ethokit.data"}
+        modules = (*CLI_MODULES, *COMMAND_RUNS[command][1])
+        assert loaded == {"ethokit", *(f"ethokit.{m}" for m in modules)}
+
+    def test_config_loads_simulator_only_for_a_simulation_section(self, tmp_path):
+        plain, sim = tmp_path / "plain.json", tmp_path / "sim.json"
+        plain.write_text('{"params": {"min_overlap_frames": 3}}')
+        sim.write_text('{"simulation": {"n_individuals": 3}}')
+        code = (
+            "import sys\n"
+            "from ethokit.cli import load_config\n"
+            f"load_config({str(plain)!r})\n"
+            "print('ethokit.simulator' in sys.modules)\n"
+            f"load_config({str(sim)!r})\n"
+            "print('ethokit.simulator' in sys.modules)"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
     @staticmethod
     def _regress_argv(tmp_path: Path, out: str) -> list[str]:
@@ -1051,3 +1094,59 @@ class TestImports:
                 == (tmp_path / "free" / name).read_bytes()
             )
         assert "interaction_test" in json.loads((tmp_path / "blocked" / "model.json").read_text())
+
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+def _wrapped_names() -> list[str]:
+    """The keys of benchmarks/tracing.py's WRAPPED: the ethokit.cli names it wraps."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["WRAPPED"]
+    )
+    return [ast.literal_eval(key) for key in table.keys]
+
+
+class TestTracingContract:
+    """The traced benchmark pass reads each WRAPPED name from ethokit.cli with
+    getattr and puts a wrapper there with setattr; the commands must then call
+    the wrapper, or that layer's spans and counts read 0 without any error."""
+
+    def test_every_wrapped_name_is_a_cli_function(self):
+        names = _wrapped_names()
+        assert len(names) > 20
+        code = (
+            "import ethokit.cli as cli\n"
+            f"print([n for n in {names!r} if not callable(getattr(cli, n, None))])"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "name, command, calls",
+        [("ols_fit", "regress", 2), ("read_labels", "report", 1)],
+    )
+    def test_wrapper_set_before_main_is_called(self, tmp_path, name, command, calls):
+        if command == "regress":
+            argv = TestImports._regress_argv(tmp_path, "o")  # fits twice for its F test
+        else:
+            argv = [command, str(GOLDEN), "--out", str(tmp_path / "o")]
+        code = (
+            "import ethokit.cli as cli\n"
+            f"original = getattr(cli, {name!r})\n"
+            "calls = []\n"
+            "def counted(*args, **kwargs):\n"
+            "    calls.append(1)\n"
+            "    return original(*args, **kwargs)\n"
+            f"setattr(cli, {name!r}, counted)\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"assert getattr(cli, {name!r}) is counted\n"
+            "print(len(calls))"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == str(calls)

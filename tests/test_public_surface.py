@@ -5,26 +5,42 @@ code in ``src/ethokit`` outside its own definition, any file in
 ``benchmarks/``, or the paper-claim checks in ``tests/test_acceptance.py``.
 A use is a name or attribute read in the syntax tree, or a string equal
 to the name (``benchmarks/tracing.py`` wraps CLI functions by name).
-Imports, definitions and what they hold, ``__all__`` lists, comments and
-docstrings do not count, so a name that is only exported, or only
-documented, fails.
+Imports, definitions and what they hold, ``__all__`` lists, the CLI's
+table of the names it imports, comments and docstrings do not count, so
+a name that is only exported, or only documented, fails.
 
 Each public name is listed once, in its own module's ``__all__``:
-``ethokit/__init__.py`` only star-imports the modules, and no name is
-listed by two of them. The submodules themselves are not exported, so
-``from ethokit import *`` rebinds no name such as ``stats``.
+``ethokit/__init__.py`` imports no module and resolves each name on first
+use from the module that lists it, and no name is listed by two of them.
+The submodules themselves are not exported, so ``from ethokit import *``
+rebinds no name such as ``stats``.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ethokit
+from ethokit import (
+    core,
+    ethogram,
+    ingest,
+    metrics,
+    miniscene,
+    simulator,
+    social,
+    stats,
+    svgplot,
+    timeline,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [
@@ -56,7 +72,9 @@ class _Uses(ast.NodeVisitor):
             self.counts[name] += 1
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        # ethokit.cli's _IMPORTS is its import block, held as strings
+        skipped = ("__all__", "_IMPORTS")
+        if not any(isinstance(t, ast.Name) and t.id in skipped for t in node.targets):
             self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
@@ -94,22 +112,21 @@ def test_public_name_is_used(name):
     assert USES[name] > 0, f"ethokit.{name} is exported but nothing reads it"
 
 
-# the submodules the package imports; ethokit.cli is bound here only once
-# something imports it, and the package itself never does
-MODULES = [
-    value
-    for name, value in sorted(vars(ethokit).items())
-    if inspect.ismodule(value) and name != "cli"
-]
+# every module whose public names the package exports; ethokit.cli exports none
+MODULES = [core, ethogram, ingest, metrics, miniscene, simulator, social, stats, svgplot, timeline]
 
 
-def test_package_only_star_imports():
-    tree = ast.parse((ROOT / "src" / "ethokit" / "__init__.py").read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert len(imports) == len(MODULES) > 5
-    for node in imports:
-        assert isinstance(node, ast.ImportFrom) and node.level == 1, ast.unparse(node)
-        assert [alias.name for alias in node.names] == ["*"], ast.unparse(node)
+def test_package_import_loads_no_submodule():
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ethokit\nprint(sorted(m for m in sys.modules if m.startswith('ethokit')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['ethokit']"
+    assert ethokit.__all__ == sorted(name for module in MODULES for name in module.__all__)
+    assert len(MODULES) == len(list((ROOT / "src" / "ethokit").glob("*.py"))) - 2  # __init__, cli
 
 
 def test_no_module_is_exported():
