@@ -20,10 +20,13 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .core import (
+    DEFAULT_OUT_H,
+    DEFAULT_OUT_W,
     DRONE_FOCAL,
     GROUND_SCAN,
     METHODS,
     ML_AUTO,
+    TECHNICAL_CODES,
     AnalysisParams,
     ObservationStream,
     ParseError,
@@ -38,16 +41,15 @@ from .core import (
     validate_session,
     write_text,
 )
-from .ethogram import Ethogram, default_ethogram, read_ethogram
-# every command reads the crop defaults, so miniscene is always loaded
-from .miniscene import DEFAULT_OUT_H, DEFAULT_OUT_W, dump_miniscene_manifest, extract_miniscenes
 
-# The names this module reads from each module that not every command
-# runs, and the modules each command runs. main() imports a command's
-# modules before it runs it; __getattr__ imports one when one of its names
-# is first read from outside. Neither rebinds a name that is already here,
-# so a wrapper put on one (as benchmarks/tracing.py does) stays in effect.
+# The names this module reads from each module but core, and the modules
+# each command runs. main() imports a command's modules before it runs it,
+# a Session imports ingest, whose readers parse the session's files, and
+# __getattr__ imports a module when one of its names is first read from
+# outside. None of them rebinds a name that is already here, so a wrapper
+# put on one (as benchmarks/tracing.py does) stays in effect.
 _IMPORTS = {
+    "ethogram": ("default_ethogram", "read_ethogram"),
     "ingest": (
         "ObservationIndex",
         "read_ground_observations",  # benchmarks/tracing.py wraps it here
@@ -57,6 +59,7 @@ _IMPORTS = {
         "read_video_meta",
     ),
     "metrics": ("class_metrics", "cohens_kappa", "confusion", "time_budget", "transition_matrix"),
+    "miniscene": ("dump_miniscene_manifest", "extract_miniscenes"),
     "social": (
         "OverlapMatrix",
         "detect_interactions",
@@ -78,15 +81,15 @@ _IMPORTS = {
     ),
 }
 _RUNS = {
-    "validate": ("ingest",),
-    "miniscenes": ("ingest",),
-    "timebudget": ("ingest", "metrics"),
-    "transitions": ("ingest", "metrics"),
-    "interactions": ("ingest", "social"),
-    "compare": ("ingest", "timeline", "metrics"),
+    "validate": ("ethogram",),
+    "miniscenes": ("miniscene",),
+    "timebudget": ("metrics",),
+    "transitions": ("metrics",),
+    "interactions": ("social",),
+    "compare": ("timeline", "metrics"),
     "regress": ("stats",),
     "simulate": ("simulator",),
-    "report": ("ingest", "metrics", "svgplot"),
+    "report": ("metrics", "svgplot"),
 }
 
 
@@ -226,11 +229,6 @@ def _config_count(where: str, value) -> int:
     return count
 
 
-def _load_ethogram(config: RunConfig) -> Ethogram:
-    path = config.ethogram_path or os.environ.get("ETHOKIT_ETHOGRAM")
-    return read_ethogram(path) if path else default_ethogram()
-
-
 class Session:
     """A session directory whose CSV files are parsed on first use.
 
@@ -247,6 +245,7 @@ class Session:
     """
 
     def __init__(self, directory: str | Path, need: tuple[str, ...] = ()):
+        _load("ingest")
         self.root = Path(directory)
         self.meta = read_video_meta(self.root / "meta.json")
         self.need = need
@@ -292,14 +291,15 @@ def _json_text(obj) -> str:
 # commands
 
 
-def cmd_validate(args) -> int:
-    config = load_config(args.config)
+def cmd_validate(args, config: RunConfig) -> int:
     session = Session(args.session)
+    # only validate reads an ethogram: it checks the session's codes against it
+    path = config.ethogram_path or os.environ.get("ETHOKIT_ETHOGRAM")
     report = validate_session(
         session.tracks,
         session.labels + session.observations,
         session.meta,
-        _load_ethogram(config),
+        read_ethogram(path) if path else default_ethogram(),
     )
     if report.ok:
         print("ok")
@@ -308,8 +308,7 @@ def cmd_validate(args) -> int:
     return 1
 
 
-def cmd_miniscenes(args) -> int:
-    config = load_config(args.config)
+def cmd_miniscenes(args, config: RunConfig) -> int:
     params = config.params
     if args.min_frames is not None:
         params = dataclasses.replace(params, min_miniscene_frames=args.min_frames)
@@ -326,18 +325,17 @@ def cmd_miniscenes(args) -> int:
 _BUDGET_HEADER = ["source", "subject", "code", "seconds", "proportion"]
 
 
-def _budget_rows(session: Session, ethogram: Ethogram) -> list[tuple[str, str, str, float, float]]:
-    technical = ethogram.technical_codes()
+def _budget_rows(session: Session) -> list[tuple[str, str, str, float, float]]:
     # scans are instantaneous and a fully occluded track or focal record
     # has no behavioral denominator; neither yields a budget row
     visible = [
         stream
         for stream in session.labels + session.observations
-        if sum(iv.end - iv.start for iv in stream.intervals if iv.code not in technical) > 0
+        if sum(iv.end - iv.start for iv in stream.intervals if iv.code not in TECHNICAL_CODES) > 0
     ]
     rows = []
     for stream in visible:
-        budget = time_budget(stream, ethogram)
+        budget = time_budget(stream)
         for code in sorted(budget.seconds):
             rows.append(
                 (stream.method, stream.subject_id, code, budget.seconds[code], budget.proportion(code))
@@ -346,12 +344,11 @@ def _budget_rows(session: Session, ethogram: Ethogram) -> list[tuple[str, str, s
     return rows
 
 
-def cmd_timebudget(args) -> int:
-    config = load_config(args.config)
+def cmd_timebudget(args, config: RunConfig) -> int:
     session = Session(args.session)
     if not session.labels and not session.observations:
         raise ValueError("session has neither labels.csv nor observations.csv")
-    rows = _budget_rows(session, _load_ethogram(config))
+    rows = _budget_rows(session)
     out = Path(args.out)
     if args.format == "json":
         doc = [
@@ -365,7 +362,7 @@ def cmd_timebudget(args) -> int:
     return 0
 
 
-def _transition_inputs(session: Session, ethogram: Ethogram):
+def _transition_inputs(session: Session):
     """Label streams when present, else non-scan observation streams."""
     if session.labels:
         streams = session.labels
@@ -374,21 +371,18 @@ def _transition_inputs(session: Session, ethogram: Ethogram):
     if not streams:
         raise ValueError("no streams to sample transitions from")
     codes = {iv.code for stream in streams for iv in stream.intervals}
-    codes -= ethogram.technical_codes()
-    return streams, sorted(codes)
+    return streams, sorted(codes - TECHNICAL_CODES)
 
 
 def _matrix_csv(codes, rows) -> str:
     return csv_text(["code", *codes], ([code, *map(float, row)] for code, row in zip(codes, rows)))
 
 
-def cmd_transitions(args) -> int:
-    config = load_config(args.config)
-    ethogram = _load_ethogram(config)
+def cmd_transitions(args, config: RunConfig) -> int:
     session = Session(args.session)
-    streams, codes = _transition_inputs(session, ethogram)
+    streams, codes = _transition_inputs(session)
     delta = args.interval if args.interval is not None else config.params.downsample_interval_s
-    matrix = transition_matrix(streams, delta, codes, ethogram)
+    matrix = transition_matrix(streams, delta, codes)
     out = Path(args.out)
     if args.format == "json":
         doc = {
@@ -404,8 +398,7 @@ def cmd_transitions(args) -> int:
     return 0
 
 
-def cmd_interactions(args) -> int:
-    config = load_config(args.config)
+def cmd_interactions(args, config: RunConfig) -> int:
     params = config.params
     if args.threshold is not None:
         params = dataclasses.replace(params, overlap_ratio_threshold=args.threshold)
@@ -452,7 +445,7 @@ def _pick_stream(session: Session, config: RunConfig, subject: str, method: str)
     raise ValueError(f"no {method} stream for subject {subject!r}")
 
 
-def _apply_map(stream: ObservationStream, config: RunConfig, ethogram: Ethogram):
+def _apply_map(stream: ObservationStream, config: RunConfig):
     if not config.label_map:
         return stream
     # The config mapping lists only renames; everything else (incl.
@@ -462,9 +455,7 @@ def _apply_map(stream: ObservationStream, config: RunConfig, ethogram: Ethogram)
     return map_labels(stream, total)
 
 
-def cmd_compare(args) -> int:
-    config = load_config(args.config)
-    ethogram = _load_ethogram(config)
+def cmd_compare(args, config: RunConfig) -> int:
     session = Session(args.session, need=("observations.csv",))
     a = _pick_stream(session, config, args.subject, args.method_a)
     b = _pick_stream(session, config, args.subject, args.method_b)
@@ -472,9 +463,9 @@ def cmd_compare(args) -> int:
         a = propagate_scan(a, config.params.scan_propagation_s)
     if b.method == GROUND_SCAN:
         b = propagate_scan(b, config.params.scan_propagation_s)
-    a = _apply_map(a, config, ethogram)
-    b = _apply_map(b, config, ethogram)
-    a, b = visibility_filter(a, b, ethogram.technical_codes())
+    a = _apply_map(a, config)
+    b = _apply_map(b, config)
+    a, b = visibility_filter(a, b)
     delta = args.interval if args.interval is not None else config.params.downsample_interval_s
     pairs = align_pair(a, b, delta)
     codes = sorted(set(pairs.codes_a) | set(pairs.codes_b))
@@ -525,8 +516,7 @@ def _read_table(path: Path, numbers: Sequence[str] = ()) -> tuple[list[str], lis
     return rows.header, body
 
 
-def cmd_regress(args) -> int:
-    config = load_config(args.config)
+def cmd_regress(args, config: RunConfig) -> int:
     path = Path(args.data)
     header, body = _read_table(path, [args.response])
     factors = config.factors or [c for c in header if c != args.response]
@@ -573,8 +563,7 @@ def cmd_regress(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = load_config(args.config)
+def cmd_simulate(args, config: RunConfig) -> int:
     cfg = demo_config(args.seed)
     if config.simulation:
         name = Path(args.config).name
@@ -595,17 +584,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    config = load_config(args.config)
-    ethogram = _load_ethogram(config)
+def cmd_report(args, config: RunConfig) -> int:
     session = Session(args.session)
     if not session.labels and not session.observations:
         raise ValueError("session has neither labels.csv nor observations.csv")
     out = Path(args.out)
-    write_text(out / "timebudget.csv", csv_text(_BUDGET_HEADER, _budget_rows(session, ethogram)))
+    write_text(out / "timebudget.csv", csv_text(_BUDGET_HEADER, _budget_rows(session)))
 
-    streams, codes = _transition_inputs(session, ethogram)
-    matrix = transition_matrix(streams, config.params.downsample_interval_s, codes, ethogram)
+    streams, codes = _transition_inputs(session)
+    matrix = transition_matrix(streams, config.params.downsample_interval_s, codes)
     write_text(out / "transitions.csv", _matrix_csv(matrix.codes, matrix.probabilities))
     write_text(out / "transitions.svg", transition_heatmap_svg(matrix, "Transition probabilities"))
 
@@ -700,7 +687,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _load(*_RUNS[args.command])
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

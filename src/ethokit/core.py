@@ -41,6 +41,11 @@ __all__ = [
     "ML_AUTO",
     "METHODS",
     "LABELS",
+    "OCCLUDED",
+    "OUT_OF_FOCUS",
+    "OUT_OF_FRAME",
+    "OUT_OF_SIGHT",
+    "TECHNICAL_CODES",
     "ParseError",
     "VideoMeta",
     "Track",
@@ -68,6 +73,20 @@ METHODS = (GROUND_FOCAL, GROUND_SCAN, DRONE_FOCAL, ML_AUTO)
 # method of a frame label stream read from labels.csv, which does not say
 # whether a person or a model labeled it
 LABELS = "labels"
+
+# Technical (visibility) codes: time an animal was out of sight. They are
+# these four for every ethogram, so every analysis drops the same time.
+OCCLUDED = "OCL"
+OUT_OF_FOCUS = "OOC"
+OUT_OF_FRAME = "OOF"
+OUT_OF_SIGHT = "OOS"
+TECHNICAL_CODES = frozenset({OCCLUDED, OUT_OF_FOCUS, OUT_OF_FRAME, OUT_OF_SIGHT})
+
+# Mini-scene crop size, the default of --config's crop section. It is a
+# free choice; 400x300 comfortably frames one zebra at typical drone
+# altitudes while staying well under HD frame bounds.
+DEFAULT_OUT_W = 400
+DEFAULT_OUT_H = 300
 
 
 class ParseError(ValueError):

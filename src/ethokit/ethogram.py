@@ -1,4 +1,4 @@
-"""Behavior vocabulary: class catalog, technical codes, label resolution.
+"""Behavior vocabulary: class catalog and label resolution.
 
 The default ethogram ships as a versioned CSV data file
 (``data/ethogram_v1.csv``, schema ``code,name,species,technical``) with
@@ -14,26 +14,24 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .core import ParseError, Rows, read_text
+from .core import (
+    OCCLUDED,
+    OUT_OF_FOCUS,
+    OUT_OF_FRAME,
+    OUT_OF_SIGHT,
+    TECHNICAL_CODES,
+    ParseError,
+    Rows,
+    read_text,
+)
 
 __all__ = [
-    "OCCLUDED",
-    "OUT_OF_FOCUS",
-    "OUT_OF_FRAME",
-    "OUT_OF_SIGHT",
-    "TECHNICAL_CODES",
     "BehaviorClass",
     "Ethogram",
     "parse_ethogram",
     "read_ethogram",
     "default_ethogram",
 ]
-
-OCCLUDED = "OCL"
-OUT_OF_FOCUS = "OOC"
-OUT_OF_FRAME = "OOF"
-OUT_OF_SIGHT = "OOS"
-TECHNICAL_CODES = frozenset({OCCLUDED, OUT_OF_FOCUS, OUT_OF_FRAME, OUT_OF_SIGHT})
 
 SPECIES_SCOPES = ("zebra", "giraffe", "both")
 
@@ -87,9 +85,9 @@ class BehaviorClass:
 class Ethogram:
     """Immutable behavior catalog with unique codes.
 
-    Technical (visibility) classes are restricted to the four canonical
-    codes so that visibility filtering means the same thing for every
-    ethogram variant.
+    Technical (visibility) classes are exactly those of the four
+    canonical codes (``core.TECHNICAL_CODES``) that the catalog lists,
+    since every analysis drops those four whatever the ethogram.
     """
 
     classes: tuple[BehaviorClass, ...]
@@ -116,9 +114,6 @@ class Ethogram:
 
     def codes(self) -> list[str]:
         return [c.code for c in self.classes]
-
-    def technical_codes(self) -> frozenset[str]:
-        return frozenset(c.code for c in self.classes if c.technical)
 
     def resolve(self, label: str) -> str | None:
         """Map a free-text behavior label to an ethogram code.

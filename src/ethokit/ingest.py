@@ -48,6 +48,7 @@ from datetime import datetime, timezone
 from itertools import chain, repeat
 from operator import itemgetter, sub
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import (
     BOOL_CELLS,
@@ -74,7 +75,9 @@ from .core import (
     run_edges,
     write_text,
 )
-from .ethogram import Ethogram, default_ethogram
+
+if TYPE_CHECKING:  # only import_cvat_video_xml reads an ethogram, and imports it then
+    from .ethogram import Ethogram
 
 __all__ = [
     "CvatImportWarning",
@@ -525,6 +528,8 @@ def import_cvat_video_xml(
     import xml.etree.ElementTree as ET  # only this importer reads XML
 
     if ethogram is None:
+        from .ethogram import default_ethogram
+
         ethogram = default_ethogram()
     try:
         root = ET.fromstring(document)

@@ -14,8 +14,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import sample_count
-from .ethogram import TECHNICAL_CODES
+from .core import TECHNICAL_CODES, sample_count
 
 __all__ = [
     "TimeBudget",
@@ -57,12 +56,11 @@ class TimeBudget:
         return self.seconds.get(code, 0.0) / self.t_visible
 
 
-def time_budget(stream, ethogram=None) -> TimeBudget:
+def time_budget(stream) -> TimeBudget:
     """Visible-time budget; technical codes drop out of the denominator."""
-    technical = ethogram.technical_codes() if ethogram is not None else TECHNICAL_CODES
     seconds: dict[str, float] = {}
     for code, dur in _durations(stream):
-        if code in technical:
+        if code in TECHNICAL_CODES:
             continue
         seconds[code] = seconds.get(code, 0.0) + dur
     t_visible = sum(seconds.values())
@@ -71,14 +69,13 @@ def time_budget(stream, ethogram=None) -> TimeBudget:
     return TimeBudget(seconds, t_visible)
 
 
-def out_of_sight_fraction(stream, ethogram=None) -> float:
+def out_of_sight_fraction(stream) -> float:
     """Share of the recorded time carrying a technical code."""
-    technical = ethogram.technical_codes() if ethogram is not None else TECHNICAL_CODES
     pairs = _durations(stream)
     total = sum(dur for _, dur in pairs)
     if total <= 0:
         raise ValueError("empty stream")
-    lost = sum(dur for code, dur in pairs if code in technical)
+    lost = sum(dur for code, dur in pairs if code in TECHNICAL_CODES)
     return lost / total
 
 
@@ -126,13 +123,13 @@ class CountMatrix:
         return sum(self.row_totals)
 
 
-def _sample_codes(stream, delta_s: float, technical) -> list[str | None]:
+def _sample_codes(stream, delta_s: float) -> list[str | None]:
     """Point-in-time codes at t0, t0+delta, ... within the stream span.
 
     t0 anchors at the first instant carrying a non-technical code; None
     marks samples landing on gaps or technical time.
     """
-    t0 = next((iv.start for iv in stream.intervals if iv.code not in technical), None)
+    t0 = next((iv.start for iv in stream.intervals if iv.code not in TECHNICAL_CODES), None)
     if t0 is None:
         return []
     t0, span_end = stream.to_seconds(t0), stream.to_seconds(stream.span[1])
@@ -144,17 +141,12 @@ def _sample_codes(stream, delta_s: float, technical) -> list[str | None]:
         if t >= span_end:
             break
         code = stream.code_at_seconds(t)
-        samples.append(None if code is None or code in technical else code)
+        samples.append(None if code is None or code in TECHNICAL_CODES else code)
         k += 1
     return samples
 
 
-def transition_matrix(
-    streams: Sequence,
-    delta_s: float,
-    codes: Sequence[str],
-    ethogram=None,
-) -> CountMatrix:
+def transition_matrix(streams: Sequence, delta_s: float, codes: Sequence[str]) -> CountMatrix:
     """Pool downsampled transition counts across streams.
 
     Each stream is sampled every delta_s seconds starting from its first
@@ -164,13 +156,12 @@ def transition_matrix(
     """
     if not 0 < delta_s < math.inf:
         raise ValueError(f"sampling interval must be positive and finite, got {delta_s}")
-    technical = ethogram.technical_codes() if ethogram is not None else TECHNICAL_CODES
     codes = tuple(codes)
     index = {code: i for i, code in enumerate(codes)}
     counts = [[0] * len(codes) for _ in codes]
     pairs = 0
     for stream in streams:
-        samples = _sample_codes(stream, delta_s, technical)
+        samples = _sample_codes(stream, delta_s)
         for prev, cur in zip(samples, samples[1:]):
             if prev in index and cur in index:
                 counts[index[prev]][index[cur]] += 1

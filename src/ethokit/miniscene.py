@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
+    DEFAULT_OUT_H,
+    DEFAULT_OUT_W,
     AnalysisParams,
     ObservationStream,
     Track,
@@ -27,12 +29,6 @@ __all__ = [
     "extract_miniscenes",
     "dump_miniscene_manifest",
 ]
-
-# Crop size is a free choice; 400x300 comfortably frames one zebra at
-# typical drone altitudes while staying well under HD frame bounds.
-DEFAULT_OUT_W = 400
-DEFAULT_OUT_H = 300
-
 
 class Window(NamedTuple):
     """Crop-window center for one frame, in source pixels."""

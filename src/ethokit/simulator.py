@@ -40,6 +40,7 @@ from .core import (
     GROUND_FOCAL,
     GROUND_SCAN,
     LABELS,
+    OUT_OF_SIGHT,
     ObservationStream,
     ObsInterval,
     Track,
@@ -49,7 +50,6 @@ from .core import (
     sample_count,
     write_text,
 )
-from .ethogram import OUT_OF_SIGHT
 from .ingest import (
     dump_ground_observations,
     dump_labels,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .core import (
     DRONE_FOCAL,
     GROUND_SCAN,
+    TECHNICAL_CODES,
     ObsInterval,
     ObservationStream,
     VideoMeta,
@@ -24,7 +25,6 @@ from .core import (
     csv_text,
     sample_count,
 )
-from .ethogram import TECHNICAL_CODES
 
 __all__ = [
     "PairedSeries",
@@ -109,8 +109,10 @@ def _intersect(a: list[Span], b: list[Span]) -> list[Span]:
     return out
 
 
-def _visible_spans(stream: ObservationStream, technical: frozenset[str]) -> list[Span]:
-    visible = ((s, e, None) for s, e, code in stream.intervals if s != e and code not in technical)
+def _visible_spans(stream: ObservationStream) -> list[Span]:
+    visible = (
+        (s, e, None) for s, e, code in stream.intervals if s != e and code not in TECHNICAL_CODES
+    )
     return [(s, e) for s, e, _ in coalesce(visible)]
 
 
@@ -138,7 +140,7 @@ def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream
 
 
 def visibility_filter(
-    a: ObservationStream, b: ObservationStream, technical: frozenset[str] = TECHNICAL_CODES
+    a: ObservationStream, b: ObservationStream
 ) -> tuple[ObservationStream, ObservationStream]:
     """Drop every instant where either stream is technically coded.
 
@@ -150,7 +152,7 @@ def visibility_filter(
         raise ValueError(
             f"no temporal overlap between streams for {a.subject_id!r} and {b.subject_id!r}"
         )
-    common = _intersect(_visible_spans(a, technical), _visible_spans(b, technical))
+    common = _intersect(_visible_spans(a), _visible_spans(b))
     return _restrict(a, common), _restrict(b, common)
 
 

@@ -28,8 +28,7 @@ from ethokit import (
     Window,
     crop_window,
 )
-from ethokit.core import LABELS, runs
-from ethokit.ethogram import TECHNICAL_CODES
+from ethokit.core import LABELS, TECHNICAL_CODES, runs
 
 
 class Segment(NamedTuple):
@@ -121,19 +120,14 @@ def joined(streams: list[LabelStream], fps: float) -> list[ObservationStream]:
     return [ObservationStream(t, LABELS, tuple(ivs), fps=fps) for t, ivs in by_track.items()]
 
 
-def _technical(ethogram):
-    return ethogram.technical_codes() if ethogram is not None else TECHNICAL_CODES
-
-
 def _durations(stream: LabelStream, meta: VideoMeta) -> list[tuple[str, float]]:
     return [(seg.code, (seg.end_frame - seg.start_frame + 1) / meta.fps) for seg in stream.segments]
 
 
-def time_budget_scalar(stream: LabelStream, meta: VideoMeta, ethogram=None) -> TimeBudget:
-    technical = _technical(ethogram)
+def time_budget_scalar(stream: LabelStream, meta: VideoMeta) -> TimeBudget:
     seconds: dict[str, float] = {}
     for code, dur in _durations(stream, meta):
-        if code in technical:
+        if code in TECHNICAL_CODES:
             continue
         seconds[code] = seconds.get(code, 0.0) + dur
     t_visible = sum(seconds.values())
@@ -142,20 +136,19 @@ def time_budget_scalar(stream: LabelStream, meta: VideoMeta, ethogram=None) -> T
     return TimeBudget(seconds, t_visible)
 
 
-def out_of_sight_fraction_scalar(stream: LabelStream, meta: VideoMeta, ethogram=None) -> float:
-    technical = _technical(ethogram)
+def out_of_sight_fraction_scalar(stream: LabelStream, meta: VideoMeta) -> float:
     pairs = _durations(stream, meta)
     total = sum(dur for _, dur in pairs)
     if total <= 0:
         raise ValueError("empty stream")
-    return sum(dur for code, dur in pairs if code in technical) / total
+    return sum(dur for code, dur in pairs if code in TECHNICAL_CODES) / total
 
 
-def sample_codes_scalar(stream: LabelStream, delta_s: float, meta: VideoMeta, technical):
+def sample_codes_scalar(stream: LabelStream, delta_s: float, meta: VideoMeta):
     span_end = (stream.end_frame + 1) / meta.fps
     t0 = None
     for seg in stream.segments:
-        if seg.code not in technical:
+        if seg.code not in TECHNICAL_CODES:
             t0 = seg.start_frame / meta.fps
             break
     if t0 is None:
@@ -167,21 +160,20 @@ def sample_codes_scalar(stream: LabelStream, delta_s: float, meta: VideoMeta, te
         if t >= span_end:
             break
         code = stream.code_at(int(t * meta.fps))
-        samples.append(None if code is None or code in technical else code)
+        samples.append(None if code is None or code in TECHNICAL_CODES else code)
         k += 1
     return samples
 
 
 def transition_matrix_scalar(
-    streams: list[LabelStream], delta_s: float, codes, meta: VideoMeta, ethogram=None
+    streams: list[LabelStream], delta_s: float, codes, meta: VideoMeta
 ) -> CountMatrix:
-    technical = _technical(ethogram)
     codes = tuple(codes)
     index = {code: i for i, code in enumerate(codes)}
     counts = [[0] * len(codes) for _ in codes]
     pairs = 0
     for stream in streams:
-        samples = sample_codes_scalar(stream, delta_s, meta, technical)
+        samples = sample_codes_scalar(stream, delta_s, meta)
         for prev, cur in zip(samples, samples[1:]):
             if prev in index and cur in index:
                 counts[index[prev]][index[cur]] += 1

@@ -13,7 +13,7 @@ import csv
 import io
 
 from ethokit import ObservationStream, ObsInterval, VideoMeta
-from ethokit.ethogram import TECHNICAL_CODES
+from ethokit.core import TECHNICAL_CODES
 from scalar_labels import LabelStream, Segment
 
 Span = tuple[float, float]
@@ -31,10 +31,8 @@ def union(spans: list[Span]) -> list[Span]:
     return merged
 
 
-def visible_spans_scalar(
-    stream: ObservationStream, technical: frozenset[str] = TECHNICAL_CODES
-) -> list[Span]:
-    return union([(iv.start, iv.end) for iv in stream.intervals if iv.code not in technical])
+def visible_spans_scalar(stream: ObservationStream) -> list[Span]:
+    return union([(iv.start, iv.end) for iv in stream.intervals if iv.code not in TECHNICAL_CODES])
 
 
 def covered_intervals_scalar(stream: ObservationStream) -> list[Span]:

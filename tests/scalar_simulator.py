@@ -25,7 +25,7 @@ from ethokit.core import (
     Track,
     VideoMeta,
 )
-from ethokit.ethogram import OUT_OF_SIGHT
+from ethokit.core import OUT_OF_SIGHT
 from ethokit.simulator import _EPOCH_START, _OBSERVER, SimConfig, SimWorld
 from scalar_runs import index_runs_scalar as runs
 

@@ -23,6 +23,7 @@ import pytest
 from ethokit import (
     GROUND_FOCAL,
     DRONE_FOCAL,
+    TECHNICAL_CODES,
     AnalysisParams,
     CountMatrix,
     OverlapMatrix,
@@ -342,7 +343,6 @@ def test_worked_example_dataset(capsys):
             pytest.skip("set ETHOKIT_WORKED_EXAMPLE_DIR to the downloaded dataset")
         root = Path(root)
         ethogram = default_ethogram()
-        technical = ethogram.technical_codes()
 
         labeled: list[list] = []  # frame streams per source
         for xml in sorted(root.rglob("*.xml")):
@@ -362,9 +362,9 @@ def test_worked_example_dataset(capsys):
             if obs_path.exists():
                 for stream in parse_ground_observations(obs_path.read_text()):
                     if stream.method == GROUND_FOCAL:
-                        ground_fracs.append(out_of_sight_fraction(stream, ethogram))
+                        ground_fracs.append(out_of_sight_fraction(stream))
                     elif stream.method == DRONE_FOCAL:
-                        drone_fracs.append(out_of_sight_fraction(stream, ethogram))
+                        drone_fracs.append(out_of_sight_fraction(stream))
             labels_path = session / "labels.csv"
             if labels_path.exists():
                 streams = parse_labels(labels_path.read_text(), meta.fps)
@@ -372,9 +372,7 @@ def test_worked_example_dataset(capsys):
                     labeled.append(streams)
 
         if not drone_fracs:
-            drone_fracs = [
-                out_of_sight_fraction(s, ethogram) for streams in labeled for s in streams
-            ]
+            drone_fracs = [out_of_sight_fraction(s) for streams in labeled for s in streams]
         assert ground_fracs, "no ground focal observation streams found"
         assert drone_fracs, "no drone-derived label or observation streams found"
         assert abs(fmean(ground_fracs) - 0.234) <= 0.03
@@ -382,13 +380,13 @@ def test_worked_example_dataset(capsys):
 
         codes = sorted(
             {iv.code for streams in labeled for s in streams for iv in s.intervals}
-            - set(technical)
+            - TECHNICAL_CODES
         )
         assert "G" in codes, "no grazing labels in the dataset"
         pooled = None
         for streams in labeled:
             try:
-                estimate = transition_matrix(streams, 1.0, codes, ethogram)
+                estimate = transition_matrix(streams, 1.0, codes)
             except ValueError:
                 continue
             counts = np.asarray(estimate.counts)

@@ -288,7 +288,7 @@ class TestGappedLabels:
     def test_timebudget_one_row_per_code(self, gapped, tmp_path):
         out = tmp_path / "o"
         assert main(["timebudget", str(gapped), "--out", str(out)]) == 0
-        rows = csv.DictReader((out / "timebudget.csv").open())
+        rows = csv.DictReader((out / "timebudget.csv").read_text().splitlines())
         ind002 = [r for r in rows if (r["source"], r["subject"]) == ("labels", "ind002")]
         # 199 labeled frames at 5 fps, the unlabeled frame in no denominator
         assert {r["code"]: float(r["seconds"]) for r in ind002} == {
@@ -310,7 +310,7 @@ def test_track_without_visible_time_is_left_out(tmp_path, command):
     (session / "labels.csv").write_text(dump_labels(labels, "tiny"))
     out = tmp_path / "o"
     assert main([command, str(session), "--out", str(out)]) == 0
-    rows = list(csv.DictReader((out / "timebudget.csv").open()))
+    rows = list(csv.DictReader((out / "timebudget.csv").read_text().splitlines()))
     assert [(r["subject"], r["code"]) for r in rows] == [("t1", "G")]
 
 
@@ -534,7 +534,7 @@ class TestTimebudget:
     def test_csv_output(self, sim_session, tmp_path):
         out = tmp_path / "o"
         assert main(["timebudget", str(sim_session), "--out", str(out)]) == 0
-        rows = list(csv.DictReader((out / "timebudget.csv").open()))
+        rows = list(csv.DictReader((out / "timebudget.csv").read_text().splitlines()))
         assert rows
         assert set(rows[0]) == {"source", "subject", "code", "seconds", "proportion"}
         by_subject: dict[tuple[str, str], float] = {}
@@ -876,8 +876,7 @@ def test_malformed_ethogram_is_a_parse_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ethogram": str(ethogram)}))
     session = tiny_session(tmp_path / "s")
-    assert main(["timebudget", str(session), "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 2
+    assert main(["validate", str(session), "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -941,7 +940,50 @@ def test_missing_input_is_a_parse_error(tmp_path, monkeypatch, capsys, missing):
     assert capsys.readouterr().err == f"error: missing file: {absent}\n"
 
 
+# the commands that read behavior codes but check none of them against an ethogram
+ANALYSES = {
+    "timebudget": ["timebudget", "{session}", "--out", "{out}"],
+    "transitions": ["transitions", "{session}", "--interval", "1", "--out", "{out}"],
+    "compare": ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
+                "--method-b", "drone_focal", "--interval", "2", "--out", "{out}"],
+    "report": ["report", "{session}", "--out", "{out}"],
+}
+
+
 class TestEthogramEnv:
+    @pytest.fixture
+    def session(self, tmp_path) -> Path:
+        """The golden session without labels.csv: every analysis reads
+        observations.csv, whose streams carry out-of-sight time."""
+        session = tmp_path / "session"
+        shutil.copytree(GOLDEN, session)
+        (session / "labels.csv").unlink()
+        return session
+
+    @staticmethod
+    def _run(command: str, session: Path, out: Path) -> dict[str, bytes]:
+        argv = [a.format(session=session, out=out) for a in ANALYSES[command]]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_technical_time_does_not_follow_the_ethogram(
+        self, session, tmp_path, monkeypatch, command
+    ):
+        shipped = Path(ethokit.__file__).parent / "data" / "ethogram_v1.csv"
+        custom = tmp_path / "no_oos.csv"
+        lines = shipped.read_text().splitlines(keepends=True)
+        custom.write_text("".join(line for line in lines if not line.startswith("OOS,")))
+        default = self._run(command, session, tmp_path / "default")
+        monkeypatch.setenv("ETHOKIT_ETHOGRAM", str(custom))
+        assert self._run(command, session, tmp_path / "custom") == default
+
+    # validate exits 2 on it: see test_missing_input_is_a_parse_error[env-ethogram]
+    @pytest.mark.parametrize("command", ANALYSES)
+    def test_a_missing_ethogram_fails_no_analysis(self, session, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("ETHOKIT_ETHOGRAM", str(tmp_path / "absent.csv"))
+        self._run(command, session, tmp_path / "o")
+
     def test_env_var_overrides_default(self, tmp_path, monkeypatch, capsys):
         custom = tmp_path / "tiny_ethogram.csv"
         custom.write_text(
@@ -976,10 +1018,10 @@ def _main_then_modules(argv: list[str], package: str) -> str:
 
 
 # the ethokit modules `from ethokit.cli import main` loads before any command runs
-CLI_MODULES = ("cli", "core", "ethogram", "miniscene")
+CLI_MODULES = ("cli", "core")
 # each command, and the further ethokit modules it loads
 COMMAND_RUNS = {
-    "validate": (["validate", "{session}"], ("ingest",)),
+    "validate": (["validate", "{session}"], ("ethogram", "ingest")),
     "compare-focal": (
         ["compare", "{session}", "--subject", "ind000", "--method-a", "ground_focal",
          "--method-b", "drone_focal", "--interval", "2", "--out", "{out}"],
@@ -995,9 +1037,13 @@ COMMAND_RUNS = {
     "transitions": (
         ["transitions", "{session}", "--interval", "1", "--out", "{out}"], ("ingest", "metrics")
     ),
-    "miniscenes": (["miniscenes", "{session}", "--out", "{out}"], ("ingest",)),
+    "miniscenes": (["miniscenes", "{session}", "--out", "{out}"], ("ingest", "miniscene")),
     "regress": (["regress", "{table}", "--response", "prop", "--out", "{out}"], ("stats",)),
     "interactions": (["interactions", "{session}", "--out", "{out}"], ("ingest", "social")),
+    # published counts from --config: no session file is read
+    "interactions-counts": (
+        ["interactions", "--config", "{counts}", "--out", "{out}"], ("social",)
+    ),
     # the simulator writes its session through ingest
     "simulate": (["simulate", "--seed", "3", "--out", "{out}"], ("ingest", "simulator")),
 }
@@ -1005,8 +1051,13 @@ COMMAND_RUNS = {
 
 def _command_argv(command: str, tmp_path: Path) -> list[str]:
     table = small_regress_table(tmp_path / "data.csv")
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({
+        "composition": {"grevys_zebra": 3, "giraffe": 2},
+        "overlap_counts": {"grevys_zebra|giraffe": 4},
+    }))
     return [
-        a.format(session=GOLDEN, out=tmp_path / "o", table=table)
+        a.format(session=GOLDEN, out=tmp_path / "o", table=table, counts=counts)
         for a in COMMAND_RUNS[command][0]
     ]
 

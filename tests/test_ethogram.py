@@ -19,8 +19,9 @@ from ethokit.core import csv_text
 
 class TestDefaultEthogram:
     def test_has_both_kinds(self, ethogram):
-        assert len(ethogram.codes()) - len(ethogram.technical_codes()) == 18
-        assert ethogram.technical_codes() == TECHNICAL_CODES
+        technical = {c.code for c in ethogram.classes if c.technical}
+        assert len(ethogram.codes()) - len(technical) == 18
+        assert technical == TECHNICAL_CODES
 
     def test_core_codes_present(self, ethogram):
         for code in ("G", "W", "HU", "AG", "MG", "B", "OOS", "OCL"):
@@ -33,8 +34,9 @@ class TestDefaultEthogram:
         assert species["W"] == "both"
 
     def test_is_technical(self, ethogram):
-        assert "OOS" in ethogram.technical_codes()
-        assert "G" not in ethogram.technical_codes()
+        technical = {c.code for c in ethogram.classes if c.technical}
+        assert "OOS" in technical
+        assert "G" not in technical
 
 
 class TestResolve:
@@ -92,4 +94,4 @@ class TestValidation:
 
     def test_technical_reads_true_and_false(self):
         text = "code,name,species,technical\nW,Walk,both,false\nOOS,Out of Sight,both,true\n"
-        assert parse_ethogram(text).technical_codes() == {"OOS"}
+        assert [c.technical for c in parse_ethogram(text).classes] == [False, True]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
+    CvatImportWarning,
     ObsInterval,
     ParseError,
     VideoMeta,
@@ -39,6 +40,14 @@ CODES = ("G", "W", "R", "OOS")
 META_25 = VideoMeta("s", 1920, 1080, T0, 25.0)
 META_30 = VideoMeta("s", 1920, 1080, T0, 30.0)
 MAPPINGS = st.fixed_dictionaries({c: st.sampled_from(("G", "W", "OOS")) for c in CODES})
+
+
+def _import_cvat(document: str, meta: VideoMeta):
+    """Import a one-track document; a track without boxes is skipped with a warning."""
+    if "<box " in document:
+        return import_cvat_video_xml(document, meta)
+    with pytest.warns(CvatImportWarning, match="skipping track t1: no visible box"):
+        return import_cvat_video_xml(document, meta)
 
 
 @st.composite
@@ -107,7 +116,7 @@ class TestRuns:
     @settings(max_examples=300, deadline=None)
     def test_from_frames_matches_loop(self, codes, start):
         # one run of per-frame codes, as a CVAT export holds them
-        _, got = import_cvat_video_xml(cvat_document(enumerate(codes, start)), META_25)
+        _, got = _import_cvat(cvat_document(enumerate(codes, start)), META_25)
         assert got == ([to_frames(from_frames_scalar("t1", start, codes), 25.0)] if codes else [])
 
 
@@ -120,9 +129,7 @@ class TestObservationStreamRuns:
     @given(obs_streams())
     @settings(max_examples=300, deadline=None)
     def test_visible_spans(self, stream):
-        assert _visible_spans(stream, frozenset({"OOS"})) == visible_spans_scalar(
-            stream, frozenset({"OOS"})
-        )
+        assert _visible_spans(stream) == visible_spans_scalar(stream)
 
     @given(obs_streams(), MAPPINGS)
     @settings(max_examples=300, deadline=None)
@@ -186,7 +193,7 @@ class TestLabelStreamRuns:
                 import_cvat_video_xml(document, META_30)
             return
         # the runs of one track join into its one stream, gaps unlabeled
-        _, got = import_cvat_video_xml(document, META_30)
+        _, got = _import_cvat(document, META_30)
         assert got == joined(label_runs_scalar("t1", labels), 30.0)
 
 
