@@ -37,7 +37,6 @@ from .core import (
     json_number,
     json_object,
     read_text,
-    streams_by_track,
     validate_session,
     write_text,
 )
@@ -241,7 +240,10 @@ class Session:
     whose pass checks the header and field counts. ``observations``
     builds every stream from it; :meth:`observation_streams` builds one
     subject's streams for one method, so ``compare`` fails only on
-    faults inside the streams it compares.
+    faults inside the streams it compares. Likewise :meth:`track_labels`
+    builds one track's label stream and checks only that track's frames,
+    though the header, field counts, session and track order of the
+    whole of labels.csv.
     """
 
     def __init__(self, directory: str | Path, need: tuple[str, ...] = ()):
@@ -266,6 +268,10 @@ class Session:
     def labels(self) -> list[ObservationStream]:
         """One frame stream per track at the session's frame rate, gaps unlabeled."""
         return self._read("labels.csv", lambda path: read_labels(path, self.meta.fps))
+
+    def track_labels(self, track_id: str) -> list[ObservationStream]:
+        """The one frame stream of a track, or none; only that track's frames are checked."""
+        return self._read("labels.csv", lambda path: read_labels(path, self.meta.fps, track_id))
 
     @functools.cached_property
     def _observation_index(self) -> ObservationIndex | None:
@@ -437,10 +443,10 @@ def _pick_stream(session: Session, config: RunConfig, subject: str, method: str)
         )
     if found:
         return found[0]
-    labels = streams_by_track(session.labels) if method in (DRONE_FOCAL, ML_AUTO) else {}
-    if subject in labels:
+    labels = session.track_labels(subject) if method in (DRONE_FOCAL, ML_AUTO) else []
+    if labels:
         return label_stream_to_observation(
-            labels[subject], session.meta, method, subject, config.clock_offset_s
+            labels[0], session.meta, method, subject, config.clock_offset_s
         )
     raise ValueError(f"no {method} stream for subject {subject!r}")
 

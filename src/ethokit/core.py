@@ -16,12 +16,13 @@ file whole or leaves it as it was.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
 import os
 from bisect import bisect_right
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress, islice, repeat
@@ -158,6 +159,34 @@ def row_error(name: str, row_no: int, column: str, message: str) -> ParseError:
     return ParseError(f"{name} row {row_no} column {column!r}: {message}")
 
 
+# What int() and float() skip in a cell: ASCII whitespace, and _ between digits.
+_SKIPPED = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f_"
+
+
+def plain_numbers(cells: str) -> bool:
+    """Whether a numeric cell, or a column of them joined, is written as the
+    number it reads as: ASCII (so no other script's digits), with nothing that
+    int() or float() would skip."""
+    return cells.isascii() and not any(map(cells.__contains__, _SKIPPED))
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Hold cyclic garbage collection off inside the block, then restore its state.
+
+    A parse that builds many tuples the collector tracks (ObsInterval is a
+    NamedTuple, which CPython never untracks) would otherwise have each full
+    collection walk every tuple built so far.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 BOOL_CELLS = {"0": False, "false": False, "1": True, "true": True}  # what Rows.to_bool reads
 # Lines Rows.columns splits at once: the work is C-level, a block's fields a few MB.
 _BLOCK_LINES = 4096
@@ -237,17 +266,19 @@ class Rows:
 
     def to_int(self, row: list[str], col: str) -> int:
         raw = row[self._pos[col]]
-        try:
-            return int(raw)
-        except ValueError:
-            raise self.fail(col, f"not an integer: {raw!r}") from None
+        if plain_numbers(raw):
+            with suppress(ValueError):
+                return int(raw)
+        raise self.fail(col, f"not an integer: {raw!r}")
 
     def to_float(self, row: list[str], col: str) -> float:
         raw = row[self._pos[col]]
-        try:
-            value = float(raw)
-        except ValueError:
-            raise self.fail(col, f"not a number: {raw!r}") from None
+        value = None
+        if plain_numbers(raw):
+            with suppress(ValueError):
+                value = float(raw)
+        if value is None:
+            raise self.fail(col, f"not a number: {raw!r}")
         if not math.isfinite(value):
             raise self.fail(col, f"not a finite number: {raw!r}")
         return value

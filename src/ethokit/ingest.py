@@ -26,12 +26,24 @@ Each file is read with :mod:`ethokit.core`'s one reader of its format:
 for meta.json. Each ``write_*`` function writes its file through
 :func:`~ethokit.core.write_text`, so the file appears whole or not at all.
 
-observations.csv is read in two steps. :class:`ObservationIndex` makes
-one pass that checks the header and every row's field count and groups
-the raw rows by stream; each stream is then parsed and checked when it
-is built. A caller that builds only some streams (``compare`` builds one
-subject's) fails only on faults inside those, while a bad header or
-field count fails every caller.
+All three session CSVs are read by column block. ``Rows.columns`` splits
+a plain text (no quote, carriage return or blank line, a final line
+feed) a block of lines at a time, and each check runs over a whole
+column or slice of one. A text it refuses, and one that fails any
+check, is read by a row loop, the only code that names a fault, so an
+error reads the same whichever way the text came. A numeric cell must be
+ASCII with no whitespace and no ``_``, so it reads as written. Streams
+are built with cyclic garbage collection paused (``core.gc_paused``).
+
+observations.csv is read in two steps. :class:`ObservationIndex` checks
+the header and every row's field count and keeps, for each stream, the
+ranges of its rows in the stamp and code columns; each stream is then
+parsed and checked when it is built. A caller that builds only some
+streams (``compare`` builds one subject's) fails only on faults inside
+those, while a bad header or field count fails every caller. labels.csv
+is likewise read for one track alone when ``compare`` needs its stream:
+its structure, session and track order are checked over the whole file,
+its frames only in that track's rows.
 
 Writing then reading is the identity on stream values; reading then
 writing is the identity on canonical files. Timestamps are serialized
@@ -45,8 +57,8 @@ import json
 import math
 import warnings
 from datetime import datetime, timezone
-from itertools import chain, repeat
-from operator import itemgetter, sub
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter, le, lt, ne, or_, sub
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,8 +80,11 @@ from .core import (
     VideoMeta,
     coalesce,
     csv_text,
+    gc_paused,
     json_number,
     json_object,
+    obs_intervals,
+    plain_numbers,
     read_text,
     row_error,
     run_edges,
@@ -160,6 +175,8 @@ def _tracks_from_blocks(blocks) -> list[Track]:
     groups: list[tuple] = []  # ((track_id, species, excluded), frames, x, y, w, h)
     for sids, ids, species, frames, x, y, w, h, excluded in blocks:
         session = sids[0] if session is None else session
+        if not all(plain_numbers("".join(c)) for c in (frames, x, y, w, h)):
+            raise ValueError("a number cell holds more than its number")
         flags = list(map(BOOL_CELLS.get, excluded))
         numbers = [list(map(int, frames)), *(list(map(float, c)) for c in (x, y, w, h))]
         finite = all(map(math.isfinite, chain.from_iterable(numbers[1:])))
@@ -234,33 +251,94 @@ def write_tracks(tracks: list[Track], path: str | Path, session_id: str) -> None
 # labels
 
 
-def parse_labels(text: str, fps: float, name: str = "labels") -> list[ObservationStream]:
-    """One frame stream at ``fps`` per track; frames between rows are unlabeled."""
+def parse_labels(
+    text: str, fps: float, name: str = "labels", track_id: str | None = None
+) -> list[ObservationStream]:
+    """One frame stream at ``fps`` per track; frames between rows are unlabeled.
+
+    With ``track_id``, only that track's stream (none if it has no rows):
+    the header, field counts, session and track order are checked over the
+    whole text, frame values and overlaps only in that track's rows. A text
+    that ``Rows.columns`` splits is checked a column at a time; any other,
+    and one failing a check, is read row by row to name the fault.
+    """
+    blocks = _Rows.columns(text, LABEL_HEADER)
+    with gc_paused():
+        if blocks is not None:
+            try:
+                return _labels_from_blocks(blocks, fps, track_id)
+            # a failed check, or a frame past float range: the row loop says where
+            except (ValueError, OverflowError):
+                pass
+        return _labels_from_blocks(_checked_label_rows(text, name, track_id), fps, track_id)
+
+
+def _labels_from_blocks(blocks, fps: float, track_id: str | None) -> list[ObservationStream]:
+    """Streams from blocks of labels.csv columns; ValueError on any fault."""
+    session: str | None = None
+    prev: str | None = None  # the track id of the run before
+    groups: list[tuple[str, list[int], list[int], list[str]]] = []  # (id, starts, ends, codes)
+    for sids, ids, starts, ends, codes in blocks:
+        session = sids[0] if session is None else session
+        if sids.count(session) != len(sids):
+            raise ValueError("mixed sessions")
+        edges = run_edges(ids)
+        for a, b in zip(edges, edges[1:]):
+            tid = ids[a]
+            new = tid != prev
+            if new and prev is not None and tid < prev:
+                raise ValueError("track ids not increasing")
+            prev = tid
+            if track_id is not None and tid != track_id:
+                continue
+            if not (plain_numbers("".join(starts[a:b])) and plain_numbers("".join(ends[a:b]))):
+                raise ValueError("a frame cell holds more than its number")
+            frames = list(map(int, starts[a:b]))
+            if min(frames) < 0:
+                raise ValueError("a negative frame")
+            if new:
+                groups.append((tid, [], [], []))
+            _, run_starts, run_ends, run_codes = groups[-1]
+            run_starts += frames
+            run_ends += map((1).__add__, map(int, ends[a:b]))  # exclusive
+            run_codes += codes[a:b]
+    # each stream refuses an end before its start, and an overlap, with a ValueError
+    return [
+        ObservationStream(tid, LABELS, obs_intervals(zip(*columns)), fps=fps)
+        for tid, *columns in groups
+    ]
+
+
+def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[tuple[str, ...]]:
+    """The rows checked one at a time, as a block of columns; ParseError at the
+    first fault. With ``track_id``, only that track's rows are kept, and only
+    theirs have their frames checked."""
     rows = _Rows(text, LABEL_HEADER, name)
     session: str | None = None
-    groups: list[tuple[str, list[ObsInterval]]] = []
+    prev: str | None = None  # the track id of the row before
+    prev_end = -1  # the last end frame kept in that track
+    checked = []
     for row in rows:
         session = _session_of(rows, row, session)
-        track_id = rows.get(row, "track_id")
-        start = rows.to_int(row, "start_frame")
-        end = rows.to_int(row, "end_frame")
-        code = rows.get(row, "code")
-        if start < 0:
-            raise rows.fail("start_frame", f"negative frame {start}")
-        if end < start:
-            raise rows.fail("end_frame", f"end_frame {end} before start_frame {start}")
-        if not groups or track_id != groups[-1][0]:
-            if groups and track_id < groups[-1][0]:
+        tid = rows.get(row, "track_id")
+        wanted = track_id is None or tid == track_id
+        if wanted:
+            start = rows.to_int(row, "start_frame")
+            end = rows.to_int(row, "end_frame")
+            if start < 0:
+                raise rows.fail("start_frame", f"negative frame {start}")
+            if end < start:
+                raise rows.fail("end_frame", f"end_frame {end} before start_frame {start}")
+        if tid != prev:
+            if prev is not None and tid < prev:
                 raise rows.fail("track_id", "rows not sorted by track_id")
-            groups.append((track_id, []))
-        current = groups[-1][1]
-        if current and start < current[-1].end:
-            raise rows.fail("start_frame", f"segments overlap in track {track_id!r}")
-        current.append(ObsInterval(start, end + 1, code))
-    return [
-        ObservationStream(track_id, LABELS, tuple(intervals), fps=fps)
-        for track_id, intervals in groups
-    ]
+            prev, prev_end = tid, -1
+        if wanted:
+            if start <= prev_end:
+                raise rows.fail("start_frame", f"segments overlap in track {tid!r}")
+            prev_end = end
+            checked.append(row)
+    return [list(zip(*checked))] if checked else []
 
 
 def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
@@ -276,9 +354,11 @@ def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
     return csv_text(LABEL_HEADER, chain.from_iterable(rows))
 
 
-def read_labels(path: str | Path, fps: float) -> list[ObservationStream]:
+def read_labels(
+    path: str | Path, fps: float, track_id: str | None = None
+) -> list[ObservationStream]:
     p = Path(path)
-    return parse_labels(read_text(p), fps, name=p.name)
+    return parse_labels(read_text(p), fps, name=p.name, track_id=track_id)
 
 
 def write_labels(streams: list[ObservationStream], path: str | Path, session_id: str) -> None:
@@ -292,25 +372,37 @@ def write_labels(streams: list[ObservationStream], path: str | Path, session_id:
 class ObservationIndex:
     """observations.csv rows grouped by stream, each stream built on request.
 
-    Construction makes one pass over the file and checks its structure
-    only: the header and every row's field count. Everything else (the
-    method, timestamps, empty codes, END pairing) is checked when a
-    stream is built, so a fault inside one stream fails only a caller
-    that builds that stream. Streams are keyed by
-    ``(observer_id, subject_id, method)``.
+    Construction checks the file's structure only: the header and every
+    row's field count. It keeps the stamp and code columns and, for each
+    stream, the ``[a, b)`` ranges of its rows in them, so a stream's rows
+    need not be contiguous in the file. Everything else (the method,
+    timestamps, empty codes, END pairing) is checked when a stream is
+    built, so a fault inside one stream fails only a caller that builds
+    that stream. Streams are keyed by ``(observer_id, subject_id, method)``.
     """
 
     def __init__(self, text: str, name: str = "observations"):
         self.name = name
-        rows = _Rows(text, OBS_HEADER, name)
-        groups: dict[tuple[str, str, str], list[tuple[int, str, str]]] = {}
-        for observer, subject, method, stamp, code in rows:
-            key = (observer, subject, method)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = []
-            group.append((rows.row_no, stamp, code))
-        self._groups = groups
+        blocks = _Rows.columns(text, OBS_HEADER)
+        row_nos: list[int] | None = None
+        if blocks is None:
+            rows = _Rows(text, OBS_HEADER, name)
+            checked, row_nos = [], []
+            for row in rows:
+                checked.append(row)
+                row_nos.append(rows.row_no)
+            blocks = [list(zip(*checked))] if checked else []
+        columns: list[list[str]] = [[] for _ in OBS_HEADER]
+        for block in blocks:
+            for column, part in zip(columns, block):
+                column += part
+        observers, subjects, methods, self._stamps, self._codes = columns
+        # Rows.columns refuses a blank line, so there row i is the file's row i + 2
+        self._row_nos = range(2, len(self._stamps) + 2) if row_nos is None else row_nos
+        edges = sorted({*run_edges(observers), *run_edges(subjects), *run_edges(methods)})
+        self._ranges: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
+        for a, b in zip(edges, edges[1:]):
+            self._ranges.setdefault((observers[a], subjects[a], methods[a]), []).append((a, b))
         # Streams of one session share most instants, so each timestamp
         # text is parsed once. A bad one raises and is not cached: it
         # fails again, at its own row, in every stream that holds it.
@@ -318,27 +410,69 @@ class ObservationIndex:
 
     def keys(self) -> list[tuple[str, str, str]]:
         """Every stream's (observer_id, subject_id, method), sorted."""
-        return sorted(self._groups)
+        return sorted(self._ranges)
 
     def streams(
         self, subject: str | None = None, method: str | None = None
     ) -> list[ObservationStream]:
         """Build the streams of one subject and method (default: all), in key order."""
-        return [
-            self.build(key)
-            for key in self.keys()
-            if (subject is None or key[1] == subject) and (method is None or key[2] == method)
-        ]
+        with gc_paused():
+            return [
+                self.build(key)
+                for key in self.keys()
+                if (subject is None or key[1] == subject) and (method is None or key[2] == method)
+            ]
 
     def build(self, key: tuple[str, str, str]) -> ObservationStream:
+        """The stream's rows checked as whole columns; any that fail are read
+        row by row, to name the first fault."""
         observer, subject, method = key
-        group = self._groups[key]
+        ranges = self._ranges[key]
         if method not in METHODS:
-            raise row_error(self.name, group[0][0], "method", f"unknown method {method!r}")
+            row_no = self._row_nos[ranges[0][0]]
+            raise row_error(self.name, row_no, "method", f"unknown method {method!r}")
+        stamps, codes = (
+            list(chain.from_iterable(column[a:b] for a, b in ranges))
+            for column in (self._stamps, self._codes)
+        )
+        with gc_paused():
+            try:
+                intervals = self._intervals(method, stamps, codes)
+            except ValueError:
+                row_nos = chain.from_iterable(self._row_nos[a:b] for a, b in ranges)
+                return self._checked_stream(key, zip(row_nos, stamps, codes))
+            return ObservationStream(subject, method, intervals, observer)
+
+    def _intervals(
+        self, method: str, stamps: list[str], codes: list[str]
+    ) -> tuple[ObsInterval, ...]:
+        """One stream's intervals; ValueError on any fault."""
+        times = list(map(self._parse_iso, stamps))
+        if "" in codes or not all(map(le, times, islice(times, 1, None))):
+            raise ValueError("an empty code, or a time that decreases")
+        if method == GROUND_SCAN and END_CODE not in codes:
+            return obs_intervals(zip(times, times, codes))
+        # every row but an END opens an interval, which the next row closes
+        opens = list(map(ne, codes, repeat(END_CODE)))
+        starts = list(compress(times, opens))
+        ends = list(compress(islice(times, 1, None), opens))
+        if (
+            opens[-1]
+            or not opens[0]
+            or not all(map(or_, opens, islice(opens, 1, None)))  # an END after an END
+            or not all(map(lt, starts, ends))
+        ):
+            raise ValueError("an END that closes nothing, or a zero-length interval")
+        return obs_intervals(zip(starts, ends, compress(codes, opens)))
+
+    def _checked_stream(self, key: tuple[str, str, str], rows) -> ObservationStream:
+        """The stream from its (row number, stamp, code) rows, checked one at a
+        time; ParseError at the first fault."""
+        observer, subject, method = key
         parse_iso = self._parse_iso
         events: list[tuple[float, str, int]] = []
         prev = -math.inf
-        for row_no, stamp, code in group:
+        for row_no, stamp, code in rows:
             try:
                 t = parse_iso(stamp)
             except ValueError as exc:

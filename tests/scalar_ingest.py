@@ -13,6 +13,12 @@ checks each column whole, and reads any other file row by row. The old
 parser, kept below, checks that both give the same tracks and the same
 error on a file with one fault.
 
+``parse_labels`` once read every row through the csv module and built
+its intervals as it went; the library now checks a plain file's columns
+whole and reads any other file row by row. The old parser, kept below,
+checks that both give the same streams and the same error on a file with
+one fault.
+
 ``dump_ground_observations``, ``dump_tracks`` and ``dump_labels`` once
 built and formatted every row in Python, one ``isoformat`` or ``repr``
 per value; the library now formats each distinct instant once and lets
@@ -26,6 +32,7 @@ from datetime import datetime, timezone
 
 from ethokit.core import (
     GROUND_SCAN,
+    LABELS,
     METHODS,
     BoundingBox,
     ObservationStream,
@@ -158,6 +165,38 @@ def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
     return [
         track_from_boxes(track_id, species, boxes, excluded)
         for track_id, species, excluded, boxes in groups
+    ]
+
+
+def parse_labels(text: str, fps: float, name: str = "labels") -> list[ObservationStream]:
+    rows = _Rows(text, LABEL_HEADER, name)
+    session: str | None = None
+    groups: list[tuple[str, list[ObsInterval]]] = []
+    for row in rows:
+        sid = rows.get(row, "session_id")
+        if session is None:
+            session = sid
+        elif sid != session:
+            raise rows.fail("session_id", f"mixed sessions ({session!r} and {sid!r})")
+        track_id = rows.get(row, "track_id")
+        start = rows.to_int(row, "start_frame")
+        end = rows.to_int(row, "end_frame")
+        code = rows.get(row, "code")
+        if start < 0:
+            raise rows.fail("start_frame", f"negative frame {start}")
+        if end < start:
+            raise rows.fail("end_frame", f"end_frame {end} before start_frame {start}")
+        if not groups or track_id != groups[-1][0]:
+            if groups and track_id < groups[-1][0]:
+                raise rows.fail("track_id", "rows not sorted by track_id")
+            groups.append((track_id, []))
+        current = groups[-1][1]
+        if current and start < current[-1].end:
+            raise rows.fail("start_frame", f"segments overlap in track {track_id!r}")
+        current.append(ObsInterval(start, end + 1, code))
+    return [
+        ObservationStream(track_id, LABELS, tuple(intervals), fps=fps)
+        for track_id, intervals in groups
     ]
 
 

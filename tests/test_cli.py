@@ -613,6 +613,72 @@ class TestInteractions:
         assert rows[1].startswith("a,b,0,49,50,")
 
 
+class TestLabelFaults:
+    """compare reads only its subject's frames from labels.csv, but the whole
+    file's structure."""
+
+    COMPARE = ["--method-a", "ground_scan", "--method-b", "ml_auto", "--interval", "2"]
+
+    def _session(self, tmp_path, edit) -> Path:
+        session = tmp_path / "session"
+        shutil.copytree(GOLDEN, session)
+        labels = session / "labels.csv"
+        lines = labels.read_text().splitlines()
+        edit(lines)
+        labels.write_text("\n".join(lines) + "\n")
+        return session
+
+    @pytest.mark.parametrize("fault", ["not-a-number", "negative", "overlap", "backwards"])
+    def test_fault_in_another_track_does_not_fail_compare(self, tmp_path, capsys, fault):
+        from scalar_ingest import parse_labels as oracle_parse_labels
+
+        def edit(lines):
+            i = next(i for i, line in enumerate(lines) if ",ind002," in line)
+            sid, track, start, end, code = lines[i].split(",")
+            start, end = {"not-a-number": ("x", end), "negative": ("-1", end),
+                          "overlap": (start, str(int(lines[i + 1].split(",")[2]))),
+                          "backwards": (end, str(int(start) - 1))}[fault]
+            lines[i] = ",".join([sid, track, start, end, code])
+
+        session = self._session(tmp_path, edit)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        for src, dest in ((GOLDEN, clean), (session, out)):
+            argv = ["compare", str(src), "--subject", "ind000", *self.COMPARE, "--out", str(dest)]
+            assert main(argv) == 0
+        for name in ("paired.csv", "agreement.json", "confusion.csv", "class_metrics.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        with pytest.raises(ParseError) as expected:
+            oracle_parse_labels((session / "labels.csv").read_text(), 30.0, "labels.csv")
+        capsys.readouterr()
+        for argv in (["compare", str(session), "--subject", "ind002", *self.COMPARE,
+                      "--out", str(tmp_path / "c")],
+                     ["validate", str(session)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {expected.value}\n"
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [("header", "labels.csv: unexpected header"),
+         ("fields", "labels.csv row 3: expected 5 fields, got 6"),
+         # ind003's rows come first, their frames reversed: only the order is read
+         ("order", "labels.csv row 8 column 'track_id': rows not sorted by track_id")],
+    )
+    def test_structure_fault_fails_compare(self, tmp_path, capsys, fault, message):
+        def edit(lines):
+            if fault == "header":
+                lines[0] = lines[0].replace("start_frame", "start")
+            elif fault == "fields":
+                lines[2] += ",extra"
+            else:
+                lines[1:] = lines[:0:-1]
+
+        session = self._session(tmp_path, edit)
+        argv = ["compare", str(session), "--subject", "ind000", *self.COMPARE,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 class TestCompare:
     def test_focal_agreement_outputs(self, sim_session, tmp_path):
         out = tmp_path / "o"
@@ -754,6 +820,16 @@ class TestRegress:
         assert rc == 2
         # the blank line is row 3 of the file, so the bad value is in row 5
         assert "data.csv row 5 column 'prop': not a number: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "0.5 "])
+    def test_loose_response_is_a_parse_error(self, tmp_path, capsys, value):
+        data = small_regress_table(tmp_path / "data.csv")
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + value
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = main(["regress", str(data), "--response", "prop", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"data.csv row 4 column 'prop': not a number: {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_response_is_a_parse_error(self, tmp_path, capsys, value):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 from datetime import datetime, timezone
@@ -363,3 +364,78 @@ class TestWriteText:
             core.write_text(path, "a lone surrogate \ud800 cannot be encoded\n")
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestGcPaused:
+    @pytest.fixture(autouse=True)
+    def _restore(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_re_enables_an_enabled_collector(self):
+        gc.enable()
+        with core.gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        with core.gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_state_when_the_body_raises(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(KeyError):
+            with core.gc_paused():
+                raise KeyError("x")
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+    def test_readers_leave_the_state_as_it_was(self, tmp_path, enabled, end):
+        from ethokit.ingest import ObservationIndex, read_labels
+
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(end.join(["session_id,track_id,start_frame,end_frame,code",
+                                     "s,a,0,9,G", "s,b,0,4,W", ""]).encode())
+        text = end.join(["observer_id,subject_id,method,timestamp_iso8601,code",
+                         "o,z1,ground_focal,2023-06-01T08:00:00+00:00,G",
+                         "o,z1,ground_focal,2023-06-01T08:01:00+00:00,END", ""])
+        (gc.enable if enabled else gc.disable)()
+        assert len(read_labels(labels, 30.0)) == 2
+        assert gc.isenabled() is enabled
+        assert len(ObservationIndex(text).streams()) == 1
+        assert gc.isenabled() is enabled
+        with pytest.raises(core.ParseError):  # a fault found on the way out
+            ObservationIndex(text.replace("08:01:00+00:00,END", "08:00:00+00:00,END")).streams()
+        assert gc.isenabled() is enabled
+
+
+class TestRowsNumbers:
+    """Rows reads a numeric cell only as written: ASCII, no whitespace, no _."""
+
+    @staticmethod
+    def _cell(raw: str):
+        rows = core.Rows(f"n\n{raw}\n", None, "t")
+        return rows, next(iter(rows))
+
+    @pytest.mark.parametrize("raw", ["1_0", " 7", "7 ", "\t7", "\u0661", "\uff17", "7\x0c"])
+    def test_loose_cells_are_refused(self, raw):
+        rows, row = self._cell(raw if raw.strip() == raw else f'"{raw}"')
+        with pytest.raises(core.ParseError, match=r"^t row 2 column 'n': not an integer: "):
+            rows.to_int(row, "n")
+        with pytest.raises(core.ParseError, match=r"^t row 2 column 'n': not a number: "):
+            rows.to_float(row, "n")
+
+    @pytest.mark.parametrize("raw,value", [("+7", 7), ("-0", 0), ("007", 7)])
+    def test_plain_cells_still_read(self, raw, value):
+        rows, row = self._cell(raw)
+        assert rows.to_int(row, "n") == value
+        assert rows.to_float(row, "n") == float(value)
+
+    def test_a_column_is_checked_joined(self):
+        assert core.plain_numbers("".join(["1.5", "-2", "1e3"]))
+        assert not core.plain_numbers("".join(["1.5", "2_0"]))

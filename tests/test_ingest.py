@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import warnings
 from unittest.mock import patch
 
@@ -41,6 +42,7 @@ from ethokit.ingest import (
     read_ground_observations,
 )
 from conftest import EPOCH0, T0, make_labels, track_from_boxes
+from scalar_ingest import parse_labels as oracle_parse_labels
 from scalar_ingest import parse_tracks as oracle_parse_tracks
 import scalar_ingest as oracle
 
@@ -175,9 +177,9 @@ def faulty_track_file(draw):
     return out.getvalue()
 
 
-def _parse_outcome(parse, text):
+def _parse_outcome(parse, text, *args):
     try:
-        return parse(text)
+        return parse(text, *args)
     except ParseError as exc:
         return f"ParseError: {exc}"
 
@@ -198,6 +200,11 @@ class TestTracksMatchRowOracle:
         assert parsed == sorted(tracks, key=lambda t: t.track_id)
         assert dump_tracks(parsed, "s") == text  # -0.0 keeps its sign
 
+
+# numbers int() or float() would read from more than the number: an
+# underscore, padding, another script's digits
+LOOSE_INTEGERS = ("1_0", " 6", "6\t", "\u0666", "\uff16")
+LOOSE_NUMBERS = ("5_0.0", " 50.0", "50.0\x0c", "\u0665\u0660.0")
 
 TRACK_LINE = ",".join(TRACK_HEADER)
 FIELD_LIMIT = csv.field_size_limit()
@@ -245,9 +252,13 @@ class TestTracksOnBothPaths:
             "s,b,grevys_zebra,6,100.0,50.0,40.0,90.0,0",
             "s,b,grevys_zebra,5,100.0,50.0,40.0,90.0,1",
             "t,b,grevys_zebra,6,100.0,50.0,40.0,90.0,1",
+            *(f"s,b,grevys_zebra,{cell},100.0,50.0,40.0,90.0,1" for cell in LOOSE_INTEGERS),
+            *(f"s,b,grevys_zebra,6,100.0,{cell},40.0,90.0,1" for cell in LOOSE_NUMBERS),
         ],
         ids=["fractional-frame", "excluded-yes", "nan-x", "track-id-backwards", "species-change",
-             "excluded-change", "repeated-frame", "mixed-session"],
+             "excluded-change", "repeated-frame", "mixed-session",
+             *(f"loose-frame-{i}" for i in range(len(LOOSE_INTEGERS))),
+             *(f"loose-y-{i}" for i in range(len(LOOSE_NUMBERS)))],
     )
     def test_fails_a_bulk_check(self, row):
         text = _tracks_text([*PLAIN_ROWS, row])
@@ -263,6 +274,42 @@ class TestTracksOnBothPaths:
         # a track, and a fault, may straddle the edge between two blocks
         with patch.object(core, "_BLOCK_LINES", block_lines):
             assert _parse_outcome(parse_tracks, text) == _parse_outcome(oracle_parse_tracks, text)
+
+
+class TestLooseNumbers:
+    """A numeric cell reads only as written: ASCII, no whitespace, no underscore."""
+
+    @pytest.mark.parametrize("cell", LOOSE_INTEGERS)
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+    def test_frame_in_tracks(self, cell, end):
+        text = _tracks_text([*PLAIN_ROWS[:2], f"s,b,giraffe,{cell},1.0,1.0,1.0,1.0,0"], end)
+        with pytest.raises(ParseError) as err:
+            parse_tracks(text)
+        assert str(err.value) == f"tracks row 4 column 'frame': not an integer: {cell!r}"
+
+    @pytest.mark.parametrize("cell", LOOSE_NUMBERS)
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+    def test_coordinate_in_tracks(self, cell, end):
+        text = _tracks_text([*PLAIN_ROWS[:2], f"s,b,giraffe,0,1.0,1.0,{cell},1.0,0"], end)
+        with pytest.raises(ParseError) as err:
+            parse_tracks(text)
+        assert str(err.value) == f"tracks row 4 column 'w': not a number: {cell!r}"
+
+    @pytest.mark.parametrize("cell", LOOSE_INTEGERS)
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+    @pytest.mark.parametrize("column", ["start_frame", "end_frame"])
+    def test_frame_in_labels(self, cell, end, column):
+        row = "s,b,20,30,G".split(",")
+        row[LABEL_HEADER.index(column)] = cell
+        text = _labels_text([*LABEL_ROWS, ",".join(row)], end)
+        with pytest.raises(ParseError) as err:
+            parse_labels(text, 30.0)
+        assert str(err.value) == f"labels row 5 column {column!r}: not an integer: {cell!r}"
+
+    @pytest.mark.parametrize("text", ["+6", "-0", "007", "6"])
+    def test_plain_integers_still_read(self, text):
+        row = f"s,b,{text},{text},G"
+        assert parse_labels(_labels_text([row]), 30.0)[0].intervals[0].start == int(text)
 
 
 class TestLabels:
@@ -327,6 +374,166 @@ class TestLabels:
             frame += length
         stream = make_labels(*triples, track_id="t", fps=fps)
         assert parse_labels(dump_labels([stream], "s"), fps) == [stream]
+
+
+LABEL_LINE = ",".join(LABEL_HEADER)
+LABEL_ROWS = ["s,a,0,9,G", "s,a,10,19,W", "s,b,5,7,OOS"]
+# cell values near the edges of what labels.csv accepts
+BAD_LABEL_CELLS = ("", "x", "1.5", "-1", "0", "1_0", " 7", "\u0663", "99", "a", "t", "G")
+
+
+def _labels_text(rows, end="\n"):
+    return end.join([LABEL_LINE, *rows]) + end
+
+
+@st.composite
+def label_streams(draw):
+    """1-4 label streams with distinct track ids, runs of frames with gaps."""
+    ids = draw(st.lists(st.text(st.characters(exclude_categories=["C"]), max_size=3),
+                        min_size=1, max_size=4, unique=True))
+    streams = []
+    for track_id in ids:
+        triples, frame = [], draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(1, 5))):
+            length = draw(st.integers(1, 4))
+            triples += [frame, frame + length - 1, draw(st.sampled_from(["G", "W", "a,b"]))]
+            frame += length + draw(st.integers(0, 2))
+        streams.append(make_labels(*triples, track_id=track_id))
+    return streams
+
+
+@st.composite
+def faulty_label_file(draw):
+    """A labels.csv written from label_streams, with at most one fault in it."""
+    text = dump_labels(draw(label_streams()), "s")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    fault = draw(st.sampled_from(["none", "cell", "swap", "repeat", "fields"]))
+    k = draw(st.integers(1, len(rows) - 1))
+    if fault == "cell":
+        rows[k][draw(st.integers(0, len(LABEL_HEADER) - 1))] = draw(st.sampled_from(BAD_LABEL_CELLS))
+    elif fault == "swap" and k + 1 < len(rows):
+        rows[k], rows[k + 1] = rows[k + 1], rows[k]
+    elif fault == "repeat":
+        rows.insert(k, list(rows[k]))
+    elif fault == "fields":
+        rows[k].append("extra")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _labels(text, track_id=None):
+    return parse_labels(text, 30.0, track_id=track_id)
+
+
+class TestLabelsOnBothPaths:
+    """Texts the block reader hands to the row loop, and plain texts that fail
+    a bulk check, against the row-based oracle."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _labels_text([LABEL_ROWS[0], "", *LABEL_ROWS[1:]]),
+            _labels_text(LABEL_ROWS, end="\r\n"),
+            _labels_text(LABEL_ROWS)[:-1],
+            _labels_text([*LABEL_ROWS, 's,c,0,4,"walk, fast"']),
+            _labels_text([*LABEL_ROWS, f"s,c,0,4,{'x' * (FIELD_LIMIT + 1)}"]),
+            _labels_text([*LABEL_ROWS[:2], "s,b,5,7,OOS,extra", "s,c,0,4"]),
+            _labels_text([LABEL_ROWS[0], "s,a,5,12,W", "s,b,5,7,OOS"], end="\r\n"),
+        ],
+        ids=["blank-line", "crlf", "no-final-newline", "quoted-code", "oversized-field",
+             "balancing-field-counts", "crlf-overlap"],
+    )
+    def test_handed_to_row_loop(self, text):
+        assert _Rows.columns(text, LABEL_HEADER) is None
+        assert _parse_outcome(_labels, text) == _parse_outcome(oracle_parse_labels, text, 30.0)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["t,b,8,9,G", "s,b,-1,9,G", "s,b,9,8,G", "s,a,20,29,G", "s,b,7,9,G", "s,b,8,9.0,G",
+         "s,b,1e1,19,G", "s,b,8_0,90,G", "s,b,8, 9,G", "s,b,\u0668,9,G"],
+        ids=["mixed-session", "negative-start", "end-before-start", "track-id-backwards",
+             "overlap", "fractional-end", "exponent-start", "underscore", "padded-end",
+             "arabic-digit"],
+    )
+    def test_fails_a_bulk_check(self, row):
+        text = _labels_text([*LABEL_ROWS, row])
+        assert _Rows.columns(text, LABEL_HEADER) is not None
+        outcome = _parse_outcome(_labels, text)
+        assert outcome.startswith("ParseError: labels row 5 column ")
+        assert outcome == _parse_outcome(oracle_parse_labels, text, 30.0)
+
+    def test_frame_past_float_range_before_a_fault(self):
+        # the stream cannot be built from such a frame, so the row loop must run
+        text = _labels_text(["s,a,0,1" + "0" * 400 + ",G", "s,a,5,9,G"])
+        outcome = _parse_outcome(_labels, text)
+        assert outcome == "ParseError: labels row 3 column 'start_frame': segments overlap in track 'a'"
+        assert outcome == _parse_outcome(oracle_parse_labels, text, 30.0)
+
+    @given(faulty_label_file())
+    @settings(max_examples=300, deadline=None)
+    def test_same_streams_or_same_error(self, text):
+        assert _parse_outcome(_labels, text) == _parse_outcome(oracle_parse_labels, text, 30.0)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 5])
+    @given(text=faulty_label_file())
+    @settings(max_examples=100, deadline=None)
+    def test_small_blocks(self, block_lines, text):
+        # a track, and a fault, may straddle the edge between two blocks
+        with patch.object(core, "_BLOCK_LINES", block_lines):
+            assert _parse_outcome(_labels, text) == _parse_outcome(oracle_parse_labels, text, 30.0)
+
+
+class TestOneTrackOfLabels:
+    """``track_id`` reads one track's stream; only its frames are checked."""
+
+    @given(faulty_label_file(), st.sampled_from(["", "a", "t", "\x80"]))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_whole_files_stream_of_that_track(self, text, track_id):
+        try:
+            whole = oracle_parse_labels(text, 30.0)
+        except ParseError:
+            return
+        assert _labels(text, track_id) == [s for s in whole if s.subject_id == track_id]
+
+    @pytest.mark.parametrize("block_lines", [2, 4096])
+    @given(text=faulty_label_file(), pick=st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_same_on_both_paths(self, block_lines, text, pick):
+        ids = sorted({line.split(",")[1] for line in text.splitlines()[1:] if line.count(",") > 1})
+        track_id = ids[pick % len(ids)] if ids else "a"
+        crlf = text.replace("\n", "\r\n")  # the same rows, read by the row loop
+        with patch.object(core, "_BLOCK_LINES", block_lines):
+            assert _parse_outcome(_labels, text, track_id) == _parse_outcome(
+                _labels, crlf, track_id)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+    @pytest.mark.parametrize("bad", ["s,b,x,9,G", "s,b,-1,9,G", "s,b,9,8,G", "s,b,6,9,G"])
+    def test_frames_of_other_tracks_are_not_read(self, end, bad):
+        text = _labels_text([*LABEL_ROWS, bad, "s,c,0,4,G"], end)
+        assert _labels(text, "a") == [make_labels(0, 9, "G", 10, 19, "W", track_id="a")]
+        assert _labels(text, "c") == [make_labels(0, 4, "G", track_id="c")]
+        assert _labels(text, "z") == []
+        with pytest.raises(ParseError, match="labels row 5 column "):
+            _labels(text, "b")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (["s,b,0,4,G", "s,a,0,4,G"], "row 3 column 'track_id': rows not sorted by track_id"),
+            (["s,a,0,4,G", "t,b,0,4,G"], "row 3 column 'session_id': mixed sessions"),
+            (["s,a,0,4,G", "s,b,0,4"], "row 3: expected 5 fields, got 4"),
+        ],
+        ids=["track-order", "session", "field-count"],
+    )
+    def test_structure_of_other_tracks_is_read(self, end, rows, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            _labels(_labels_text(rows, end), "a")
+
+    def test_header_is_read(self):
+        with pytest.raises(ParseError, match="unexpected header"):
+            _labels("session_id,track_id,start,end,code\ns,a,0,4,G\n", "a")
 
 
 class TestGroundObservations:

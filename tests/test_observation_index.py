@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ethokit import METHODS, ObservationIndex, ParseError, parse_ground_observations
-from ethokit import ingest
+from ethokit import core, ingest
 from ethokit.ingest import OBS_HEADER
 from conftest import EPOCH0
 from scalar_ingest import parse_ground_observations as oracle_parse
@@ -135,6 +136,10 @@ def test_same_streams_or_error_text_as_the_oracle(case):
 @given(faulty_file())
 @settings(max_examples=200, deadline=None)
 def test_every_other_stream_builds_as_in_the_oracle(case):
+    _check_every_other_stream(case)
+
+
+def _check_every_other_stream(case):
     text, faulty, fault = case
     if fault in ("fields", "header"):
         with pytest.raises(ParseError):
@@ -151,6 +156,54 @@ def test_every_other_stream_builds_as_in_the_oracle(case):
         assert [index.build(key)] == alone
         if faulty is None or faulty[1:] != key[1:]:
             assert index.build(key) in index.streams(subject, method)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 5])
+@given(case=faulty_file())
+@settings(max_examples=100, deadline=None)
+def test_small_blocks_give_the_oracles_outcome(block_lines, case):
+    # a stream's rows, and a fault, may straddle the edge between two blocks
+    text, _, _ = case
+    with patch.object(core, "_BLOCK_LINES", block_lines):
+        assert _outcome(parse_ground_observations, text) == _outcome(oracle_parse, text)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 5])
+@given(case=faulty_file())
+@settings(max_examples=50, deadline=None)
+def test_every_other_stream_builds_in_small_blocks(block_lines, case):
+    with patch.object(core, "_BLOCK_LINES", block_lines):
+        _check_every_other_stream(case)
+
+
+INTERLEAVED = (
+    "observer_id,subject_id,method,timestamp_iso8601,code\n"
+    "o,z1,ground_focal,2023-06-01T08:00:00+00:00,G\n"
+    "o,z2,ground_scan,2023-06-01T08:00:00+00:00,W\n"
+    "o,z1,ground_focal,2023-06-01T08:01:00+00:00,W\n"
+    "o,z2,ground_scan,2023-06-01T08:02:00+00:00,R\n"
+    "o,z2,ground_scan,2023-06-01T08:02:00+00:00,G\n"
+    "o,z1,ground_focal,2023-06-01T08:03:00+00:00,END\n"
+    "o,z2,ground_scan,2023-06-01T08:04:00+00:00,W\n"
+)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+@pytest.mark.parametrize("block_lines", [1, 3, 4096])
+def test_interleaved_streams(end, block_lines):
+    text = INTERLEAVED.replace("\n", end)
+    with patch.object(core, "_BLOCK_LINES", block_lines):
+        index = ObservationIndex(text, "observations.csv")
+        assert index.keys() == [("o", "z1", "ground_focal"), ("o", "z2", "ground_scan")]
+        assert index.streams() == oracle_parse(text)
+        focal, scan = index.streams()
+        assert [iv.code for iv in focal.intervals] == ["G", "W"]
+        assert [iv.code for iv in scan.intervals] == ["W", "R", "G", "W"]
+        # a fault names its own row, wherever its stream's rows lie
+        bad = text.replace("08:03:00+00:00,END", "08:01:00+00:00,END")
+        with pytest.raises(ParseError) as err:
+            ObservationIndex(bad, "observations.csv").streams("z1")
+        assert str(err.value) == "observations.csv row 7: zero-length interval"
 
 
 def test_streams_filter_by_subject_and_method():
