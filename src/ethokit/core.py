@@ -415,6 +415,14 @@ class ObsInterval(NamedTuple):
     code: str
 
 
+def finite_bound(bound: float) -> bool:
+    """math.isfinite, with an int past float range read as not finite."""
+    try:
+        return math.isfinite(bound)
+    except OverflowError:
+        return False
+
+
 def obs_intervals(rows: Iterable[tuple[float, float, str]]) -> tuple[ObsInterval, ...]:
     """``tuple(ObsInterval(*row) for row in rows)``, with no Python call per row."""
     return tuple(map(tuple.__new__, repeat(ObsInterval), rows))
@@ -499,7 +507,7 @@ class ObservationStream:
                 and (self.fps is None or all(map(lt, starts, ends)))
                 and all(map(le, ends, islice(starts, 1, None)))
             )
-        except TypeError:  # a bound that is not a number
+        except (TypeError, OverflowError):  # not a number, or an int past float range
             valid = False
         if not valid:
             self._reject(intervals)
@@ -508,7 +516,7 @@ class ObservationStream:
         """Raise on the first interval that breaks the stream's invariants."""
         prev_end = -math.inf
         for iv in intervals:
-            if not (math.isfinite(iv.start) and math.isfinite(iv.end)):
+            if not (finite_bound(iv.start) and finite_bound(iv.end)):
                 raise ValueError(f"interval bounds must be finite: {tuple(iv)}")
             if iv.end < iv.start:
                 raise ValueError(f"interval ends before it starts: {tuple(iv)}")
@@ -657,15 +665,17 @@ def validate_session(tracks, streams, meta, ethogram) -> ValidationReport:
         if not track.frames:
             report.add(loc, "track has no boxes")
         boxes = zip(track.frames, track.x, track.y, track.w, track.h)
+        # a box's location string is built only for a fault found in it
         for i, (frame, x, y, w, h) in enumerate(boxes):
-            bloc = f"{loc}.boxes[{i}]"
             if frame < 0:
-                report.add(bloc, f"negative frame index {frame}")
+                report.add(f"{loc}.boxes[{i}]", f"negative frame index {frame}")
             if w <= 0 or h <= 0:
-                report.add(bloc, f"degenerate box {w}x{h}")
+                report.add(f"{loc}.boxes[{i}]", f"degenerate box {w}x{h}")
             cx, cy = x + w / 2.0, y + h / 2.0
             if not (0 <= cx <= meta.width_px and 0 <= cy <= meta.height_px):
-                report.add(bloc, f"box center ({cx:g}, {cy:g}) outside frame bounds")
+                report.add(
+                    f"{loc}.boxes[{i}]", f"box center ({cx:g}, {cy:g}) outside frame bounds"
+                )
 
     known_codes = set(ethogram.codes())
     for stream in streams:
@@ -694,9 +704,9 @@ def _validate_observation_stream(stream, known_codes, report) -> None:
     if stream.method not in METHODS:
         report.add(loc, f"unknown method {stream.method!r}")
     # order, overlap and finite bounds are enforced by ObservationStream itself
-    for i, iv in enumerate(stream.intervals):
-        iloc = f"{loc}.intervals[{i}]"
-        if iv.end == iv.start and stream.method != GROUND_SCAN:
-            report.add(iloc, "instantaneous event outside a scan stream")
-        if iv.code not in known_codes:
-            report.add(iloc, f"unknown behavior code {iv.code!r}")
+    scan = stream.method == GROUND_SCAN
+    for i, (start, end, code) in enumerate(stream.intervals):
+        if end == start and not scan:
+            report.add(f"{loc}.intervals[{i}]", "instantaneous event outside a scan stream")
+        if code not in known_codes:
+            report.add(f"{loc}.intervals[{i}]", f"unknown behavior code {code!r}")

@@ -80,6 +80,7 @@ from .core import (
     VideoMeta,
     coalesce,
     csv_text,
+    finite_bound,
     gc_paused,
     json_number,
     json_object,
@@ -267,8 +268,7 @@ def parse_labels(
         if blocks is not None:
             try:
                 return _labels_from_blocks(blocks, fps, track_id)
-            # a failed check, or a frame past float range: the row loop says where
-            except (ValueError, OverflowError):
+            except ValueError:  # a failed check: the row loop says where
                 pass
         return _labels_from_blocks(_checked_label_rows(text, name, track_id), fps, track_id)
 
@@ -311,12 +311,14 @@ def _labels_from_blocks(blocks, fps: float, track_id: str | None) -> list[Observ
 
 def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[tuple[str, ...]]:
     """The rows checked one at a time, as a block of columns; ParseError at the
-    first fault. With ``track_id``, only that track's rows are kept, and only
+    first fault, or, when no row has one, at the first end frame past float
+    range. With ``track_id``, only that track's rows are kept, and only
     theirs have their frames checked."""
     rows = _Rows(text, LABEL_HEADER, name)
     session: str | None = None
     prev: str | None = None  # the track id of the row before
     prev_end = -1  # the last end frame kept in that track
+    past_range = 0  # the first row kept whose exclusive end a stream cannot hold
     checked = []
     for row in rows:
         session = _session_of(rows, row, session)
@@ -338,6 +340,10 @@ def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[tupl
                 raise rows.fail("start_frame", f"segments overlap in track {tid!r}")
             prev_end = end
             checked.append(row)
+            if not (past_range or finite_bound(end + 1)):
+                past_range = rows.row_no
+    if past_range:
+        raise row_error(name, past_range, "end_frame", "frame past the float range")
     return [list(zip(*checked))] if checked else []
 
 

@@ -3,12 +3,21 @@
 A mini-scene is a fixed-size window that follows one tracked animal
 through a contiguous stretch of video. This module computes the window
 geometry and applies the duration filter; it never touches pixels.
+
+Windows are computed a segment at a time, over whole columns of box
+coordinates, with the same float operations in the same order as
+:func:`crop_window` applies to one box; only a segment with a centre out
+of bounds is walked box by box, to name its first bad frame. The
+manifest is likewise cut into rows at the run edges of each scene's
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import chain, compress, islice, repeat
+from operator import add, gt, le, sub, truediv
+from typing import Iterable, NamedTuple
 
 from .core import (
     DEFAULT_OUT_H,
@@ -17,8 +26,9 @@ from .core import (
     ObservationStream,
     Track,
     VideoMeta,
-    coalesce,
     csv_text,
+    gc_paused,
+    run_edges,
     streams_by_track,
 )
 
@@ -88,9 +98,42 @@ def crop_window(
 
 def _split_segments(frames: tuple[int, ...], max_gap: int) -> list[tuple[int, int]]:
     """[a, b) index ranges of frames, split wherever more than max_gap frames are missing."""
-    edges = [k for k in range(1, len(frames)) if frames[k] - frames[k - 1] - 1 > max_gap]
-    edges = [0, *edges, len(frames)]
+    missing = map(sub, map(sub, islice(frames, 1, None), frames), repeat(1))
+    edges = [0, *compress(range(1, len(frames)), map(gt, missing, repeat(max_gap))), len(frames)]
     return list(zip(edges, edges[1:]))
+
+
+def _box_centres(x: tuple[float, ...], w: tuple[float, ...]) -> list[float]:
+    return list(map(add, x, map(truediv, w, repeat(2.0))))
+
+
+def _window_centres(c: list[float], out: int, size: int) -> list[float] | None:
+    """Window centres along one axis for box centres c, as :func:`crop_window`
+    computes each; None if a centre lies outside [0, size], NaN included.
+
+    For finite v and top >= 0 the clamp below equals min(max(v, 0.0), top);
+    crop_window has checked the crop size, so top >= 0. A float top gives
+    the same sums as the int, and compares faster.
+    """
+    if not (all(map(le, repeat(0.0), c)) and max(c) <= size):  # NaN fails 0.0 <= v
+        return None
+    half, top = out / 2, float(size - out)
+    lows = map(sub, c, repeat(half))
+    return list(map(add, [0.0 if v < 0.0 else top if top < v else v for v in lows], repeat(half)))
+
+
+def _windows(
+    frames: tuple[int, ...], x, y, w, h, out_w: int, out_h: int, meta: VideoMeta
+) -> tuple[Window, ...]:
+    """The crop windows of one segment's boxes; ValueError at the first box
+    whose centre is out of bounds, as :func:`crop_window` raises it."""
+    cx, cy = _box_centres(x, w), _box_centres(y, h)
+    across = _window_centres(cx, out_w, meta.width_px)
+    down = _window_centres(cy, out_h, meta.height_px)
+    if across is None or down is None:  # crop_window raises at the first bad box
+        for args in zip(cx, cy):
+            crop_window(*args, out_w, out_h, meta)
+    return tuple(map(tuple.__new__, repeat(Window), zip(frames, across, down)))
 
 
 def _labels_for(
@@ -124,22 +167,24 @@ def extract_miniscenes(
     """
     by_track = streams_by_track(labels)
     scenes: list[MiniScene] = []
-    for track in tracks:
-        if track.excluded or not track.frames:
-            continue
-        frames, x, y, w, h = track.frames, track.x, track.y, track.w, track.h
-        for a, b in _split_segments(frames, params.max_track_gap_frames):
-            start, end = frames[a], frames[b - 1]
-            if end - start + 1 < params.min_miniscene_frames:
+    with gc_paused():
+        for track in tracks:
+            if track.excluded or not track.frames:
                 continue
-            stream = _labels_for(track.track_id, start, end, by_track.get(track.track_id))
-            windows = []
-            for k in range(a, b):
-                cx, cy = crop_window(x[k] + w[k] / 2.0, y[k] + h[k] / 2.0, out_w, out_h, meta)
-                windows.append(Window(frames[k], cx, cy))
-            scenes.append(
-                MiniScene(track.track_id, start, end, out_w, out_h, tuple(windows), stream)
-            )
+            frames, x, y, w, h = track.frames, track.x, track.y, track.w, track.h
+            for a, b in _split_segments(frames, params.max_track_gap_frames):
+                start, end = frames[a], frames[b - 1]
+                if end - start + 1 < params.min_miniscene_frames:
+                    continue
+                stream = _labels_for(track.track_id, start, end, by_track.get(track.track_id))
+                # the scalar check on the first box raises the crop-size errors
+                crop_window(x[a] + w[a] / 2.0, y[a] + h[a] / 2.0, out_w, out_h, meta)
+                windows = _windows(
+                    frames[a:b], x[a:b], y[a:b], w[a:b], h[a:b], out_w, out_h, meta
+                )
+                scenes.append(
+                    MiniScene(track.track_id, start, end, out_w, out_h, windows, stream)
+                )
     return scenes
 
 
@@ -149,9 +194,28 @@ def dump_miniscene_manifest(scenes: list[MiniScene]) -> str:
     Per-frame geometry is recovered exactly by expanding each row over
     its inclusive frame range; a stationary window costs one row.
     """
-    rows = []
-    for scene in scenes:
-        cells = ((w.frame, w.frame + 1, (w.cx, w.cy)) for w in scene.windows)
-        for start, end, (cx, cy) in coalesce(cells):
-            rows.append([scene.track_id, start, end - 1, cx, cy, scene.out_w, scene.out_h])
-    return csv_text(["track_id", "start_frame", "end_frame", "cx", "cy", "out_w", "out_h"], rows)
+    with gc_paused():
+        rows = chain.from_iterable(map(_manifest_rows, scenes))
+        return csv_text(
+            ["track_id", "start_frame", "end_frame", "cx", "cy", "out_w", "out_h"], rows
+        )
+
+
+def _manifest_rows(scene: MiniScene) -> Iterable[tuple]:
+    """One scene's manifest rows: a row ends where the window centre moves or
+    a frame is missing (frame - index changes)."""
+    if not scene.windows:
+        return ()
+    frames, cx, cy = zip(*scene.windows)
+    offsets = tuple(map(sub, frames, range(len(frames))))
+    edges = sorted({*run_edges(cx), *run_edges(cy), *run_edges(offsets)})
+    starts, stops = edges[:-1], edges[1:]
+    return zip(
+        repeat(scene.track_id),
+        map(frames.__getitem__, starts),
+        map(frames.__getitem__, map(sub, stops, repeat(1))),
+        map(cx.__getitem__, starts),
+        map(cy.__getitem__, starts),
+        repeat(scene.out_w),
+        repeat(scene.out_h),
+    )

@@ -128,6 +128,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "labels.csv row 2 column 'start_frame': negative frame -3" in err
 
+    @pytest.mark.parametrize("command", ["validate", "timebudget"])
+    def test_label_frame_past_float_range_is_a_parse_error(self, tmp_path, capsys, command):
+        session = tiny_session(tmp_path / "s")
+        (session / "labels.csv").write_text(
+            f"session_id,track_id,start_frame,end_frame,code\ntiny,t1,0,{'9' * 400},G\n"
+        )
+        options = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+        assert main([command, str(session), *options]) == 2
+        err = capsys.readouterr().err
+        assert "labels.csv row 2 column 'end_frame': frame past the float range" in err
+
     def test_invariant_violation_reports_and_fails(self, tmp_path, capsys):
         session = tiny_session(tmp_path / "weird", label_code="ZZ")
         assert main(["validate", str(session)]) == 1

@@ -23,7 +23,15 @@ from ethokit import (
 )
 from ethokit import core
 from ethokit.core import BoundingBox
-from conftest import EPOCH0, T0, cvat_document, make_labels, make_track, obs
+from conftest import (
+    EPOCH0,
+    T0,
+    cvat_document,
+    make_labels,
+    make_track,
+    obs,
+    track_from_boxes,
+)
 from scalar_labels import LabelStream, Segment
 
 
@@ -194,7 +202,10 @@ class TestObservationStream:
 
     @pytest.mark.parametrize(
         "bounds",
-        [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 5.0), (math.inf, math.inf)],
+        [
+            (math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 5.0),
+            (math.inf, math.inf), (0, 10**400), (-(10**400), 5),  # ints past float range
+        ],
     )
     def test_rejects_non_finite_bound(self, bounds):
         with pytest.raises(ValueError, match="finite"):
@@ -331,6 +342,28 @@ class TestValidateSession:
         )
         report = validate_session([], [stream], meta, ethogram)
         assert not report.ok
+
+    def test_names_each_fault_where_it_is(self, meta, ethogram):
+        boxes = [
+            (-2, 500.0, 400.0, 60.0, 40.0),
+            (1, 500.0, 400.0, 0.0, 40.0),
+            (2, 5000.0, 400.0, 60.0, 40.0),
+            (3, -100.0, 400.0, -10.0, 40.0),
+            (4, 500.0, 400.0, 60.0, 40.0),
+        ]
+        tracks = [make_track("t0"), track_from_boxes("t1", "giraffe", boxes)]
+        focal = obs("z1", "ground_focal", (0, 5, "G"), (5, 5, "G"), (6, 7, "ZZ"))
+        scan = obs("z1", "ground_scan", (0, 0, "G"))
+        report = validate_session(tracks, [focal, scan], meta, ethogram)
+        assert list(report) == [
+            ("track[t1].boxes[0]", "negative frame index -2"),
+            ("track[t1].boxes[1]", "degenerate box 0.0x40.0"),
+            ("track[t1].boxes[2]", "box center (5030, 420) outside frame bounds"),
+            ("track[t1].boxes[3]", "degenerate box -10.0x40.0"),
+            ("track[t1].boxes[3]", "box center (-105, 420) outside frame bounds"),
+            ("obs[z1@ground_focal].intervals[1]", "instantaneous event outside a scan stream"),
+            ("obs[z1@ground_focal].intervals[2]", "unknown behavior code 'ZZ'"),
+        ]
 
 
 class TestWriteText:

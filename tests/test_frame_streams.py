@@ -10,6 +10,8 @@ same numbers: it must still be read as frames.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,9 @@ from ethokit import (
     AnalysisParams,
     InteractionEvent,
     ObservationStream,
+    Track,
     VideoMeta,
+    dump_miniscene_manifest,
     extract_miniscenes,
     gantt_svg,
     label_stream_to_observation,
@@ -28,7 +32,7 @@ from ethokit import (
     time_budget,
     transition_matrix,
 )
-from conftest import T0, make_track
+from conftest import T0, make_track, track_from_boxes
 from scalar_labels import (
     LabelStream,
     Segment,
@@ -41,7 +45,11 @@ from scalar_labels import (
     to_frames,
     transition_matrix_scalar,
 )
-from scalar_runs import label_stream_to_observation_scalar, map_labels_scalar
+from scalar_runs import (
+    dump_miniscene_manifest_scalar,
+    label_stream_to_observation_scalar,
+    map_labels_scalar,
+)
 
 CODES = ("G", "W", "R", "OOS")
 FPS = st.sampled_from([1.0, 25.0, 29.97, 30.0])
@@ -166,21 +174,57 @@ class TestSocial:
         assert got == tag_interactions_scalar(events, labels)
 
 
+# Box corners for a 60x40 box in a 1920x1080 frame: the centres include 0
+# and the frame's width and height exactly; BAD_* put a centre out of bounds.
+GOOD_X = (-30.0, 0.0, 500.0, 500.5, 1860.0, 1890.0)
+GOOD_Y = (-20.0, 400.0, 400.25, 1060.0)
+BAD_X = (-30.5, 1890.5, math.nan, math.inf, -math.inf)
+BAD_Y = (-20.5, 1060.5, math.nan, math.inf)
+# the crop sizes include the whole frame, and two the scalar check refuses
+CROPS = st.sampled_from([(400, 300), (1920, 1080), (1920, 300), (2000, 300), (400, 0)])
+
+
+@st.composite
+def miniscene_case(draw) -> tuple[list[LabelStream], Track]:
+    """gappy_labels, and track "a": 1-120 frames, 1-5 apart (at the test's max
+    gap of 3 frames a step of 5 splits a segment), inside its longest label
+    stream if it has one, so that segments find their labels. Each box is
+    drawn from GOOD_*; sometimes one box anywhere is moved out of bounds."""
+    labels = draw(gappy_labels())
+    own = [stream for stream in labels if stream.track_id == "a"]
+    if own:
+        longest = max(own, key=lambda stream: stream.n_frames)
+        lo, hi = longest.start_frame, longest.end_frame
+    else:
+        lo, hi = 0, 400
+    frame, frames = draw(st.integers(lo, min(lo + 10, hi))), []
+    for step in draw(st.lists(st.integers(1, 5), min_size=8, max_size=120)):
+        if frame > hi:
+            break
+        frames.append(frame)
+        frame += step
+    xs = draw(st.lists(st.sampled_from(GOOD_X), min_size=len(frames), max_size=len(frames)))
+    ys = draw(st.lists(st.sampled_from(GOOD_Y), min_size=len(frames), max_size=len(frames)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(frames) - 1))
+        column, bad = draw(st.sampled_from([(xs, BAD_X), (ys, BAD_Y)]))
+        column[k] = draw(st.sampled_from(bad))
+    boxes = [(f, x, y, 60.0, 40.0) for f, x, y in zip(frames, xs, ys)]
+    return labels, track_from_boxes("a", "grevys_zebra", boxes)
+
+
 class TestMiniscenes:
-    @given(
-        gappy_labels(),
-        st.lists(st.integers(0, 400), min_size=1, max_size=120, unique=True),
-        FPS,
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_extract_miniscenes(self, labels, frames, fps):
+    @given(miniscene_case(), FPS, CROPS)
+    @settings(max_examples=500, deadline=None)
+    def test_extract_miniscenes(self, case, fps, crop):
+        labels, track_a = case
         params = AnalysisParams(min_miniscene_frames=5, max_track_gap_frames=3)
         meta = video(fps)
         frame_labels = joined(labels, fps)
         # one track at a time, so a coverage error on one leaves the other compared
-        for track in (make_track("a", frames=sorted(frames)), make_track("b", frames=range(5, 60))):
-            got = _outcome(extract_miniscenes, [track], frame_labels, params, meta, 400, 300)
-            want = _outcome(extract_miniscenes_scalar, [track], labels, params, meta, 400, 300)
+        for track in (track_a, make_track("b", frames=range(5, 60))):
+            got = _outcome(extract_miniscenes, [track], frame_labels, params, meta, *crop)
+            want = _outcome(extract_miniscenes_scalar, [track], labels, params, meta, *crop)
             if isinstance(want, str):
                 assert got == want
                 continue
@@ -190,6 +234,7 @@ class TestMiniscenes:
                 assert (new.track_id, new.start_frame, new.end_frame, new.windows) == (
                     old.track_id, old.start_frame, old.end_frame, old.windows
                 )
+            assert dump_miniscene_manifest(got) == dump_miniscene_manifest_scalar(want)
 
 
 @pytest.mark.parametrize("fps", [1.0, 30.0])
