@@ -25,8 +25,8 @@ from bisect import bisect_right
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import compress, islice, repeat
-from operator import attrgetter, itemgetter, le, lt, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, le, lt, ne, not_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -211,30 +211,59 @@ class Rows:
         return self._rows
 
     @staticmethod
-    def columns(text: str, header: list[str]) -> Iterator[list[list[str]]] | None:
-        """The data rows of ``text`` as columns, a block of lines at a time;
-        None if the text has a quote, a carriage return or a blank line, ends
-        without a line feed, or has a first line other than ``header``, a line
-        with another field count or one over the csv field-size limit. Rows
-        reads such a text, and names its first fault."""
+    def lines(text: str, header: list[str]) -> list[str] | None:
+        """The data lines of ``text``; None if the text has a quote, a carriage
+        return or a blank line, ends without a line feed, or has a first line
+        other than ``header``, a line with another field count or one over the
+        csv field-size limit. So each line left splits at its commas into its
+        fields. Rows reads such a text, and names its first fault."""
         if not text.endswith("\n") or '"' in text or "\r" in text or "\n\n" in text:
             return None
         lines = text.split("\n")
         del lines[-1]  # the empty text after the last line feed
-        width = len(header)
         if (
             lines[0] != ",".join(header)
             or max(map(len, lines)) > csv.field_size_limit()
-            or list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines)
+            or list(map(str.count, lines, repeat(","))).count(len(header) - 1) != len(lines)
         ):
             return None
+        del lines[0]
+        return lines
 
-        def blocks() -> Iterator[list[list[str]]]:
-            for start in range(1, len(lines), _BLOCK_LINES):
-                fields = ",".join(lines[start : start + _BLOCK_LINES]).split(",")
-                yield [fields[k::width] for k in range(width)]
+    @staticmethod
+    def runs(lines: list[str], fields: int) -> tuple[list[int], list[tuple[str, ...]]]:
+        """Where each maximal run of ``lines`` with the same first ``fields``
+        fields starts, then len(lines); and each run's first fields. The
+        lines are :meth:`lines`' (no quote, one field count), so a line is
+        in a run when it starts with the run's fields and a comma: each run
+        is found by ``str.startswith`` at C speed, with one Python step a run.
+        """
+        edges, keys = [0], []
+        later = iter(lines)
+        next(later, None)
+        while edges[-1] < len(lines):
+            keys.append(tuple(lines[edges[-1]].split(",", fields)[:fields]))
+            outside = map(not_, map(str.startswith, later, repeat(",".join(keys[-1]) + ",")))
+            edges.append(next(compress(count(edges[-1] + 1), outside), len(lines)))
+        return (edges if keys else []), keys
 
-        return blocks()
+    @staticmethod
+    def split(lines: Iterable[str], width: int) -> list[list[str]]:
+        """The ``width`` columns of lines that :meth:`lines` gave."""
+        fields = ",".join(lines).split(",")
+        return [fields[k::width] for k in range(width)]
+
+    @staticmethod
+    def columns(text: str, header: list[str]) -> Iterator[list[list[str]]] | None:
+        """The data rows of ``text`` as columns, a block of lines at a time;
+        None where :meth:`lines` refuses the text."""
+        lines = Rows.lines(text, header)
+        if lines is None:
+            return None
+        return (
+            Rows.split(lines[start : start + _BLOCK_LINES], len(header))
+            for start in range(0, len(lines), _BLOCK_LINES)
+        )
 
     def _read(self, reader, header: list[str] | None) -> Iterator[list[str]]:
         """The header, then each data row."""
@@ -449,6 +478,22 @@ def coalesce(intervals: Iterable[tuple]) -> list[tuple]:
     return out
 
 
+def touching_runs(starts: Sequence, ends: Sequence, codes: Sequence | None = None) -> Sequence:
+    """What :func:`coalesce` merges, from columns: each maximal run of items
+    in which every item starts where the one before ends (and, with
+    ``codes``, carries its code): a list of (first start, last end) pairs,
+    or with ``codes`` a tuple of ObsIntervals."""
+    cuts = map(ne, ends, islice(starts, 1, None))
+    if codes is not None:
+        cuts = map(or_, cuts, map(ne, codes, islice(codes, 1, None)))
+    cuts = list(cuts)
+    firsts = compress(starts, chain((True,), cuts))
+    lasts = compress(ends, chain(cuts, (True,)))
+    if codes is None:
+        return list(zip(firsts, lasts))
+    return obs_intervals(zip(firsts, lasts, compress(codes, chain((True,), cuts))))
+
+
 def run_edges(values: Sequence) -> list[int]:
     """Where each maximal run of equal consecutive values starts, then len(values).
 
@@ -498,6 +543,8 @@ class ObservationStream:
         # Check whole columns at C speed; only a stream that fails walks
         # its intervals one by one, to name the first fault.
         starts = list(map(itemgetter(0), intervals))
+        # kept for code_at's bisect; not a field, so == and repr ignore it
+        object.__setattr__(self, "_starts", starts)
         ends = list(map(itemgetter(1), intervals))
         try:
             valid = (
@@ -538,12 +585,11 @@ class ObservationStream:
 
     def covered_intervals(self) -> list[tuple[float, float]]:
         """Covered time as merged (start, end) pairs, gaps preserved."""
-        spans = coalesce((s, e, None) for s, e, _ in self.intervals)
-        return [(s, e) for s, e, _ in spans]
+        return touching_runs(self._starts, list(map(itemgetter(1), self.intervals)))
 
     def code_at(self, t: float) -> str | None:
         """Code at t in the stream's unit (a frame index for a frame stream)."""
-        i = bisect_right(self.intervals, t, key=attrgetter("start")) - 1
+        i = bisect_right(self._starts, t) - 1
         if i >= 0 and t < self.intervals[i].end:
             return self.intervals[i].code
         return None

@@ -36,14 +36,16 @@ ASCII with no whitespace and no ``_``, so it reads as written. Streams
 are built with cyclic garbage collection paused (``core.gc_paused``).
 
 observations.csv is read in two steps. :class:`ObservationIndex` checks
-the header and every row's field count and keeps, for each stream, the
-ranges of its rows in the stamp and code columns; each stream is then
-parsed and checked when it is built. A caller that builds only some
-streams (``compare`` builds one subject's) fails only on faults inside
-those, while a bad header or field count fails every caller. labels.csv
-is likewise read for one track alone when ``compare`` needs its stream:
-its structure, session and track order are checked over the whole file,
-its frames only in that track's rows.
+the header and every row's field count and keeps a line index: the
+file's lines and, for each stream, the ranges of its lines, found as
+runs of lines that start with the same observer, subject and method.
+Each stream's lines are split into fields, parsed and checked only when
+it is built. A caller that builds only some streams (``compare`` builds
+one subject's) pays for and fails only on those, while a bad header or
+field count fails every caller. labels.csv is likewise read for one
+track alone when ``compare`` needs its stream: its structure, session
+and track order are checked over the whole file, and only that track's
+lines are split, their frames checked.
 
 Writing then reading is the identity on stream values; reading then
 writing is the identity on canonical files. Timestamps are serialized
@@ -225,7 +227,26 @@ def _checked_track_rows(text: str, name: str) -> list[list[tuple[str, ...]]]:
     return [list(zip(*checked))] if checked else []
 
 
+def _refuse_non_integers(track_id: str, frames) -> None:
+    """ValueError naming the track and the first frame that csv would not
+    write as an integer: one of a type without ``__index__``, or a bool."""
+    bad = {tp for tp in set(map(type, frames)) if tp is bool or not hasattr(tp, "__index__")}
+    if bad:
+        frame = next(f for f in frames if type(f) in bad)
+        raise ValueError(f"track {track_id!r}: frame {frame!r} is not an integer")
+
+
 def dump_tracks(tracks: list[Track], session_id: str) -> str:
+    """tracks.csv text; ValueError naming the track and the value, before
+    anything is written, for a frame that is not an integer or a
+    coordinate that is not finite, which parse_tracks would refuse."""
+    for t in tracks:
+        _refuse_non_integers(t.track_id, t.frames)
+        for column in ("x", "y", "w", "h"):
+            values = getattr(t, column)
+            if not all(map(math.isfinite, values)):
+                bad = next(v for v in values if not math.isfinite(v))
+                raise ValueError(f"track {t.track_id!r}: {column} {bad!r} is not finite")
     # csv writes a float as its repr; map(float, ...) makes an integer
     # or NumPy coordinate print as a Python float would.
     rows = (
@@ -259,11 +280,15 @@ def parse_labels(
 
     With ``track_id``, only that track's stream (none if it has no rows):
     the header, field counts, session and track order are checked over the
-    whole text, frame values and overlaps only in that track's rows. A text
-    that ``Rows.columns`` splits is checked a column at a time; any other,
-    and one failing a check, is read row by row to name the fault.
+    whole text, frame values and overlaps only in that track's rows, and
+    only those rows are split into fields. A text that ``Rows.columns``
+    splits is checked a column at a time; any other, and one failing a
+    check, is read row by row to name the fault.
     """
-    blocks = _Rows.columns(text, LABEL_HEADER)
+    if track_id is None:
+        blocks = _Rows.columns(text, LABEL_HEADER)
+    else:
+        blocks = _track_lines(_Rows.lines(text, LABEL_HEADER), track_id)
     with gc_paused():
         if blocks is not None:
             try:
@@ -271,6 +296,22 @@ def parse_labels(
             except ValueError:  # a failed check: the row loop says where
                 pass
         return _labels_from_blocks(_checked_label_rows(text, name, track_id), fps, track_id)
+
+
+def _track_lines(lines: list[str] | None, track_id: str) -> list[list[list[str]]] | None:
+    """The columns of one track's lines, as one block; None if ``Rows.lines``
+    refused the text, or if its lines hold two sessions or tracks out of
+    order. Of the other lines only the session and track id are read."""
+    if lines is None:
+        return None
+    edges, keys = _Rows.runs(lines, 2)
+    tracks = [tid for _, tid in keys]
+    if len({sid for sid, _ in keys}) > 1 or not all(map(lt, tracks, tracks[1:])):
+        return None
+    if track_id not in tracks:
+        return []
+    i = tracks.index(track_id)
+    return [_Rows.split(lines[edges[i] : edges[i + 1]], len(LABEL_HEADER))]
 
 
 def _labels_from_blocks(blocks, fps: float, track_id: str | None) -> list[ObservationStream]:
@@ -348,6 +389,14 @@ def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[tupl
 
 
 def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
+    """labels.csv text; ValueError naming the track and the value, before
+    anything is written, for a bound that is not an integer or a negative
+    start frame, which parse_labels would refuse."""
+    for stream in streams:
+        bounds = [*map(itemgetter(0), stream.intervals), *map(itemgetter(1), stream.intervals)]
+        _refuse_non_integers(stream.subject_id, bounds)
+        if bounds and bounds[0] < 0:  # the first start is the stream's least bound
+            raise ValueError(f"track {stream.subject_id!r}: frame {bounds[0]!r} is negative")
     rows = (
         zip(
             repeat(session_id), repeat(stream.subject_id),
@@ -379,9 +428,13 @@ class ObservationIndex:
     """observations.csv rows grouped by stream, each stream built on request.
 
     Construction checks the file's structure only: the header and every
-    row's field count. It keeps the stamp and code columns and, for each
-    stream, the ``[a, b)`` ranges of its rows in them, so a stream's rows
-    need not be contiguous in the file. Everything else (the method,
+    row's field count. It keeps, for each stream, the ``[a, b)`` ranges
+    of its rows, so a stream's rows need not be contiguous in the file.
+    A text that ``Rows.lines`` accepts is kept as its lines, cut into
+    runs that share their first three fields (``Rows.runs``), and a
+    stream's stamps and codes are split from its own lines only when it
+    is built; any other text is read by the row loop and kept as its
+    stamp and code columns. Everything else (the method,
     timestamps, empty codes, END pairing) is checked when a stream is
     built, so a fault inside one stream fails only a caller that builds
     that stream. Streams are keyed by ``(observer_id, subject_id, method)``.
@@ -389,26 +442,24 @@ class ObservationIndex:
 
     def __init__(self, text: str, name: str = "observations"):
         self.name = name
-        blocks = _Rows.columns(text, OBS_HEADER)
-        row_nos: list[int] | None = None
-        if blocks is None:
+        self._lines = _Rows.lines(text, OBS_HEADER)
+        if self._lines is not None:
+            # a blank line is refused, so line i is the file's row i + 2
+            self._row_nos = range(2, len(self._lines) + 2)
+            edges, keys = _Rows.runs(self._lines, 3)
+        else:
             rows = _Rows(text, OBS_HEADER, name)
-            checked, row_nos = [], []
+            checked, self._row_nos = [], []
             for row in rows:
                 checked.append(row)
-                row_nos.append(rows.row_no)
-            blocks = [list(zip(*checked))] if checked else []
-        columns: list[list[str]] = [[] for _ in OBS_HEADER]
-        for block in blocks:
-            for column, part in zip(columns, block):
-                column += part
-        observers, subjects, methods, self._stamps, self._codes = columns
-        # Rows.columns refuses a blank line, so there row i is the file's row i + 2
-        self._row_nos = range(2, len(self._stamps) + 2) if row_nos is None else row_nos
-        edges = sorted({*run_edges(observers), *run_edges(subjects), *run_edges(methods)})
+                self._row_nos.append(rows.row_no)
+            columns = [list(column) for column in zip(*checked)] or [[] for _ in OBS_HEADER]
+            observers, subjects, methods, self._stamps, self._codes = columns
+            edges = sorted({*run_edges(observers), *run_edges(subjects), *run_edges(methods)})
+            keys = [(observers[a], subjects[a], methods[a]) for a in edges[:-1]]
         self._ranges: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
-        for a, b in zip(edges, edges[1:]):
-            self._ranges.setdefault((observers[a], subjects[a], methods[a]), []).append((a, b))
+        for key, a, b in zip(keys, edges, edges[1:]):
+            self._ranges.setdefault(key, []).append((a, b))
         # Streams of one session share most instants, so each timestamp
         # text is parsed once. A bad one raises and is not cached: it
         # fails again, at its own row, in every stream that holds it.
@@ -437,10 +488,14 @@ class ObservationIndex:
         if method not in METHODS:
             row_no = self._row_nos[ranges[0][0]]
             raise row_error(self.name, row_no, "method", f"unknown method {method!r}")
-        stamps, codes = (
-            list(chain.from_iterable(column[a:b] for a, b in ranges))
-            for column in (self._stamps, self._codes)
-        )
+        if self._lines is None:
+            stamps, codes = (
+                list(chain.from_iterable(column[a:b] for a, b in ranges))
+                for column in (self._stamps, self._codes)
+            )
+        else:
+            lines = chain.from_iterable(self._lines[a:b] for a, b in ranges)
+            *_, stamps, codes = _Rows.split(lines, len(OBS_HEADER))
         with gc_paused():
             try:
                 intervals = self._intervals(method, stamps, codes)
@@ -762,6 +817,12 @@ def import_cvat_video_xml(
                         f"behavior {behavior!r} not in ethogram; kept verbatim",
                     )
                     code = behavior
+                if not finite_bound(frame + 1):  # its interval's end could not be a time
+                    digits = str(frame)
+                    raise ParseError(
+                        f"box in track {track_id} has frame {digits[:12]}... ({len(digits)}"
+                        " digits), past the float range"
+                    )
                 labels.append((frame, code))
         if out_of_bounds:
             _warn(

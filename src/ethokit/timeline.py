@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import add, gt, itemgetter, lt, ne, truediv
 
 from .core import (
     DRONE_FOCAL,
@@ -21,9 +23,9 @@ from .core import (
     ObsInterval,
     ObservationStream,
     VideoMeta,
-    coalesce,
     csv_text,
     sample_count,
+    touching_runs,
 )
 
 __all__ = [
@@ -110,32 +112,45 @@ def _intersect(a: list[Span], b: list[Span]) -> list[Span]:
 
 
 def _visible_spans(stream: ObservationStream) -> list[Span]:
-    visible = (
-        (s, e, None) for s, e, code in stream.intervals if s != e and code not in TECHNICAL_CODES
-    )
-    return [(s, e) for s, e, _ in coalesce(visible)]
+    starts, ends, codes = _columns(stream.intervals)
+    technical = map(TECHNICAL_CODES.__contains__, codes)
+    visible = list(map(gt, map(ne, starts, ends), technical))  # not an instant, not technical
+    return touching_runs(list(compress(starts, visible)), list(compress(ends, visible)))
+
+
+def _columns(intervals) -> list[list]:
+    """The start, end and code columns of intervals."""
+    return [list(map(itemgetter(k), intervals)) for k in range(3)]
 
 
 def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream:
     """Clip each interval to the spans it overlaps; output in start order.
 
     spans are sorted, disjoint and non-empty, as :func:`_intersect`
-    returns them, so their ends increase too. An interval's first
-    overlapping span is the first to end after it starts, and the walk
-    stops at the first span starting at or after its end. The stream's
-    intervals are sorted and disjoint, so the pieces come out sorted.
+    returns them. An instant overlaps no span, so instants are dropped
+    first, and the intervals left have increasing starts and ends. A
+    span's intervals are then a slice of them, found by bisecting both
+    columns: from the first to end after the span starts, up to the
+    first to start at or after it ends. Only the slice's first and last
+    interval can reach outside the span; those between are kept as they
+    are, as clipping would keep them (max and min return their first
+    argument on ties, so a bound keeps its type and the sign of a zero).
     """
-    ends = [e for _, e in spans]
+    intervals = stream.intervals
+    starts, ends, _ = _columns(intervals)
+    if not all(map(lt, starts, ends)):
+        intervals = list(compress(intervals, map(lt, starts, ends)))
+        starts, ends, _ = _columns(intervals)
     clipped = []
-    for iv in stream.intervals:
-        start, end, code = iv
-        if not start < end:
-            continue  # an instant overlaps no span
-        i = bisect_right(ends, start)
-        while i < len(spans) and spans[i][0] < end:
-            s, e = spans[i]
-            clipped.append(ObsInterval(max(start, s), min(end, e), code))
-            i += 1
+    for s, e in spans:
+        i, j = bisect_right(ends, s), bisect_left(starts, e)
+        if i == j:
+            continue
+        first, last = intervals[i], intervals[j - 1]
+        clipped.append(ObsInterval(max(first.start, s), min(first.end, e), first.code))
+        if j - i > 1:
+            clipped += intervals[i + 1 : j - 1]
+            clipped.append(ObsInterval(max(last.start, s), min(last.end, e), last.code))
     return stream.replace_intervals(clipped)
 
 
@@ -164,9 +179,9 @@ def map_labels(stream: ObservationStream, mapping: dict[str, str]) -> Observatio
     missing = sorted({iv.code for iv in stream.intervals} - mapping.keys())
     if missing:
         raise ValueError(f"mapping missing codes: {', '.join(missing)}")
-    return stream.replace_intervals(
-        coalesce((s, e, mapping[code]) for s, e, code in stream.intervals)
-    )
+    starts, ends, codes = _columns(stream.intervals)
+    codes = list(map(mapping.__getitem__, codes))
+    return stream.replace_intervals(touching_runs(starts, ends, codes))
 
 
 def _atoms(
@@ -177,13 +192,16 @@ def _atoms(
     Each piece is cut at every interval start or end of either stream
     lying strictly inside it.
     """
-    bounds = sorted({t for stream in (a, b) for iv in stream.intervals for t in (iv.start, iv.end)})
-    out = []
+    # every start and end, in order, so that of equal bounds (0 and -0.0, 1 and
+    # 1.0) the set keeps the first one seen, as a set comprehension over them did
+    bounds = chain.from_iterable(map(itemgetter(0, 1), chain(a.intervals, b.intervals)))
+    bounds = sorted(set(bounds))
+    starts, ends = [], []
     for s, e in pieces:
-        edges = [s, *bounds[bisect_right(bounds, s) : bisect_left(bounds, e)], e]
-        for t0, t1 in zip(edges, edges[1:]):
-            out.append((t0, t1, a.code_at(t0), b.code_at(t0)))
-    return out
+        cuts = bounds[bisect_right(bounds, s) : bisect_left(bounds, e)]
+        starts += (s, *cuts)
+        ends += (*cuts, e)
+    return list(zip(starts, ends, map(a.code_at, starts), map(b.code_at, starts)))
 
 
 def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> PairedSeries:
@@ -205,32 +223,38 @@ def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> Pa
         raise ValueError(f"interval {delta_s} s exceeds common span {total} s")
 
     times = [0.0] * n
-    tallies_a: list[dict[str, float]] = [dict() for _ in range(n)]
-    tallies_b: list[dict[str, float]] = [dict() for _ in range(n)]
-    start_codes: list[tuple[str | None, str | None]] = [(None, None)] * n
+    tallies_a: list[dict[str, float]] = [{} for _ in range(n)]
+    tallies_b: list[dict[str, float]] = [{} for _ in range(n)]
+    starts_a: list[str | None] = [None] * n  # each stream's code at each bin's start
+    starts_b: list[str | None] = [None] * n
 
     elapsed = 0.0  # virtual time consumed before the current atom
     for t0, t1, ca, cb in _atoms(a, b, pieces):
         length = t1 - t0
         pos = 0.0  # consumed within this atom
         while pos < length:
-            k = int((elapsed + pos) / delta_s)
+            at = elapsed + pos  # virtual time
+            k = int(at / delta_s)
+            if (k + 1) * delta_s <= at:  # the quotient rounded down short of a bin edge at reached
+                k += 1
             if k >= n:
                 break
-            bin_end_virtual = (k + 1) * delta_s
-            take = min(length - pos, bin_end_virtual - (elapsed + pos))
-            if elapsed + pos <= k * delta_s:
+            rest, room = length - pos, (k + 1) * delta_s - at
+            take = rest if rest <= room else room  # min(rest, room), without a call
+            if at <= k * delta_s:
                 times[k] = t0 + pos
-                start_codes[k] = (ca, cb)
+                starts_a[k], starts_b[k] = ca, cb
             if ca is not None:
-                tallies_a[k][ca] = tallies_a[k].get(ca, 0.0) + take
+                tally = tallies_a[k]
+                tally[ca] = tally.get(ca, 0.0) + take
             if cb is not None:
-                tallies_b[k][cb] = tallies_b[k].get(cb, 0.0) + take
+                tally = tallies_b[k]
+                tally[cb] = tally.get(cb, 0.0) + take
             pos += take
         elapsed += length
 
-    codes_a = [_majority(tallies_a[k], start_codes[k][0]) for k in range(n)]
-    codes_b = [_majority(tallies_b[k], start_codes[k][1]) for k in range(n)]
+    codes_a = list(map(_majority, tallies_a, starts_a))
+    codes_b = list(map(_majority, tallies_b, starts_b))
     subject = a.subject_id if a.subject_id == b.subject_id else f"{a.subject_id}/{b.subject_id}"
     return PairedSeries(
         subject, a.method, b.method, delta_s, tuple(times), tuple(codes_a), tuple(codes_b)
@@ -240,11 +264,8 @@ def align_pair(a: ObservationStream, b: ObservationStream, delta_s: float) -> Pa
 def _majority(tally: dict[str, float], start_code: str | None) -> str:
     if not tally:
         raise ValueError("empty bin; streams do not cover their common span")
-    best = max(tally.values())
-    winners = [code for code, d in tally.items() if d == best]
-    if start_code in winners:
-        return start_code
-    return winners[0]  # insertion order = first seen in the bin
+    best = max(tally, key=tally.__getitem__)  # the first seen in the bin of those tied
+    return start_code if tally.get(start_code) == tally[best] else best
 
 
 def label_stream_to_observation(
@@ -259,12 +280,15 @@ def label_stream_to_observation(
     Frame f covers [f, f+1) / fps after the session start; offset
     corrects a known ground-vs-drone clock skew (default 0).
     """
-    epoch = meta.frame_to_epoch
-    intervals = coalesce(
-        (epoch(s) + clock_offset_s, epoch(e) + clock_offset_s, code)
-        for s, e, code in stream.intervals
+    t0, fps = meta.start_time.timestamp(), meta.fps
+    starts, ends, codes = _columns(stream.intervals)
+    # meta.frame_to_epoch(f) + clock_offset_s, which is (t0 + f / fps) + offset
+    starts, ends = (
+        list(map(add, map(add, repeat(t0), map(truediv, col, repeat(fps))), repeat(clock_offset_s)))
+        for col in (starts, ends)
     )
-    return ObservationStream(subject_id or stream.subject_id, method, tuple(intervals))
+    intervals = touching_runs(starts, ends, codes)
+    return ObservationStream(subject_id or stream.subject_id, method, intervals)
 
 
 def dump_paired_series(pairs: PairedSeries) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import warnings
 from unittest.mock import patch
@@ -40,8 +41,10 @@ from ethokit.ingest import (
     parse_tracks,
     parse_video_meta,
     read_ground_observations,
+    write_labels,
+    write_tracks,
 )
-from conftest import EPOCH0, T0, make_labels, track_from_boxes
+from conftest import EPOCH0, T0, cvat_document, make_labels, make_track, track_from_boxes
 from scalar_ingest import parse_labels as oracle_parse_labels
 from scalar_ingest import parse_tracks as oracle_parse_tracks
 import scalar_ingest as oracle
@@ -535,6 +538,16 @@ class TestOneTrackOfLabels:
         with pytest.raises(ParseError, match="unexpected header"):
             _labels("session_id,track_id,start,end,code\ns,a,0,4,G\n", "a")
 
+    @pytest.mark.parametrize("block_lines", [1, 2, 5])
+    @given(text=faulty_label_file(), pick=st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_small_blocks_give_the_row_loops_outcome(self, block_lines, text, pick):
+        ids = sorted({line.split(",")[1] for line in text.splitlines()[1:] if line.count(",") > 1})
+        track_id = [*ids, "absent"][pick % (len(ids) + 1)]
+        crlf = text.replace("\n", "\r\n")  # the same rows, read by the row loop
+        with patch.object(core, "_BLOCK_LINES", block_lines):
+            assert _parse_outcome(_labels, text, track_id) == _parse_outcome(_labels, crlf, track_id)
+
 
 class TestGroundObservations:
     def test_focal_round_trip(self):
@@ -704,7 +717,52 @@ class TestWritersMatchRowOracle:
             n = len(frames)
             x, y, w, h = (data.draw(st.lists(COORDINATES, min_size=n, max_size=n)) for _ in "xywh")
             tracks.append(Track(track_id, 'zebra, "plains"', sorted(frames), x, y, w, h, excluded))
+        bad = [t for t in tracks if not all(map(math.isfinite, t.x + t.y + t.w + t.h))]
+        if bad:  # parse_tracks would refuse what the oracle writes
+            with pytest.raises(ValueError, match=f"track {re.escape(repr(bad[0].track_id))}: "):
+                dump_tracks(tracks, 's,"1"')
+            return
         assert dump_tracks(tracks, 's,"1"') == oracle.dump_tracks(tracks, 's,"1"')
+
+    @pytest.mark.parametrize("column", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_tracks_refuse_a_non_finite_coordinate(self, tmp_path, column, value):
+        boxes = {"x": [1.0, 2.0], "y": [1.0, 2.0], "w": [3.0, 3.0], "h": [4.0, 4.0]}
+        boxes[column][1] = value
+        tracks = [make_track("a"), Track("b", "giraffe", (0, 1), **boxes)]
+        message = f"track 'b': {column} {value!r} is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_tracks(tracks, tmp_path / "tracks.csv", "s")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("frame", [1.0, True, 2.5])
+    def test_tracks_refuse_a_frame_that_is_not_an_integer(self, frame):
+        track = Track("b", "giraffe", (0, frame), (1.0, 1.0), (1.0, 1.0), (2.0, 2.0), (2.0, 2.0))
+        with pytest.raises(ValueError, match=rf"^track 'b': frame {re.escape(repr(frame))} is not"):
+            dump_tracks([track], "s")
+
+    def test_numpy_integer_frames_are_written(self):
+        track = Track("b", "giraffe", (np.int64(0), np.int32(1)), (1.0, 1.0), (1.0, 1.0),
+                      (2.0, 2.0), (2.0, 2.0))
+        assert parse_tracks(dump_tracks([track], "s"))[0].frames == (0, 1)
+
+    @pytest.mark.parametrize(
+        "intervals, fps, message",
+        [
+            (((1.5, 3.25, "G"),), None, "frame 1.5 is not an integer"),
+            (((0, 2, "G"), (2, 3.0, "W")), 30.0, "frame 3.0 is not an integer"),
+            (((-2, 3, "G"),), 30.0, "frame -2 is negative"),
+        ],
+        ids=["seconds", "float-end", "negative"],
+    )
+    def test_labels_refuse_what_parse_labels_refuses(self, tmp_path, intervals, fps, message):
+        streams = [
+            make_labels(0, 4, "G", track_id="a"),
+            ObservationStream("b", "labels", intervals, fps=fps),
+        ]
+        with pytest.raises(ValueError, match=rf"^track 'b': {re.escape(message)}$"):
+            write_labels(streams, tmp_path / "labels.csv", "s")
+        assert not any(tmp_path.iterdir())
 
     def test_integer_coordinates_print_as_floats(self):
         track = Track("a", "giraffe", (0,), (32,), (np.float64(1.5),), (-0.0,), (2,))
@@ -886,6 +944,14 @@ class TestCvatImport:
         )
         with pytest.raises(ParseError, match="degenerate"):
             import_cvat_video_xml(doc, meta)
+
+    def test_frame_past_float_range_rejected(self, meta):
+        # its interval's end, frame + 1, could not be a time in seconds
+        with pytest.raises(ParseError) as err:
+            import_cvat_video_xml(cvat_document([(0, "G"), (10**400, "W")]), meta)
+        assert str(err.value) == (
+            "box in track t1 has frame 100000000000... (401 digits), past the float range"
+        )
 
     def test_negative_frame_rejected(self, meta):
         doc = (

@@ -27,6 +27,7 @@ from scalar_ingest import parse_ground_observations as oracle_parse
 KEYS = [(o, s, m) for o in ("ann", "ben") for s in ("z1", "z2") for m in METHODS]
 CODES = "GWR"
 BAD_STAMPS = ("", "yesterday", "2023-13-01T00:00:00", "2023-06-01T25:00:00+00:00")
+EPOCH0_8 = datetime(2023, 6, 1, 8, tzinfo=timezone.utc).timestamp()
 ZONES = (timezone.utc, timezone(timedelta(hours=3)), timezone(timedelta(hours=-7, minutes=-30)))
 
 
@@ -311,3 +312,46 @@ def test_a_bad_stamp_fails_at_its_own_row_in_every_stream():
                 f"observations.csv row {row} column 'timestamp_iso8601': "
                 "bad timestamp 'not-a-time'"
             )
+
+
+# keys that a format string, a regex or a strip would mangle, and an empty observer
+ODD_KEYS = [
+    (o, s, m) for o in ("", "{o}", "a b") for s in ("z1", "{}", " z ")
+    for m in ("ground_focal", "ground_scan")
+]
+
+
+@st.composite
+def odd_key_file(draw) -> str:
+    """A valid file of streams with ODD_KEYS, their rows interleaved in any order."""
+    keys = draw(st.lists(st.sampled_from(ODD_KEYS), min_size=1, max_size=4, unique=True))
+    streams = {key: draw(stream_rows(key)) for key in keys}
+    order = draw(st.permutations([k for k in streams for _ in streams[k]]))
+    queues = {k: iter(r) for k, r in streams.items()}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(OBS_HEADER)
+    writer.writerows(next(queues[k]) for k in order)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lines", "rows"])
+@given(text=odd_key_file(), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_odd_keys_build_in_any_order(end, text, rnd):
+    text = text.replace("\n", end)
+    index = ObservationIndex(text, "observations.csv")
+    rows = list(csv.reader(io.StringIO(text, newline="")))[1:]
+    assert index.keys() == sorted({tuple(row[:3]) for row in rows})
+    built = {key: index.build(key) for key in rnd.sample(index.keys(), len(index.keys()))}
+    assert [built[key] for key in index.keys()] == oracle_parse(text)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lines", "rows"])
+@pytest.mark.parametrize("observer", ["", "o"])
+def test_one_row_file(end, observer):
+    text = f"{','.join(OBS_HEADER)}\n{observer},z1,ground_scan,2023-06-01T08:00:00+00:00,G\n"
+    index = ObservationIndex(text.replace("\n", end))
+    assert index.keys() == [(observer, "z1", "ground_scan")]
+    (stream,) = index.streams()
+    assert (stream.observer_id, stream.intervals) == (observer, ((EPOCH0_8, EPOCH0_8, "G"),))

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ethokit import (
     TECHNICAL_CODES,
     ObservationStream,
     ObsInterval,
+    VideoMeta,
     align_pair,
     dump_paired_series,
     label_stream_to_observation,
@@ -20,10 +24,21 @@ from ethokit import (
     visibility_filter,
 )
 from ethokit import timeline
-from ethokit.timeline import _atoms, _intersect, _restrict
-from conftest import EPOCH0, make_labels, obs
-from scalar_runs import union
-from scalar_timeline import atoms_scalar, restrict_scalar
+from ethokit.timeline import _atoms, _intersect, _restrict, _visible_spans
+from conftest import EPOCH0, T0, make_labels, obs
+from scalar_runs import map_labels_scalar, union
+from scalar_timeline import (
+    align_pair_tallies,
+    atoms_scalar,
+    atoms_set,
+    code_at_keyed,
+    code_at_scan,
+    covered_intervals_coalesce,
+    label_stream_to_observation_coalesce,
+    restrict_scalar,
+    restrict_walk,
+    visible_spans_coalesce,
+)
 
 
 class TestPropagateScan:
@@ -448,3 +463,121 @@ class TestSweepsMatchScalarOracle:
         assert fa.intervals == fb.intervals == ()
         with pytest.raises(ValueError, match="no covered time"):
             align_pair(fa, fb, 1.0)
+
+
+def _bound(v: int):
+    """v as an int or a float, and 0 also as -0.0."""
+    return st.sampled_from([v, float(v), -0.0] if v == 0 else [v, float(v)])
+
+
+@st.composite
+def typed_streams(draw, lengths=(0, 1, 2, 5)):
+    """A seconds stream on an integer grid around 0, each bound an int, a
+    float or -0.0: intervals touch, leave gaps, and may be instants."""
+    t = draw(st.integers(-3, 1))
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.sampled_from([0, 0, 1, 3]))
+        n = draw(st.sampled_from(lengths))
+        parts.append((draw(_bound(t)), draw(_bound(t + n)), draw(st.sampled_from(CODES))))
+        t += n
+    return ObservationStream("z1", "ground_focal", tuple(parts))
+
+
+@st.composite
+def typed_spans(draw):
+    """Sorted, disjoint, non-empty spans on typed_streams' grid, as _intersect gives them."""
+    points = sorted(draw(st.lists(st.integers(-4, 40), unique=True, max_size=10)))
+    return [(draw(_bound(s)), draw(_bound(e))) for s, e in zip(points[::2], points[1::2])]
+
+
+class TestColumnsMatchTheirPredecessors:
+    """The run-edge and bisecting helpers give the bounds, down to their
+    type and the sign of a zero, that the helpers they replace gave."""
+
+    @given(stream=typed_streams())
+    @settings(max_examples=400, deadline=None)
+    def test_covered_and_visible_spans(self, stream):
+        assert repr(stream.covered_intervals()) == repr(covered_intervals_coalesce(stream))
+        assert repr(_visible_spans(stream)) == repr(visible_spans_coalesce(stream))
+
+    @example(  # spans starting and ending on bounds, inside one interval and across two
+        stream=ObservationStream("z1", "ground_focal", ((0, 10, "G"), (10.0, 12, "W"))),
+        spans=[(-0.0, 2), (3.0, 5), (9, 11.0)],
+    )
+    @example(stream=ObservationStream("z1", "ground_focal", ((-0.0, 5, "G"),)), spans=[(0, 5.0)])
+    @given(stream=typed_streams(), spans=typed_spans())
+    @settings(max_examples=400, deadline=None)
+    def test_restrict(self, stream, spans):
+        got = _restrict(stream, spans)
+        assert repr(got.intervals) == repr(restrict_walk(stream, spans).intervals)
+        assert got == restrict_scalar(stream, spans)
+
+    @given(a=typed_streams(lengths=(1, 2, 5)), b=typed_streams(lengths=(1, 2, 5)))
+    @settings(max_examples=300, deadline=None)
+    def test_atoms(self, a, b):
+        pieces = _intersect(a.covered_intervals(), b.covered_intervals())
+        assert repr(_atoms(a, b, pieces)) == repr(atoms_set(a, b, pieces))
+
+    @given(
+        stream=typed_streams(lengths=(1, 2, 5)),
+        fps=st.sampled_from([30.0, 29.97, 25.0, 7.0]),
+        offset=st.sampled_from([0.0, -0.0, 1.5, -3.25, 1e-9]) | st.floats(-1e3, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_label_stream_to_observation(self, stream, fps, offset):
+        frames = ObservationStream("t1", "labels", stream.intervals, fps=fps)
+        meta = VideoMeta("s", 1920, 1080, T0, fps=fps)
+        got = label_stream_to_observation(frames, meta, "ml_auto", "z1", offset)
+        want = label_stream_to_observation_coalesce(frames, meta, "ml_auto", "z1", offset)
+        assert repr(got) == repr(want)
+
+    @given(stream=typed_streams(), mapping=st.dictionaries(st.sampled_from(CODES),
+                                                          st.sampled_from("AB"), min_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_map_labels(self, stream, mapping):
+        assert repr(map_labels(stream, mapping)) == repr(map_labels_scalar(stream, mapping))
+
+
+class TestAlignLoop:
+    @given(
+        a=half_second_streams("ground_focal"),
+        b=half_second_streams("drone_focal"),
+        delta=st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bins_as_the_tallies_loop_did(self, a, b, delta):
+        try:
+            fa, fb = visibility_filter(a, b)
+            got = dump_paired_series(align_pair(fa, fb, delta))
+        except ValueError:
+            return
+        assert got == dump_paired_series(align_pair_tallies(fa, fb, delta))
+
+    def test_ends_on_a_bin_edge_its_quotient_rounds_below(self):
+        # 21 * 7.3 / 7.3 is 20.999999999999996 in floats: the tallies loop
+        # put that instant in bin 20, whose end it had reached, and never ended
+        edge = 21 * 7.3
+        a = ObservationStream("z1", "ground_focal", ((0.0, edge, "G"), (edge, 300.0, "W")))
+        b = ObservationStream("z1", "drone_focal", ((0.0, 300.0, "W"),))
+        pairs = align_pair(a, b, 7.3)
+        assert len(pairs) == 41
+        assert pairs.times[21] == edge
+        assert (pairs.codes_a[20], pairs.codes_a[21]) == ("G", "W")
+
+
+class TestCodeAt:
+    @given(stream=typed_streams(), steps=st.lists(st.integers(-8, 90), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_is_a_linear_scan(self, stream, steps):
+        times = [t / 2 for t in steps] + [b for iv in stream.intervals for b in iv[:2]]
+        shifted = [(s + 1, e + 1, code) for s, e, code in stream.intervals]
+        copies = (
+            dataclasses.replace(stream, intervals=shifted),
+            dataclasses.replace(stream, subject_id="z2"),
+            pickle.loads(pickle.dumps(stream)),
+            copy.deepcopy(stream),
+        )
+        for s in (stream, *copies):
+            for t in times:
+                assert s.code_at(t) == code_at_scan(s, t) == code_at_keyed(s, t)
