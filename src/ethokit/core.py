@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, le, lt, ne, not_, or_
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "GREVYS_ZEBRA",
@@ -188,7 +188,7 @@ def gc_paused() -> Iterator[None]:
 
 
 BOOL_CELLS = {"0": False, "false": False, "1": True, "true": True}  # what Rows.to_bool reads
-# Lines Rows.columns splits at once: the work is C-level, a block's fields a few MB.
+# Lines Rows.blocks splits at once: the work is C-level, a block's fields a few MB.
 _BLOCK_LINES = 4096
 
 
@@ -234,9 +234,10 @@ class Rows:
     def runs(lines: list[str], fields: int) -> tuple[list[int], list[tuple[str, ...]]]:
         """Where each maximal run of ``lines`` with the same first ``fields``
         fields starts, then len(lines); and each run's first fields. The
-        lines are :meth:`lines`' (no quote, one field count), so a line is
-        in a run when it starts with the run's fields and a comma: each run
-        is found by ``str.startswith`` at C speed, with one Python step a run.
+        lines are :meth:`lines`' (no quote, one field count, more fields
+        than ``fields``), so a line is in a run when it starts with the
+        run's fields and a comma: each run is found by ``str.startswith`` at
+        C speed, with one Python step a run.
         """
         edges, keys = [0], []
         later = iter(lines)
@@ -248,22 +249,12 @@ class Rows:
         return (edges if keys else []), keys
 
     @staticmethod
-    def split(lines: Iterable[str], width: int) -> list[list[str]]:
-        """The ``width`` columns of lines that :meth:`lines` gave."""
-        fields = ",".join(lines).split(",")
-        return [fields[k::width] for k in range(width)]
-
-    @staticmethod
-    def columns(text: str, header: list[str]) -> Iterator[list[list[str]]] | None:
-        """The data rows of ``text`` as columns, a block of lines at a time;
-        None where :meth:`lines` refuses the text."""
-        lines = Rows.lines(text, header)
-        if lines is None:
-            return None
-        return (
-            Rows.split(lines[start : start + _BLOCK_LINES], len(header))
-            for start in range(0, len(lines), _BLOCK_LINES)
-        )
+    def blocks(lines: list[str], a: int, b: int, width: int) -> Iterator[list[list[str]]]:
+        """The ``width`` columns of ``lines[a:b]``, lines that :meth:`lines`
+        gave, split a block of ``_BLOCK_LINES`` lines at a time."""
+        for start in range(a, b, _BLOCK_LINES):
+            fields = ",".join(lines[start : min(start + _BLOCK_LINES, b)]).split(",")
+            yield [fields[k::width] for k in range(width)]
 
     def _read(self, reader, header: list[str] | None) -> Iterator[list[str]]:
         """The header, then each data row."""
@@ -457,32 +448,16 @@ def obs_intervals(rows: Iterable[tuple[float, float, str]]) -> tuple[ObsInterval
     return tuple(map(tuple.__new__, repeat(ObsInterval), rows))
 
 
-T = TypeVar("T")
-
-
-def coalesce(intervals: Iterable[tuple]) -> list[tuple]:
-    """Merge runs of touching equal-code half-open (start, end, code) items.
-
-    Items come in time order. One is merged into the previous when it
-    starts where that one ends and carries the same code, giving an
-    ObsInterval; an item that is not merged is kept as given.
-    """
-    out: list[tuple] = []
-    prev = None  # out[-1]
-    for item in intervals:
-        if prev is not None and prev[1] == item[0] and prev[2] == item[2]:
-            prev = out[-1] = ObsInterval(prev[0], item[1], prev[2])
-        else:
-            out.append(item)
-            prev = item
-    return out
+def interval_columns(intervals: Sequence[tuple]) -> list[list]:
+    """The start, end and code columns of intervals."""
+    return [list(map(itemgetter(k), intervals)) for k in range(3)]
 
 
 def touching_runs(starts: Sequence, ends: Sequence, codes: Sequence | None = None) -> Sequence:
-    """What :func:`coalesce` merges, from columns: each maximal run of items
-    in which every item starts where the one before ends (and, with
-    ``codes``, carries its code): a list of (first start, last end) pairs,
-    or with ``codes`` a tuple of ObsIntervals."""
+    """The one run-length merge of intervals, over columns: each maximal run
+    of items in which every item starts where the one before ends (and,
+    with ``codes``, carries its code): a list of (first start, last end)
+    pairs, or with ``codes`` a tuple of ObsIntervals."""
     cuts = map(ne, ends, islice(starts, 1, None))
     if codes is not None:
         cuts = map(or_, cuts, map(ne, codes, islice(codes, 1, None)))
@@ -501,12 +476,6 @@ def run_edges(values: Sequence) -> list[int]:
     """
     starts = compress(range(1, len(values)), map(ne, values, islice(values, 1, None)))
     return [0, *starts, len(values)] if values else []
-
-
-def runs(values: Sequence[T]) -> list[tuple[int, int, T]]:
-    """Maximal runs of equal consecutive values as (a, b, value), [a, b) indices."""
-    edges = run_edges(values)
-    return [(a, b, values[a]) for a, b in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)

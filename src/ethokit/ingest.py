@@ -26,26 +26,29 @@ Each file is read with :mod:`ethokit.core`'s one reader of its format:
 for meta.json. Each ``write_*`` function writes its file through
 :func:`~ethokit.core.write_text`, so the file appears whole or not at all.
 
-All three session CSVs are read by column block. ``Rows.columns`` splits
-a plain text (no quote, carriage return or blank line, a final line
-feed) a block of lines at a time, and each check runs over a whole
-column or slice of one. A text it refuses, and one that fails any
-check, is read by a row loop, the only code that names a fault, so an
-error reads the same whichever way the text came. A numeric cell must be
-ASCII with no whitespace and no ``_``, so it reads as written. Streams
-are built with cyclic garbage collection paused (``core.gc_paused``).
+All three session CSVs are cut the same way. ``Rows.lines`` accepts a
+plain text (no quote, carriage return or blank line, a final line feed,
+one field count) and ``Rows.runs`` cuts its lines into keyed runs,
+maximal runs of lines that share their first fields: session and track
+id in tracks.csv and labels.csv, observer, subject and method in
+observations.csv. Each track or stream is built from its own runs,
+whose lines ``Rows.blocks`` splits into columns a block of lines at a
+time, and each check runs over a whole column. One session and
+increasing track ids are checked once, over the run keys. A text that
+``Rows.lines`` refuses, and one that fails any check, is read by a row
+loop, the only code that names a fault; its checked rows are grouped
+into the same runs, so each file has one builder and an error reads the
+same whichever way the text came. A numeric cell must be ASCII with no
+whitespace and no ``_``, so it reads as written. Streams are built with
+cyclic garbage collection paused (``core.gc_paused``).
 
-observations.csv is read in two steps. :class:`ObservationIndex` checks
-the header and every row's field count and keeps a line index: the
-file's lines and, for each stream, the ranges of its lines, found as
-runs of lines that start with the same observer, subject and method.
-Each stream's lines are split into fields, parsed and checked only when
-it is built. A caller that builds only some streams (``compare`` builds
-one subject's) pays for and fails only on those, while a bad header or
-field count fails every caller. labels.csv is likewise read for one
-track alone when ``compare`` needs its stream: its structure, session
-and track order are checked over the whole file, and only that track's
-lines are split, their frames checked.
+A reader splits only the runs it needs. labels.csv read for one track
+(``compare`` reads its subject's) skips the other tracks' runs, whose
+keys alone are read. :class:`ObservationIndex` keeps observations.csv
+as its lines and each stream's runs, checking only the header and field
+counts at once; each stream's runs are split, parsed and checked when it
+is built, so a caller that builds only some streams pays for and fails
+only on those, while a bad header or field count fails every caller.
 
 Writing then reading is the identity on stream values; reading then
 writing is the identity on canonical files. Timestamps are serialized
@@ -80,7 +83,6 @@ from .core import (
     Rows as _Rows,
     Track,
     VideoMeta,
-    coalesce,
     csv_text,
     finite_bound,
     gc_paused,
@@ -91,6 +93,7 @@ from .core import (
     read_text,
     row_error,
     run_edges,
+    touching_runs,
     write_text,
 )
 
@@ -160,47 +163,73 @@ def _session_of(rows: _Rows, row: list[str], session: str | None) -> str:
 def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
     """One track per run of rows with one track_id, its boxes read into columns.
 
-    A text that ``Rows.columns`` splits is checked a column at a time; any
-    other, and one failing a check, is read row by row to name the fault.
+    A text that ``Rows.lines`` accepts is checked a run and a column at a
+    time; any other, and one failing a check, is read row by row to name
+    the fault.
     """
-    blocks = _Rows.columns(text, TRACK_HEADER)
-    if blocks is not None:
+    runs = _track_runs(text, TRACK_HEADER)
+    if runs is not None:
         try:
-            return _tracks_from_blocks(blocks)
+            return _tracks_from_runs(runs)
         except ValueError:  # a failed check: the row loop says where
             pass
-    return _tracks_from_blocks(_checked_track_rows(text, name))
+    return _tracks_from_runs(_runs_of_rows(_checked_track_rows(text, name)))
 
 
-def _tracks_from_blocks(blocks) -> list[Track]:
-    """Tracks from blocks of tracks.csv columns; ValueError on any fault (Track checks frames)."""
-    session: str | None = None
-    groups: list[tuple] = []  # ((track_id, species, excluded), frames, x, y, w, h)
-    for sids, ids, species, frames, x, y, w, h, excluded in blocks:
-        session = sids[0] if session is None else session
-        if not all(plain_numbers("".join(c)) for c in (frames, x, y, w, h)):
-            raise ValueError("a number cell holds more than its number")
-        flags = list(map(BOOL_CELLS.get, excluded))
-        numbers = [list(map(int, frames)), *(list(map(float, c)) for c in (x, y, w, h))]
-        finite = all(map(math.isfinite, chain.from_iterable(numbers[1:])))
-        if sids.count(session) != len(sids) or None in flags or not finite:
-            raise ValueError("a cell fails its check")
-        edges = run_edges(ids)
-        for a, b in zip(edges, edges[1:]):
-            key = (ids[a], species[a], flags[a])
-            if species[a:b].count(key[1]) != b - a or flags[a:b].count(key[2]) != b - a:
+def _track_runs(text: str, header: list[str], track_id: str | None = None) -> list | None:
+    """(track_id, its blocks of columns) for each run of lines that share a
+    session and a track id, or for ``track_id``'s run alone; None if
+    ``Rows.lines`` refuses the text, or if its runs hold two sessions or
+    track ids that do not increase. Of the other runs only the keys are read."""
+    lines = _Rows.lines(text, header)
+    if lines is None:
+        return None
+    edges, keys = _Rows.runs(lines, 2)
+    tracks = [tid for _, tid in keys]
+    if len({sid for sid, _ in keys}) > 1 or not all(map(lt, tracks, tracks[1:])):
+        return None
+    return [
+        (tid, _Rows.blocks(lines, a, b, len(header)))
+        for tid, a, b in zip(tracks, edges, edges[1:])
+        if track_id is None or tid == track_id
+    ]
+
+
+def _runs_of_rows(rows: list[list[str]]) -> list:
+    """Rows the row loop checked, in :func:`_track_runs`' shape: one block
+    of columns per run of rows with one track id."""
+    columns = list(zip(*rows))
+    edges = run_edges(columns[1]) if rows else []
+    return [(columns[1][a], [[c[a:b] for c in columns]]) for a, b in zip(edges, edges[1:])]
+
+
+def _tracks_from_runs(runs) -> list[Track]:
+    """A track from each (track_id, blocks of tracks.csv columns); ValueError
+    on any fault (Track checks frames)."""
+    tracks = []
+    for track_id, blocks in runs:
+        kind = None  # (species, excluded flag) of the track's first row
+        columns: list[list] = [[], [], [], [], []]  # frames, x, y, w, h
+        for _, _, species, frames, x, y, w, h, excluded in blocks:
+            if not all(plain_numbers("".join(c)) for c in (frames, x, y, w, h)):
+                raise ValueError("a number cell holds more than its number")
+            flags = list(map(BOOL_CELLS.get, excluded))
+            if kind is None:
+                kind = (species[0], flags[0])
+            numbers = [list(map(int, frames)), *(list(map(float, c)) for c in (x, y, w, h))]
+            finite = all(map(math.isfinite, chain.from_iterable(numbers[1:])))
+            if None in flags or not finite:
+                raise ValueError("a cell fails its check")
+            if species.count(kind[0]) != len(species) or flags.count(kind[1]) != len(flags):
                 raise ValueError("species or excluded flag changes within a track")
-            if not groups or groups[-1][0] != key:
-                if groups and not groups[-1][0][0] < key[0]:
-                    raise ValueError("track ids not increasing")
-                groups.append((key, [], [], [], [], []))
-            for column, values in zip(groups[-1][1:], numbers):
-                column += values[a:b]
-    return [Track(track_id, sp, *columns, ex) for (track_id, sp, ex), *columns in groups]
+            for column, values in zip(columns, numbers):
+                column += values
+        tracks.append(Track(track_id, kind[0], *columns, kind[1]))
+    return tracks
 
 
-def _checked_track_rows(text: str, name: str) -> list[list[tuple[str, ...]]]:
-    """The rows checked one at a time, as a block of columns; ParseError at the first fault."""
+def _checked_track_rows(text: str, name: str) -> list[list[str]]:
+    """The rows, checked one at a time; ParseError at the first fault."""
     rows = _Rows(text, TRACK_HEADER, name)
     session: str | None = None
     prev: tuple | None = None  # (track_id, frame, species, excluded) of the row before
@@ -224,7 +253,7 @@ def _checked_track_rows(text: str, name: str) -> list[list[tuple[str, ...]]]:
                 raise rows.fail("excluded", f"excluded flag changes within track {track_id!r}")
         prev = (track_id, frame, species, excluded)
         checked.append(row)
-    return [list(zip(*checked))] if checked else []
+    return checked
 
 
 def _refuse_non_integers(track_id: str, frames) -> None:
@@ -280,81 +309,47 @@ def parse_labels(
 
     With ``track_id``, only that track's stream (none if it has no rows):
     the header, field counts, session and track order are checked over the
-    whole text, frame values and overlaps only in that track's rows, and
-    only those rows are split into fields. A text that ``Rows.columns``
-    splits is checked a column at a time; any other, and one failing a
-    check, is read row by row to name the fault.
+    whole text, frame values, codes and overlaps only in that track's rows,
+    and only those rows are split into fields. A text that ``Rows.lines``
+    accepts is checked a run and a column at a time; any other, and one
+    failing a check, is read row by row to name the fault.
     """
-    if track_id is None:
-        blocks = _Rows.columns(text, LABEL_HEADER)
-    else:
-        blocks = _track_lines(_Rows.lines(text, LABEL_HEADER), track_id)
+    runs = _track_runs(text, LABEL_HEADER, track_id)
     with gc_paused():
-        if blocks is not None:
+        if runs is not None:
             try:
-                return _labels_from_blocks(blocks, fps, track_id)
+                return _labels_from_runs(runs, fps)
             except ValueError:  # a failed check: the row loop says where
                 pass
-        return _labels_from_blocks(_checked_label_rows(text, name, track_id), fps, track_id)
+        return _labels_from_runs(_runs_of_rows(_checked_label_rows(text, name, track_id)), fps)
 
 
-def _track_lines(lines: list[str] | None, track_id: str) -> list[list[list[str]]] | None:
-    """The columns of one track's lines, as one block; None if ``Rows.lines``
-    refused the text, or if its lines hold two sessions or tracks out of
-    order. Of the other lines only the session and track id are read."""
-    if lines is None:
-        return None
-    edges, keys = _Rows.runs(lines, 2)
-    tracks = [tid for _, tid in keys]
-    if len({sid for sid, _ in keys}) > 1 or not all(map(lt, tracks, tracks[1:])):
-        return None
-    if track_id not in tracks:
-        return []
-    i = tracks.index(track_id)
-    return [_Rows.split(lines[edges[i] : edges[i + 1]], len(LABEL_HEADER))]
-
-
-def _labels_from_blocks(blocks, fps: float, track_id: str | None) -> list[ObservationStream]:
-    """Streams from blocks of labels.csv columns; ValueError on any fault."""
-    session: str | None = None
-    prev: str | None = None  # the track id of the run before
-    groups: list[tuple[str, list[int], list[int], list[str]]] = []  # (id, starts, ends, codes)
-    for sids, ids, starts, ends, codes in blocks:
-        session = sids[0] if session is None else session
-        if sids.count(session) != len(sids):
-            raise ValueError("mixed sessions")
-        edges = run_edges(ids)
-        for a, b in zip(edges, edges[1:]):
-            tid = ids[a]
-            new = tid != prev
-            if new and prev is not None and tid < prev:
-                raise ValueError("track ids not increasing")
-            prev = tid
-            if track_id is not None and tid != track_id:
-                continue
-            if not (plain_numbers("".join(starts[a:b])) and plain_numbers("".join(ends[a:b]))):
+def _labels_from_runs(runs, fps: float) -> list[ObservationStream]:
+    """A stream from each (track_id, blocks of labels.csv columns); ValueError on any fault."""
+    streams = []
+    for tid, blocks in runs:
+        starts, ends, codes = [], [], []
+        for _, _, first, last, code in blocks:
+            if not (plain_numbers("".join(first)) and plain_numbers("".join(last))):
                 raise ValueError("a frame cell holds more than its number")
-            frames = list(map(int, starts[a:b]))
-            if min(frames) < 0:
-                raise ValueError("a negative frame")
-            if new:
-                groups.append((tid, [], [], []))
-            _, run_starts, run_ends, run_codes = groups[-1]
-            run_starts += frames
-            run_ends += map((1).__add__, map(int, ends[a:b]))  # exclusive
-            run_codes += codes[a:b]
-    # each stream refuses an end before its start, and an overlap, with a ValueError
-    return [
-        ObservationStream(tid, LABELS, obs_intervals(zip(*columns)), fps=fps)
-        for tid, *columns in groups
-    ]
+            if "" in code:
+                raise ValueError("an empty behavior code")
+            starts += map(int, first)
+            ends += map((1).__add__, map(int, last))  # exclusive
+            codes += code
+        if min(starts) < 0:
+            raise ValueError("a negative frame")
+        # the stream refuses an end before its start, and an overlap, with a ValueError
+        intervals = obs_intervals(zip(starts, ends, codes))
+        streams.append(ObservationStream(tid, LABELS, intervals, fps=fps))
+    return streams
 
 
-def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[tuple[str, ...]]:
-    """The rows checked one at a time, as a block of columns; ParseError at the
-    first fault, or, when no row has one, at the first end frame past float
-    range. With ``track_id``, only that track's rows are kept, and only
-    theirs have their frames checked."""
+def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[list[str]]:
+    """The rows, checked one at a time; ParseError at the first fault, or,
+    when no row has one, at the first end frame past float range. With
+    ``track_id``, only that track's rows are kept, and only theirs have
+    their frames and codes checked."""
     rows = _Rows(text, LABEL_HEADER, name)
     session: str | None = None
     prev: str | None = None  # the track id of the row before
@@ -372,6 +367,8 @@ def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[tupl
                 raise rows.fail("start_frame", f"negative frame {start}")
             if end < start:
                 raise rows.fail("end_frame", f"end_frame {end} before start_frame {start}")
+            if not rows.get(row, "code"):
+                raise rows.fail("code", "empty behavior code")
         if tid != prev:
             if prev is not None and tid < prev:
                 raise rows.fail("track_id", "rows not sorted by track_id")
@@ -385,18 +382,20 @@ def _checked_label_rows(text: str, name: str, track_id: str | None) -> list[tupl
                 past_range = rows.row_no
     if past_range:
         raise row_error(name, past_range, "end_frame", "frame past the float range")
-    return [list(zip(*checked))] if checked else []
+    return checked
 
 
 def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
     """labels.csv text; ValueError naming the track and the value, before
-    anything is written, for a bound that is not an integer or a negative
-    start frame, which parse_labels would refuse."""
+    anything is written, for a bound that is not an integer, a negative
+    start frame or an empty code, which parse_labels would refuse."""
     for stream in streams:
         bounds = [*map(itemgetter(0), stream.intervals), *map(itemgetter(1), stream.intervals)]
         _refuse_non_integers(stream.subject_id, bounds)
         if bounds and bounds[0] < 0:  # the first start is the stream's least bound
             raise ValueError(f"track {stream.subject_id!r}: frame {bounds[0]!r} is negative")
+        if "" in map(itemgetter(2), stream.intervals):
+            raise ValueError(f"track {stream.subject_id!r}: empty behavior code")
     rows = (
         zip(
             repeat(session_id), repeat(stream.subject_id),
@@ -494,8 +493,11 @@ class ObservationIndex:
                 for column in (self._stamps, self._codes)
             )
         else:
-            lines = chain.from_iterable(self._lines[a:b] for a, b in ranges)
-            *_, stamps, codes = _Rows.split(lines, len(OBS_HEADER))
+            stamps, codes = [], []
+            blocks = (_Rows.blocks(self._lines, a, b, len(OBS_HEADER)) for a, b in ranges)
+            for *_, block_stamps, block_codes in chain.from_iterable(blocks):
+                stamps += block_stamps
+                codes += block_codes
         with gc_paused():
             try:
                 intervals = self._intervals(method, stamps, codes)
@@ -837,6 +839,7 @@ def import_cvat_video_xml(
         labels.sort(key=lambda fc: fc[0])
         tracks.append(Track(str(track_id), _species_from_label(label), *zip(*boxes)))
         if labels:
-            intervals = tuple(coalesce(ObsInterval(f, f + 1, c) for f, c in labels))
+            frames, codes = zip(*labels)
+            intervals = touching_runs(frames, [f + 1 for f in frames], codes)
             streams.append(ObservationStream(str(track_id), LABELS, intervals, fps=meta.fps))
     return tracks, streams

@@ -10,7 +10,7 @@ from __future__ import annotations
 import html
 from typing import Sequence
 
-from .core import ObservationStream, coalesce
+from .core import ObservationStream, interval_columns, touching_runs
 from .metrics import CountMatrix
 
 __all__ = [
@@ -76,7 +76,9 @@ def gantt_svg(
     the streams' unit, spanning the earliest to the latest interval edge.
     Touching intervals with one code are drawn as one bar.
     """
-    lanes = [(label, coalesce(stream.intervals)) for label, stream in rows]
+    lanes = [
+        (label, touching_runs(*interval_columns(stream.intervals))) for label, stream in rows
+    ]
     all_edges = [t for _, segs in lanes for s, e, _ in segs for t in (s, e)]
     if not all_edges:
         raise ValueError("nothing to plot")

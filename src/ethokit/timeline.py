@@ -24,6 +24,7 @@ from .core import (
     ObservationStream,
     VideoMeta,
     csv_text,
+    interval_columns,
     sample_count,
     touching_runs,
 )
@@ -112,15 +113,10 @@ def _intersect(a: list[Span], b: list[Span]) -> list[Span]:
 
 
 def _visible_spans(stream: ObservationStream) -> list[Span]:
-    starts, ends, codes = _columns(stream.intervals)
+    starts, ends, codes = interval_columns(stream.intervals)
     technical = map(TECHNICAL_CODES.__contains__, codes)
     visible = list(map(gt, map(ne, starts, ends), technical))  # not an instant, not technical
     return touching_runs(list(compress(starts, visible)), list(compress(ends, visible)))
-
-
-def _columns(intervals) -> list[list]:
-    """The start, end and code columns of intervals."""
-    return [list(map(itemgetter(k), intervals)) for k in range(3)]
 
 
 def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream:
@@ -137,10 +133,10 @@ def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream
     argument on ties, so a bound keeps its type and the sign of a zero).
     """
     intervals = stream.intervals
-    starts, ends, _ = _columns(intervals)
+    starts, ends, _ = interval_columns(intervals)
     if not all(map(lt, starts, ends)):
         intervals = list(compress(intervals, map(lt, starts, ends)))
-        starts, ends, _ = _columns(intervals)
+        starts, ends, _ = interval_columns(intervals)
     clipped = []
     for s, e in spans:
         i, j = bisect_right(ends, s), bisect_left(starts, e)
@@ -179,7 +175,7 @@ def map_labels(stream: ObservationStream, mapping: dict[str, str]) -> Observatio
     missing = sorted({iv.code for iv in stream.intervals} - mapping.keys())
     if missing:
         raise ValueError(f"mapping missing codes: {', '.join(missing)}")
-    starts, ends, codes = _columns(stream.intervals)
+    starts, ends, codes = interval_columns(stream.intervals)
     codes = list(map(mapping.__getitem__, codes))
     return stream.replace_intervals(touching_runs(starts, ends, codes))
 
@@ -281,7 +277,7 @@ def label_stream_to_observation(
     corrects a known ground-vs-drone clock skew (default 0).
     """
     t0, fps = meta.start_time.timestamp(), meta.fps
-    starts, ends, codes = _columns(stream.intervals)
+    starts, ends, codes = interval_columns(stream.intervals)
     # meta.frame_to_epoch(f) + clock_offset_s, which is (t0 + f / fps) + offset
     starts, ends = (
         list(map(add, map(add, repeat(t0), map(truediv, col, repeat(fps))), repeat(clock_offset_s)))

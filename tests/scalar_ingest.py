@@ -186,6 +186,8 @@ def parse_labels(text: str, fps: float, name: str = "labels") -> list[Observatio
             raise rows.fail("start_frame", f"negative frame {start}")
         if end < start:
             raise rows.fail("end_frame", f"end_frame {end} before start_frame {start}")
+        if not code:
+            raise rows.fail("code", "empty behavior code")
         if not groups or track_id != groups[-1][0]:
             if groups and track_id < groups[-1][0]:
                 raise rows.fail("track_id", "rows not sorted by track_id")

@@ -28,7 +28,7 @@ from ethokit import (
     Window,
     crop_window,
 )
-from ethokit.core import LABELS, TECHNICAL_CODES, runs
+from ethokit.core import LABELS, TECHNICAL_CODES
 
 
 class Segment(NamedTuple):
@@ -100,6 +100,8 @@ class LabelStream:
     @classmethod
     def from_frames(cls, track_id: str, start_frame: int, codes) -> LabelStream:
         """Run-length encode an explicit per-frame code sequence."""
+        from scalar_runs import runs  # scalar_runs imports this module
+
         return cls(
             track_id,
             tuple(Segment(start_frame + a, start_frame + b - 1, c) for a, b, c in runs(codes)),
@@ -185,6 +187,8 @@ def transition_matrix_scalar(
 
 def gantt_lane_scalar(stream: LabelStream) -> list[tuple[float, float, str]]:
     """A label lane as the Gantt chart drew it: merged runs as float frame edges."""
+    from scalar_runs import runs  # scalar_runs imports this module
+
     segs = stream.segments
     merged = [
         segs[a] if b - a == 1 else Segment(segs[a].start_frame, segs[b - 1].end_frame, code)

@@ -1,8 +1,11 @@
-"""Reference oracle: the hand-written run loops that ``coalesce`` and ``runs`` replace.
+"""Reference oracle: the hand-written run loops that ``coalesce`` and ``runs`` replaced.
 
-Each function is one loop as ethokit wrote it before the run-length
-primitives in ``ethokit.core``; the differential tests in
-``test_runs.py`` require the library and these loops to agree exactly.
+Each ``*_scalar`` function is one loop as ethokit wrote it before its
+run-length primitives; the differential tests in ``test_runs.py``
+require the library and these loops to agree exactly. ``coalesce`` and
+``runs`` are those primitives as ethokit kept them until
+``core.touching_runs`` and ``core.run_edges`` took their place; they
+stay here as oracles for the other tests.
 ``union`` also serves the timeline tests as a span helper: unlike the
 library, it sorts its input and merges overlapping spans.
 """
@@ -11,12 +14,38 @@ from __future__ import annotations
 
 import csv
 import io
+from typing import Iterable, Sequence, TypeVar
 
 from ethokit import ObservationStream, ObsInterval, VideoMeta
-from ethokit.core import TECHNICAL_CODES
+from ethokit.core import TECHNICAL_CODES, run_edges
 from scalar_labels import LabelStream, Segment
 
 Span = tuple[float, float]
+T = TypeVar("T")
+
+
+def coalesce(intervals: Iterable[tuple]) -> list[tuple]:
+    """Merge runs of touching equal-code half-open (start, end, code) items.
+
+    Items come in time order. One is merged into the previous when it
+    starts where that one ends and carries the same code, giving an
+    ObsInterval; an item that is not merged is kept as given.
+    """
+    out: list[tuple] = []
+    prev = None  # out[-1]
+    for item in intervals:
+        if prev is not None and prev[1] == item[0] and prev[2] == item[2]:
+            prev = out[-1] = ObsInterval(prev[0], item[1], prev[2])
+        else:
+            out.append(item)
+            prev = item
+    return out
+
+
+def runs(values: Sequence[T]) -> list[tuple[int, int, T]]:
+    """Maximal runs of equal consecutive values as (a, b, value), [a, b) indices."""
+    edges = run_edges(values)
+    return [(a, b, values[a]) for a, b in zip(edges, edges[1:])]
 
 
 def union(spans: list[Span]) -> list[Span]:

@@ -15,8 +15,9 @@ from bisect import bisect_left, bisect_right
 from operator import attrgetter
 
 from ethokit import ObservationStream, ObsInterval, PairedSeries, VideoMeta
-from ethokit.core import TECHNICAL_CODES, coalesce, sample_count
+from ethokit.core import TECHNICAL_CODES, sample_count
 from ethokit.timeline import _intersect
+from scalar_runs import coalesce
 
 Span = tuple[float, float]
 

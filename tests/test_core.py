@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ethokit import (
@@ -445,6 +445,31 @@ class TestGcPaused:
         with pytest.raises(core.ParseError):  # a fault found on the way out
             ObservationIndex(text.replace("08:01:00+00:00,END", "08:00:00+00:00,END")).streams()
         assert gc.isenabled() is enabled
+
+
+@st.composite
+def keyed_lines(draw):
+    """Lines of 2-5 fields drawn from a few short ones, empty fields and
+    prefixes of each other ("a" and "ab", "" and "a") among them, and a key
+    width below the field count."""
+    width = draw(st.integers(2, 5))
+    fields = st.lists(st.sampled_from(["", "a", "ab", "b", "a b"]), min_size=width,
+                      max_size=width)
+    rows = draw(st.lists(fields, max_size=30))
+    return [",".join(row) for row in rows], draw(st.integers(1, width - 1))
+
+
+class TestRowsRuns:
+    """``Rows.runs`` cuts lines where their first fields change."""
+
+    @given(keyed_lines())
+    @example((["a,x", "ab,x", "ab,y", ",a", "a,", "a,"], 1))
+    @example((["a,b,c", "a,bc,", "a,b,c", ",,"], 2))
+    def test_is_run_edges_of_the_keys(self, case):
+        lines, k = case
+        keys = [tuple(line.split(",")[:k]) for line in lines]
+        edges = core.run_edges(keys)
+        assert core.Rows.runs(lines, k) == (edges, [keys[a] for a in edges[:-1]])
 
 
 class TestRowsNumbers:

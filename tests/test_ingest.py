@@ -241,7 +241,7 @@ class TestTracksOnBothPaths:
              "line-over-field-limit", "balancing-field-counts"],
     )
     def test_handed_to_row_loop(self, text):
-        assert _Rows.columns(text, TRACK_HEADER) is None
+        assert _Rows.lines(text, TRACK_HEADER) is None
         assert _parse_outcome(parse_tracks, text) == _parse_outcome(oracle_parse_tracks, text)
 
     @pytest.mark.parametrize(
@@ -265,7 +265,7 @@ class TestTracksOnBothPaths:
     )
     def test_fails_a_bulk_check(self, row):
         text = _tracks_text([*PLAIN_ROWS, row])
-        assert _Rows.columns(text, TRACK_HEADER) is not None
+        assert _Rows.lines(text, TRACK_HEADER) is not None
         outcome = _parse_outcome(parse_tracks, text)
         assert outcome.startswith("ParseError: tracks row 5 column ")
         assert outcome == _parse_outcome(oracle_parse_tracks, text)
@@ -365,6 +365,17 @@ class TestLabels:
         with pytest.raises(ParseError, match="labels row 2 column 'start_frame': negative frame"):
             parse_labels(text, 30.0)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
+    def test_empty_code_rejected(self, end):
+        text = end.join(["session_id,track_id,start_frame,end_frame,code", "s,a,0,9,G",
+                         "s,ind000,10,19,", "s,z,0,4,G"]) + end
+        message = "labels row 3 column 'code': empty behavior code"
+        for track_id in (None, "ind000"):
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                parse_labels(text, 30.0, track_id=track_id)
+        # a one-track read checks only that track's codes
+        assert parse_labels(text, 30.0, track_id="z") == [make_labels(0, 4, "G", track_id="z")]
+
     @given(
         st.lists(st.tuples(st.integers(1, 5), st.sampled_from("GWRT")), min_size=1, max_size=40),
         st.sampled_from([1.0, 25.0, 29.97, 30.0]),
@@ -448,7 +459,7 @@ class TestLabelsOnBothPaths:
              "balancing-field-counts", "crlf-overlap"],
     )
     def test_handed_to_row_loop(self, text):
-        assert _Rows.columns(text, LABEL_HEADER) is None
+        assert _Rows.lines(text, LABEL_HEADER) is None
         assert _parse_outcome(_labels, text) == _parse_outcome(oracle_parse_labels, text, 30.0)
 
     @pytest.mark.parametrize(
@@ -461,7 +472,7 @@ class TestLabelsOnBothPaths:
     )
     def test_fails_a_bulk_check(self, row):
         text = _labels_text([*LABEL_ROWS, row])
-        assert _Rows.columns(text, LABEL_HEADER) is not None
+        assert _Rows.lines(text, LABEL_HEADER) is not None
         outcome = _parse_outcome(_labels, text)
         assert outcome.startswith("ParseError: labels row 5 column ")
         assert outcome == _parse_outcome(oracle_parse_labels, text, 30.0)
@@ -752,8 +763,9 @@ class TestWritersMatchRowOracle:
             (((1.5, 3.25, "G"),), None, "frame 1.5 is not an integer"),
             (((0, 2, "G"), (2, 3.0, "W")), 30.0, "frame 3.0 is not an integer"),
             (((-2, 3, "G"),), 30.0, "frame -2 is negative"),
+            (((0, 2, "G"), (2, 3, "")), 30.0, "empty behavior code"),
         ],
-        ids=["seconds", "float-end", "negative"],
+        ids=["seconds", "float-end", "negative", "empty-code"],
     )
     def test_labels_refuse_what_parse_labels_refuses(self, tmp_path, intervals, fps, message):
         streams = [
@@ -1042,6 +1054,47 @@ class TestCvatImport:
         )
         tracks, _ = import_cvat_video_xml(doc, meta)
         assert tracks[0].species == "zebra_unspecified"
+
+
+class TestRunsAreSplitABlockAtATime:
+    """Every reader splits a run of lines ``_BLOCK_LINES`` lines at a time,
+    never the whole run at once, however long the run is."""
+
+    @pytest.fixture
+    def split_sizes(self):
+        """The number of lines in each block ``Rows.blocks`` splits, at 3 lines a block."""
+        sizes = []
+        blocks = core.Rows.blocks
+
+        def spy(lines, a, b, width):
+            for block in blocks(lines, a, b, width):
+                sizes.append(len(block[0]))
+                yield block
+
+        with patch.object(core, "_BLOCK_LINES", 3), \
+                patch.object(core.Rows, "blocks", staticmethod(spy)):
+            yield sizes
+
+    def test_a_track(self, split_sizes):
+        boxes = [(f, 1.0 + f, 2.0, 10.0, 8.0) for f in range(10)]
+        track = track_from_boxes("a", "giraffe", boxes)
+        assert parse_tracks(dump_tracks([track], "s")) == [track]
+        assert split_sizes == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("track_id", [None, "a"], ids=["whole-file", "one-track"])
+    def test_a_label_track(self, split_sizes, track_id):
+        ten = make_labels(*(x for f in range(0, 20, 2) for x in (f, f, "GW"[f % 4 // 2])),
+                          track_id="a")
+        other = make_labels(0, 4, "G", track_id="b")
+        streams = parse_labels(dump_labels([ten, other], "s"), 30.0, track_id=track_id)
+        assert streams == ([ten] if track_id else [ten, other])
+        assert split_sizes == ([3, 3, 3, 1] if track_id else [3, 3, 3, 1, 1])
+
+    def test_an_observation_stream(self, split_sizes):
+        instants = tuple(ObsInterval(EPOCH0 + t, EPOCH0 + t, "GW"[t % 2]) for t in range(10))
+        stream = ObservationStream("z1", "ground_scan", instants, "o")
+        assert parse_ground_observations(dump_ground_observations([stream])) == [stream]
+        assert split_sizes == [3, 3, 3, 1]
 
 
 def test_read_ground_observations_rejects_non_utf8(tmp_path):

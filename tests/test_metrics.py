@@ -19,8 +19,8 @@ from ethokit import (
     time_budget,
     transition_matrix,
 )
-from ethokit.core import coalesce
 from conftest import EPOCH0, make_labels, obs
+from scalar_runs import coalesce
 
 
 def paired(codes_a, codes_b):

@@ -1,4 +1,5 @@
-"""Run-length primitives: ``coalesce`` and ``runs`` against the loops they replace."""
+"""Run-length primitives against the loops they replace: ``coalesce`` and ``runs``, kept
+as oracles in ``scalar_runs``, and the library's runs over columns."""
 
 from __future__ import annotations
 
@@ -17,13 +18,14 @@ from ethokit import (
     label_stream_to_observation,
     map_labels,
 )
-from ethokit.core import coalesce, runs
+from ethokit.core import interval_columns, touching_runs
 from ethokit.ingest import import_cvat_video_xml
 from ethokit.miniscene import MiniScene, Window
 from ethokit.timeline import _visible_spans
 from conftest import T0, cvat_document, make_labels, obs
 from scalar_labels import LabelStream, Segment, joined, to_frames
 from scalar_runs import (
+    coalesce,
     covered_intervals_scalar,
     dump_miniscene_manifest_scalar,
     from_frames_scalar,
@@ -33,6 +35,7 @@ from scalar_runs import (
     label_runs_scalar,
     label_stream_to_observation_scalar,
     map_labels_scalar,
+    runs,
     visible_spans_scalar,
 )
 
@@ -87,6 +90,12 @@ class TestCoalesce:
     def test_instants_at_one_time_merge(self):
         items = [ObsInterval(5, 5, "G"), ObsInterval(5, 5, "G"), ObsInterval(5, 5, "W")]
         assert coalesce(items) == [(5, 5, "G"), (5, 5, "W")]
+
+    @given(obs_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_touching_runs_merges_the_same(self, stream):
+        got = touching_runs(*interval_columns(stream.intervals))
+        assert repr(got) == repr(tuple(coalesce(stream.intervals)))
 
     def test_unmerged_items_kept_as_given(self):
         a, b = ObsInterval(0, 1, "G"), ObsInterval(2, 3, "G")

@@ -31,10 +31,10 @@ from ethokit import (
     transition_matrix,
     visibility_filter,
 )
-from ethokit.core import runs
 from ethokit.ingest import parse_ground_observations, parse_labels, parse_tracks
 from ethokit.simulator import export_world
 import scalar_simulator as oracle
+from scalar_runs import runs
 
 
 def truth_observation(world, subject: str) -> ObservationStream:

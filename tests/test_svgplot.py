@@ -15,9 +15,9 @@ from ethokit import (
     heatmap_svg,
     transition_heatmap_svg,
 )
-from ethokit.core import coalesce
 from ethokit.svgplot import _escape
 from conftest import make_labels, obs
+from scalar_runs import coalesce
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
