@@ -10,6 +10,7 @@ randomized command is `simulate`, which demands an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import importlib
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from . import _SUBMODULES, __getattr__ as _public_name
 from .core import (
     DEFAULT_OUT_H,
     DEFAULT_OUT_W,
@@ -34,6 +36,7 @@ from .core import (
     Track,
     check_keys,
     csv_text,
+    gc_paused,
     json_number,
     json_object,
     read_text,
@@ -41,44 +44,12 @@ from .core import (
     write_text,
 )
 
-# The names this module reads from each module but core, and the modules
-# each command runs. main() imports a command's modules before it runs it,
-# a Session imports ingest, whose readers parse the session's files, and
-# __getattr__ imports a module when one of its names is first read from
-# outside. None of them rebinds a name that is already here, so a wrapper
-# put on one (as benchmarks/tracing.py does) stays in effect.
-_IMPORTS = {
-    "ethogram": ("default_ethogram", "read_ethogram"),
-    "ingest": (
-        "ObservationIndex",
-        "read_ground_observations",  # benchmarks/tracing.py wraps it here
-        "read_labels",
-        "read_observation_index",
-        "read_tracks",
-        "read_video_meta",
-    ),
-    "metrics": ("class_metrics", "cohens_kappa", "confusion", "time_budget", "transition_matrix"),
-    "miniscene": ("dump_miniscene_manifest", "extract_miniscenes"),
-    "social": (
-        "OverlapMatrix",
-        "detect_interactions",
-        "dump_interaction_events",
-        "dump_overlap_matrix",
-        "overlap_summary",
-        "tag_interactions",
-    ),
-    "stats": ("dummy_code", "nested_f_test", "ols_fit", "significance_stars"),
-    "simulator": ("SimConfig", "demo_config", "export_world", "simulate"),
-    "svgplot": ("gantt_svg", "transition_heatmap_svg"),
-    "timeline": (
-        "align_pair",
-        "dump_paired_series",
-        "label_stream_to_observation",
-        "map_labels",
-        "propagate_scan",
-        "visibility_filter",
-    ),
-}
+# The modules each command runs. main() imports a command's modules before
+# it runs it, a Session imports ingest, whose readers parse the session's
+# files, and __getattr__ resolves any other public name when it is first
+# read from outside. Each binds the names in a module's __all__ that are
+# not bound here yet, so a wrapper put on one (as benchmarks/tracing.py
+# does) stays in effect.
 _RUNS = {
     "validate": ("ethogram",),
     "miniscenes": ("miniscene",),
@@ -93,20 +64,20 @@ _RUNS = {
 
 
 def _load(*modules: str) -> None:
-    """Bind the names read from each module that are not bound here yet."""
+    """Bind each module's public names that are not bound here yet."""
     namespace = globals()
     for module in modules:
         found = importlib.import_module(f".{module}", __package__)
-        for name in _IMPORTS[module]:
+        for name in found.__all__:
             namespace.setdefault(name, getattr(found, name))
 
 
 def __getattr__(name: str):
-    module = next((m for m, names in _IMPORTS.items() if name in names), None)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(module)
-    return globals()[name]
+    # the package's resolver finds a public name; no dunder or submodule is one
+    if not name.startswith("__") and name not in _SUBMODULES:
+        with contextlib.suppress(AttributeError):
+            return globals().setdefault(name, _public_name(name))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _PARAM_KEYS = {f.name for f in dataclasses.fields(AnalysisParams)}
@@ -144,44 +115,39 @@ class RunConfig(NamedTuple):
     interactions: list[tuple[str, str]]
 
 
-def _default_config() -> RunConfig:
-    return RunConfig(
-        None, AnalysisParams(), {}, (DEFAULT_OUT_W, DEFAULT_OUT_H), 0.0, {}, {}, {}, {}, [], []
-    )
-
-
 def load_config(path: str | Path | None) -> RunConfig:
-    if path is None:
-        return _default_config()
-    p = Path(path)
-    doc = json_object(read_text(p), p.name, _CONFIG_KEYS)
-    _check_sections(p.name, doc)
+    """The --config document at ``path``; None reads as ``{}``, every section at its default."""
+    name, doc = "", {}
+    if path is not None:
+        name = Path(path).name
+        doc = json_object(read_text(Path(path)), name, _CONFIG_KEYS)
+    _check_sections(name, doc)
     params_doc = doc.get("params", {})
-    check_keys(f"{p.name}: params", params_doc, _PARAM_KEYS)
+    check_keys(f"{name}: params", params_doc, _PARAM_KEYS)
     params = AnalysisParams()
     for key, value in params_doc.items():
         default = getattr(AnalysisParams, key)
         if not isinstance(default, str):
-            value = json_number(f"{p.name}: params.{key}", value, type(default) is int)
+            value = json_number(f"{name}: params.{key}", value, type(default) is int)
         try:
             params = dataclasses.replace(params, **{key: value})
         except ValueError as exc:
-            raise ParseError(f"{p.name}: params.{key}: {exc}") from None
+            raise ParseError(f"{name}: params.{key}: {exc}") from None
     crop_doc = doc.get("crop", {})
-    check_keys(f"{p.name}: crop", crop_doc, ("out_w", "out_h"))
+    check_keys(f"{name}: crop", crop_doc, ("out_w", "out_h"))
     sim_doc = doc.get("simulation", {})
     if sim_doc:
         _load("simulator")
         sim_keys = {f.name for f in dataclasses.fields(SimConfig)} - {"seed"}  # the seed is --seed
-        check_keys(f"{p.name}: simulation", sim_doc, sim_keys)
+        check_keys(f"{name}: simulation", sim_doc, sim_keys)
     counts = {}
     for key, value in doc.get("overlap_counts", {}).items():
         parts = key.split("|")
         if len(parts) != 2:
-            raise ParseError(f"{p.name}: overlap_counts key {key!r} is not 'speciesA|speciesB'")
-        counts[tuple(sorted(parts))] = _config_count(f"{p.name}: overlap_counts[{key!r}]", value)
+            raise ParseError(f"{name}: overlap_counts key {key!r} is not 'speciesA|speciesB'")
+        counts[tuple(sorted(parts))] = _config_count(f"{name}: overlap_counts[{key!r}]", value)
     crop = tuple(
-        json_number(f"{p.name}: crop.{k}", crop_doc.get(k, default), integer=True)
+        json_number(f"{name}: crop.{k}", crop_doc.get(k, default), integer=True)
         for k, default in (("out_w", DEFAULT_OUT_W), ("out_h", DEFAULT_OUT_H))
     )
     return RunConfig(
@@ -189,9 +155,9 @@ def load_config(path: str | Path | None) -> RunConfig:
         params,
         dict(doc.get("label_map", {})),
         crop,
-        float(json_number(f"{p.name}: clock_offset_s", doc.get("clock_offset_s", 0.0))),
+        float(json_number(f"{name}: clock_offset_s", doc.get("clock_offset_s", 0.0))),
         {
-            str(k): _config_count(f"{p.name}: composition[{k!r}]", v)
+            str(k): _config_count(f"{name}: composition[{k!r}]", v)
             for k, v in doc.get("composition", {}).items()
         },
         counts,
@@ -693,7 +659,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _load(*_RUNS[args.command])
     try:
-        return args.func(args, load_config(args.config))
+        # one pause for the whole command: the readers and builders make many
+        # tuples the collector tracks, and each full collection walks them all
+        with gc_paused():
+            return args.func(args, load_config(args.config))
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -176,7 +176,9 @@ def gc_paused() -> Iterator[None]:
 
     A parse that builds many tuples the collector tracks (ObsInterval is a
     NamedTuple, which CPython never untracks) would otherwise have each full
-    collection walk every tuple built so far.
+    collection walk every tuple built so far. ``cli.main`` runs each command
+    inside one pause; the library's readers and builders do not pause it
+    themselves, so a caller outside the CLI that wants the pause takes it here.
     """
     enabled = gc.isenabled()
     gc.disable()

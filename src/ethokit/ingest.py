@@ -39,8 +39,9 @@ increasing track ids are checked once, over the run keys. A text that
 loop, the only code that names a fault; its checked rows are grouped
 into the same runs, so each file has one builder and an error reads the
 same whichever way the text came. A numeric cell must be ASCII with no
-whitespace and no ``_``, so it reads as written. Streams are built with
-cyclic garbage collection paused (``core.gc_paused``).
+whitespace and no ``_``, so it reads as written. The readers leave the
+collector alone: the CLI pauses cyclic garbage collection for a whole
+command (``core.gc_paused``), and a library caller may do the same.
 
 A reader splits only the runs it needs. labels.csv read for one track
 (``compare`` reads its subject's) skips the other tracks' runs, whose
@@ -85,7 +86,6 @@ from .core import (
     VideoMeta,
     csv_text,
     finite_bound,
-    gc_paused,
     json_number,
     json_object,
     obs_intervals,
@@ -315,13 +315,12 @@ def parse_labels(
     failing a check, is read row by row to name the fault.
     """
     runs = _track_runs(text, LABEL_HEADER, track_id)
-    with gc_paused():
-        if runs is not None:
-            try:
-                return _labels_from_runs(runs, fps)
-            except ValueError:  # a failed check: the row loop says where
-                pass
-        return _labels_from_runs(_runs_of_rows(_checked_label_rows(text, name, track_id)), fps)
+    if runs is not None:
+        try:
+            return _labels_from_runs(runs, fps)
+        except ValueError:  # a failed check: the row loop says where
+            pass
+    return _labels_from_runs(_runs_of_rows(_checked_label_rows(text, name, track_id)), fps)
 
 
 def _labels_from_runs(runs, fps: float) -> list[ObservationStream]:
@@ -453,9 +452,10 @@ class ObservationIndex:
                 checked.append(row)
                 self._row_nos.append(rows.row_no)
             columns = [list(column) for column in zip(*checked)] or [[] for _ in OBS_HEADER]
-            observers, subjects, methods, self._stamps, self._codes = columns
-            edges = sorted({*run_edges(observers), *run_edges(subjects), *run_edges(methods)})
-            keys = [(observers[a], subjects[a], methods[a]) for a in edges[:-1]]
+            *key_columns, self._stamps, self._codes = columns
+            row_keys = list(zip(*key_columns))  # (observer, subject, method) per row
+            edges = run_edges(row_keys)
+            keys = [row_keys[a] for a in edges[:-1]]
         self._ranges: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
         for key, a, b in zip(keys, edges, edges[1:]):
             self._ranges.setdefault(key, []).append((a, b))
@@ -472,12 +472,11 @@ class ObservationIndex:
         self, subject: str | None = None, method: str | None = None
     ) -> list[ObservationStream]:
         """Build the streams of one subject and method (default: all), in key order."""
-        with gc_paused():
-            return [
-                self.build(key)
-                for key in self.keys()
-                if (subject is None or key[1] == subject) and (method is None or key[2] == method)
-            ]
+        return [
+            self.build(key)
+            for key in self.keys()
+            if (subject is None or key[1] == subject) and (method is None or key[2] == method)
+        ]
 
     def build(self, key: tuple[str, str, str]) -> ObservationStream:
         """The stream's rows checked as whole columns; any that fail are read
@@ -498,13 +497,12 @@ class ObservationIndex:
             for *_, block_stamps, block_codes in chain.from_iterable(blocks):
                 stamps += block_stamps
                 codes += block_codes
-        with gc_paused():
-            try:
-                intervals = self._intervals(method, stamps, codes)
-            except ValueError:
-                row_nos = chain.from_iterable(self._row_nos[a:b] for a, b in ranges)
-                return self._checked_stream(key, zip(row_nos, stamps, codes))
-            return ObservationStream(subject, method, intervals, observer)
+        try:
+            intervals = self._intervals(method, stamps, codes)
+        except ValueError:
+            row_nos = chain.from_iterable(self._row_nos[a:b] for a, b in ranges)
+            return self._checked_stream(key, zip(row_nos, stamps, codes))
+        return ObservationStream(subject, method, intervals, observer)
 
     def _intervals(
         self, method: str, stamps: list[str], codes: list[str]

@@ -27,7 +27,6 @@ from .core import (
     Track,
     VideoMeta,
     csv_text,
-    gc_paused,
     run_edges,
     streams_by_track,
 )
@@ -167,24 +166,19 @@ def extract_miniscenes(
     """
     by_track = streams_by_track(labels)
     scenes: list[MiniScene] = []
-    with gc_paused():
-        for track in tracks:
-            if track.excluded or not track.frames:
+    for track in tracks:
+        if track.excluded or not track.frames:
+            continue
+        frames, x, y, w, h = track.frames, track.x, track.y, track.w, track.h
+        for a, b in _split_segments(frames, params.max_track_gap_frames):
+            start, end = frames[a], frames[b - 1]
+            if end - start + 1 < params.min_miniscene_frames:
                 continue
-            frames, x, y, w, h = track.frames, track.x, track.y, track.w, track.h
-            for a, b in _split_segments(frames, params.max_track_gap_frames):
-                start, end = frames[a], frames[b - 1]
-                if end - start + 1 < params.min_miniscene_frames:
-                    continue
-                stream = _labels_for(track.track_id, start, end, by_track.get(track.track_id))
-                # the scalar check on the first box raises the crop-size errors
-                crop_window(x[a] + w[a] / 2.0, y[a] + h[a] / 2.0, out_w, out_h, meta)
-                windows = _windows(
-                    frames[a:b], x[a:b], y[a:b], w[a:b], h[a:b], out_w, out_h, meta
-                )
-                scenes.append(
-                    MiniScene(track.track_id, start, end, out_w, out_h, windows, stream)
-                )
+            stream = _labels_for(track.track_id, start, end, by_track.get(track.track_id))
+            # the scalar check on the first box raises the crop-size errors
+            crop_window(x[a] + w[a] / 2.0, y[a] + h[a] / 2.0, out_w, out_h, meta)
+            windows = _windows(frames[a:b], x[a:b], y[a:b], w[a:b], h[a:b], out_w, out_h, meta)
+            scenes.append(MiniScene(track.track_id, start, end, out_w, out_h, windows, stream))
     return scenes
 
 
@@ -194,11 +188,8 @@ def dump_miniscene_manifest(scenes: list[MiniScene]) -> str:
     Per-frame geometry is recovered exactly by expanding each row over
     its inclusive frame range; a stationary window costs one row.
     """
-    with gc_paused():
-        rows = chain.from_iterable(map(_manifest_rows, scenes))
-        return csv_text(
-            ["track_id", "start_frame", "end_frame", "cx", "cy", "out_w", "out_h"], rows
-        )
+    rows = chain.from_iterable(map(_manifest_rows, scenes))
+    return csv_text(["track_id", "start_frame", "end_frame", "cx", "cy", "out_w", "out_h"], rows)
 
 
 def _manifest_rows(scene: MiniScene) -> Iterable[tuple]:

@@ -125,6 +125,8 @@ class SimConfig:
         object.__setattr__(self, "transition", tuple(tuple(map(float, r)) for r in self.transition))
         object.__setattr__(self, "speeds_mps", tuple(map(float, self.speeds_mps)))
         object.__setattr__(self, "zones", tuple(OcclusionZone(*z) for z in self.zones))
+        if not 0 <= self.seed < 2**63:  # NumPy reads a larger Philox key through a float
+            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
         k = len(self.codes)
         if k == 0:
             raise ValueError("need at least one behavior code")

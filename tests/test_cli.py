@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import csv
 import filecmp
+import gc
 import json
 import math
 import os
@@ -481,7 +482,8 @@ class TestConfigSections:
         assert key in capsys.readouterr().err
 
     def test_every_section_at_its_default(self, tmp_path):
-        from ethokit.cli import _default_config, load_config
+        from ethokit.cli import load_config
+        from ethokit.core import DEFAULT_OUT_H, DEFAULT_OUT_W, AnalysisParams
 
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -489,7 +491,10 @@ class TestConfigSections:
             "composition": {}, "overlap_counts": {}, "simulation": {}, "references": {},
             "factors": [], "interactions": [],
         }))
-        assert load_config(cfg) == _default_config()
+        assert load_config(cfg) == load_config(None)
+        assert load_config(None) == (
+            None, AnalysisParams(), {}, (DEFAULT_OUT_W, DEFAULT_OUT_H), 0.0, {}, {}, {}, {}, [], []
+        )
 
     def test_valid_sections_are_read(self, tmp_path):
         from ethokit.cli import load_config
@@ -516,6 +521,15 @@ class TestSimulate:
         names = ["meta.json", "tracks.csv", "labels.csv", "observations.csv"]
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert match == names and not mismatch and not errors
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64, -1])
+    def test_seed_outside_the_key_range_is_refused(self, tmp_path, capsys, seed):
+        # NumPy would read a Philox key past 2**63 through a float, aliasing seeds
+        out = tmp_path / "o"
+        assert main(["simulate", "--seed", str(seed), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must lie in [0, 2**63), got {seed}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_config_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1288,3 +1302,66 @@ class TestTracingContract:
         done = run_python(code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == str(calls)
+
+
+class TestRunner:
+    """main() binds each module's __all__ and runs a command with the collector paused."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_command_runs_with_the_collector_paused(self, tmp_path, monkeypatch):
+        from ethokit import cli
+
+        read_labels, seen = cli.read_labels, []
+
+        def recorded(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return read_labels(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_labels", recorded)
+        gc.enable()
+        assert main(["report", str(GOLDEN), "--out", str(tmp_path / "o")]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["validate", str(GOLDEN)], 0),
+            (["simulate", "--seed", "-1", "--out", "{tmp}"], 1),
+            (["validate", "{tmp}"], 2),  # no meta.json
+        ],
+    )
+    def test_collector_state_is_restored(self, tmp_path, capsys, argv, status, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert main([a.format(tmp=tmp_path / "absent") for a in argv]) == status
+        assert gc.isenabled() is enabled
+
+    def test_public_names_read_as_their_modules_objects(self):
+        from ethokit.cli import _RUNS
+
+        modules = sorted({"ingest", *(m for runs in _RUNS.values() for m in runs)})
+        # in a fresh interpreter, so that cli.__getattr__ resolves each name
+        code = (
+            "import importlib\n"
+            "import ethokit.cli as cli\n"
+            f"for module in {modules!r}:\n"
+            "    found = importlib.import_module(f'ethokit.{module}')\n"
+            "    for name in found.__all__:\n"
+            "        assert getattr(cli, name) is getattr(found, name), name\n"
+        )
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("name", ["no_such_name", "__all__", "ingest"])
+    def test_unknown_name_is_an_attribute_error(self, name):
+        from ethokit import cli
+
+        with pytest.raises(AttributeError, match=f"^module 'ethokit.cli' has no attribute '{name}'$"):
+            getattr(cli, name)
+

@@ -5,9 +5,9 @@ code in ``src/ethokit`` outside its own definition, any file in
 ``benchmarks/``, or the paper-claim checks in ``tests/test_acceptance.py``.
 A use is a name or attribute read in the syntax tree, or a string equal
 to the name (``benchmarks/tracing.py`` wraps CLI functions by name).
-Imports, definitions and what they hold, ``__all__`` lists, the CLI's
-table of the names it imports, comments and docstrings do not count, so
-a name that is only exported, or only documented, fails.
+Imports, definitions and what they hold, ``__all__`` lists, comments and
+docstrings do not count, so a name that is only exported, or only
+documented, fails.
 
 Each public name is listed once, in its own module's ``__all__``:
 ``ethokit/__init__.py`` imports no module and resolves each name on first
@@ -72,9 +72,7 @@ class _Uses(ast.NodeVisitor):
             self.counts[name] += 1
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        # ethokit.cli's _IMPORTS is its import block, held as strings
-        skipped = ("__all__", "_IMPORTS")
-        if not any(isinstance(t, ast.Name) and t.id in skipped for t in node.targets):
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:

@@ -73,6 +73,17 @@ class TestSimConfig:
                       transition=((1.0,),), speeds_mps=(0.1, 1.0))
 
 
+    def test_largest_seed_builds(self):
+        # Philox takes the key exactly: the next seed down draws another world
+        top = simulate(two_code_config(seed=2**63 - 1, duration=10.0))
+        assert top.positions != simulate(two_code_config(seed=2**63 - 2, duration=10.0)).positions
+
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**64])
+    def test_seed_outside_the_key_range_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*63\), got {seed}$"):
+            two_code_config(seed=seed)
+
+
 class TestSimulate:
     def test_same_seed_bit_identical(self):
         a = simulate(demo_config(3, duration_s=120.0))
