@@ -36,7 +36,6 @@ from .core import (
     Track,
     check_keys,
     csv_text,
-    gc_paused,
     json_number,
     json_object,
     read_text,
@@ -300,13 +299,11 @@ _BUDGET_HEADER = ["source", "subject", "code", "seconds", "proportion"]
 def _budget_rows(session: Session) -> list[tuple[str, str, str, float, float]]:
     # scans are instantaneous and a fully occluded track or focal record
     # has no behavioral denominator; neither yields a budget row
-    visible = [
-        stream
-        for stream in session.labels + session.observations
-        if sum(iv.end - iv.start for iv in stream.intervals if iv.code not in TECHNICAL_CODES) > 0
-    ]
     rows = []
-    for stream in visible:
+    for stream in session.labels + session.observations:
+        spans = zip(stream.starts, stream.ends, stream.codes)
+        if sum(e - s for s, e, code in spans if code not in TECHNICAL_CODES) <= 0:
+            continue
         budget = time_budget(stream)
         for code in sorted(budget.seconds):
             rows.append(
@@ -342,7 +339,7 @@ def _transition_inputs(session: Session):
         streams = [s for s in session.observations if s.method != GROUND_SCAN]
     if not streams:
         raise ValueError("no streams to sample transitions from")
-    codes = {iv.code for stream in streams for iv in stream.intervals}
+    codes = {code for stream in streams for code in stream.codes}
     return streams, sorted(codes - TECHNICAL_CODES)
 
 
@@ -422,8 +419,7 @@ def _apply_map(stream: ObservationStream, config: RunConfig):
         return stream
     # The config mapping lists only renames; everything else (incl.
     # technical codes) maps to itself.
-    present = {iv.code for iv in stream.intervals}
-    total = {code: config.label_map.get(code, code) for code in present}
+    total = {code: config.label_map.get(code, code) for code in set(stream.codes)}
     return map_labels(stream, total)
 
 
@@ -659,10 +655,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _load(*_RUNS[args.command])
     try:
-        # one pause for the whole command: the readers and builders make many
-        # tuples the collector tracks, and each full collection walks them all
-        with gc_paused():
-            return args.func(args, load_config(args.config))
+        return args.func(args, load_config(args.config))
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

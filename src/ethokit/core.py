@@ -16,17 +16,16 @@ file whole or leaves it as it was.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import math
 import os
 from bisect import bisect_right
-from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter, le, lt, ne, not_, or_
+from operator import and_, gt, le, lt, ne, not_, or_, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -168,25 +167,6 @@ def plain_numbers(cells: str) -> bool:
     number it reads as: ASCII (so no other script's digits), with nothing that
     int() or float() would skip."""
     return cells.isascii() and not any(map(cells.__contains__, _SKIPPED))
-
-
-@contextmanager
-def gc_paused() -> Iterator[None]:
-    """Hold cyclic garbage collection off inside the block, then restore its state.
-
-    A parse that builds many tuples the collector tracks (ObsInterval is a
-    NamedTuple, which CPython never untracks) would otherwise have each full
-    collection walk every tuple built so far. ``cli.main`` runs each command
-    inside one pause; the library's readers and builders do not pause it
-    themselves, so a caller outside the CLI that wants the pause takes it here.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 BOOL_CELLS = {"0": False, "false": False, "1": True, "true": True}  # what Rows.to_bool reads
@@ -445,21 +425,11 @@ def finite_bound(bound: float) -> bool:
         return False
 
 
-def obs_intervals(rows: Iterable[tuple[float, float, str]]) -> tuple[ObsInterval, ...]:
-    """``tuple(ObsInterval(*row) for row in rows)``, with no Python call per row."""
-    return tuple(map(tuple.__new__, repeat(ObsInterval), rows))
-
-
-def interval_columns(intervals: Sequence[tuple]) -> list[list]:
-    """The start, end and code columns of intervals."""
-    return [list(map(itemgetter(k), intervals)) for k in range(3)]
-
-
 def touching_runs(starts: Sequence, ends: Sequence, codes: Sequence | None = None) -> Sequence:
     """The one run-length merge of intervals, over columns: each maximal run
     of items in which every item starts where the one before ends (and,
     with ``codes``, carries its code): a list of (first start, last end)
-    pairs, or with ``codes`` a tuple of ObsIntervals."""
+    pairs, or with ``codes`` the runs' start, end and code columns."""
     cuts = map(ne, ends, islice(starts, 1, None))
     if codes is not None:
         cuts = map(or_, cuts, map(ne, codes, islice(codes, 1, None)))
@@ -468,7 +438,7 @@ def touching_runs(starts: Sequence, ends: Sequence, codes: Sequence | None = Non
     lasts = compress(ends, chain(cuts, (True,)))
     if codes is None:
         return list(zip(firsts, lasts))
-    return obs_intervals(zip(firsts, lasts, compress(codes, chain((True,), cuts))))
+    return list(firsts), list(lasts), list(compress(codes, chain((True,), cuts)))
 
 
 def run_edges(values: Sequence) -> list[int]:
@@ -484,6 +454,11 @@ def run_edges(values: Sequence) -> list[int]:
 class ObservationStream:
     """Behavior record for one subject from one method.
 
+    The intervals are held as columns, one entry per interval, and the
+    columns are the fields: interval i is the half-open
+    ``[starts[i], ends[i])`` carrying ``codes[i]``. :attr:`intervals` is a
+    read-only view that builds them as :class:`ObsInterval` rows.
+
     Bounds are in the stream's own unit: wall-clock seconds when ``fps``
     is None, video frames at ``fps`` frames per second otherwise. A label
     run over frames s..e (inclusive) is the interval ``(s, e + 1)``, so a
@@ -493,30 +468,28 @@ class ObservationStream:
 
     Intervals are non-overlapping and sorted with ``end > start``; scan
     streams may instead hold instantaneous events (``start == end``)
-    prior to propagation. Construction rejects a non-finite bound, an
-    end before its start, an empty frame interval, and an interval that
-    starts before the previous one ends.
+    prior to propagation. Construction stores each column as a tuple and
+    rejects columns of unequal length, a non-finite bound, an end before
+    its start, an empty frame interval, and an interval that starts
+    before the previous one ends.
     """
 
     subject_id: str
     method: str
-    intervals: tuple[ObsInterval, ...]
+    starts: tuple[float, ...]
+    ends: tuple[float, ...]
+    codes: tuple[str, ...]
     observer_id: str = ""
     fps: float | None = None
 
     def __post_init__(self) -> None:
-        intervals = tuple(self.intervals)
-        if not all(map(isinstance, intervals, repeat(ObsInterval))):
-            intervals = tuple(
-                iv if isinstance(iv, ObsInterval) else ObsInterval(*iv) for iv in intervals
-            )
-        object.__setattr__(self, "intervals", intervals)
+        starts, ends, codes = map(tuple, (self.starts, self.ends, self.codes))
+        for name, column in zip(("starts", "ends", "codes"), (starts, ends, codes)):
+            object.__setattr__(self, name, column)
+        if not len(starts) == len(ends) == len(codes):
+            raise ValueError(f"stream {self.subject_id!r}: interval columns differ in length")
         # Check whole columns at C speed; only a stream that fails walks
         # its intervals one by one, to name the first fault.
-        starts = list(map(itemgetter(0), intervals))
-        # kept for code_at's bisect; not a field, so == and repr ignore it
-        object.__setattr__(self, "_starts", starts)
-        ends = list(map(itemgetter(1), intervals))
         try:
             valid = (
                 all(map(math.isfinite, starts))
@@ -528,41 +501,47 @@ class ObservationStream:
         except (TypeError, OverflowError):  # not a number, or an int past float range
             valid = False
         if not valid:
-            self._reject(intervals)
+            self._reject()
 
-    def _reject(self, intervals: tuple[ObsInterval, ...]) -> None:
+    def _reject(self) -> None:
         """Raise on the first interval that breaks the stream's invariants."""
         prev_end = -math.inf
-        for iv in intervals:
-            if not (finite_bound(iv.start) and finite_bound(iv.end)):
-                raise ValueError(f"interval bounds must be finite: {tuple(iv)}")
-            if iv.end < iv.start:
-                raise ValueError(f"interval ends before it starts: {tuple(iv)}")
-            if iv.end == iv.start and self.fps is not None:
-                raise ValueError(f"frame interval holds no frame: {tuple(iv)}")
-            if iv.start < prev_end:
+        for iv in zip(self.starts, self.ends, self.codes):
+            start, end, _ = iv
+            if not (finite_bound(start) and finite_bound(end)):
+                raise ValueError(f"interval bounds must be finite: {iv}")
+            if end < start:
+                raise ValueError(f"interval ends before it starts: {iv}")
+            if end == start and self.fps is not None:
+                raise ValueError(f"frame interval holds no frame: {iv}")
+            if start < prev_end:
                 raise ValueError(
-                    f"interval {tuple(iv)} starts before the previous one ends at {prev_end!r}"
+                    f"interval {iv} starts before the previous one ends at {prev_end!r}"
                 )
-            prev_end = iv.end
+            prev_end = end
+
+    @property
+    def intervals(self) -> tuple[ObsInterval, ...]:
+        """The intervals as rows, in time order: a view built on each read."""
+        return tuple(map(ObsInterval, self.starts, self.ends, self.codes))
 
     @property
     def span(self) -> tuple[float, float]:
         """(first start, last end) over all intervals."""
-        return (self.intervals[0].start, self.intervals[-1].end)
+        return (self.starts[0], self.ends[-1])
 
     def covered_duration(self) -> float:
-        return sum(iv.end - iv.start for iv in self.intervals)
+        return sum(map(sub, self.ends, self.starts))
 
     def covered_intervals(self) -> list[tuple[float, float]]:
         """Covered time as merged (start, end) pairs, gaps preserved."""
-        return touching_runs(self._starts, list(map(itemgetter(1), self.intervals)))
+        return touching_runs(self.starts, self.ends)
 
     def code_at(self, t: float) -> str | None:
         """Code at t in the stream's unit (a frame index for a frame stream)."""
-        i = bisect_right(self._starts, t) - 1
-        if i >= 0 and t < self.intervals[i].end:
-            return self.intervals[i].code
+        i = bisect_right(self.starts, t) - 1
+        if i >= 0 and t < self.ends[i]:
+            return self.codes[i]
         return None
 
     def to_seconds(self, t: float) -> float:
@@ -574,19 +553,16 @@ class ObservationStream:
         return self.code_at(t if self.fps is None else math.floor(t * self.fps))
 
     def is_instantaneous(self) -> bool:
-        return bool(self.intervals) and all(iv.start == iv.end for iv in self.intervals)
+        return bool(self.starts) and self.starts == self.ends
 
     def clip(self, start: float, end: float) -> ObservationStream:
         """The intervals cut to [start, end), in the stream's unit."""
-        return self.replace_intervals(
-            ObsInterval(max(s, start), min(e, end), code)
-            for s, e, code in self.intervals
-            if s < end and e > start
-        )
-
-    def replace_intervals(self, intervals) -> ObservationStream:
-        return ObservationStream(
-            self.subject_id, self.method, tuple(intervals), self.observer_id, self.fps
+        keep = list(map(and_, map(lt, self.starts, repeat(end)), map(gt, self.ends, repeat(start))))
+        return replace(
+            self,
+            starts=map(max, compress(self.starts, keep), repeat(start)),
+            ends=map(min, compress(self.ends, keep), repeat(end)),
+            codes=compress(self.codes, keep),
         )
 
 
@@ -708,12 +684,12 @@ def _validate_label_stream(stream, known_codes, track_ids, report) -> None:
     loc = f"labels[{stream.subject_id}]"
     if track_ids and stream.subject_id not in track_ids:
         report.add(loc, "label stream refers to unknown track")
-    if not stream.intervals:
+    if not stream.codes:
         report.add(loc, "label stream has no segments")
     # order and overlap are enforced by ObservationStream itself
-    for i, iv in enumerate(stream.intervals):
-        if iv.code not in known_codes:
-            report.add(f"{loc}.segments[{i}]", f"unknown behavior code {iv.code!r}")
+    for i, code in enumerate(stream.codes):
+        if code not in known_codes:
+            report.add(f"{loc}.segments[{i}]", f"unknown behavior code {code!r}")
 
 
 def _validate_observation_stream(stream, known_codes, report) -> None:
@@ -722,7 +698,7 @@ def _validate_observation_stream(stream, known_codes, report) -> None:
         report.add(loc, f"unknown method {stream.method!r}")
     # order, overlap and finite bounds are enforced by ObservationStream itself
     scan = stream.method == GROUND_SCAN
-    for i, (start, end, code) in enumerate(stream.intervals):
+    for i, (start, end, code) in enumerate(zip(stream.starts, stream.ends, stream.codes)):
         if end == start and not scan:
             report.add(f"{loc}.intervals[{i}]", "instantaneous event outside a scan stream")
         if code not in known_codes:

@@ -39,9 +39,9 @@ increasing track ids are checked once, over the run keys. A text that
 loop, the only code that names a fault; its checked rows are grouped
 into the same runs, so each file has one builder and an error reads the
 same whichever way the text came. A numeric cell must be ASCII with no
-whitespace and no ``_``, so it reads as written. The readers leave the
-collector alone: the CLI pauses cyclic garbage collection for a whole
-command (``core.gc_paused``), and a library caller may do the same.
+whitespace and no ``_``, so it reads as written. A stream is built from
+its start, end and code columns, a few objects however long it is, so
+a read leaves the cyclic collector next to nothing to walk.
 
 A reader splits only the runs it needs. labels.csv read for one track
 (``compare`` reads its subject's) skips the other tracks' runs, whose
@@ -51,9 +51,12 @@ counts at once; each stream's runs are split, parsed and checked when it
 is built, so a caller that builds only some streams pays for and fails
 only on those, while a bad header or field count fails every caller.
 
-Writing then reading is the identity on stream values; reading then
-writing is the identity on canonical files. Timestamps are serialized
-as ISO 8601 UTC at microsecond precision.
+Writing then reading is the identity on stream values: each writer
+refuses, before anything is written, the values its docstring names
+that its reader would refuse or read as another. Reading then writing
+is the identity on canonical files. Timestamps are serialized as ISO
+8601 UTC at microsecond precision, so an observation time reads back as
+written only when it lies on that grid.
 """
 
 from __future__ import annotations
@@ -64,9 +67,9 @@ import math
 import warnings
 from datetime import datetime, timezone
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter, le, lt, ne, or_, sub
+from operator import eq, itemgetter, le, lt, ne, or_, sub
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .core import (
     BOOL_CELLS,
@@ -79,7 +82,6 @@ from .core import (
     PLAINS_ZEBRA,
     ZEBRA_UNSPECIFIED,
     ObservationStream,
-    ObsInterval,
     ParseError,
     Rows as _Rows,
     Track,
@@ -88,7 +90,6 @@ from .core import (
     finite_bound,
     json_number,
     json_object,
-    obs_intervals,
     plain_numbers,
     read_text,
     row_error,
@@ -339,8 +340,7 @@ def _labels_from_runs(runs, fps: float) -> list[ObservationStream]:
         if min(starts) < 0:
             raise ValueError("a negative frame")
         # the stream refuses an end before its start, and an overlap, with a ValueError
-        intervals = obs_intervals(zip(starts, ends, codes))
-        streams.append(ObservationStream(tid, LABELS, intervals, fps=fps))
+        streams.append(ObservationStream(tid, LABELS, starts, ends, codes, fps=fps))
     return streams
 
 
@@ -389,18 +389,17 @@ def dump_labels(streams: list[ObservationStream], session_id: str) -> str:
     anything is written, for a bound that is not an integer, a negative
     start frame or an empty code, which parse_labels would refuse."""
     for stream in streams:
-        bounds = [*map(itemgetter(0), stream.intervals), *map(itemgetter(1), stream.intervals)]
+        bounds = [*stream.starts, *stream.ends]
         _refuse_non_integers(stream.subject_id, bounds)
         if bounds and bounds[0] < 0:  # the first start is the stream's least bound
             raise ValueError(f"track {stream.subject_id!r}: frame {bounds[0]!r} is negative")
-        if "" in map(itemgetter(2), stream.intervals):
+        if "" in stream.codes:
             raise ValueError(f"track {stream.subject_id!r}: empty behavior code")
     rows = (
         zip(
-            repeat(session_id), repeat(stream.subject_id),
-            map(itemgetter(0), stream.intervals),
-            map(sub, map(itemgetter(1), stream.intervals), repeat(1)),  # inclusive end
-            map(itemgetter(2), stream.intervals),
+            repeat(session_id), repeat(stream.subject_id), stream.starts,
+            map(sub, stream.ends, repeat(1)),  # inclusive end
+            stream.codes,
         )
         for stream in sorted(streams, key=lambda s: s.subject_id)
     )
@@ -498,21 +497,19 @@ class ObservationIndex:
                 stamps += block_stamps
                 codes += block_codes
         try:
-            intervals = self._intervals(method, stamps, codes)
+            columns = self._intervals(method, stamps, codes)
         except ValueError:
             row_nos = chain.from_iterable(self._row_nos[a:b] for a, b in ranges)
-            return self._checked_stream(key, zip(row_nos, stamps, codes))
-        return ObservationStream(subject, method, intervals, observer)
+            self._raise_fault(key, zip(row_nos, stamps, codes))
+        return ObservationStream(subject, method, *columns, observer)
 
-    def _intervals(
-        self, method: str, stamps: list[str], codes: list[str]
-    ) -> tuple[ObsInterval, ...]:
-        """One stream's intervals; ValueError on any fault."""
+    def _intervals(self, method: str, stamps: list[str], codes: list[str]) -> tuple[list, ...]:
+        """One stream's start, end and code columns; ValueError on any fault."""
         times = list(map(self._parse_iso, stamps))
         if "" in codes or not all(map(le, times, islice(times, 1, None))):
             raise ValueError("an empty code, or a time that decreases")
         if method == GROUND_SCAN and END_CODE not in codes:
-            return obs_intervals(zip(times, times, codes))
+            return times, times, codes
         # every row but an END opens an interval, which the next row closes
         opens = list(map(ne, codes, repeat(END_CODE)))
         starts = list(compress(times, opens))
@@ -524,15 +521,15 @@ class ObservationIndex:
             or not all(map(lt, starts, ends))
         ):
             raise ValueError("an END that closes nothing, or a zero-length interval")
-        return obs_intervals(zip(starts, ends, compress(codes, opens)))
+        return starts, ends, list(compress(codes, opens))
 
-    def _checked_stream(self, key: tuple[str, str, str], rows) -> ObservationStream:
-        """The stream from its (row number, stamp, code) rows, checked one at a
-        time; ParseError at the first fault."""
-        observer, subject, method = key
+    def _raise_fault(self, key: tuple[str, str, str], rows) -> NoReturn:
+        """ParseError at the first fault of a stream that failed its column
+        checks, from its (row number, stamp, code) rows: each row's stamp and
+        code first, then the pairing of rows into intervals."""
         parse_iso = self._parse_iso
-        events: list[tuple[float, str, int]] = []
         prev = -math.inf
+        events = []
         for row_no, stamp, code in rows:
             try:
                 t = parse_iso(stamp)
@@ -546,68 +543,74 @@ class ObservationIndex:
                 raise row_error(self.name, row_no, "timestamp_iso8601", message)
             prev = t
             events.append((t, code, row_no))
-        return _events_to_stream(events, subject, method, observer, self.name)
+        # every row but an END opens an interval, which the next row closes
+        open_at = None
+        for t, code, row_no in events:
+            if open_at is None and code == END_CODE:
+                raise ParseError(f"{self.name} row {row_no}: END with no open interval")
+            if open_at is not None and t <= open_at:
+                raise ParseError(f"{self.name} row {row_no}: zero-length interval")
+            open_at = None if code == END_CODE else t
+        raise ParseError(f"{self.name}: stream {key!r} not terminated (missing END row)")
 
 
 def parse_ground_observations(text: str, name: str = "observations") -> list[ObservationStream]:
     return ObservationIndex(text, name).streams()
 
 
-def _events_to_stream(
-    group: list[tuple[float, str, int]],
-    subject: str,
-    method: str,
-    observer: str,
-    name: str,
-) -> ObservationStream:
-    has_end = any(code == END_CODE for _, code, _ in group)
-    if method == GROUND_SCAN and not has_end:
-        intervals = [ObsInterval(t, t, code) for t, code, _ in group]
-        return ObservationStream(subject, method, tuple(intervals), observer)
-    intervals = []
-    open_event: tuple[float, str] | None = None
-    for t, code, row_no in group:
-        if code == END_CODE:
-            if open_event is None:
-                raise ParseError(f"{name} row {row_no}: END with no open interval")
-            if t <= open_event[0]:
-                raise ParseError(f"{name} row {row_no}: zero-length interval")
-            intervals.append(ObsInterval(open_event[0], t, open_event[1]))
-            open_event = None
-        else:
-            if open_event is not None:
-                if t <= open_event[0]:
-                    raise ParseError(f"{name} row {row_no}: zero-length interval")
-                intervals.append(ObsInterval(open_event[0], t, open_event[1]))
-            open_event = (t, code)
-    if open_event is not None:
-        raise ParseError(
-            f"{name}: stream ({observer!r}, {subject!r}, {method!r}) "
-            "not terminated (missing END row)"
-        )
-    return ObservationStream(subject, method, tuple(intervals), observer)
-
-
 def dump_ground_observations(streams: list[ObservationStream], observer_id: str = "field") -> str:
-    keyed = sorted(streams, key=lambda s: (s.observer_id or observer_id, s.subject_id, s.method))
+    """observations.csv text, a stream without ``observer_id`` written under
+    ``observer_id`` and an empty stream as no row; ValueError naming the
+    stream's key and the value, before anything is written, for what
+    parse_ground_observations would refuse or read back as another stream:
+    a second stream with one key, a method outside METHODS, an empty code
+    or the reserved END, a zero-length interval outside a scan stream of
+    instants, or a time past the range of a timestamp."""
+    keyed = sorted(
+        (((s.observer_id or observer_id, s.subject_id, s.method), s) for s in streams),
+        key=itemgetter(0),
+    )
     iso = functools.cache(_iso)  # streams of one session share most instants
+    for (key, _), (next_key, _) in zip(keyed, keyed[1:]):
+        if key == next_key:
+            raise ValueError(f"stream {key!r}: more than one stream")
+    for key, stream in keyed:
+        _refuse_unreadable(key, stream, iso)
 
     def rows():
-        for stream in keyed:
-            key = (stream.observer_id or observer_id, stream.subject_id, stream.method)
-            intervals = stream.intervals
+        for key, stream in keyed:
+            starts, ends, codes = stream.starts, stream.ends, stream.codes
             if stream.method == GROUND_SCAN and stream.is_instantaneous():
-                for start, _, code in intervals:
+                for start, code in zip(starts, codes):
                     yield (*key, iso(start), code)
                 continue
-            next_starts = [iv.start for iv in intervals[1:]]
-            next_starts.append(None)
-            for (start, end, code), next_start in zip(intervals, next_starts):
+            for start, end, code, next_start in zip(starts, ends, codes, [*starts[1:], None]):
                 yield (*key, iso(start), code)
                 if next_start != end:
                     yield (*key, iso(end), END_CODE)
 
     return csv_text(OBS_HEADER, rows())
+
+
+def _refuse_unreadable(key: tuple[str, str, str], stream: ObservationStream, iso) -> None:
+    """ValueError naming ``key`` and the value, for a method, a code, a
+    zero-length interval or a bound that would not read back as written."""
+    if stream.method not in METHODS:
+        raise ValueError(f"stream {key!r}: unknown method {stream.method!r}")
+    if "" in stream.codes:
+        raise ValueError(f"stream {key!r}: empty behavior code")
+    if END_CODE in stream.codes:
+        raise ValueError(f"stream {key!r}: behavior code {END_CODE!r} is reserved")
+    if not (stream.method == GROUND_SCAN and stream.is_instantaneous()):
+        instant = next(compress(stream.starts, map(eq, stream.starts, stream.ends)), None)
+        if instant is not None:  # only a scan stream of instants alone is written as instants
+            raise ValueError(f"stream {key!r}: zero-length interval at {instant!r}")
+    for bound in stream.starts[:1] + stream.ends[-1:]:  # the least and the greatest bound
+        try:
+            iso(bound)
+        except (ValueError, OverflowError, OSError):  # past datetime's range, or the platform's
+            message = f"stream {key!r}: time {bound!r} is past the range of a timestamp"
+            raise ValueError(message) from None
 
 
 def read_ground_observations(path: str | Path) -> list[ObservationStream]:
@@ -838,6 +841,6 @@ def import_cvat_video_xml(
         tracks.append(Track(str(track_id), _species_from_label(label), *zip(*boxes)))
         if labels:
             frames, codes = zip(*labels)
-            intervals = touching_runs(frames, [f + 1 for f in frames], codes)
-            streams.append(ObservationStream(str(track_id), LABELS, intervals, fps=meta.fps))
+            columns = touching_runs(frames, [f + 1 for f in frames], codes)
+            streams.append(ObservationStream(str(track_id), LABELS, *columns, fps=meta.fps))
     return tracks, streams

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -37,9 +37,9 @@ __all__ = [
 OTHER_CODE = "other"
 
 
-def _durations(stream) -> list[tuple[str, float]]:
-    """(code, seconds) per interval, in time order."""
-    return [(iv.code, stream.to_seconds(iv.end - iv.start)) for iv in stream.intervals]
+def _durations(stream) -> list[float]:
+    """Each interval's length in seconds, in time order."""
+    return list(map(stream.to_seconds, map(sub, stream.ends, stream.starts)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class TimeBudget:
 def time_budget(stream) -> TimeBudget:
     """Visible-time budget; technical codes drop out of the denominator."""
     seconds: dict[str, float] = {}
-    for code, dur in _durations(stream):
+    for code, dur in zip(stream.codes, _durations(stream)):
         if code in TECHNICAL_CODES:
             continue
         seconds[code] = seconds.get(code, 0.0) + dur
@@ -71,11 +71,11 @@ def time_budget(stream) -> TimeBudget:
 
 def out_of_sight_fraction(stream) -> float:
     """Share of the recorded time carrying a technical code."""
-    pairs = _durations(stream)
-    total = sum(dur for _, dur in pairs)
+    durations = _durations(stream)
+    total = sum(durations)
     if total <= 0:
         raise ValueError("empty stream")
-    lost = sum(dur for code, dur in pairs if code in TECHNICAL_CODES)
+    lost = sum(dur for code, dur in zip(stream.codes, durations) if code in TECHNICAL_CODES)
     return lost / total
 
 
@@ -129,7 +129,8 @@ def _sample_codes(stream, delta_s: float) -> list[str | None]:
     t0 anchors at the first instant carrying a non-technical code; None
     marks samples landing on gaps or technical time.
     """
-    t0 = next((iv.start for iv in stream.intervals if iv.code not in TECHNICAL_CODES), None)
+    visible = zip(stream.starts, stream.codes)
+    t0 = next((start for start, code in visible if code not in TECHNICAL_CODES), None)
     if t0 is None:
         return []
     t0, span_end = stream.to_seconds(t0), stream.to_seconds(stream.span[1])

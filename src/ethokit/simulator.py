@@ -42,10 +42,8 @@ from .core import (
     LABELS,
     OUT_OF_SIGHT,
     ObservationStream,
-    ObsInterval,
     Track,
     VideoMeta,
-    obs_intervals,
     run_edges,
     sample_count,
     write_text,
@@ -209,9 +207,9 @@ class SimWorld:
         # rounds to no frame, or starts past the last one, is dropped.
         bounds = [min(round(e * frames_per_step), n_frames) for e in edges]
         codes = [cfg.codes[steps[e]] for e in edges[:-1]]
-        runs = zip(bounds, bounds[1:], codes)
-        intervals = obs_intervals(compress(runs, map(lt, bounds, bounds[1:])))
-        return ObservationStream(subject, LABELS, intervals, fps=self.meta.fps)
+        kept = list(map(lt, bounds, bounds[1:]))
+        starts, ends, codes = (compress(col, kept) for col in (bounds, bounds[1:], codes))
+        return ObservationStream(subject, LABELS, starts, ends, codes, fps=self.meta.fps)
 
     def tracks(self) -> list[Track]:
         """Bounding-box tracks through the synthetic camera.
@@ -365,17 +363,16 @@ def observe_scan(world: SimWorld, period_s: float | None = None) -> list[Observa
         k += 1
     last_step = cfg.n_steps - 1
     steps = [min(int(t / cfg.step_s), last_step) for t in instants]
+    stamps = [t0 + t for t in instants]
     codes = cfg.codes
     streams = []
     for subject, code_steps, occluded in zip(
         world.subjects, world.code_steps, world.occluded_ground
     ):
-        events = [
-            ObsInterval(t0 + t, t0 + t, codes[code_steps[step]])
-            for t, step in zip(instants, steps)
-            if not occluded[step]
-        ]
-        streams.append(ObservationStream(subject, GROUND_SCAN, tuple(events), _OBSERVER))
+        seen = [not occluded[step] for step in steps]
+        times = list(compress(stamps, seen))
+        seen_codes = [codes[code_steps[step]] for step in compress(steps, seen)]
+        streams.append(ObservationStream(subject, GROUND_SCAN, times, times, seen_codes, _OBSERVER))
     return streams
 
 
@@ -395,8 +392,7 @@ def observe_focal(world: SimWorld, subject: str, method: str) -> ObservationStre
     edges = run_edges(observed)
     times = [t0 + e * step for e in edges]
     run_codes = [observed[e] for e in edges[:-1]]
-    intervals = obs_intervals(zip(times, times[1:], run_codes))
-    return ObservationStream(subject, method, intervals, _OBSERVER)
+    return ObservationStream(subject, method, times[:-1], times[1:], run_codes, _OBSERVER)
 
 
 def export_world(world: SimWorld, out_dir: str | Path) -> list[Path]:

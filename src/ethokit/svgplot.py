@@ -8,9 +8,10 @@ and golden-tested like any other output file.
 from __future__ import annotations
 
 import html
+from itertools import chain
 from typing import Sequence
 
-from .core import ObservationStream, interval_columns, touching_runs
+from .core import ObservationStream, touching_runs
 from .metrics import CountMatrix
 
 __all__ = [
@@ -77,15 +78,16 @@ def gantt_svg(
     Touching intervals with one code are drawn as one bar.
     """
     lanes = [
-        (label, touching_runs(*interval_columns(stream.intervals))) for label, stream in rows
+        (label, touching_runs(stream.starts, stream.ends, stream.codes)) for label, stream in rows
     ]
-    all_edges = [t for _, segs in lanes for s, e, _ in segs for t in (s, e)]
+    edges = (chain.from_iterable(zip(starts, ends)) for _, (starts, ends, _) in lanes)
+    all_edges = list(chain.from_iterable(edges))
     if not all_edges:
         raise ValueError("nothing to plot")
     t0, t1 = min(all_edges), max(all_edges)
     if t1 <= t0:
         t1 = t0 + 1.0
-    codes = sorted({code for _, segs in lanes for _, _, code in segs})
+    codes = sorted({code for _, (_, _, lane_codes) in lanes for code in lane_codes})
     color = {code: _PALETTE[i % len(_PALETTE)] for i, code in enumerate(codes)}
 
     margin_left, margin_top = 120, 40 if title else 16
@@ -98,13 +100,13 @@ def gantt_svg(
         return margin_left + (t - t0) / (t1 - t0) * plot_w
 
     parts = []
-    for i, (label, segments) in enumerate(lanes):
+    for i, (label, (starts, ends, lane_codes)) in enumerate(lanes):
         y = margin_top + i * row_h
         parts.append(
             f'<text x="{margin_left - 8}" y="{y + bar_h - 4}" text-anchor="end" {_FONT} '
             f'font-size="12">{_escape(label)}</text>'
         )
-        for s, e, code in segments:
+        for s, e, code in zip(starts, ends, lane_codes):
             x, x2 = sx(s), sx(e)
             parts.append(
                 f'<rect x="{x:.2f}" y="{y}" width="{max(x2 - x, 0.5):.2f}" height="{bar_h}" '

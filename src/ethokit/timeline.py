@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, compress, repeat
-from operator import add, gt, itemgetter, lt, ne, truediv
+from operator import add, gt, lt, ne, truediv
 
 from .core import (
     DRONE_FOCAL,
     GROUND_SCAN,
     TECHNICAL_CODES,
-    ObsInterval,
     ObservationStream,
     VideoMeta,
     csv_text,
-    interval_columns,
     sample_count,
     touching_runs,
 )
@@ -78,23 +76,25 @@ def propagate_scan(events: ObservationStream, horizon_s: float = 120.0) -> Obser
 
     A snapshot's state is assumed to hold for the following two minutes
     (default), or less when another snapshot of the same subject lands
-    earlier.
+    earlier. A stream with no snapshot (a subject out of sight at every
+    scan) gives an empty stream.
     """
     if events.method != GROUND_SCAN:
         raise ValueError(f"scan propagation applies to ground_scan streams, got {events.method!r}")
-    if not events.is_instantaneous():
+    starts = events.starts
+    if starts != events.ends:
         raise ValueError("scan stream already carries intervals; expected instantaneous events")
     if not 0 < horizon_s < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon_s}")
-    intervals = []
-    points = events.intervals
-    for i, ev in enumerate(points):
-        end = ev.start + horizon_s
-        if i + 1 < len(points):
-            end = min(end, points[i + 1].start)
-        if end > ev.start:
-            intervals.append(ObsInterval(ev.start, end, ev.code))
-    return events.replace_intervals(intervals)
+    caps = list(map(add, starts, repeat(horizon_s)))
+    ends = [*map(min, caps, starts[1:]), *caps[-1:]]  # a snapshot holds until the next one
+    kept = list(map(gt, ends, starts))
+    return replace(
+        events,
+        starts=compress(starts, kept),
+        ends=compress(ends, kept),
+        codes=compress(events.codes, kept),
+    )
 
 
 def _intersect(a: list[Span], b: list[Span]) -> list[Span]:
@@ -113,8 +113,8 @@ def _intersect(a: list[Span], b: list[Span]) -> list[Span]:
 
 
 def _visible_spans(stream: ObservationStream) -> list[Span]:
-    starts, ends, codes = interval_columns(stream.intervals)
-    technical = map(TECHNICAL_CODES.__contains__, codes)
+    starts, ends = stream.starts, stream.ends
+    technical = map(TECHNICAL_CODES.__contains__, stream.codes)
     visible = list(map(gt, map(ne, starts, ends), technical))  # not an instant, not technical
     return touching_runs(list(compress(starts, visible)), list(compress(ends, visible)))
 
@@ -127,27 +127,27 @@ def _restrict(stream: ObservationStream, spans: list[Span]) -> ObservationStream
     first, and the intervals left have increasing starts and ends. A
     span's intervals are then a slice of them, found by bisecting both
     columns: from the first to end after the span starts, up to the
-    first to start at or after it ends. Only the slice's first and last
-    interval can reach outside the span; those between are kept as they
-    are, as clipping would keep them (max and min return their first
-    argument on ties, so a bound keeps its type and the sign of a zero).
+    first to start at or after it ends. Only the slice's first start and
+    last end can reach outside the span, so only they are clipped; the
+    rest are kept as they are, as clipping would keep them (max and min
+    return their first argument on ties, so a bound keeps its type and
+    the sign of a zero).
     """
-    intervals = stream.intervals
-    starts, ends, _ = interval_columns(intervals)
+    starts, ends, codes = stream.starts, stream.ends, stream.codes
     if not all(map(lt, starts, ends)):
-        intervals = list(compress(intervals, map(lt, starts, ends)))
-        starts, ends, _ = interval_columns(intervals)
-    clipped = []
+        kept = list(map(lt, starts, ends))
+        starts, ends, codes = (tuple(compress(column, kept)) for column in (starts, ends, codes))
+    out_starts, out_ends, out_codes = [], [], []
     for s, e in spans:
         i, j = bisect_right(ends, s), bisect_left(starts, e)
         if i == j:
             continue
-        first, last = intervals[i], intervals[j - 1]
-        clipped.append(ObsInterval(max(first.start, s), min(first.end, e), first.code))
-        if j - i > 1:
-            clipped += intervals[i + 1 : j - 1]
-            clipped.append(ObsInterval(max(last.start, s), min(last.end, e), last.code))
-    return stream.replace_intervals(clipped)
+        out_starts += starts[i:j]
+        out_ends += ends[i:j]
+        out_codes += codes[i:j]
+        out_starts[i - j] = max(starts[i], s)
+        out_ends[-1] = min(ends[j - 1], e)
+    return replace(stream, starts=out_starts, ends=out_ends, codes=out_codes)
 
 
 def visibility_filter(
@@ -172,12 +172,12 @@ def map_labels(stream: ObservationStream, mapping: dict[str, str]) -> Observatio
 
     The mapping must cover every code present.
     """
-    missing = sorted({iv.code for iv in stream.intervals} - mapping.keys())
+    missing = sorted(set(stream.codes) - mapping.keys())
     if missing:
         raise ValueError(f"mapping missing codes: {', '.join(missing)}")
-    starts, ends, codes = interval_columns(stream.intervals)
-    codes = list(map(mapping.__getitem__, codes))
-    return stream.replace_intervals(touching_runs(starts, ends, codes))
+    codes = list(map(mapping.__getitem__, stream.codes))
+    starts, ends, codes = touching_runs(stream.starts, stream.ends, codes)
+    return replace(stream, starts=starts, ends=ends, codes=codes)
 
 
 def _atoms(
@@ -190,7 +190,7 @@ def _atoms(
     """
     # every start and end, in order, so that of equal bounds (0 and -0.0, 1 and
     # 1.0) the set keeps the first one seen, as a set comprehension over them did
-    bounds = chain.from_iterable(map(itemgetter(0, 1), chain(a.intervals, b.intervals)))
+    bounds = chain.from_iterable(chain(zip(a.starts, a.ends), zip(b.starts, b.ends)))
     bounds = sorted(set(bounds))
     starts, ends = [], []
     for s, e in pieces:
@@ -277,14 +277,13 @@ def label_stream_to_observation(
     corrects a known ground-vs-drone clock skew (default 0).
     """
     t0, fps = meta.start_time.timestamp(), meta.fps
-    starts, ends, codes = interval_columns(stream.intervals)
     # meta.frame_to_epoch(f) + clock_offset_s, which is (t0 + f / fps) + offset
     starts, ends = (
         list(map(add, map(add, repeat(t0), map(truediv, col, repeat(fps))), repeat(clock_offset_s)))
-        for col in (starts, ends)
+        for col in (stream.starts, stream.ends)
     )
-    intervals = touching_runs(starts, ends, codes)
-    return ObservationStream(subject_id or stream.subject_id, method, intervals)
+    columns = touching_runs(starts, ends, stream.codes)
+    return ObservationStream(subject_id or stream.subject_id, method, *columns)
 
 
 def dump_paired_series(pairs: PairedSeries) -> str:

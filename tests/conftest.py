@@ -9,7 +9,6 @@ import pytest
 from ethokit import (
     LABELS,
     ObservationStream,
-    ObsInterval,
     Track,
     VideoMeta,
     default_ethogram,
@@ -48,11 +47,19 @@ def track_from_boxes(track_id: str, species: str, boxes, excluded: bool = False)
     return Track(track_id, species, *columns, excluded=excluded)
 
 
+def stream_from_intervals(
+    subject_id: str, method: str, intervals, observer_id: str = "", fps: float | None = None
+) -> ObservationStream:
+    """A stream built from its intervals given as (start, end, code) rows."""
+    columns = tuple(zip(*intervals)) or ((),) * 3
+    return ObservationStream(subject_id, method, *columns, observer_id, fps)
+
+
 def make_labels(*triples, track_id: str = "t1", fps: float = 30.0) -> ObservationStream:
     """A frame stream; triples are flat (start_frame, end_frame, code) groups, ends inclusive."""
     groups = [triples[i : i + 3] for i in range(0, len(triples), 3)]
-    intervals = tuple(ObsInterval(s, e + 1, code) for s, e, code in groups)
-    return ObservationStream(track_id, LABELS, intervals, fps=fps)
+    intervals = [(s, e + 1, code) for s, e, code in groups]
+    return stream_from_intervals(track_id, LABELS, intervals, fps=fps)
 
 
 def cvat_document(labels, track_id: str = "t1") -> str:
@@ -67,5 +74,5 @@ def cvat_document(labels, track_id: str = "t1") -> str:
 
 def obs(subject: str, method: str, *triples, observer: str = "obs1") -> ObservationStream:
     """triples are (start_offset_s, end_offset_s, code) relative to T0."""
-    intervals = tuple(ObsInterval(EPOCH0 + s, EPOCH0 + e, code) for s, e, code in triples)
-    return ObservationStream(subject, method, intervals, observer)
+    intervals = [(EPOCH0 + s, EPOCH0 + e, code) for s, e, code in triples]
+    return stream_from_intervals(subject, method, intervals, observer)

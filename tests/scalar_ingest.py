@@ -48,7 +48,7 @@ from ethokit.ingest import (
     ParseError,
     _Rows,
 )
-from conftest import track_from_boxes
+from conftest import stream_from_intervals, track_from_boxes
 
 
 def _where(rows: _Rows, column: str) -> str:
@@ -101,7 +101,7 @@ def _events_to_stream(
     has_end = any(code == END_CODE for _, code, _ in group)
     if method == GROUND_SCAN and not has_end:
         intervals = [ObsInterval(t, t, code) for t, code, _ in group]
-        return ObservationStream(subject, method, tuple(intervals), observer)
+        return stream_from_intervals(subject, method, tuple(intervals), observer)
     intervals = []
     open_event: tuple[float, str] | None = None
     for t, code, row_no in group:
@@ -123,7 +123,7 @@ def _events_to_stream(
             f"{name}: stream ({observer!r}, {subject!r}, {method!r}) "
             "not terminated (missing END row)"
         )
-    return ObservationStream(subject, method, tuple(intervals), observer)
+    return stream_from_intervals(subject, method, tuple(intervals), observer)
 
 
 def parse_tracks(text: str, name: str = "tracks") -> list[Track]:
@@ -197,7 +197,7 @@ def parse_labels(text: str, fps: float, name: str = "labels") -> list[Observatio
             raise rows.fail("start_frame", f"segments overlap in track {track_id!r}")
         current.append(ObsInterval(start, end + 1, code))
     return [
-        ObservationStream(track_id, LABELS, tuple(intervals), fps=fps)
+        stream_from_intervals(track_id, LABELS, tuple(intervals), fps=fps)
         for track_id, intervals in groups
     ]
 
@@ -240,9 +240,10 @@ def dump_ground_observations(streams: list[ObservationStream], observer_id: str 
         for stream in keyed:
             key = [stream.observer_id or observer_id, stream.subject_id, stream.method]
             events = stream.method == GROUND_SCAN and stream.is_instantaneous()
-            for i, iv in enumerate(stream.intervals):
+            intervals = stream.intervals
+            for i, iv in enumerate(intervals):
                 yield [*key, _iso(iv.start), iv.code]
-                nxt = stream.intervals[i + 1] if i + 1 < len(stream.intervals) else None
+                nxt = intervals[i + 1] if i + 1 < len(intervals) else None
                 if not events and (nxt is None or nxt.start != iv.end):
                     yield [*key, _iso(iv.end), END_CODE]
 

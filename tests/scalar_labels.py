@@ -29,6 +29,7 @@ from ethokit import (
     crop_window,
 )
 from ethokit.core import LABELS, TECHNICAL_CODES
+from conftest import stream_from_intervals
 
 
 class Segment(NamedTuple):
@@ -111,7 +112,7 @@ class LabelStream:
 def to_frames(stream: LabelStream, fps: float) -> ObservationStream:
     """The library's frame stream holding the same frames."""
     intervals = tuple((s, e + 1, code) for s, e, code in stream.segments)
-    return ObservationStream(stream.track_id, LABELS, intervals, fps=fps)
+    return stream_from_intervals(stream.track_id, LABELS, intervals, fps=fps)
 
 
 def joined(streams: list[LabelStream], fps: float) -> list[ObservationStream]:
@@ -119,7 +120,7 @@ def joined(streams: list[LabelStream], fps: float) -> list[ObservationStream]:
     by_track: dict[str, list] = {}
     for stream in streams:
         by_track.setdefault(stream.track_id, []).extend(to_frames(stream, fps).intervals)
-    return [ObservationStream(t, LABELS, tuple(ivs), fps=fps) for t, ivs in by_track.items()]
+    return [stream_from_intervals(t, LABELS, tuple(ivs), fps=fps) for t, ivs in by_track.items()]
 
 
 def _durations(stream: LabelStream, meta: VideoMeta) -> list[tuple[str, float]]:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence, TypeVar
 
 from ethokit import ObservationStream, ObsInterval, VideoMeta
 from ethokit.core import TECHNICAL_CODES, run_edges
+from conftest import stream_from_intervals
 from scalar_labels import LabelStream, Segment
 
 Span = tuple[float, float]
@@ -95,7 +96,9 @@ def map_labels_scalar(stream, mapping: dict[str, str]):
             intervals[-1] = ObsInterval(intervals[-1].start, iv.end, code)
         else:
             intervals.append(ObsInterval(iv.start, iv.end, code))
-    return stream.replace_intervals(intervals)
+    return stream_from_intervals(
+        stream.subject_id, stream.method, intervals, stream.observer_id, stream.fps
+    )
 
 
 def label_stream_to_observation_scalar(
@@ -109,7 +112,7 @@ def label_stream_to_observation_scalar(
             intervals[-1] = ObsInterval(intervals[-1].start, end, seg.code)
         else:
             intervals.append(ObsInterval(start, end, seg.code))
-    return ObservationStream(stream.track_id, method, tuple(intervals))
+    return stream_from_intervals(stream.track_id, method, tuple(intervals))
 
 
 def gantt_segments_scalar(stream):

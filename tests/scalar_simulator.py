@@ -27,6 +27,7 @@ from ethokit.core import (
 )
 from ethokit.core import OUT_OF_SIGHT
 from ethokit.simulator import _EPOCH_START, _OBSERVER, SimConfig, SimWorld
+from conftest import stream_from_intervals
 from scalar_runs import index_runs_scalar as runs
 
 
@@ -130,7 +131,7 @@ def truth_label_stream(world: SimWorld, subject: str) -> ObservationStream:
         fb = min(int(round(b * frames_per_step)), cfg.n_frames)
         if fb > fa:
             intervals.append(ObsInterval(fa, fb, cfg.codes[k]))
-    return ObservationStream(subject, LABELS, tuple(intervals), fps=world.meta.fps)
+    return stream_from_intervals(subject, LABELS, tuple(intervals), fps=world.meta.fps)
 
 
 def tracks(world: SimWorld) -> list[Track]:
@@ -180,7 +181,7 @@ def observe_scan(world: SimWorld, period_s: float | None = None) -> list[Observa
                 continue
             code = cfg.codes[world.code_steps[i][step]]
             events.append(ObsInterval(t0 + t, t0 + t, code))
-        streams.append(ObservationStream(subject, GROUND_SCAN, tuple(events), _OBSERVER))
+        streams.append(stream_from_intervals(subject, GROUND_SCAN, tuple(events), _OBSERVER))
     return streams
 
 
@@ -196,4 +197,4 @@ def observe_focal(world: SimWorld, subject: str, method: str) -> ObservationStre
     t0 = world.meta.start_time.timestamp()
     step = cfg.step_s
     intervals = [ObsInterval(t0 + a * step, t0 + b * step, code) for a, b, code in runs(observed)]
-    return ObservationStream(subject, method, tuple(intervals), _OBSERVER)
+    return stream_from_intervals(subject, method, tuple(intervals), _OBSERVER)

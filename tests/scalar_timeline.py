@@ -17,6 +17,7 @@ from operator import attrgetter
 from ethokit import ObservationStream, ObsInterval, PairedSeries, VideoMeta
 from ethokit.core import TECHNICAL_CODES, sample_count
 from ethokit.timeline import _intersect
+from conftest import stream_from_intervals
 from scalar_runs import coalesce
 
 Span = tuple[float, float]
@@ -30,7 +31,9 @@ def restrict_scalar(stream: ObservationStream, spans: list[Span]) -> Observation
             if hi > lo:
                 clipped.append(ObsInterval(lo, hi, iv.code))
     clipped.sort(key=lambda iv: iv.start)
-    return stream.replace_intervals(clipped)
+    return stream_from_intervals(
+        stream.subject_id, stream.method, clipped, stream.observer_id, stream.fps
+    )
 
 
 def atoms_scalar(
@@ -78,13 +81,16 @@ def restrict_walk(stream: ObservationStream, spans: list[Span]) -> ObservationSt
             s, e = spans[i]
             clipped.append(ObsInterval(max(start, s), min(end, e), code))
             i += 1
-    return stream.replace_intervals(clipped)
+    return stream_from_intervals(
+        stream.subject_id, stream.method, clipped, stream.observer_id, stream.fps
+    )
 
 
 def code_at_keyed(stream: ObservationStream, t: float) -> str | None:
-    i = bisect_right(stream.intervals, t, key=attrgetter("start")) - 1
-    if i >= 0 and t < stream.intervals[i].end:
-        return stream.intervals[i].code
+    intervals = stream.intervals
+    i = bisect_right(intervals, t, key=attrgetter("start")) - 1
+    if i >= 0 and t < intervals[i].end:
+        return intervals[i].code
     return None
 
 
@@ -99,7 +105,7 @@ def label_stream_to_observation_coalesce(
     intervals = coalesce(
         (epoch(s) + offset, epoch(e) + offset, code) for s, e, code in stream.intervals
     )
-    return ObservationStream(subject_id, method, tuple(intervals))
+    return stream_from_intervals(subject_id, method, tuple(intervals))
 
 
 def atoms_set(

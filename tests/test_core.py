@@ -30,6 +30,7 @@ from conftest import (
     make_labels,
     make_track,
     obs,
+    stream_from_intervals,
     track_from_boxes,
 )
 from scalar_labels import LabelStream, Segment
@@ -180,7 +181,7 @@ class TestObservationStream:
 
     def test_rejects_overlapping_intervals(self):
         with pytest.raises(ValueError, match="starts before the previous one ends"):
-            ObservationStream(
+            stream_from_intervals(
                 "z1",
                 "ground_focal",
                 (ObsInterval(EPOCH0, EPOCH0 + 10, "G"), ObsInterval(EPOCH0 + 5, EPOCH0 + 20, "W")),
@@ -189,16 +190,16 @@ class TestObservationStream:
     def test_rejects_unsorted_intervals(self):
         # code_at(15.0) would read None on this stream
         with pytest.raises(ValueError, match="starts before the previous one ends"):
-            ObservationStream("z", "ground_focal", ((10, 20, "G"), (0, 5, "W")))
+            stream_from_intervals("z", "ground_focal", ((10, 20, "G"), (0, 5, "W")))
 
     def test_rejects_interval_nested_in_another(self):
         # code_at(8.0) would read None on this stream, though (0, 10, A) covers 8
         with pytest.raises(ValueError, match="starts before the previous one ends"):
-            ObservationStream("z", "ground_focal", ((0, 10, "A"), (5, 7, "B")))
+            stream_from_intervals("z", "ground_focal", ((0, 10, "A"), (5, 7, "B")))
 
     def test_rejects_end_before_start(self):
         with pytest.raises(ValueError, match="ends before it starts"):
-            ObservationStream("z", "ground_focal", ((0, 10, "A"), (20, 15, "B")))
+            stream_from_intervals("z", "ground_focal", ((0, 10, "A"), (20, 15, "B")))
 
     @pytest.mark.parametrize(
         "bounds",
@@ -209,7 +210,22 @@ class TestObservationStream:
     )
     def test_rejects_non_finite_bound(self, bounds):
         with pytest.raises(ValueError, match="finite"):
-            ObservationStream("z", "ground_focal", ((*bounds, "A"),))
+            stream_from_intervals("z", "ground_focal", ((*bounds, "A"),))
+
+    def test_columns_are_the_fields(self):
+        stream = ObservationStream("z", "ground_focal", [0, 10], [10, 15.5], iter("GW"), "o")
+        assert (stream.starts, stream.ends, stream.codes) == ((0, 10), (10, 15.5), ("G", "W"))
+        same = ObservationStream("z", "ground_focal", (0, 10), (10, 15.5), ("G", "W"), "o")
+        assert stream == same and hash(stream) == hash(same)
+        assert stream.intervals == (ObsInterval(0, 10, "G"), ObsInterval(10, 15.5, "W"))
+        assert all(type(iv) is ObsInterval for iv in stream.intervals)
+        with pytest.raises(AttributeError):
+            stream.starts = (1,)
+
+    @pytest.mark.parametrize("ends", [(10,), (10, 20, 30)])
+    def test_rejects_columns_of_unequal_length(self, ends):
+        with pytest.raises(ValueError, match=r"^stream 'z': interval columns differ in length$"):
+            ObservationStream("z", "ground_focal", (0, 10), ends, ("G", "W"))
 
     def test_instants_and_touching_intervals_are_legal(self):
         scan = obs("z1", "ground_scan", (0, 0, "G"), (0, 0, "W"), (5, 5, "G"))
@@ -251,10 +267,11 @@ class TestObservationStream:
             _interval_loop(intervals, fps)
         except (TypeError, ValueError) as exc:
             with pytest.raises(type(exc)) as err:
-                ObservationStream("z", "ground_focal", intervals, fps=fps)
+                stream_from_intervals("z", "ground_focal", intervals, fps=fps)
             assert str(err.value) == str(exc)
         else:
-            assert ObservationStream("z", "ground_focal", intervals, fps=fps).intervals == intervals
+            stream = stream_from_intervals("z", "ground_focal", intervals, fps=fps)
+            assert stream.intervals == intervals
 
 
 def _interval_loop(intervals, fps) -> None:
@@ -337,7 +354,7 @@ class TestValidateSession:
         assert not report.ok
 
     def test_flags_instantaneous_event_outside_scan(self, meta, ethogram):
-        stream = ObservationStream(
+        stream = stream_from_intervals(
             "z1", "ground_focal", (ObsInterval(EPOCH0, EPOCH0, "G"),)
         )
         report = validate_session([], [stream], meta, ethogram)
@@ -400,31 +417,14 @@ class TestWriteText:
 
 
 class TestGcPaused:
+    """The readers leave the cyclic collector as they found it, and a stream
+    is a few objects to it however many intervals it holds."""
+
     @pytest.fixture(autouse=True)
     def _restore(self):
         enabled = gc.isenabled()
         yield
         (gc.enable if enabled else gc.disable)()
-
-    def test_re_enables_an_enabled_collector(self):
-        gc.enable()
-        with core.gc_paused():
-            assert not gc.isenabled()
-        assert gc.isenabled()
-
-    def test_leaves_a_disabled_collector_disabled(self):
-        gc.disable()
-        with core.gc_paused():
-            assert not gc.isenabled()
-        assert not gc.isenabled()
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_restores_the_state_when_the_body_raises(self, enabled):
-        (gc.enable if enabled else gc.disable)()
-        with pytest.raises(KeyError):
-            with core.gc_paused():
-                raise KeyError("x")
-        assert gc.isenabled() is enabled
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["columns", "rows"])
@@ -445,6 +445,29 @@ class TestGcPaused:
         with pytest.raises(core.ParseError):  # a fault found on the way out
             ObservationIndex(text.replace("08:01:00+00:00,END", "08:00:00+00:00,END")).streams()
         assert gc.isenabled() is enabled
+
+    def test_a_stream_is_a_few_tracked_objects(self):
+        from ethokit.ingest import ObservationIndex, parse_labels
+
+        n = 10_000
+        labels = "".join(
+            ["session_id,track_id,start_frame,end_frame,code\n"]
+            + [f"s,a,{2 * i},{2 * i + 1},{'GW'[i % 2]}\n" for i in range(n)]
+        )
+        stamps = [datetime.fromtimestamp(EPOCH0 + i, timezone.utc).isoformat() for i in range(n + 1)]
+        observations = "".join(
+            ["observer_id,subject_id,method,timestamp_iso8601,code\n"]
+            + [f"o,z1,ground_focal,{t},{'GW'[i % 2]}\n" for i, t in enumerate(stamps[:-1])]
+            + [f"o,z1,ground_focal,{stamps[-1]},END\n"]
+        )
+        index = ObservationIndex(observations)
+        gc.disable()
+        before = len(gc.get_objects())
+        streams = parse_labels(labels, 30.0)
+        stream = index.build(("o", "z1", "ground_focal"))
+        grown = len(gc.get_objects()) - before
+        assert len(streams[0].codes) == len(stream.codes) == n
+        assert grown < 100
 
 
 @st.composite

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from ethokit import (
     AnalysisParams,
     InteractionEvent,
-    ObservationStream,
     Track,
     VideoMeta,
     dump_miniscene_manifest,
@@ -32,7 +31,7 @@ from ethokit import (
     time_budget,
     transition_matrix,
 )
-from conftest import T0, make_track, track_from_boxes
+from conftest import T0, make_track, stream_from_intervals, track_from_boxes
 from scalar_labels import (
     LabelStream,
     Segment,
@@ -152,7 +151,7 @@ class TestGantt:
         got = gantt_svg([(f"lane{i}", to_frames(s, fps)) for i, s in enumerate(streams)])
         # the old chart drew each label lane as float frame edges
         lanes = [
-            (f"lane{i}", ObservationStream(f"lane{i}", "labels", gantt_lane_scalar(s)))
+            (f"lane{i}", stream_from_intervals(f"lane{i}", "labels", gantt_lane_scalar(s)))
             for i, s in enumerate(streams)
         ]
         assert got == gantt_svg(lanes)

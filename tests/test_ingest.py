@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -41,10 +42,19 @@ from ethokit.ingest import (
     parse_tracks,
     parse_video_meta,
     read_ground_observations,
+    write_ground_observations,
     write_labels,
     write_tracks,
 )
-from conftest import EPOCH0, T0, cvat_document, make_labels, make_track, track_from_boxes
+from conftest import (
+    EPOCH0,
+    T0,
+    cvat_document,
+    make_labels,
+    make_track,
+    stream_from_intervals,
+    track_from_boxes,
+)
 from scalar_ingest import parse_labels as oracle_parse_labels
 from scalar_ingest import parse_tracks as oracle_parse_tracks
 import scalar_ingest as oracle
@@ -341,7 +351,7 @@ class TestLabels:
         assert dump_labels(streams, "s") == text
 
     def test_dump_orders_streams_by_track(self):
-        empty = ObservationStream("a", "labels", (), fps=30.0)
+        empty = stream_from_intervals("a", "labels", (), fps=30.0)
         text = dump_labels([make_labels(0, 4, "G", track_id="b"), empty], "s")
         assert text == "session_id,track_id,start_frame,end_frame,code\ns,b,0,4,G\n"
 
@@ -562,7 +572,7 @@ class TestOneTrackOfLabels:
 
 class TestGroundObservations:
     def test_focal_round_trip(self):
-        stream = ObservationStream(
+        stream = stream_from_intervals(
             "z1",
             "ground_focal",
             (
@@ -576,7 +586,7 @@ class TestGroundObservations:
         assert dump_ground_observations(parse_ground_observations(text)) == text
 
     def test_focal_with_gap_round_trip(self):
-        stream = ObservationStream(
+        stream = stream_from_intervals(
             "z1",
             "ground_focal",
             (
@@ -591,7 +601,7 @@ class TestGroundObservations:
         assert parse_ground_observations(text) == [stream]
 
     def test_scan_round_trip_instantaneous(self):
-        stream = ObservationStream(
+        stream = stream_from_intervals(
             "z1",
             "ground_scan",
             (ObsInterval(EPOCH0, EPOCH0, "G"), ObsInterval(EPOCH0 + 120, EPOCH0 + 120, "W")),
@@ -602,7 +612,7 @@ class TestGroundObservations:
         assert parse_ground_observations(text) == [stream]
 
     def test_propagated_scan_round_trip(self):
-        stream = ObservationStream(
+        stream = stream_from_intervals(
             "z1",
             "ground_scan",
             (ObsInterval(EPOCH0, EPOCH0 + 120, "G"), ObsInterval(EPOCH0 + 120, EPOCH0 + 240, "W")),
@@ -612,8 +622,8 @@ class TestGroundObservations:
         assert parse_ground_observations(text) == [stream]
 
     def test_multiple_observers_kept_apart(self):
-        a = ObservationStream("z1", "ground_focal", (ObsInterval(EPOCH0, EPOCH0 + 10, "G"),), "ann")
-        b = ObservationStream("z1", "ground_focal", (ObsInterval(EPOCH0, EPOCH0 + 12, "W"),), "ben")
+        a = stream_from_intervals("z1", "ground_focal", [(EPOCH0, EPOCH0 + 10, "G")], "ann")
+        b = stream_from_intervals("z1", "ground_focal", [(EPOCH0, EPOCH0 + 12, "W")], "ben")
         text = dump_ground_observations([a, b])
         assert parse_ground_observations(text) == [a, b]
 
@@ -671,8 +681,111 @@ class TestGroundObservations:
         for dur, code in runs:
             intervals.append(ObsInterval(t, t + dur, code))
             t += dur
-        stream = ObservationStream("z1", "ground_focal", tuple(intervals), "o")
+        stream = stream_from_intervals("z1", "ground_focal", tuple(intervals), "o")
         assert parse_ground_observations(dump_ground_observations([stream])) == [stream]
+
+
+@st.composite
+def writer_inputs(draw):
+    """0-4 streams on a few keys, their instants on the microsecond grid
+    that timestamps are written at, and now and then a stream the writer
+    must refuse: a repeated key, a method outside METHODS, an empty or
+    reserved code, a zero-length interval outside a scan of instants, or a
+    time past the range of a timestamp."""
+    micros = st.integers(-4 * 10**15, 4 * 10**15).map(lambda us: us / 10**6)
+    instant = micros | st.sampled_from([0.0, -0.0, EPOCH0])
+    fault = st.sampled_from([None] * 8 + ["code", "method", "instant", "range"])
+    streams = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(fault)
+        method = draw(st.sampled_from(["labels", ""] if kind == "method" else METHODS))
+        times = draw(st.sets(instant, min_size=1, max_size=6))
+        if kind == "range":
+            times.add(draw(st.sampled_from([1e15, -1e15])))
+        times = sorted(times)
+        codes = st.sampled_from(["", "END"]) if kind == "code" else st.sampled_from("GW") | QUOTED_TEXT
+        if method == "ground_scan" and draw(st.booleans()):
+            intervals = [(t, t, draw(codes)) for t in times]
+        else:  # consecutive instants bound an interval, or leave a gap
+            intervals = [(a, b, draw(codes)) for a, b in zip(times, times[1:]) if draw(st.booleans())]
+        if kind == "instant":
+            intervals.append((times[-1], times[-1], draw(codes)))
+        observer = draw(st.sampled_from(["", "field", 'o,"1"']))
+        subject = draw(st.sampled_from(["z1", "z2", ""]) | QUOTED_TEXT)
+        streams.append(stream_from_intervals(subject, method, intervals, observer))
+    return streams
+
+
+class TestGroundObservationWriterRefuses:
+    """dump_ground_observations refuses, before anything is written, what
+    parse_ground_observations would refuse or read back as another stream."""
+
+    @staticmethod
+    def _refused(tmp_path, streams, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_ground_observations(streams, tmp_path / "observations.csv")
+        assert not any(tmp_path.iterdir())
+
+    def test_a_zero_length_interval_outside_a_scan(self, tmp_path):
+        stream = ObservationStream("z1", "ground_focal", (EPOCH0, EPOCH0 + 10), (EPOCH0 + 10,) * 2,
+                                   ("G", "W"), "o")
+        message = f"stream ('o', 'z1', 'ground_focal'): zero-length interval at {EPOCH0 + 10!r}"
+        self._refused(tmp_path, [stream], message)
+
+    def test_a_scan_that_mixes_instants_and_intervals(self, tmp_path):
+        stream = ObservationStream("z1", "ground_scan", (EPOCH0, EPOCH0 + 5), (EPOCH0, EPOCH0 + 9),
+                                   ("G", "W"), "o")
+        message = f"stream ('o', 'z1', 'ground_scan'): zero-length interval at {EPOCH0!r}"
+        self._refused(tmp_path, [stream], message)
+
+    def test_an_empty_code(self, tmp_path):
+        stream = ObservationStream("z1", "ground_focal", (EPOCH0,), (EPOCH0 + 10,), ("",), "o")
+        self._refused(tmp_path, [stream], "stream ('o', 'z1', 'ground_focal'): empty behavior code")
+
+    @pytest.mark.parametrize("method", ["ground_focal", "ground_scan"])
+    def test_the_reserved_end_code(self, tmp_path, method):
+        stream = ObservationStream("z1", method, (EPOCH0,), (EPOCH0 + 10,), ("END",), "o")
+        message = f"stream ('o', 'z1', '{method}'): behavior code 'END' is reserved"
+        self._refused(tmp_path, [stream], message)
+
+    @pytest.mark.parametrize("method", ["labels", "telepathy", ""])
+    def test_a_method_outside_the_methods(self, tmp_path, method):
+        stream = ObservationStream("z1", method, (EPOCH0,), (EPOCH0 + 10,), ("G",), "o")
+        message = f"stream ('o', 'z1', {method!r}): unknown method {method!r}"
+        self._refused(tmp_path, [stream], message)
+
+    @pytest.mark.parametrize(
+        "method, start, end, bad",
+        [
+            ("ground_focal", -1e15, EPOCH0, -1e15),
+            ("ground_focal", EPOCH0, 1e15, 1e15),
+            ("ground_scan", 1e300, 1e300, 1e300),
+        ],
+    )
+    def test_a_time_past_the_range_of_a_timestamp(self, tmp_path, method, start, end, bad):
+        stream = ObservationStream("z1", method, (start,), (end,), ("G",), "o")
+        message = f"stream ('o', 'z1', '{method}'): time {bad!r} is past the range of a timestamp"
+        self._refused(tmp_path, [stream], message)
+
+    def test_two_streams_with_one_key(self, tmp_path):
+        a = ObservationStream("z1", "ground_focal", (EPOCH0,), (EPOCH0 + 10,), ("G",), "")
+        b = ObservationStream("z1", "ground_focal", (EPOCH0 + 20,), (EPOCH0 + 30,), ("W",), "o")
+        message = "stream ('o', 'z1', 'ground_focal'): more than one stream"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dump_ground_observations([a, b], observer_id="o")
+
+    @given(writer_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_what_it_writes_reads_back_equal(self, streams):
+        try:
+            text = dump_ground_observations(streams, "field")
+        except ValueError:
+            return
+        keyed = sorted(
+            (dataclasses.replace(s, observer_id=s.observer_id or "field") for s in streams if s.codes),
+            key=lambda s: (s.observer_id, s.subject_id, s.method),
+        )
+        assert parse_ground_observations(text) == keyed
 
 
 # ids and codes that the csv module must quote
@@ -703,7 +816,7 @@ def observation_streams(draw):
             intervals = [(a, b, draw(code)) for a, b in spans if draw(st.booleans())]
         observer = draw(st.sampled_from(["", "sim", 'o,"1"']))
         subject = draw(QUOTED_TEXT)
-        streams.append(ObservationStream(subject, method, tuple(intervals), observer))
+        streams.append(stream_from_intervals(subject, method, tuple(intervals), observer))
     return streams
 
 
@@ -713,6 +826,13 @@ class TestWritersMatchRowOracle:
     @given(observation_streams(), st.sampled_from(["field", 'f,"x"']))
     @settings(max_examples=300, deadline=None)
     def test_ground_observations(self, streams, observer):
+        keys = [(s.observer_id or observer, s.subject_id, s.method) for s in streams]
+        repeated = sorted(key for key in keys if keys.count(key) > 1)
+        if repeated:  # the streams would read back as one
+            message = f"stream {repeated[0]!r}: more than one stream"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dump_ground_observations(streams, observer)
+            return
         want = oracle.dump_ground_observations(streams, observer)
         assert dump_ground_observations(streams, observer) == want
 
@@ -770,7 +890,7 @@ class TestWritersMatchRowOracle:
     def test_labels_refuse_what_parse_labels_refuses(self, tmp_path, intervals, fps, message):
         streams = [
             make_labels(0, 4, "G", track_id="a"),
-            ObservationStream("b", "labels", intervals, fps=fps),
+            stream_from_intervals("b", "labels", intervals, fps=fps),
         ]
         with pytest.raises(ValueError, match=rf"^track 'b': {re.escape(message)}$"):
             write_labels(streams, tmp_path / "labels.csv", "s")
@@ -795,7 +915,7 @@ class TestWritersMatchRowOracle:
                 frame += gap
                 intervals.append((frame, frame + length, code))
                 frame += length
-            streams.append(ObservationStream(track_id, "labels", tuple(intervals), fps=30.0))
+            streams.append(stream_from_intervals(track_id, "labels", tuple(intervals), fps=30.0))
         assert dump_labels(streams, "s") == oracle.dump_labels(streams, "s")
 
 
@@ -1092,7 +1212,7 @@ class TestRunsAreSplitABlockAtATime:
 
     def test_an_observation_stream(self, split_sizes):
         instants = tuple(ObsInterval(EPOCH0 + t, EPOCH0 + t, "GW"[t % 2]) for t in range(10))
-        stream = ObservationStream("z1", "ground_scan", instants, "o")
+        stream = stream_from_intervals("z1", "ground_scan", instants, "o")
         assert parse_ground_observations(dump_ground_observations([stream])) == [stream]
         assert split_sizes == [3, 3, 3, 1]
 

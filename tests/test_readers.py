@@ -24,12 +24,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ethokit"
 
 
 class _Sites(ast.NodeVisitor):
-    """The enclosing function, as ``module.Class.function``, of each match."""
+    """The enclosing function, as ``module.Class.function``, of each match: a
+    call of one of ``calls``, a use of ``name``, or a read of ``attr``."""
 
-    def __init__(self, module: str, calls: set[tuple[str, str]], name: str | None) -> None:
+    def __init__(
+        self, module: str, calls: set[tuple[str, str]], name: str | None, attr: str | None = None
+    ) -> None:
         self.scope = [module]
         self.calls = calls
         self.name = name
+        self.attr = attr
         self.found: list[str] = []
 
     def _enter(self, node) -> None:
@@ -53,11 +57,18 @@ class _Sites(ast.NodeVisitor):
         if node.id == self.name:
             self.found.append(".".join(self.scope))
 
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == self.attr:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
 
-def sites(calls: set[tuple[str, str]] = frozenset(), name: str | None = None) -> list[str]:
+
+def sites(
+    calls: set[tuple[str, str]] = frozenset(), name: str | None = None, attr: str | None = None
+) -> list[str]:
     found = []
     for path in sorted(SRC.glob("*.py")):
-        visitor = _Sites(path.stem, calls, name)
+        visitor = _Sites(path.stem, calls, name, attr)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         found += visitor.found
     return found

@@ -18,7 +18,7 @@ from ethokit import (
     label_stream_to_observation,
     map_labels,
 )
-from ethokit.core import interval_columns, touching_runs
+from ethokit.core import touching_runs
 from ethokit.ingest import import_cvat_video_xml
 from ethokit.miniscene import MiniScene, Window
 from ethokit.timeline import _visible_spans
@@ -94,8 +94,9 @@ class TestCoalesce:
     @given(obs_streams())
     @settings(max_examples=300, deadline=None)
     def test_touching_runs_merges_the_same(self, stream):
-        got = touching_runs(*interval_columns(stream.intervals))
-        assert repr(got) == repr(tuple(coalesce(stream.intervals)))
+        got = touching_runs(stream.starts, stream.ends, stream.codes)
+        want = [list(column) for column in zip(*coalesce(stream.intervals))] or [[], [], []]
+        assert repr(list(got)) == repr(want)
 
     def test_unmerged_items_kept_as_given(self):
         a, b = ObsInterval(0, 1, "G"), ObsInterval(2, 3, "G")

@@ -34,6 +34,7 @@ from ethokit import (
 from ethokit.ingest import parse_ground_observations, parse_labels, parse_tracks
 from ethokit.simulator import export_world
 import scalar_simulator as oracle
+from conftest import stream_from_intervals
 from scalar_runs import runs
 
 
@@ -42,7 +43,7 @@ def truth_observation(world, subject: str) -> ObservationStream:
     steps = world.code_steps[world.subjects.index(subject)]
     t0, step, codes = world.meta.start_time.timestamp(), world.config.step_s, world.config.codes
     intervals = [ObsInterval(t0 + a * step, t0 + b * step, codes[k]) for a, b, k in runs(steps)]
-    return ObservationStream(subject, ML_AUTO, tuple(intervals), "sim")
+    return stream_from_intervals(subject, ML_AUTO, tuple(intervals), "sim")
 
 
 def two_code_config(seed=1, q=((0.9, 0.1), (0.5, 0.5)), duration=2000.0, n=1, **kw):

@@ -13,19 +13,22 @@ from hypothesis import strategies as st
 
 from ethokit import (
     TECHNICAL_CODES,
-    ObservationStream,
     ObsInterval,
+    OcclusionZone,
     VideoMeta,
     align_pair,
+    demo_config,
     dump_paired_series,
     label_stream_to_observation,
     map_labels,
+    observe_scan,
     propagate_scan,
+    simulate,
     visibility_filter,
 )
 from ethokit import timeline
 from ethokit.timeline import _atoms, _intersect, _restrict, _visible_spans
-from conftest import EPOCH0, T0, make_labels, obs
+from conftest import EPOCH0, T0, make_labels, obs, stream_from_intervals
 from scalar_runs import map_labels_scalar, union
 from scalar_timeline import (
     align_pair_tallies,
@@ -72,6 +75,19 @@ class TestPropagateScan:
         events = obs("z1", "ground_scan", (0, 0, "G"))
         out = propagate_scan(events, horizon_s=30.0)
         assert out.intervals == (ObsInterval(EPOCH0, EPOCH0 + 30, "G"),)
+
+    def test_a_scan_with_no_snapshot_gives_an_empty_stream(self):
+        everywhere = OcclusionZone(0.0, 0.0, 200.0, 200.0, 1.0, 0.0)  # the whole arena
+        scans = observe_scan(simulate(demo_config(1, 2, 300.0, zones=(everywhere,))))
+        assert [scan.codes for scan in scans] == [(), ()]
+        assert [propagate_scan(scan) for scan in scans] == scans
+
+    @pytest.mark.parametrize("intervals", [[(0, 120, "G")], [(0, 0, "G"), (60, 120, "W")]])
+    def test_a_scan_that_holds_an_interval_is_refused(self, intervals):
+        events = obs("z1", "ground_scan", *intervals)
+        message = "scan stream already carries intervals; expected instantaneous events"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            propagate_scan(events)
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
     def test_horizon_must_be_positive_and_finite(self, horizon):
@@ -481,7 +497,7 @@ def typed_streams(draw, lengths=(0, 1, 2, 5)):
         n = draw(st.sampled_from(lengths))
         parts.append((draw(_bound(t)), draw(_bound(t + n)), draw(st.sampled_from(CODES))))
         t += n
-    return ObservationStream("z1", "ground_focal", tuple(parts))
+    return stream_from_intervals("z1", "ground_focal", tuple(parts))
 
 
 @st.composite
@@ -502,10 +518,12 @@ class TestColumnsMatchTheirPredecessors:
         assert repr(_visible_spans(stream)) == repr(visible_spans_coalesce(stream))
 
     @example(  # spans starting and ending on bounds, inside one interval and across two
-        stream=ObservationStream("z1", "ground_focal", ((0, 10, "G"), (10.0, 12, "W"))),
+        stream=stream_from_intervals("z1", "ground_focal", ((0, 10, "G"), (10.0, 12, "W"))),
         spans=[(-0.0, 2), (3.0, 5), (9, 11.0)],
     )
-    @example(stream=ObservationStream("z1", "ground_focal", ((-0.0, 5, "G"),)), spans=[(0, 5.0)])
+    @example(
+        stream=stream_from_intervals("z1", "ground_focal", ((-0.0, 5, "G"),)), spans=[(0, 5.0)]
+    )
     @given(stream=typed_streams(), spans=typed_spans())
     @settings(max_examples=400, deadline=None)
     def test_restrict(self, stream, spans):
@@ -526,7 +544,7 @@ class TestColumnsMatchTheirPredecessors:
     )
     @settings(max_examples=300, deadline=None)
     def test_label_stream_to_observation(self, stream, fps, offset):
-        frames = ObservationStream("t1", "labels", stream.intervals, fps=fps)
+        frames = stream_from_intervals("t1", "labels", stream.intervals, fps=fps)
         meta = VideoMeta("s", 1920, 1080, T0, fps=fps)
         got = label_stream_to_observation(frames, meta, "ml_auto", "z1", offset)
         want = label_stream_to_observation_coalesce(frames, meta, "ml_auto", "z1", offset)
@@ -558,8 +576,8 @@ class TestAlignLoop:
         # 21 * 7.3 / 7.3 is 20.999999999999996 in floats: the tallies loop
         # put that instant in bin 20, whose end it had reached, and never ended
         edge = 21 * 7.3
-        a = ObservationStream("z1", "ground_focal", ((0.0, edge, "G"), (edge, 300.0, "W")))
-        b = ObservationStream("z1", "drone_focal", ((0.0, 300.0, "W"),))
+        a = stream_from_intervals("z1", "ground_focal", ((0.0, edge, "G"), (edge, 300.0, "W")))
+        b = stream_from_intervals("z1", "drone_focal", ((0.0, 300.0, "W"),))
         pairs = align_pair(a, b, 7.3)
         assert len(pairs) == 41
         assert pairs.times[21] == edge
@@ -571,9 +589,10 @@ class TestCodeAt:
     @settings(max_examples=300, deadline=None)
     def test_is_a_linear_scan(self, stream, steps):
         times = [t / 2 for t in steps] + [b for iv in stream.intervals for b in iv[:2]]
-        shifted = [(s + 1, e + 1, code) for s, e, code in stream.intervals]
         copies = (
-            dataclasses.replace(stream, intervals=shifted),
+            dataclasses.replace(
+                stream, starts=[s + 1 for s in stream.starts], ends=[e + 1 for e in stream.ends]
+            ),
             dataclasses.replace(stream, subject_id="z2"),
             pickle.loads(pickle.dumps(stream)),
             copy.deepcopy(stream),
